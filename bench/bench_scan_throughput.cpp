@@ -1,19 +1,22 @@
 // Scan-throughput bench: serial scanmemory walk vs the parallel sharded
-// engine, the legacy per-needle loop vs the single-pass MultiMatcher, the
-// scalar multi walk vs the SIMD candidate first stage, full sweeps vs
-// journal-driven incremental sweeps, and in-memory vs streamed captures.
+// engine, the legacy per-needle oracle vs the MultiMatcher's scalar walk,
+// that scalar walk vs the production path (the SIMD candidate skim where
+// the CPU has it), full sweeps vs journal-driven incremental sweeps, and
+// in-memory vs streamed captures.
 //
 // The paper's LKM took "about 5 seconds for 256 MB" — a serial linear
 // walk over four needles. This bench measures five axes over the same
 // machine state:
 //   1. shard sweep (1/2/4/8/auto): parallel speedup, byte-identity vs
 //      the serial walk;
-//   2. needle-count sweep (1/8/64/512): legacy O(needles x bytes) vs the
-//      MultiMatcher's ~one pass, byte-identity between the two;
-//   2b. SIMD sweep (same counts): the scalar multi walk vs the
-//      AVX2/AVX-512BW candidate stage — the ratio gate runs only when
-//      the hardware has the instructions, the identity gate always does
-//      (on scalar machines the simd path IS the multi walk);
+//   2. needle-count sweep (1/8/64/512): the legacy oracle's
+//      O(needles x bytes) vs the MultiMatcher scalar walk's ~one pass,
+//      byte-identity between the two;
+//   2b. SIMD sweep (same counts): the scalar walk vs the production
+//      sharded_scan, which runs the AVX2/AVX-512BW candidate skim — the
+//      ratio gate runs only when the hardware has the instructions, the
+//      identity gate always does (on scalar machines production IS the
+//      scalar walk);
 //   3. incremental: full sweeps vs delta sweeps rescanning only the
 //      ~0.5% of frames the DirtyFrameJournal recorded;
 //   4. streaming: a sparse capture several times the simulated RAM size
@@ -39,6 +42,8 @@
 #include "scan/capture_stream.hpp"
 #include "scan/dirty_journal.hpp"
 #include "scan/key_scanner.hpp"
+#include "scan/multi_matcher.hpp"
+#include "support/legacy_scan.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -76,6 +81,27 @@ bool same_raw(const std::vector<scan::RawMatch>& a,
     }
   }
   return true;
+}
+
+/// The MultiMatcher's scalar walk over the whole buffer, compile included
+/// (sharded_scan compiles per call too, so the columns compare alike).
+std::vector<scan::RawMatch> scalar_scan(
+    std::span<const std::byte> buffer,
+    std::span<const std::span<const std::byte>> needles) {
+  std::vector<scan::RawMatch> out;
+  scan::MultiMatcher(needles).scan_scalar(buffer, 0, buffer.size(),
+                                          buffer.size(), out);
+  return out;
+}
+
+/// Wall time of fn() in ms; fn's result lands in `out`.
+template <class Fn>
+double timed_ms(std::vector<scan::RawMatch>& out, Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  out = fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 }  // namespace
@@ -182,8 +208,9 @@ int main(int argc, char** argv) {
 
   // ---- phase 2: needle-count sweep ----------------------------------------
   // Synthetic buffer + synthetic 32-byte needles so the needle count is a
-  // free axis. Serial (1 shard) on both sides: the legacy/multi ratio is
-  // then a property of the matchers, not of the machine's core count.
+  // free axis. Serial on both sides: the legacy oracle against the scalar
+  // walk, so the ratio is a property of the matchers, not of the
+  // machine's core count or vector unit.
   {
     const std::size_t buf_bytes = smoke ? (4ull << 20) : (8ull << 20);
     util::Rng rng(9001);
@@ -218,14 +245,8 @@ int main(int argc, char** argv) {
       std::vector<scan::RawMatch> multi;
       bool identical = true;
       for (int r = 0; r < nreps; ++r) {
-        scan::ScanStats ls;
-        legacy = scan::sharded_scan(buffer, views, 1, 0, &ls,
-                                    scan::MatcherKind::kLegacy);
-        legacy_ms.add(ls.wall_millis);
-        scan::ScanStats ms;
-        multi = scan::sharded_scan(buffer, views, 1, 0, &ms,
-                                   scan::MatcherKind::kMulti);
-        multi_ms.add(ms.wall_millis);
+        legacy_ms.add(timed_ms(legacy, [&] { return scan::legacy_scan(buffer, views); }));
+        multi_ms.add(timed_ms(multi, [&] { return scalar_scan(buffer, views); }));
         identical = identical && same_raw(legacy, multi);
       }
       needle_identical = needle_identical && identical;
@@ -258,16 +279,18 @@ int main(int argc, char** argv) {
   }
 
   // ---- phase 2b: SIMD sweep ------------------------------------------------
-  // The scalar multi walk vs the vector candidate first stage, same serial
-  // 1-shard protocol as phase 2 so the ratio is a matcher property. Needle
-  // first bytes are drawn from an 8-value alphabet the way real key
-  // patterns cluster (DER tag bytes, PEM armor dashes, shared headers) —
+  // The scalar walk vs the production path (serial sharded_scan, which
+  // runs the vector candidate skim), same serial protocol as phase 2 so
+  // the ratio is a matcher property. Needle first bytes are drawn from
+  // an 8-value alphabet the way real key patterns cluster (DER tag
+  // bytes, PEM armor dashes, shared headers) —
   // the regime the shufti classifier targets; the fully random regime that
   // saturates its nibble tables is covered by the dense-guard row below,
   // where the matcher must FALL BACK rather than regress. The identity
   // gate is unconditional; the speedup gate only applies when the hardware
-  // has the vector instructions — on scalar machines kSimd IS the multi
-  // walk, so the checker sees simd_kind == "none" and skips the floor.
+  // has the vector instructions — on scalar machines production IS the
+  // scalar walk, so the checker sees simd_kind == "none" and skips the
+  // floor.
   {
     const scan::SimdKind hw = scan::simd_available();
     const char* hw_name = scan::simd_kind_name(hw);
@@ -309,14 +332,8 @@ int main(int argc, char** argv) {
       std::vector<scan::RawMatch> simd;
       bool identical = true;
       for (int r = 0; r < nreps; ++r) {
-        scan::ScanStats ms;
-        multi = scan::sharded_scan(buffer, views, 1, 0, &ms,
-                                   scan::MatcherKind::kMulti);
-        multi_ms.add(ms.wall_millis);
-        scan::ScanStats vs;
-        simd = scan::sharded_scan(buffer, views, 1, 0, &vs,
-                                  scan::MatcherKind::kSimd);
-        simd_ms.add(vs.wall_millis);
+        multi_ms.add(timed_ms(multi, [&] { return scalar_scan(buffer, views); }));
+        simd_ms.add(timed_ms(simd, [&] { return scan::sharded_scan(buffer, views, 1); }));
         identical = identical && same_raw(multi, simd);
       }
       simd_identical = simd_identical && identical;
@@ -343,7 +360,7 @@ int main(int argc, char** argv) {
                 buf_bytes >> 20, hw_name, stable.render().c_str(),
                 stable.render_tsv().c_str());
     ok &= shape_check(simd_identical,
-                      "SIMD results byte-identical to the scalar multi walk "
+                      "production results byte-identical to the scalar walk "
                       "at every needle count");
     if (hw != scan::SimdKind::kNone) {
       ok &= shape_check(simd_at_64 >= 2.0,
@@ -365,9 +382,10 @@ int main(int argc, char** argv) {
     // Dense-set guard: 512 fully random needles saturate the 8-bucket
     // nibble tables (candidate rate approaches every position), so the
     // matcher's build-time density check must disable the skim — the
-    // forced-simd run then takes the scalar walk (simd_kind "none"),
-    // stays bit-identical, and costs ~the same as kMulti. The floor
-    // protects against re-introducing the regression this check fixed.
+    // production run then takes the scalar walk (simd_kind "none"),
+    // stays bit-identical, and costs ~the same as the scalar walk called
+    // directly. The floor protects against re-introducing the regression
+    // this check fixed.
     {
       std::vector<std::vector<std::byte>> dense(512);
       std::vector<std::span<const std::byte>> dviews;
@@ -388,19 +406,16 @@ int main(int argc, char** argv) {
       std::vector<scan::RawMatch> simd;
       scan::ScanStats vs;
       for (int r = 0; r < nreps; ++r) {
-        scan::ScanStats ms;
-        multi = scan::sharded_scan(buffer, dviews, 1, 0, &ms,
-                                   scan::MatcherKind::kMulti);
-        multi_ms.add(ms.wall_millis);
-        simd = scan::sharded_scan(buffer, dviews, 1, 0, &vs,
-                                  scan::MatcherKind::kSimd);
-        simd_ms.add(vs.wall_millis);
+        multi_ms.add(timed_ms(multi, [&] { return scalar_scan(buffer, dviews); }));
+        simd_ms.add(timed_ms(simd, [&] {
+          return scan::sharded_scan(buffer, dviews, 1, 0, &vs);
+        }));
       }
       const bool identical = same_raw(multi, simd);
       const double speedup =
           simd_ms.mean() > 0 ? multi_ms.mean() / simd_ms.mean() : 0.0;
-      std::printf("dense guard (512 random needles): multi %.2f ms vs "
-                  "forced-simd %.2f ms (%.2fx), simd_kind=%s, %s\n\n",
+      std::printf("dense guard (512 random needles): scalar %.2f ms vs "
+                  "production %.2f ms (%.2fx), simd_kind=%s, %s\n\n",
                   multi_ms.mean(), simd_ms.mean(), speedup,
                   scan::simd_kind_name(vs.simd_kind),
                   identical ? "identical" : "DIVERGED");
@@ -414,13 +429,13 @@ int main(int argc, char** argv) {
       json.field("identical", identical);
       json.end_object();
       ok &= shape_check(identical,
-                        "dense-set forced-simd run byte-identical to the "
-                        "scalar multi walk");
+                        "dense-set production run byte-identical to the "
+                        "scalar walk");
       ok &= shape_check(vs.simd_kind == scan::SimdKind::kNone,
                         "dense needle set visibly downgraded to the scalar "
                         "walk (simd_kind none)");
       ok &= shape_check(speedup >= 0.75,
-                        "dense-set fallback costs ~nothing vs kMulti (got " +
+                        "dense-set fallback costs ~nothing vs the scalar walk (got " +
                             util::fmt(speedup) + "x)");
     }
   }
@@ -498,7 +513,7 @@ int main(int argc, char** argv) {
 
   // ---- phase 4: streaming capture ------------------------------------------
   // A capture 4x the simulated RAM, scanned through CaptureStream in
-  // bounded windows with the SIMD matcher pinned. Three gates: the
+  // bounded windows by the production matcher. Three gates: the
   // streamed match list is byte-identical to a one-shot scan of the whole
   // file, the capture really is >= 4x the RAM the shard sweep ran over,
   // and the streaming walk's peak-RSS delta stays O(window) — measured
@@ -569,9 +584,7 @@ int main(int argc, char** argv) {
       stream.rewind(max_len - 1);
       const auto t0 = std::chrono::steady_clock::now();
       while (auto w = stream.next()) {
-        auto part = scan::sharded_scan_window(w->bytes, w->payload, views, 1,
-                                              0, nullptr,
-                                              scan::MatcherKind::kSimd);
+        auto part = scan::sharded_scan_window(w->bytes, w->payload, views, 1);
         for (auto& r : part) r.offset += w->offset;
         streamed.insert(streamed.end(), part.begin(), part.end());
         bytes_streamed += w->payload;
@@ -600,8 +613,7 @@ int main(int argc, char** argv) {
           std::fread(whole.data(), 1, whole.size(), f) == whole.size();
       std::fclose(f);
     }
-    const auto oneshot = scan::sharded_scan(whole, views, 1, 0, nullptr,
-                                            scan::MatcherKind::kMulti);
+    const auto oneshot = scalar_scan(whole, views);
     const bool identical = read_back && same_raw(oneshot, streamed);
     std::remove(cap_path.c_str());
 

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
               "live B", "byte*seconds", "sweep");
 
   std::deque<servers::ConnectionId> open;
-  auto rng = s.make_rng();
   std::size_t mismatches = 0;
   for (std::size_t t = 0; t < slots; ++t) {
     // Ramp up, churn, ramp down: the connection pattern behind Fig. 5.

@@ -23,18 +23,6 @@
 //                     [--threads N]           scan shard count; 1 reproduces the
 //                                             LKM's serial walk, 0 = auto; also
 //                                             via KEYGUARD_SCAN_THREADS
-//                     [--matcher auto|legacy|multi|simd]
-//                                             pattern-matching engine: legacy
-//                                             reproduces the LKM's per-needle
-//                                             walk, multi forces the
-//                                             single-pass MultiMatcher, simd
-//                                             adds the AVX2/AVX-512BW candidate
-//                                             first stage (falls back to the
-//                                             scalar multi walk, bit-identically,
-//                                             on CPUs without it), auto
-//                                             (default) picks by needle count
-//                                             and hardware; also via
-//                                             KEYGUARD_SCAN_MATCHER
 //                     [--capture-file FILE]   stream-scan a disclosure dump
 //                                             (cold-boot image, hibernation
 //                                             file, exploit capture) for the
@@ -151,8 +139,8 @@ using namespace keyguard;
 
 namespace {
 
-constexpr std::array<std::string_view, 18> kKnownFlags = {
-    "server",  "backend", "connections", "level",   "threads", "matcher",
+constexpr std::array<std::string_view, 17> kKnownFlags = {
+    "server",  "backend", "connections", "level",   "threads",
     "capture-file", "window-mb", "incremental", "taint", "dedup", "json",
     "metrics", "trace",   "alerts",  "flight-record", "version", "help"};
 
@@ -162,7 +150,7 @@ void print_usage(std::FILE* out) {
       "usage: scanmemory_tool [--server ssh|apache|sni] [--connections N]\n"
       "                       [--backend mlocked|encrypted]\n"
       "                       [--level none|application|library|kernel|integrated]\n"
-      "                       [--threads N] [--matcher auto|legacy|multi|simd]\n"
+      "                       [--threads N]\n"
       "                       [--capture-file FILE] [--window-mb N]\n"
       "                       [--incremental] [--taint] [--dedup]\n"
       "                       [--json [FILE]] [--metrics [FILE]] [--trace [FILE]]\n"
@@ -173,8 +161,6 @@ void print_usage(std::FILE* out) {
       "memory for key copies the way the paper's scanmemory LKM did.\n"
       "  --backend      --server sni pool discipline: mlocked N-page pool or\n"
       "                 the encrypted-at-rest pool (W-page working set)\n"
-      "  --matcher      legacy per-needle walk, single-pass multi, simd\n"
-      "                 (AVX2/AVX-512BW first stage, scalar fallback), or auto\n"
       "  --capture-file stream-scan a disclosure dump for the scenario key\n"
       "                 patterns in bounded windows (multi-GB safe); the\n"
       "                 workload flags do not apply\n"
@@ -394,20 +380,6 @@ int main(int argc, char** argv) {
   const std::string level_name = flags.get("level", "none");
   const auto threads =
       flags.get_int("threads", 0, "KEYGUARD_SCAN_THREADS");  // 0 = auto
-  const std::string matcher_name = flags.get("matcher", "auto");
-  scan::MatcherKind matcher = scan::MatcherKind::kAuto;
-  if (matcher_name == "legacy") {
-    matcher = scan::MatcherKind::kLegacy;
-  } else if (matcher_name == "multi") {
-    matcher = scan::MatcherKind::kMulti;
-  } else if (matcher_name == "simd") {
-    matcher = scan::MatcherKind::kSimd;
-  } else if (matcher_name != "auto") {
-    std::fprintf(stderr, "scanmemory_tool: bad --matcher value '%s'\n\n",
-                 matcher_name.c_str());
-    print_usage(stderr);
-    return 2;
-  }
   const std::string capture_path = flags.get("capture-file", "");
   const auto window_mb = flags.get_int("window-mb", 64);
   if (window_mb <= 0) {
@@ -511,7 +483,6 @@ int main(int argc, char** argv) {
   if (!capture_path.empty()) {
     scan::KeyScanner& scanner = sni_scanner ? *sni_scanner : s.scanner();
     if (threads > 0) scanner.set_shards(static_cast<std::size_t>(threads));
-    scanner.set_matcher(matcher);
     scan::CaptureStream stream(
         capture_path, static_cast<std::size_t>(window_mb) * 1024 * 1024);
     if (!stream.ok()) {
@@ -692,7 +663,6 @@ int main(int argc, char** argv) {
 
   scan::KeyScanner& scanner = sni_scanner ? *sni_scanner : s.scanner();
   if (threads > 0) scanner.set_shards(static_cast<std::size_t>(threads));
-  scanner.set_matcher(matcher);
   scan::ScanStats stats;
   std::vector<scan::MemoryMatch> matches;
   if (incremental) {

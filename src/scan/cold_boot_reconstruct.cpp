@@ -163,7 +163,7 @@ std::optional<crypto::RsaPrivateKey> ColdBootReconstructor::reconstruct(
       const bool c = constraint_bit(n, cand.prod, i);
       // The two bit pairs satisfying p_i XOR q_i == c.
       const std::pair<bool, bool> options[2] = {{false, c}, {true, !c}};
-      for (const auto [pi, qi] : options) {
+      for (const auto& [pi, qi] : options) {
         if (p_must && !pi) continue;  // a surviving 1-bit is trusted
         if (q_must && !qi) continue;
         Candidate child = cand;

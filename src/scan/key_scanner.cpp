@@ -79,15 +79,6 @@ std::size_t KeyScanner::effective_shards() const {
   return util::ThreadPool::shared().size() + 1;  // workers + calling thread
 }
 
-MatcherKind KeyScanner::effective_matcher() const {
-  if (matcher_ != MatcherKind::kAuto) return matcher_;
-  const auto env = util::env_string("KEYGUARD_SCAN_MATCHER");
-  if (env == "legacy") return MatcherKind::kLegacy;
-  if (env == "multi") return MatcherKind::kMulti;
-  if (env == "simd") return MatcherKind::kSimd;
-  return MatcherKind::kAuto;  // unset / "auto" / unrecognized
-}
-
 std::vector<MemoryMatch> KeyScanner::resolve_raw(
     const sim::Kernel& kernel, std::span<const RawMatch> raw) const {
   // Metadata is resolved on the calling thread from a single-pass
@@ -119,7 +110,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel(const sim::Kernel& kernel,
   // an immutable byte span.
   const auto raw =
       sharded_scan(kernel.memory().all(), needles(), effective_shards(),
-                   /*min_prefix_bytes=*/0, stats, effective_matcher());
+                   /*min_prefix_bytes=*/0, stats);
   return resolve_raw(kernel, raw);
 }
 
@@ -131,7 +122,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
     // Prime: one full sweep populates the cache; everything the journal
     // accumulated so far is covered by it, so the backlog is discarded.
     cache.raw = sharded_scan(buffer, needles(), effective_shards(),
-                             /*min_prefix_bytes=*/0, stats, effective_matcher());
+                             /*min_prefix_bytes=*/0, stats);
     cache.phys_bytes = buffer.size();
     cache.primed = true;
     journal.drain();
@@ -141,16 +132,9 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
   const auto t0 = std::chrono::steady_clock::now();
   const auto dirty = journal.drain();
   const auto needle_views = needles();
-  std::size_t max_len = 0;
-  std::size_t active_needles = 0;
-  for (const auto n : needle_views) {
-    if (n.empty()) continue;
-    ++active_needles;
-    max_len = std::max(max_len, n.size());
-  }
-  const std::size_t reach = max_len > 0 ? max_len - 1 : 0;
-  const MatcherKind resolved =
-      resolve_matcher(effective_matcher(), active_needles);
+  // Compiled once per sweep and shared by every rescan window below.
+  const MultiMatcher mm(needle_views);
+  const std::size_t reach = mm.max_needle_len() > 0 ? mm.max_needle_len() - 1 : 0;
   const std::size_t frame_bytes = journal.frame_bytes();
 
   // Coalesce dirty frames into affected byte intervals. A dirty byte run
@@ -197,7 +181,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
   // right: matches may START inside and continue past hi, so the window
   // extends `reach` bytes (bounded by the true end of memory) while only
   // first-byte-inside hits are kept — identical attribution to a shard
-  // seam. Intervals are ascending and scan_range appends sorted runs, so
+  // seam. Intervals are ascending and each scan appends a sorted run, so
   // `fresh` comes out globally (offset, pattern)-sorted.
   std::vector<RawMatch> fresh;
   std::size_t rescanned_bytes = 0;
@@ -207,8 +191,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
     const std::size_t window_end = std::min(buffer.size(), hi + reach);
     const auto tw = std::chrono::steady_clock::now();
     const std::size_t before = fresh.size();
-    scan_range(buffer, lo, hi, window_end, needle_views,
-               /*min_prefix_bytes=*/0, resolved, fresh);
+    mm.scan(buffer, lo, hi, window_end, fresh);
     rescanned_bytes += hi - lo;
     if (stats != nullptr) {
       const double ms = std::max(
@@ -237,15 +220,8 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
     stats->match_count = cache.raw.size();
     stats->shard_count = affected.size();
     stats->overlap_bytes = reach;
-    stats->pattern_count = active_needles;
-    stats->matcher = resolved;
-    // Probe the compiled tables so a density fallback inside the matcher
-    // (MultiMatcher::simd_profitable) is reported, not papered over.
-    stats->simd_kind =
-        resolved == MatcherKind::kSimd && simd_available() != SimdKind::kNone &&
-                MultiMatcher(needle_views, 0).simd_profitable()
-            ? simd_available()
-            : SimdKind::kNone;
+    stats->pattern_count = mm.active_needles();
+    stats->simd_kind = mm.simd_kind();
     stats->incremental = true;
     stats->dirty_frames = dirty.size();
     stats->wall_millis = std::max(
@@ -261,7 +237,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
 std::vector<CaptureMatch> KeyScanner::scan_capture(
     std::span<const std::byte> capture, ScanStats* stats) const {
   const auto raw = sharded_scan(capture, needles(), effective_shards(),
-                                /*min_prefix_bytes=*/0, stats, effective_matcher());
+                                /*min_prefix_bytes=*/0, stats);
   std::vector<CaptureMatch> matches;
   matches.reserve(raw.size());
   for (const auto& r : raw) {
@@ -274,7 +250,7 @@ std::vector<PartialMatch> KeyScanner::scan_capture_prefix(
     std::span<const std::byte> capture, std::size_t min_bytes,
     ScanStats* stats) const {
   const auto raw = sharded_scan(capture, needles(), effective_shards(),
-                                min_bytes, stats, effective_matcher());
+                                min_bytes, stats);
   std::vector<PartialMatch> matches;
   matches.reserve(raw.size());
   for (const auto& r : raw) {
@@ -300,7 +276,6 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
     max_len = std::max(max_len, n.size());
   }
   const std::size_t reach = max_len > 0 ? max_len - 1 : 0;
-  const MatcherKind resolved = resolve_matcher(effective_matcher(), active);
   stream.rewind(reach);
   std::vector<RawMatch> all;
   std::size_t windows = 0;
@@ -310,8 +285,7 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
     ScanStats ws;
     auto raw = sharded_scan_window(w->bytes, w->payload, needle_views,
                                    effective_shards(), min_prefix_bytes,
-                                   stats != nullptr ? &ws : nullptr,
-                                   effective_matcher());
+                                   stats != nullptr ? &ws : nullptr);
     // Windows ascend and each window's hits are (offset, pattern)-sorted,
     // so rebasing to file offsets keeps the concatenation globally sorted
     // — the one-shot scan's order.
@@ -331,7 +305,6 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
     stats->shard_count = windows;
     stats->overlap_bytes = reach;
     stats->pattern_count = active;
-    stats->matcher = resolved;
     stats->simd_kind = used;
     stats->bytes_streamed = stream.size();
     stats->incremental = false;

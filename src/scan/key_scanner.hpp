@@ -8,8 +8,10 @@
 // sim::Kernel, and can also scan raw attack captures (the bytes the ext2
 // or n_tty exploits disclosed).
 //
-// Like the LKM (first machine word compared, then the tail), the scan uses
-// a first-byte filter (memchr) before the full compare. Unlike the LKM's
+// Like the LKM (first machine word compared, then the tail), the scan
+// filters candidates before the full compare; the filter is the
+// single-pass MultiMatcher's two-byte-prefix bitmap (vector-skimmed where
+// the CPU allows) rather than one memchr pass per needle. Unlike the LKM's
 // single linear walk ("about 5 seconds for 256 MB"), the walk is sharded
 // across a thread pool (scan/scan_engine.hpp): whole-frame shards with
 // seam-overlap windows make the parallel result byte-for-byte identical
@@ -133,14 +135,6 @@ class KeyScanner {
   void set_shards(std::size_t shards) noexcept { shards_ = shards; }
   std::size_t shards() const noexcept { return shards_; }
 
-  /// Inner-loop matcher. kAuto (the default) picks the best multi-pattern
-  /// path at/above kMultiMatcherMinNeedles active needles (kSimd when the
-  /// CPU has AVX2/AVX-512BW, kMulti otherwise) and the legacy walk below
-  /// it; KEYGUARD_SCAN_MATCHER=legacy|multi|simd|auto overrides kAuto.
-  /// Results are byte-identical at every setting.
-  void set_matcher(MatcherKind m) noexcept { matcher_ = m; }
-  MatcherKind matcher() const noexcept { return matcher_; }
-
   /// Full physical-memory scan with frame classification and reverse-map
   /// owner attribution (scanmemory's procfile_read). Matches are in
   /// ascending (phys_offset, pattern) order. `stats`, when non-null,
@@ -212,8 +206,6 @@ class KeyScanner {
   std::vector<std::span<const std::byte>> needles() const;
   /// shards_ resolved against the machine/env for an actual scan.
   std::size_t effective_shards() const;
-  /// matcher_ with the KEYGUARD_SCAN_MATCHER env applied to kAuto.
-  MatcherKind effective_matcher() const;
   /// Layers frame state / owners / provenance onto raw engine hits.
   std::vector<MemoryMatch> resolve_raw(const sim::Kernel& kernel,
                                        std::span<const RawMatch> raw) const;
@@ -225,7 +217,6 @@ class KeyScanner {
 
   KeyPatterns patterns_;
   std::size_t shards_ = 0;  // 0 = auto
-  MatcherKind matcher_ = MatcherKind::kAuto;
 };
 
 }  // namespace keyguard::scan

@@ -32,6 +32,7 @@ MultiMatcher::MultiMatcher(std::span<const std::span<const std::byte>> needles,
     e.match_len = static_cast<std::uint32_t>(
         min_prefix_ > 0 ? min_prefix_ : needle.size());
     e.pattern_index = static_cast<std::uint32_t>(pi);
+    max_len_ = std::max<std::size_t>(max_len_, e.len);
     const std::size_t cmp = std::min<std::size_t>(8, e.match_len);
     e.prefix = load_image(reinterpret_cast<const unsigned char*>(needle.data()), cmp);
     unsigned char ones[8] = {};
@@ -120,7 +121,7 @@ MultiMatcher::MultiMatcher(std::span<const std::span<const std::byte>> needles,
   // many survive. The skim only pays when it rejects most positions; past
   // ~25% survivors (needle sets with hundreds of unstructured prefixes
   // saturate the 8 buckets) the candidate handling costs more than the
-  // scalar walk it replaces, so scan_simd() degrades to scan() instead of
+  // scalar walk it replaces, so scan() runs the scalar walk instead of
   // regressing. Real key-pattern sets (DER tags, PEM armor, shared
   // headers) cluster on few first bytes and land far below the cutoff.
   std::size_t survivors = 0;
@@ -221,7 +222,7 @@ void MultiMatcher::check_candidate(const unsigned char* base,
   }
 }
 
-void MultiMatcher::scan_scalar(const unsigned char* base, std::size_t buf_size,
+void MultiMatcher::walk_scalar(const unsigned char* base, std::size_t buf_size,
                                std::size_t pos, std::size_t pair_limit,
                                std::size_t limit, std::size_t window_end,
                                std::vector<RawMatch>& out) const {
@@ -244,24 +245,24 @@ void MultiMatcher::scan_scalar(const unsigned char* base, std::size_t buf_size,
   }
 }
 
-void MultiMatcher::scan(std::span<const std::byte> buffer, std::size_t begin,
-                        std::size_t end, std::size_t window_end,
-                        std::vector<RawMatch>& out) const {
+void MultiMatcher::scan_scalar(std::span<const std::byte> buffer,
+                               std::size_t begin, std::size_t end,
+                               std::size_t window_end,
+                               std::vector<RawMatch>& out) const {
   if (entries_.empty() || begin >= end) return;
   const auto* base = reinterpret_cast<const unsigned char*>(buffer.data());
   const std::size_t limit = std::min(end, window_end);
   const std::size_t pair_limit =
       std::min(limit, buffer.size() > 0 ? buffer.size() - 1 : 0);
-  scan_scalar(base, buffer.size(), begin, pair_limit, limit, window_end, out);
+  walk_scalar(base, buffer.size(), begin, pair_limit, limit, window_end, out);
 }
 
-void MultiMatcher::scan_simd(std::span<const std::byte> buffer,
-                             std::size_t begin, std::size_t end,
-                             std::size_t window_end,
-                             std::vector<RawMatch>& out) const {
-  const SimdKind kind = simd_available();
-  if (kind == SimdKind::kNone || !simd_profitable_) {
-    scan(buffer, begin, end, window_end, out);  // scalar, bit-identical
+void MultiMatcher::scan(std::span<const std::byte> buffer, std::size_t begin,
+                        std::size_t end, std::size_t window_end,
+                        std::vector<RawMatch>& out) const {
+  const SimdKind kind = simd_kind();
+  if (kind == SimdKind::kNone) {
+    scan_scalar(buffer, begin, end, window_end, out);  // bit-identical
     return;
   }
   if (entries_.empty() || begin >= end) return;
@@ -296,7 +297,7 @@ void MultiMatcher::scan_simd(std::span<const std::byte> buffer,
   }
   // Scalar tail: the sub-vector remainder of the pair loop plus the
   // final-byte walk — the same code the pure scalar path runs.
-  scan_scalar(base, buffer.size(), pos, pair_limit, limit, window_end, out);
+  walk_scalar(base, buffer.size(), pos, pair_limit, limit, window_end, out);
 }
 
 }  // namespace keyguard::scan

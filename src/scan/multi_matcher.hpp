@@ -1,7 +1,7 @@
 // Single-pass multi-pattern matcher.
 //
-// The legacy engine runs the LKM's memchr-then-memcmp loop once per
-// needle, so a sweep over P patterns costs O(P × bytes) — ruinous for the
+// The paper's LKM runs its memchr-then-memcmp loop once per needle, so a
+// sweep over P patterns costs O(P × bytes) — ruinous for the
 // multi-tenant workloads PR 3 made common (1000 vhosts = 4000 needles).
 // This matcher walks the buffer ONCE: a 65536-bit two-byte-prefix bitmap
 // rejects almost every position with one predictable branch (P needles
@@ -19,14 +19,21 @@
 // set every pair for their first byte, so the bitmap never produces a
 // false negative.
 //
+// This is the engine's only production inner loop. Ahead of the pair
+// bitmap sits a vector candidate skim (AVX2/AVX-512BW, simd_match.hpp)
+// that scan() runs whenever the CPU has it and the compiled tables are
+// sparse enough to pay; otherwise scan() runs the scalar walk. Which one
+// ran is reported by simd_kind(), never chosen by a caller.
+//
 // Equivalence contract: for the same (begin, end, window_end) window the
 // output is offset-for-offset identical to the legacy per-needle walk —
 // positions are visited ascending and each bucket keeps needle order, so
 // matches emerge already (offset, pattern_index)-sorted, which is exactly
-// the order scan_shard's final sort produces. Prefix mode (the LKM's
+// the order the legacy walk's final sort produces. Prefix mode (the LKM's
 // partial-match path) replicates the same extend-while-agreeing loop with
-// the same window bounds. tests/scan_matcher_test.cpp fuzzes both modes
-// against the legacy oracle.
+// the same window bounds. tests/scan_matcher_test.cpp fuzzes both modes,
+// through the skim and through the scalar walk, against the legacy oracle
+// kept in tests/support/legacy_scan.hpp.
 #pragma once
 
 #include <array>
@@ -51,26 +58,35 @@ class MultiMatcher {
 
   /// Needles that survived the empty/too-short filter.
   std::size_t active_needles() const noexcept { return entries_.size(); }
+  /// Longest active needle (0 when none): a seam window reaches this - 1
+  /// bytes past its payload.
+  std::size_t max_needle_len() const noexcept { return max_len_; }
 
   /// Scans buffer bytes [begin, window_end) and appends every match whose
   /// FIRST byte lies in [begin, end), in (offset, pattern_index) order.
-  /// Thread-safe: const over immutable tables, so sharded_scan shares one
-  /// instance across all chunks.
+  /// Runs the vector skim at the level simd_kind() reports: 32/64
+  /// positions per iteration are classified against the shufti tables,
+  /// survivors re-check the exact pair bitmap and fall through to the
+  /// same bucket walk, and the scalar loop finishes the sub-vector tail.
+  /// With simd_kind() == kNone it is exactly scan_scalar(). Thread-safe:
+  /// const over immutable tables, so sharded_scan shares one instance
+  /// across all chunks.
   void scan(std::span<const std::byte> buffer, std::size_t begin,
             std::size_t end, std::size_t window_end,
             std::vector<RawMatch>& out) const;
 
-  /// scan() with the vector candidate first stage: 32/64 positions per
-  /// iteration are classified against the shufti tables, survivors
-  /// re-check the exact pair bitmap and fall through to the same bucket
-  /// walk, and the scalar loop finishes the sub-vector tail — so the
-  /// output is bit-identical to scan() (the scalar multi path stays the
-  /// oracle; tests/scan_matcher_test.cpp fuzzes the pair). Degrades to
-  /// scan() when simd_available() is kNone OR when simd_profitable() is
-  /// false (dense tables). Thread-safe like scan().
-  void scan_simd(std::span<const std::byte> buffer, std::size_t begin,
-                 std::size_t end, std::size_t window_end,
-                 std::vector<RawMatch>& out) const;
+  /// The scalar pair-bitmap walk alone, with scan()'s window contract and
+  /// bit-identical output. Production scans never pick it directly; it
+  /// stays callable as the vector skim's oracle in tests and benches.
+  void scan_scalar(std::span<const std::byte> buffer, std::size_t begin,
+                   std::size_t end, std::size_t window_end,
+                   std::vector<RawMatch>& out) const;
+
+  /// Vector level scan() runs at: simd_available(), or kNone when the
+  /// tables are too dense for the skim to pay (!simd_profitable()).
+  SimdKind simd_kind() const noexcept {
+    return simd_profitable_ ? simd_available() : SimdKind::kNone;
+  }
 
   /// False when the compiled shufti tables are too dense to pay for the
   /// vector stage: the ctor evaluates the nibble classifier over all
@@ -78,15 +94,15 @@ class MultiMatcher {
   /// them would survive (hundreds of needles with unstructured prefixes
   /// saturate the 8-bucket nibble tables; the candidate stream then
   /// approaches every position and the skim costs more than the scalar
-  /// pair-bitmap walk it feeds). scan_simd() falls back to scan() then,
-  /// and ScanStats::simd_kind reports kNone so the downgrade is visible.
+  /// pair-bitmap walk it feeds). scan() runs the scalar walk then, and
+  /// ScanStats::simd_kind reports kNone so the downgrade is visible.
   bool simd_profitable() const noexcept { return simd_profitable_; }
 
  private:
-  /// Scalar hot loop over [pos, limit) plus the final-byte walk up to
-  /// `limit_total` — shared by scan() (whole range) and scan_simd() (the
+  /// Scalar hot loop over [pos, pair_limit) plus the final-byte walk up
+  /// to `limit` — shared by scan_scalar() (whole range) and scan() (the
   /// sub-vector tail).
-  void scan_scalar(const unsigned char* base, std::size_t buf_size,
+  void walk_scalar(const unsigned char* base, std::size_t buf_size,
                    std::size_t pos, std::size_t pair_limit, std::size_t limit,
                    std::size_t window_end, std::vector<RawMatch>& out) const;
   struct Entry {
@@ -107,6 +123,7 @@ class MultiMatcher {
                        std::vector<RawMatch>& out) const;
 
   std::size_t min_prefix_ = 0;
+  std::size_t max_len_ = 0;
   /// Grouped by first byte; within a bucket the length-1 needles (which
   /// match regardless of the second byte) come first in pattern order,
   /// then the rest sorted by (second byte, pattern order) so

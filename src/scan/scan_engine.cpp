@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scan/multi_matcher.hpp"
-#include "util/bytes.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -25,97 +23,7 @@ double millis_since(Clock::time_point t0) {
       0.0, std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
 }
 
-/// Legacy reference walk (the LKM's loop): scans one window per needle and
-/// appends hits whose first byte lies inside the payload [begin, end).
-/// The appended region is (offset, pattern_index)-sorted before returning,
-/// so concatenating consecutive windows preserves the serial walk's order.
-void legacy_scan(std::span<const std::byte> buffer, std::size_t begin,
-                 std::size_t end, std::size_t window_end,
-                 std::span<const std::span<const std::byte>> needles,
-                 std::size_t min_prefix_bytes, std::vector<RawMatch>& out) {
-  const std::size_t base = out.size();
-  const auto window = buffer.subspan(begin, window_end - begin);
-  std::vector<std::size_t> hits;  // reused across needles, one allocation
-  for (std::size_t pi = 0; pi < needles.size(); ++pi) {
-    const auto needle = needles[pi];
-    if (needle.empty()) continue;
-    if (min_prefix_bytes == 0) {
-      util::find_all_into(window, needle, hits);
-      for (const std::size_t local : hits) {
-        const std::size_t offset = begin + local;
-        if (offset >= end) break;  // first byte in the next window's payload
-        out.push_back({offset, pi, needle.size(), true});
-      }
-    } else {
-      if (needle.size() < min_prefix_bytes) continue;
-      const auto prefix = needle.first(min_prefix_bytes);
-      util::find_all_into(window, prefix, hits);
-      for (const std::size_t local : hits) {
-        const std::size_t offset = begin + local;
-        if (offset >= end) break;
-        // Extend while the needle keeps agreeing (the LKM compared the
-        // first words, then as many following words as matched). The
-        // overlap window is sized so extension is never cut short at a
-        // seam — only the true end of the buffer can truncate it.
-        std::size_t len = min_prefix_bytes;
-        while (len < needle.size() && local + len < window.size() &&
-               window[local + len] == needle[len]) {
-          ++len;
-        }
-        out.push_back({offset, pi, len, len == needle.size()});
-      }
-    }
-  }
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-            [](const RawMatch& a, const RawMatch& b) {
-              return a.offset != b.offset ? a.offset < b.offset
-                                          : a.pattern_index < b.pattern_index;
-            });
-}
-
-/// Dispatches one window to the selected matcher. `mm` non-null means the
-/// single-pass matcher (vector first stage when `use_simd`); null means
-/// the legacy reference walk.
-void scan_window(std::span<const std::byte> buffer, std::size_t begin,
-                 std::size_t end, std::size_t window_end,
-                 std::span<const std::span<const std::byte>> needles,
-                 std::size_t min_prefix_bytes, const MultiMatcher* mm,
-                 bool use_simd, std::vector<RawMatch>& out) {
-  if (begin >= end) return;
-  if (mm != nullptr) {
-    if (use_simd) {
-      mm->scan_simd(buffer, begin, end, window_end, out);
-    } else {
-      mm->scan(buffer, begin, end, window_end, out);
-    }
-  } else {
-    legacy_scan(buffer, begin, end, window_end, needles, min_prefix_bytes, out);
-  }
-}
-
 }  // namespace
-
-const char* matcher_name(MatcherKind k) noexcept {
-  switch (k) {
-    case MatcherKind::kAuto:
-      return "auto";
-    case MatcherKind::kLegacy:
-      return "legacy";
-    case MatcherKind::kMulti:
-      return "multi";
-    case MatcherKind::kSimd:
-      return "simd";
-  }
-  return "legacy";
-}
-
-MatcherKind resolve_matcher(MatcherKind requested,
-                            std::size_t active_needles) noexcept {
-  if (requested != MatcherKind::kAuto) return requested;
-  if (active_needles < kMultiMatcherMinNeedles) return MatcherKind::kLegacy;
-  return simd_available() != SimdKind::kNone ? MatcherKind::kSimd
-                                             : MatcherKind::kMulti;
-}
 
 double ShardStats::mb_per_sec() const {
   if (millis <= 0.0) return 0.0;  // sub-tick shard: report 0, not inf
@@ -130,20 +38,12 @@ double ScanStats::mb_per_sec() const {
 
 std::string ScanStats::summary() const {
   char buf[224];
-  char matcher_buf[32];
-  if (matcher == MatcherKind::kSimd) {
-    std::snprintf(matcher_buf, sizeof(matcher_buf), "simd/%s",
-                  simd_kind_name(simd_kind));
-  } else {
-    std::snprintf(matcher_buf, sizeof(matcher_buf), "%s",
-                  matcher_name(matcher));
-  }
   std::snprintf(buf, sizeof(buf),
                 "%.1f MB in %zu shard%s, %zu patterns, %.2f ms, %.1f MB/s "
                 "[%s%s%s]",
                 static_cast<double>(bytes_scanned) / (1024.0 * 1024.0),
                 shard_count, shard_count == 1 ? "" : "s", pattern_count,
-                wall_millis, mb_per_sec(), matcher_buf,
+                wall_millis, mb_per_sec(), simd_kind_name(simd_kind),
                 incremental ? ", incremental" : "",
                 bytes_streamed > 0 ? ", streamed" : "");
   return buf;
@@ -158,7 +58,6 @@ void ScanStats::write_json(util::JsonWriter& w) const {
   w.field("overlap_bytes", static_cast<std::uint64_t>(overlap_bytes));
   w.field("wall_ms", wall_millis);
   w.field("mb_per_sec", mb_per_sec());
-  w.field("matcher", matcher_name(matcher));
   w.field("simd_kind", simd_kind_name(simd_kind));
   w.field("bytes_streamed", static_cast<std::uint64_t>(bytes_streamed));
   w.field("incremental", incremental);
@@ -216,34 +115,13 @@ ShardPlan plan_shards(std::size_t total_bytes, std::size_t max_needle_len,
   return plan;
 }
 
-void scan_range(std::span<const std::byte> buffer, std::size_t begin,
-                std::size_t end, std::size_t window_end,
-                std::span<const std::span<const std::byte>> needles,
-                std::size_t min_prefix_bytes, MatcherKind matcher,
-                std::vector<RawMatch>& out) {
-  std::size_t active = 0;
-  for (const auto n : needles) {
-    if (n.empty() || (min_prefix_bytes > 0 && n.size() < min_prefix_bytes)) continue;
-    ++active;
-  }
-  const MatcherKind resolved = resolve_matcher(matcher, active);
-  if (resolved == MatcherKind::kMulti || resolved == MatcherKind::kSimd) {
-    const MultiMatcher mm(needles, min_prefix_bytes);
-    scan_window(buffer, begin, end, window_end, needles, min_prefix_bytes, &mm,
-                resolved == MatcherKind::kSimd, out);
-  } else {
-    scan_window(buffer, begin, end, window_end, needles, min_prefix_bytes,
-                nullptr, false, out);
-  }
-}
-
 std::vector<RawMatch> sharded_scan(std::span<const std::byte> buffer,
                                    std::span<const std::span<const std::byte>> needles,
                                    std::size_t requested_shards,
                                    std::size_t min_prefix_bytes,
-                                   ScanStats* stats, MatcherKind matcher) {
+                                   ScanStats* stats) {
   return sharded_scan_window(buffer, buffer.size(), needles, requested_shards,
-                             min_prefix_bytes, stats, matcher);
+                             min_prefix_bytes, stats);
 }
 
 std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
@@ -251,7 +129,7 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
                                           std::span<const std::span<const std::byte>> needles,
                                           std::size_t requested_shards,
                                           std::size_t min_prefix_bytes,
-                                          ScanStats* stats, MatcherKind matcher) {
+                                          ScanStats* stats) {
   const std::size_t payload = std::min(payload_bytes, buffer.size());
   // Observability gate: when both sinks are off this whole scan pays two
   // relaxed atomic loads — the ≤5% budget bench_exposure_observatory
@@ -265,25 +143,11 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
   }
 
   const auto t0 = Clock::now();
-  std::size_t max_len = 0;
-  std::size_t active_needles = 0;
-  for (const auto n : needles) {
-    if (n.empty() || (min_prefix_bytes > 0 && n.size() < min_prefix_bytes)) continue;
-    ++active_needles;
-    max_len = std::max(max_len, n.size());
-  }
-
-  const MatcherKind resolved = resolve_matcher(matcher, active_needles);
-  const bool use_simd = resolved == MatcherKind::kSimd;
   // One dispatch table shared by every chunk: MultiMatcher::scan is const
   // over immutable state, so concurrent chunks read it without locking.
-  std::optional<MultiMatcher> multi;
-  if (resolved == MatcherKind::kMulti || use_simd) {
-    multi.emplace(needles, min_prefix_bytes);
-  }
-  const MultiMatcher* mm = multi ? &*multi : nullptr;
+  const MultiMatcher mm(needles, min_prefix_bytes);
 
-  const ShardPlan plan = plan_shards(payload, max_len, requested_shards);
+  const ShardPlan plan = plan_shards(payload, mm.max_needle_len(), requested_shards);
   std::vector<std::vector<RawMatch>> per_shard(plan.shard_count);
   std::vector<double> shard_millis(plan.shard_count, 0.0);
 
@@ -295,9 +159,8 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
     // complete, clamped at the true end of the buffer.
     obs::Tracer::Span span(tracer, "scan.shard");  // inert when disabled
     const auto ts = Clock::now();
-    scan_window(buffer, 0, payload,
-                std::min(buffer.size(), payload + plan.overlap), needles,
-                min_prefix_bytes, mm, use_simd, per_shard[0]);
+    mm.scan(buffer, 0, payload, std::min(buffer.size(), payload + plan.overlap),
+            per_shard[0]);
     shard_millis[0] = millis_since(ts);
     if (span.live()) {
       span.add(obs::TraceAttr::n("shard", 0.0));
@@ -333,8 +196,7 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
       const auto ts = Clock::now();
       const Chunk& c = chunks[ci];
       const std::size_t window_end = std::min(buffer.size(), c.end + plan.overlap);
-      scan_window(buffer, c.begin, c.end, window_end, needles,
-                  min_prefix_bytes, mm, use_simd, per_chunk[ci]);
+      mm.scan(buffer, c.begin, c.end, window_end, per_chunk[ci]);
       chunk_millis[ci] = millis_since(ts);
       if (span.live()) {
         span.add(obs::TraceAttr::n("shard", static_cast<double>(c.shard)));
@@ -370,14 +232,8 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
     stats->match_count = merged.size();
     stats->shard_count = plan.shard_count;
     stats->overlap_bytes = plan.overlap;
-    stats->pattern_count = active_needles;
-    stats->matcher = resolved;
-    // kNone here covers BOTH scalar hardware and the matcher's density
-    // fallback (simd_profitable() false) — either way the bytes went
-    // through the scalar walk and the stats must say so.
-    stats->simd_kind = use_simd && mm != nullptr && mm->simd_profitable()
-                           ? simd_available()
-                           : SimdKind::kNone;
+    stats->pattern_count = mm.active_needles();
+    stats->simd_kind = mm.simd_kind();
     stats->bytes_streamed = 0;
     stats->incremental = false;
     stats->dirty_frames = 0;

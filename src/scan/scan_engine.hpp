@@ -1,10 +1,12 @@
 // Parallel sharded scan engine.
 //
 // The paper's scanmemory LKM walks physical memory linearly ("about 5
-// seconds for 256 MB"). This engine keeps the LKM's memchr-then-compare
-// inner loop but splits the buffer into per-thread shards of whole 4 KB
-// frames, scans the shards concurrently over util::ThreadPool, and merges
-// per-shard results into the exact byte order the serial walk produces.
+// seconds for 256 MB"). This engine runs one inner loop, the single-pass
+// MultiMatcher (scan/multi_matcher.hpp), in place of the LKM's per-needle
+// memchr-then-compare walk, splits the buffer into per-thread shards of
+// whole 4 KB frames, scans the shards concurrently over util::ThreadPool,
+// and merges per-shard results into the exact byte order the serial walk
+// produces.
 //
 // Correctness at shard seams: a needle that starts in shard i may continue
 // into shard i+1, so every shard scans an overlap window of
@@ -31,29 +33,12 @@ class MetricsRegistry;
 
 namespace keyguard::scan {
 
-/// Which inner-loop matcher a scan uses. Results are bit-identical at
-/// every setting — the legacy loop is kept as the reference oracle, the
-/// scalar multi path is the oracle for the vector stage, and the fuzz
-/// battery in tests/scan_matcher_test.cpp enforces both equivalences.
-enum class MatcherKind : std::uint8_t {
-  kAuto = 0,  ///< legacy below kMultiMatcherMinNeedles, best multi at/above
-  kLegacy,    ///< per-needle memchr-then-memcmp walk (the LKM's loop)
-  kMulti,     ///< single-pass MultiMatcher (first-byte dispatch + SWAR)
-  kSimd,      ///< MultiMatcher with the AVX2/AVX-512BW candidate first
-              ///< stage; degrades to the scalar multi walk (bit-identically)
-              ///< when the CPU lacks the instructions
-};
-
-/// "auto" / "legacy" / "multi" / "simd" — the names the JSON envelope and
-/// the KEYGUARD_SCAN_MATCHER environment override use.
-const char* matcher_name(MatcherKind k) noexcept;
-
-/// Which vector ISA the kSimd first stage runs on. Detected once at
-/// startup via CPUID; KEYGUARD_SCAN_SIMD=none|avx2 caps (never raises)
-/// the level so the scalar fallback and the 32-byte kernel are testable
-/// on AVX-512 hardware.
+/// Which vector ISA the MultiMatcher's candidate skim runs on. Detected
+/// once at startup via CPUID; KEYGUARD_SCAN_SIMD=none|avx2 caps (never
+/// raises) the level so the scalar walk and the 32-byte kernel are
+/// testable on AVX-512 hardware.
 enum class SimdKind : std::uint8_t {
-  kNone = 0,  ///< no usable vector ISA — kSimd degrades to the scalar walk
+  kNone = 0,  ///< no usable vector ISA — scans run the scalar walk
   kAvx2,      ///< 32 positions per iteration
   kAvx512,    ///< 64 positions per iteration (AVX-512F + AVX-512BW)
 };
@@ -64,19 +49,6 @@ const char* simd_kind_name(SimdKind k) noexcept;
 /// The vector level scans will actually use (CPUID ∧ KEYGUARD_SCAN_SIMD
 /// cap), computed once and cached.
 SimdKind simd_available() noexcept;
-
-/// Needle count at which kAuto switches to the single-pass matcher. Below
-/// it, P memchr passes are cheaper than the per-byte dispatch loop.
-inline constexpr std::size_t kMultiMatcherMinNeedles = 8;
-
-/// Resolves kAuto against the active (non-skipped) needle count: legacy
-/// below the threshold, kSimd at/above it when simd_available() reports a
-/// vector ISA, kMulti otherwise. Explicit requests pass through unchanged
-/// (kSimd on a scalar-only machine still resolves to kSimd — the matcher
-/// falls back internally and ScanStats::simd_kind records kNone, so a
-/// silent downgrade stays visible).
-MatcherKind resolve_matcher(MatcherKind requested,
-                            std::size_t active_needles) noexcept;
 
 /// Per-shard accounting for one scan. With the chunked scheduler a
 /// shard's frames may be scanned by several threads; `millis` is the sum
@@ -103,11 +75,11 @@ struct ScanStats {
   std::size_t overlap_bytes = 0;  ///< per-shard seam window
   std::size_t pattern_count = 0;  ///< needles actually searched
   double wall_millis = 0.0;       ///< end-to-end, including the merge
-  MatcherKind matcher = MatcherKind::kLegacy;  ///< matcher actually used
-  /// Vector ISA the scan ran on: kNone unless the resolved matcher was
-  /// kSimd AND the CPU had the instructions. A kSimd scan reporting kNone
-  /// is the graceful scalar fallback — CI's schema check reads this field
-  /// so the downgrade is visible, not just slow.
+  /// Vector ISA the scan ran on: kNone means the bytes went through the
+  /// scalar pair-bitmap walk, because the CPU (or the KEYGUARD_SCAN_SIMD
+  /// cap) offers no vector level or because the needle set is too dense
+  /// for the skim (MultiMatcher::simd_profitable). CI's schema check
+  /// reads this field so the downgrade is visible, not just slow.
   SimdKind simd_kind = SimdKind::kNone;
   /// Capture bytes walked by a streaming scan (CaptureStream): the file
   /// size, while bytes_scanned stays the payload actually matched. 0 for
@@ -123,7 +95,7 @@ struct ScanStats {
   /// Guarded like ShardStats::mb_per_sec — 0 when wall time measured 0.
   double mb_per_sec() const;
   /// One-line human summary, e.g.
-  /// "64.0 MB in 4 shards, 4 patterns, 31.2 ms, 2051.3 MB/s".
+  /// "64.0 MB in 4 shards, 4 patterns, 31.2 ms, 2051.3 MB/s [avx512]".
   std::string summary() const;
 
   /// Emits the stats as an object *value* (caller supplies the key).
@@ -189,8 +161,7 @@ std::vector<RawMatch> sharded_scan(std::span<const std::byte> buffer,
                                    std::span<const std::span<const std::byte>> needles,
                                    std::size_t requested_shards,
                                    std::size_t min_prefix_bytes = 0,
-                                   ScanStats* stats = nullptr,
-                                   MatcherKind matcher = MatcherKind::kAuto);
+                                   ScanStats* stats = nullptr);
 
 /// sharded_scan over a window of a larger stream: only the first
 /// `payload_bytes` of `buffer` are payload (shards are planned over them
@@ -207,18 +178,6 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
                                           std::span<const std::span<const std::byte>> needles,
                                           std::size_t requested_shards,
                                           std::size_t min_prefix_bytes = 0,
-                                          ScanStats* stats = nullptr,
-                                          MatcherKind matcher = MatcherKind::kAuto);
-
-/// Single-window scan primitive shared by sharded_scan's chunks and the
-/// incremental delta path: scans buffer bytes [begin, window_end) and
-/// appends matches whose FIRST byte lies in [begin, end), in
-/// (offset, pattern_index) order. kAuto resolves against the active
-/// needle count; kLegacy is the reference per-needle walk.
-void scan_range(std::span<const std::byte> buffer, std::size_t begin,
-                std::size_t end, std::size_t window_end,
-                std::span<const std::span<const std::byte>> needles,
-                std::size_t min_prefix_bytes, MatcherKind matcher,
-                std::vector<RawMatch>& out);
+                                          ScanStats* stats = nullptr);
 
 }  // namespace keyguard::scan

@@ -104,14 +104,18 @@ __attribute__((target("avx2"))) std::size_t collect_avx2(
 __attribute__((target("avx512f,avx512bw"))) std::size_t collect_avx512(
     const unsigned char* base, std::size_t pos, std::size_t limit,
     const ShuftiTables& t, std::vector<std::size_t>& out) {
-  const __m512i lo0 = _mm512_broadcast_i32x4(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo0)));
-  const __m512i hi0 = _mm512_broadcast_i32x4(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi0)));
-  const __m512i lo1 = _mm512_broadcast_i32x4(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo1)));
-  const __m512i hi1 = _mm512_broadcast_i32x4(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi1)));
+  // Zero-masked broadcast with every lane selected: the same result as
+  // _mm512_broadcast_i32x4, whose gcc 12 expansion passes an
+  // _mm512_undefined_epi32() source that trips -Wuninitialized.
+  constexpr __mmask16 kAll = 0xFFFF;
+  const __m512i lo0 = _mm512_maskz_broadcast_i32x4(
+      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo0)));
+  const __m512i hi0 = _mm512_maskz_broadcast_i32x4(
+      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi0)));
+  const __m512i lo1 = _mm512_maskz_broadcast_i32x4(
+      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo1)));
+  const __m512i hi1 = _mm512_maskz_broadcast_i32x4(
+      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi1)));
   const __m512i nib = _mm512_set1_epi8(0x0f);
   while (pos + 64 <= limit) {
     const __m512i v0 =

@@ -201,6 +201,7 @@ void Kernel::swap_in(Process& p, VirtAddr page_addr, Pte& pte) {
   assert(pte.swapped && swap_.has_value());
   KEYGUARD_KERNEL_COUNT("kernel.swap_in_pages");
   ++swap_ins_;
+  (void)p;
   (void)page_addr;
   const auto frame = alloc_.alloc(FrameState::kUserAnon);
   assert(frame && "no memory for swap-in");

@@ -94,7 +94,7 @@ void ThreadPool::parallel_for_blocks(
   // until every helper it enlisted has drained out.
   struct ForState {
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> helpers_active{0};
+    std::size_t helpers_active = 0;  // guarded by mu
     std::mutex mu;
     std::condition_variable done;
   } st;
@@ -108,21 +108,21 @@ void ThreadPool::parallel_for_blocks(
   };
 
   const std::size_t helpers = std::min(workers_.size(), blocks - 1);
-  st.helpers_active.store(helpers, std::memory_order_relaxed);
+  st.helpers_active = helpers;
   for (std::size_t h = 0; h < helpers; ++h) {
     submit([&st, run_share] {
       run_share();
-      if (st.helpers_active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lk(st.mu);  // pairs with the waiter's predicate check
-        st.done.notify_all();
-      }
+      // `st` lives on the caller's stack and dies as soon as the caller
+      // sees zero. Decrementing and notifying under the lock means the
+      // caller cannot observe zero until this helper has released the
+      // mutex, its last touch of `st`.
+      std::lock_guard lk(st.mu);
+      if (--st.helpers_active == 0) st.done.notify_all();
     });
   }
   run_share();
   std::unique_lock lk(st.mu);
-  st.done.wait(lk, [&st] {
-    return st.helpers_active.load(std::memory_order_acquire) == 0;
-  });
+  st.done.wait(lk, [&st] { return st.helpers_active == 0; });
 }
 
 ThreadPool& ThreadPool::shared() {

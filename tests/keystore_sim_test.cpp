@@ -58,7 +58,7 @@ std::vector<KeyId> ingest_all(Rig& rig, SimKeystore& ks,
 }
 
 /// One padded encrypt/decrypt round against key `idx`, verified.
-void roundtrip(Rig& rig, SimKeystore& ks, const std::vector<KeyId>& ids,
+void roundtrip(SimKeystore& ks, const std::vector<KeyId>& ids,
                std::size_t idx, util::Rng& rng) {
   std::vector<std::byte> secret(24);
   rng.fill_bytes(secret);
@@ -78,7 +78,7 @@ TEST(SimKeystore, IngestAndPrivateOpRoundTrip) {
   const auto keys = make_keys(3);
   const auto ids = ingest_all(rig, ks, keys);
   util::Rng rng(5);
-  for (std::size_t i = 0; i < ids.size(); ++i) roundtrip(rig, ks, ids, i, rng);
+  for (std::size_t i = 0; i < ids.size(); ++i) roundtrip(ks, ids, i, rng);
   EXPECT_EQ(ks.stats().ingested, 3u);
   EXPECT_EQ(ks.stats().ops, 3u);
 }
@@ -99,7 +99,7 @@ TEST(SimKeystore, PoolBoundHoldsUnderChurnAndLruEvicts) {
   util::Rng rng(6);
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      roundtrip(rig, ks, ids, i, rng);
+      roundtrip(ks, ids, i, rng);
       EXPECT_LE(ks.pooled_count(), 2u);
     }
   }
@@ -114,7 +114,7 @@ TEST(SimKeystore, PoolHitDoesNotUnseal) {
   const auto keys = make_keys(1);
   const auto ids = ingest_all(rig, ks, keys);
   util::Rng rng(7);
-  for (int i = 0; i < 5; ++i) roundtrip(rig, ks, ids, 0, rng);
+  for (int i = 0; i < 5; ++i) roundtrip(ks, ids, 0, rng);
   EXPECT_EQ(ks.stats().unseals, 1u);
   EXPECT_EQ(ks.stats().pool_hits, 4u);
   EXPECT_EQ(ks.stats().pool_misses, 1u);
@@ -126,7 +126,7 @@ TEST(SimKeystore, EvictedSlotIsScrubbedBytesAndTaint) {
   const auto keys = make_keys(2);
   const auto ids = ingest_all(rig, ks, keys);
   util::Rng rng(8);
-  roundtrip(rig, ks, ids, 0, rng);
+  roundtrip(ks, ids, 0, rng);
   ASSERT_TRUE(ks.pooled(ids[0]));
   ks.evict(ids[0]);
   EXPECT_FALSE(ks.pooled(ids[0]));
@@ -143,7 +143,7 @@ TEST(SimKeystore, EvictedSlotIsScrubbedBytesAndTaint) {
   EXPECT_EQ(report.bytes_by_tag[static_cast<std::size_t>(TaintTag::kPoolKey)], 0u);
 
   // And the slot is immediately reusable for the other key.
-  roundtrip(rig, ks, ids, 1, rng);
+  roundtrip(ks, ids, 1, rng);
   EXPECT_TRUE(ks.pooled(ids[1]));
 }
 
@@ -159,7 +159,7 @@ TEST(SimKeystore, NoScrubConfigLeavesResidueAfterShutdown) {
     const auto keys = make_keys(1);
     const auto ids = ingest_all(rig, ks, keys);
     util::Rng rng(9);
-    roundtrip(rig, ks, ids, 0, rng);
+    roundtrip(ks, ids, 0, rng);
     ks.shutdown();  // munmaps WITHOUT scrubbing
   }
   TaintAuditor auditor(rig.map);
@@ -178,8 +178,8 @@ TEST(SimKeystore, ScrubbingShutdownLeavesNoSecretBytes) {
     const auto keys = make_keys(2);
     const auto ids = ingest_all(rig, ks, keys);
     util::Rng rng(10);
-    roundtrip(rig, ks, ids, 0, rng);
-    roundtrip(rig, ks, ids, 1, rng);
+    roundtrip(ks, ids, 0, rng);
+    roundtrip(ks, ids, 1, rng);
     ks.shutdown();
   }
   TaintAuditor auditor(rig.map);
@@ -214,7 +214,7 @@ TEST(SimKeystore, UnsealedAtRestViolatesTheBound) {
   const auto keys = make_keys(4);
   const auto ids = ingest_all(rig, ks, keys);
   util::Rng rng(12);
-  roundtrip(rig, ks, ids, 0, rng);
+  roundtrip(ks, ids, 0, rng);
 
   TaintAuditor auditor(rig.map);
   const auto report = auditor.audit(rig.kernel);

@@ -70,6 +70,11 @@ cmake --build "$BUILD" -j "$(nproc)" --target "${TARGETS[@]}"
 # sizing is 0 workers (inline parallel_for), which would give the thread
 # sanitizer nothing cross-thread to check.
 export KEYGUARD_POOL_WORKERS=4
+# A helper thread touching a returned caller's stack frame (the
+# ThreadPool completion state) is only caught with fake stacks on.
+if [ "$SAN" = address ]; then
+  export ASAN_OPTIONS="detect_stack_use_after_return=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
+fi
 
 status=0
 for t in "${TARGETS[@]}"; do

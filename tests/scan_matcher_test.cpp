@@ -4,7 +4,9 @@
 // exact AND prefix mode, over adversarial needle sets (shared first
 // bytes, shared 8-byte SWAR prefixes, needle-is-prefix-of-needle,
 // overlapping self-similar needles, duplicates) and randomized windows.
-// The legacy loop is the oracle; any divergence is a MultiMatcher bug.
+// The legacy loop (tests/support/legacy_scan.hpp) is the oracle; any
+// divergence is a MultiMatcher bug. ctest runs this binary twice, once
+// as-is and once (the ".scalar" cases) under KEYGUARD_SCAN_SIMD=none.
 #include "scan/multi_matcher.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "scan/scan_engine.hpp"
+#include "support/legacy_scan.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -44,54 +47,29 @@ void expect_same_raw(const std::vector<RawMatch>& legacy,
   }
 }
 
-/// Runs all three matchers over the same window and compares outputs.
-/// kSimd runs whatever level simd_available() reports (the CI battery
-/// re-runs this binary under KEYGUARD_SCAN_SIMD=avx2 and =none, so every
-/// kernel and the scalar fallback all face the same oracle).
+/// Runs the oracle, the scalar walk and the production scan over the same
+/// window and compares outputs. scan() runs whatever level
+/// simd_available() reports (run_sanitized.sh re-runs this binary under
+/// KEYGUARD_SCAN_SIMD=avx2 and =none, so every kernel and the scalar walk
+/// all face the same oracle).
 void check_window(std::span<const std::byte> buffer, std::size_t begin,
                   std::size_t end, std::size_t window_end, const Needles& n,
                   std::size_t min_prefix, const std::string& label) {
   const auto nv = views(n);
+  const MultiMatcher mm(nv, min_prefix);
   std::vector<RawMatch> legacy;
-  std::vector<RawMatch> multi;
-  std::vector<RawMatch> simd;
-  scan_range(buffer, begin, end, window_end, nv, min_prefix,
-             MatcherKind::kLegacy, legacy);
-  scan_range(buffer, begin, end, window_end, nv, min_prefix,
-             MatcherKind::kMulti, multi);
-  scan_range(buffer, begin, end, window_end, nv, min_prefix,
-             MatcherKind::kSimd, simd);
-  expect_same_raw(legacy, multi, label);
-  expect_same_raw(legacy, simd, label + " (simd)");
+  std::vector<RawMatch> scalar;
+  std::vector<RawMatch> production;
+  legacy_scan(buffer, begin, end, window_end, nv, min_prefix, legacy);
+  mm.scan_scalar(buffer, begin, end, window_end, scalar);
+  mm.scan(buffer, begin, end, window_end, production);
+  expect_same_raw(legacy, scalar, label);
+  expect_same_raw(legacy, production, label + " (production)");
 }
 
 void check_full_buffer(std::span<const std::byte> buffer, const Needles& n,
                        std::size_t min_prefix, const std::string& label) {
   check_window(buffer, 0, buffer.size(), buffer.size(), n, min_prefix, label);
-}
-
-TEST(MatcherResolve, AutoThresholdAndNames) {
-  EXPECT_EQ(resolve_matcher(MatcherKind::kAuto, 0), MatcherKind::kLegacy);
-  EXPECT_EQ(resolve_matcher(MatcherKind::kAuto, kMultiMatcherMinNeedles - 1),
-            MatcherKind::kLegacy);
-  // At/above the threshold kAuto picks the best multi-pattern path the
-  // hardware (∧ KEYGUARD_SCAN_SIMD cap) offers.
-  const MatcherKind best = simd_available() != SimdKind::kNone
-                               ? MatcherKind::kSimd
-                               : MatcherKind::kMulti;
-  EXPECT_EQ(resolve_matcher(MatcherKind::kAuto, kMultiMatcherMinNeedles), best);
-  EXPECT_EQ(resolve_matcher(MatcherKind::kLegacy, 1000), MatcherKind::kLegacy);
-  EXPECT_EQ(resolve_matcher(MatcherKind::kMulti, 1), MatcherKind::kMulti);
-  // Explicit kSimd passes through even on scalar-only hardware — the
-  // matcher falls back internally and stats record simd_kind = none.
-  EXPECT_EQ(resolve_matcher(MatcherKind::kSimd, 1), MatcherKind::kSimd);
-  EXPECT_STREQ(matcher_name(MatcherKind::kAuto), "auto");
-  EXPECT_STREQ(matcher_name(MatcherKind::kLegacy), "legacy");
-  EXPECT_STREQ(matcher_name(MatcherKind::kMulti), "multi");
-  EXPECT_STREQ(matcher_name(MatcherKind::kSimd), "simd");
-  EXPECT_STREQ(simd_kind_name(SimdKind::kNone), "none");
-  EXPECT_STREQ(simd_kind_name(SimdKind::kAvx2), "avx2");
-  EXPECT_STREQ(simd_kind_name(SimdKind::kAvx512), "avx512");
 }
 
 TEST(MultiMatcherEquivalence, SharedFirstBytes) {
@@ -267,8 +245,8 @@ TEST(MultiMatcherEquivalence, RandomizedWindowsFuzz) {
 }
 
 TEST(MultiMatcherEquivalence, ShardedScanLegacyVsMultiAllShardCounts) {
-  // End-to-end through sharded_scan: forced-legacy and forced-multi runs
-  // must agree at every shard count, and both report the matcher used.
+  // End-to-end through sharded_scan: the production path must agree with
+  // the legacy oracle at every shard count.
   util::Rng rng(424242);
   std::vector<std::byte> hay(3 * 4096 + 777);
   rng.fill_bytes(hay);
@@ -284,45 +262,25 @@ TEST(MultiMatcherEquivalence, ShardedScanLegacyVsMultiAllShardCounts) {
     std::copy(pick.begin(), pick.end(), hay.begin() + off);
   }
   const auto nv = views(n);
+  const auto legacy = legacy_scan(hay, nv);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    ScanStats legacy_stats;
-    ScanStats multi_stats;
-    const auto legacy = sharded_scan(hay, nv, shards, 0, &legacy_stats,
-                                     MatcherKind::kLegacy);
-    const auto multi = sharded_scan(hay, nv, shards, 0, &multi_stats,
-                                    MatcherKind::kMulti);
+    // Same bytes as the oracle, and the stats name the vector level the
+    // scan actually ran on (kNone == the scalar walk, visibly).
+    ScanStats stats;
+    const auto multi = sharded_scan(hay, nv, shards, 0, &stats);
     expect_same_raw(legacy, multi, "sharded, " + std::to_string(shards));
-    EXPECT_EQ(legacy_stats.matcher, MatcherKind::kLegacy);
-    EXPECT_EQ(multi_stats.matcher, MatcherKind::kMulti);
-    EXPECT_EQ(multi_stats.simd_kind, SimdKind::kNone);
-    // Forced simd: same bytes, and the stats name both the matcher and
-    // the vector level actually used (kNone == visible scalar fallback).
-    ScanStats simd_stats;
-    const auto simd = sharded_scan(hay, nv, shards, 0, &simd_stats,
-                                   MatcherKind::kSimd);
-    expect_same_raw(legacy, simd, "sharded simd, " + std::to_string(shards));
-    EXPECT_EQ(simd_stats.matcher, MatcherKind::kSimd);
-    EXPECT_EQ(simd_stats.simd_kind, simd_available());
-    // 16 needles ≥ threshold: kAuto must resolve to the best multi path
-    // and still match the oracle.
-    ScanStats auto_stats;
-    const auto aut = sharded_scan(hay, nv, shards, 0, &auto_stats,
-                                  MatcherKind::kAuto);
-    expect_same_raw(legacy, aut, "sharded auto, " + std::to_string(shards));
-    EXPECT_EQ(auto_stats.matcher, simd_available() != SimdKind::kNone
-                                      ? MatcherKind::kSimd
-                                      : MatcherKind::kMulti);
+    EXPECT_EQ(stats.simd_kind, simd_available());
   }
 }
 
 TEST(SimdEquivalence, DenseNeedleSetFallsBackToScalarVisibly) {
   // 512 random 32-byte needles saturate the 8-bucket shufti nibble tables
   // (most byte pairs survive the classifier), so MultiMatcher's build-time
-  // density check must route forced-kSimd scans through the scalar walk:
+  // density check must route scans through the scalar walk:
   // simd_profitable() false, stats simd_kind == kNone even on vector
-  // hardware, and the bytes still come out identical to kMulti. A sparse
-  // structured set built the same way stays profitable — the cutoff
-  // discriminates, it doesn't blanket-disable.
+  // hardware, and the bytes still come out identical to the oracle. A
+  // sparse structured set built the same way stays profitable — the
+  // cutoff discriminates, it doesn't blanket-disable.
   util::Rng rng(717);
   std::vector<std::byte> hay(32 * 1024);
   rng.fill_bytes(hay);
@@ -334,15 +292,14 @@ TEST(SimdEquivalence, DenseNeedleSetFallsBackToScalarVisibly) {
   }
   const auto dv = views(dense);
   EXPECT_FALSE(MultiMatcher(dv, 0).simd_profitable());
-  ScanStats multi_stats;
-  ScanStats simd_stats;
-  const auto multi = sharded_scan(hay, dv, 1, 0, &multi_stats,
-                                  MatcherKind::kMulti);
-  const auto simd = sharded_scan(hay, dv, 1, 0, &simd_stats,
-                                 MatcherKind::kSimd);
-  expect_same_raw(multi, simd, "dense fallback");
-  EXPECT_EQ(simd_stats.matcher, MatcherKind::kSimd);
-  EXPECT_EQ(simd_stats.simd_kind, SimdKind::kNone);  // visible downgrade
+  ScanStats stats;
+  const auto multi = sharded_scan(hay, dv, 1, 0, &stats);
+  expect_same_raw(legacy_scan(hay, dv), multi, "dense fallback");
+  EXPECT_EQ(stats.simd_kind, SimdKind::kNone);  // visible downgrade
+  // ...under the spellings the JSON envelope and CI read.
+  EXPECT_STREQ(simd_kind_name(SimdKind::kNone), "none");
+  EXPECT_STREQ(simd_kind_name(SimdKind::kAvx2), "avx2");
+  EXPECT_STREQ(simd_kind_name(SimdKind::kAvx512), "avx512");
 
   Needles sparse;
   for (int k = 0; k < 64; ++k) {
@@ -355,10 +312,10 @@ TEST(SimdEquivalence, DenseNeedleSetFallsBackToScalarVisibly) {
 }
 
 TEST(SimdEquivalence, NeedleCountSweepFuzz) {
-  // The ISSUE's fuzz grid: needle counts spanning one bucket to heavy
+  // The fuzz grid: needle counts spanning one bucket to heavy
   // bucket collision (512 needles over 8 shufti buckets), random and
   // low-entropy haystacks, exact and prefix mode. check_window runs the
-  // three-way compare, so the SIMD path faces the legacy oracle directly.
+  // three-way compare, so the vector skim faces the legacy oracle directly.
   util::Rng rng(550);
   for (const std::size_t count :
        {std::size_t{1}, std::size_t{8}, std::size_t{64}, std::size_t{512}}) {

@@ -5,7 +5,9 @@
 // ending exactly AT every window boundary, needles straddling boundaries,
 // a truncated final window, and files smaller than one window. Both
 // access modes (mmap and the KEYGUARD_CAPTURE_MMAP=0 pread fallback) face
-// the same oracle.
+// the same one-shot result, which itself faces the legacy per-needle walk
+// (tests/support/legacy_scan.hpp). ctest runs this binary twice, once
+// as-is and once (the ".scalar" cases) under KEYGUARD_SCAN_SIMD=none.
 #include "scan/capture_stream.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "crypto/pem.hpp"
 #include "crypto/rsa.hpp"
 #include "scan/key_scanner.hpp"
+#include "support/legacy_scan.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -66,14 +69,40 @@ void expect_same_partial(const std::vector<PartialMatch>& oneshot,
   }
 }
 
+/// The one-shot scans must equal the legacy walk over the same bytes.
+void expect_oneshot_matches_oracle(const KeyScanner& scanner,
+                                   const std::vector<std::byte>& capture,
+                                   const std::vector<CaptureMatch>& oneshot,
+                                   const std::vector<PartialMatch>& prefix,
+                                   const std::string& label) {
+  std::vector<std::span<const std::byte>> needles;
+  for (const auto& p : scanner.patterns().patterns) needles.emplace_back(p.bytes);
+  const auto name = [&](const RawMatch& r) {
+    return scanner.patterns().patterns[r.pattern_index].name;
+  };
+  std::vector<CaptureMatch> exact;
+  for (const auto& r : legacy_scan(capture, needles)) {
+    exact.push_back({r.offset, name(r)});
+  }
+  expect_same_capture(exact, oneshot, label + " [oracle]");
+  std::vector<PartialMatch> partial;
+  for (const auto& r : legacy_scan(capture, needles, 20)) {
+    partial.push_back({r.offset, name(r), r.matched_bytes, r.full});
+  }
+  expect_same_partial(partial, prefix, label + " [oracle prefix]");
+}
+
 /// Streams `path` at `window` bytes in BOTH access modes and requires each
-/// to equal the one-shot result; also checks the aggregate stats shape.
+/// to equal the one-shot result (itself checked against the legacy walk);
+/// also checks the aggregate stats shape.
 void check_stream_equivalence(const KeyScanner& scanner,
                               const std::vector<std::byte>& capture,
                               const std::string& path, std::size_t window,
                               const std::string& label) {
   const auto oneshot = scanner.scan_capture(capture);
   const auto oneshot_prefix = scanner.scan_capture_prefix(capture, 20);
+  expect_oneshot_matches_oracle(scanner, capture, oneshot, oneshot_prefix,
+                                label);
   for (const bool use_mmap : {true, false}) {
     ::setenv("KEYGUARD_CAPTURE_MMAP", use_mmap ? "1" : "0", 1);
     const std::string mode_label =

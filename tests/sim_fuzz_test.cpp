@@ -104,7 +104,9 @@ TEST_P(SimFuzz, HeapAllocatorAgainstReferenceModel) {
       ASSERT_GE(got, size);
       // No overlap with any live chunk.
       const auto next = live.lower_bound(a);
-      if (next != live.end()) ASSERT_LE(a + got, next->first);
+      if (next != live.end()) {
+        ASSERT_LE(a + got, next->first);
+      }
       if (next != live.begin()) {
         const auto prev = std::prev(next);
         ASSERT_LE(prev->first + prev->second, a);

@@ -110,5 +110,22 @@ TEST(ThreadPool, ParallelForBlocksZeroBlockTreatedAsOne) {
   EXPECT_EQ(n.load(), 25u);
 }
 
+TEST(ThreadPool, TinyParallelForStressReturnsOnlyAfterHelpersLetGo) {
+  // 10^5 back-to-back tiny loops. Each call's completion state lives on
+  // the caller's stack and dies the moment parallel_for returns, so a
+  // helper that still touches it after reporting done is a stack
+  // use-after-return: tests/run_sanitized.sh runs this case under ASan
+  // (detect_stack_use_after_return=1) and TSan.
+  ThreadPool pool(3);
+  constexpr int kCalls = 100000;
+  std::atomic<int> ran{0};
+  for (int c = 0; c < kCalls; ++c) {
+    pool.parallel_for(4, [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(ran.load(), 4 * kCalls);
+}
+
 }  // namespace
 }  // namespace keyguard::util
