@@ -196,6 +196,10 @@ Bignum Bignum::from_bytes_le(std::span<const std::byte> bytes) {
   return from_limbs(std::move(limbs));
 }
 
+Bignum Bignum::from_limbs_le(std::span<const Limb> limbs) {
+  return from_limbs(std::vector<Limb>(limbs.begin(), limbs.end()));
+}
+
 std::size_t Bignum::bit_length() const noexcept {
   if (limbs_.empty()) return 0;
   return (limbs_.size() - 1) * kLimbBits +
@@ -446,10 +450,7 @@ std::optional<Bignum> Bignum::mod_inverse(const Bignum& a, const Bignum& m) {
 
 Bignum Bignum::mod_exp(const Bignum& a, const Bignum& e, const Bignum& m) {
   assert(m > Bignum(Limb{1}));
-  if (m.is_odd()) {
-    const MontgomeryContext ctx(m);
-    return ctx.exp(a, e);
-  }
+  if (m.is_odd()) return mont_mod_exp(a, e, m, Exponent::kSecret);
   // Even modulus: plain left-to-right square and multiply.
   Bignum base = a % m;
   Bignum result{Limb{1}};
@@ -458,6 +459,11 @@ Bignum Bignum::mod_exp(const Bignum& a, const Bignum& e, const Bignum& m) {
     if (e.bit(i)) result = (result * base) % m;
   }
   return result;
+}
+
+Bignum Bignum::mod_exp_public(const Bignum& a, const Bignum& e, const Bignum& m) {
+  if (m.is_odd() && m > Bignum(Limb{1})) return mont_mod_exp(a, e, m, Exponent::kPublic);
+  return mod_exp(a, e, m);
 }
 
 std::vector<std::byte> Bignum::to_bytes_be(std::size_t min_len) const {
@@ -501,11 +507,7 @@ std::string Bignum::to_decimal() const {
 }
 
 void Bignum::scrub() noexcept {
-  volatile Limb* vp = limbs_.data();
-  for (std::size_t i = 0; i < limbs_.size(); ++i) vp[i] = 0;
-#if defined(__GNUC__) || defined(__clang__)
-  __asm__ __volatile__("" : : "r"(limbs_.data()) : "memory");
-#endif
+  mont::wipe(limbs_);
   limbs_.clear();
   limbs_.shrink_to_fit();
 }

@@ -48,6 +48,9 @@ class Bignum {
   /// Little-endian byte import.
   static Bignum from_bytes_le(std::span<const std::byte> bytes);
 
+  /// Little-endian limb import (leading zero limbs allowed).
+  static Bignum from_limbs_le(std::span<const Limb> limbs);
+
   // -- observers ----------------------------------------------------------
 
   bool is_zero() const noexcept { return limbs_.empty(); }
@@ -112,9 +115,16 @@ class Bignum {
   /// Modular inverse of a modulo m; nullopt when gcd(a, m) != 1 or m == 0.
   static std::optional<Bignum> mod_inverse(const Bignum& a, const Bignum& m);
 
-  /// a^e mod m. Uses Montgomery exponentiation for odd m, a generic
-  /// square-and-multiply with explicit reduction otherwise. m must be > 1.
+  /// a^e mod m. Uses Montgomery exponentiation for odd m (one scratch
+  /// vector, wiped on exit, and no copy of m), a generic square-and-multiply
+  /// with explicit reduction otherwise. m must be > 1. For odd m the window
+  /// count follows m's width, so the run time does not depend on e's value:
+  /// use it for private exponents.
   static Bignum mod_exp(const Bignum& a, const Bignum& e, const Bignum& m);
+
+  /// a^e mod m for a public exponent: the same kernel over e's bit length
+  /// only (5 windows for e = 65537 instead of m's full width).
+  static Bignum mod_exp_public(const Bignum& a, const Bignum& e, const Bignum& m);
 
   // -- conversion ---------------------------------------------------------
 
@@ -143,8 +153,6 @@ class Bignum {
   static Bignum from_limbs(std::vector<Limb> limbs);
 
   std::vector<Limb> limbs_;  // little-endian, normalized
-
-  friend class MontgomeryContext;
 };
 
 /// Quotient and remainder of Bignum::divmod.

@@ -1,106 +1,344 @@
 #include "bignum/montgomery.hpp"
 
-#include <array>
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace keyguard::bn {
+namespace mont {
 namespace {
 
 using u128 = unsigned __int128;
 
-// Inverse of an odd x modulo 2^64 by Newton iteration (5 steps double the
-// correct bits from 5 to 64+).
-Limb inv64(Limb x) {
-  Limb inv = x;  // correct to 3 bits for odd x
-  for (int i = 0; i < 5; ++i) inv *= 2 - x * inv;
-  return inv;
+// All-ones when bit 0 of `bit` is set, else zero.
+inline Limb mask_of(Limb bit) noexcept { return Limb{0} - (bit & 1); }
+
+// out = v - n if v >= n, else v, for v < 2n given as l limbs plus a
+// carry bit `top`: the difference goes to `diff`, then a masked select
+// keeps v when the subtract borrows past `top`. out may alias v or diff.
+void subtract_if_ge(Limb* out, const Limb* v, Limb top, const Limb* n, std::size_t l,
+                    Limb* diff) noexcept {
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < l; ++i) {
+    const u128 d = static_cast<u128>(v[i]) - n[i] - borrow;
+    diff[i] = static_cast<Limb>(d);
+    borrow = static_cast<Limb>(d >> 64) & 1;
+  }
+  const Limb keep = mask_of(borrow & ~top);
+  for (std::size_t i = 0; i < l; ++i) out[i] = (v[i] & keep) | (diff[i] & ~keep);
+}
+
+// r = a + b mod n for a, b < n (r may alias either). tmp: l limbs.
+void add_mod(Limb* r, const Limb* a, const Limb* b, const Limb* n, std::size_t l,
+             Limb* tmp) noexcept {
+  Limb carry = 0;
+  for (std::size_t i = 0; i < l; ++i) {
+    const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
+    r[i] = static_cast<Limb>(s);
+    carry = static_cast<Limb>(s >> 64);
+  }
+  subtract_if_ge(r, r, carry, n, l, tmp);
+}
+
+// r = a*a*R^{-1} mod n for a < n: each cross product once, doubled, plus
+// the diagonal, then a separate REDC pass. scratch: 2l + 1 limbs.
+void sqr(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+         std::span<Limb> scratch) noexcept {
+  const std::size_t l = m.limbs();
+  const Limb* ap = a.data();
+  const Limb* np = m.n.data();
+  Limb* t = scratch.data();
+  std::fill_n(t, 2 * l + 1, Limb{0});
+  for (std::size_t i = 0; i + 1 < l; ++i) {
+    const u128 ai = ap[i];
+    Limb carry = 0;
+    for (std::size_t j = i + 1; j < l; ++j) {
+      const u128 cur = ai * ap[j] + t[i + j] + carry;
+      t[i + j] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
+    }
+    t[i + l] = carry;
+  }
+  // Double the cross terms (their sum is below a^2 / 2: no carry out).
+  for (std::size_t i = 2 * l; i-- > 1;) t[i] = (t[i] << 1) | (t[i - 1] >> 63);
+  t[0] <<= 1;
+  Limb carry = 0;  // add the squares a[i]^2 at limb 2i
+  for (std::size_t i = 0; i < l; ++i) {
+    const u128 sq = static_cast<u128>(ap[i]) * ap[i];
+    u128 s = static_cast<u128>(t[2 * i]) + static_cast<Limb>(sq) + carry;
+    t[2 * i] = static_cast<Limb>(s);
+    s = static_cast<u128>(t[2 * i + 1]) + static_cast<Limb>(sq >> 64) + static_cast<Limb>(s >> 64);
+    t[2 * i + 1] = static_cast<Limb>(s);
+    carry = static_cast<Limb>(s >> 64);
+  }
+  // REDC: cancel one low limb per pass; `top` carries into limb i + l + 1.
+  Limb top = 0;
+  for (std::size_t i = 0; i < l; ++i) {
+    const u128 q = t[i] * m.n0_inv;
+    Limb c = 0;
+    for (std::size_t j = 0; j < l; ++j) {
+      const u128 cur = q * np[j] + t[i + j] + c;
+      t[i + j] = static_cast<Limb>(cur);
+      c = static_cast<Limb>(cur >> 64);
+    }
+    const u128 s = static_cast<u128>(t[i + l]) + c + top;
+    t[i + l] = static_cast<Limb>(s);
+    top = static_cast<Limb>(s >> 64);
+  }
+  subtract_if_ge(r.data(), t + l, top, np, l, r.data());
 }
 
 }  // namespace
 
-MontgomeryContext::MontgomeryContext(const Bignum& n) : n_(n) {
-  assert(n.is_odd() && n > Bignum(Limb{1}));
-  n_limbs_ = n.limb_count();
-  n0_inv_ = ~inv64(n.low_limb()) + 1;  // negate mod 2^64
-  // R^2 mod n with R = 2^(64 * n_limbs).
-  const Bignum r = Bignum(Limb{1}) << (64 * n_limbs_);
-  rr_ = (r * r) % n_;
+Limb neg_inv(Limb x) noexcept {
+  Limb inv = x;  // correct to 3 bits for odd x; each Newton step doubles that
+  for (int i = 0; i < 5; ++i) inv *= 2 - x * inv;
+  return ~inv + 1;
 }
 
-Bignum MontgomeryContext::reduce(std::vector<Limb> t) const {
-  // REDC over a product t of at most 2*n_limbs limbs.
-  t.resize(2 * n_limbs_ + 1, 0);
-  const auto n_limbs = n_.limbs();
-  for (std::size_t i = 0; i < n_limbs_; ++i) {
-    const Limb m = t[i] * n0_inv_;
+void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+         const Modulus& m, std::span<Limb> scratch) noexcept {
+  const std::size_t l = m.limbs();
+  const Limb* np = m.n.data();
+  const Limb* ap = a.data();
+  Limb* t = scratch.data();
+  std::fill_n(t, l + 2, Limb{0});
+  for (std::size_t i = 0; i < l; ++i) {
+    // t += a * b[i]
+    const u128 bi = b[i];
     Limb carry = 0;
-    for (std::size_t j = 0; j < n_limbs_; ++j) {
-      const u128 cur = static_cast<u128>(m) * n_limbs[j] + t[i + j] + carry;
-      t[i + j] = static_cast<Limb>(cur);
+    for (std::size_t j = 0; j < l; ++j) {
+      const u128 cur = ap[j] * bi + t[j] + carry;
+      t[j] = static_cast<Limb>(cur);
       carry = static_cast<Limb>(cur >> 64);
     }
-    // Propagate the carry through the upper limbs.
-    std::size_t k = i + n_limbs_;
-    while (carry != 0) {
-      const Limb s = t[k] + carry;
-      carry = s < carry ? 1 : 0;
-      t[k] = s;
-      ++k;
+    u128 top = static_cast<u128>(t[l]) + carry;
+    t[l] = static_cast<Limb>(top);
+    t[l + 1] = static_cast<Limb>(top >> 64);
+    // t = (t + q*n) / 2^64 with q chosen so the low limb cancels.
+    const u128 q = t[0] * m.n0_inv;
+    u128 cur = q * np[0] + t[0];
+    carry = static_cast<Limb>(cur >> 64);
+    for (std::size_t j = 1; j < l; ++j) {
+      cur = q * np[j] + t[j] + carry;
+      t[j - 1] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
     }
+    top = static_cast<u128>(t[l]) + carry;
+    t[l - 1] = static_cast<Limb>(top);
+    t[l] = t[l + 1] + static_cast<Limb>(top >> 64);
   }
-  // Result is t / R = t[n_limbs_ .. 2*n_limbs_], possibly >= n: subtract once.
-  std::vector<Limb> res(t.begin() + static_cast<std::ptrdiff_t>(n_limbs_),
-                        t.begin() + static_cast<std::ptrdiff_t>(2 * n_limbs_ + 1));
-  Bignum r = Bignum::from_bytes_le({});  // zero
-  {
-    // Build the Bignum directly from limbs via byte round-trip avoidance:
-    // reuse from_bytes_le on the raw limb bytes.
-    std::vector<std::byte> bytes;
-    bytes.reserve(res.size() * 8);
-    for (const Limb limb : res) {
-      for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<std::byte>(limb >> (8 * b)));
+  subtract_if_ge(r.data(), t, t[l], np, l, r.data());  // t < 2n
+}
+
+void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+               std::span<Limb> scratch) noexcept {
+  const std::size_t l = m.limbs();
+  const auto one = scratch.first(l);
+  std::fill(one.begin(), one.end(), Limb{0});
+  one[0] = 1;
+  mul(r, a, one, m, scratch.subspan(l));
+}
+
+void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
+             std::span<Limb> scratch) noexcept {
+  const std::size_t l = m.limbs();
+  std::fill(r.begin(), r.end(), Limb{0});
+  const auto chunk = scratch.first(l);
+  const auto t = scratch.subspan(l);
+  // x = sum C_k R^k; Montgomery form of the running prefix v is v*R, and
+  // (v*R + C)*R = mont(v*R, R^2) + mont(C, R^2). Each C < R, R^2 < n.
+  for (std::size_t k = (x.size() + l - 1) / l; k-- > 0;) {
+    const std::size_t lo = k * l;
+    const std::size_t len = std::min(l, x.size() - lo);
+    std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(lo), len, chunk.begin());
+    std::fill(chunk.begin() + static_cast<std::ptrdiff_t>(len), chunk.end(), Limb{0});
+    mul(chunk, chunk, m.rr, m, t);
+    mul(r, r, m.rr, m, t);
+    add_mod(r.data(), r.data(), chunk.data(), m.n.data(), l, t.data());
+  }
+}
+
+void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
+         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
+  constexpr std::size_t kWindow = 4;
+  constexpr std::size_t kTable = std::size_t{1} << kWindow;
+  const std::size_t l = m.limbs();
+  const auto entry = [&](std::size_t i) { return scratch.subspan(i * l, l); };
+  const auto sel = scratch.subspan(kTable * l, l);
+  const auto t = scratch.subspan((kTable + 1) * l);
+
+  // table[i] = am^i in Montgomery form; table[0] = R mod n = mont(1, R^2).
+  std::copy(am.begin(), am.end(), entry(1).begin());
+  std::fill(sel.begin(), sel.end(), Limb{0});
+  sel[0] = 1;
+  mul(entry(0), sel, m.rr, m, t);
+  for (std::size_t i = 2; i < kTable; ++i) mul(entry(i), entry(i - 1), entry(1), m, t);
+
+  std::copy(entry(0).begin(), entry(0).end(), r.begin());
+  constexpr std::size_t kPerLimb = 64 / kWindow;
+  for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
+    for (std::size_t s = 0; s < kWindow; ++s) sqr(r, r, m, t);
+    const Limb idx = (e[w / kPerLimb] >> (kWindow * (w % kPerLimb))) & (kTable - 1);
+    // Read every entry; keep the one whose index matches.
+    std::fill(sel.begin(), sel.end(), Limb{0});
+    for (std::size_t i = 0; i < kTable; ++i) {
+      const Limb diff = idx ^ i;
+      const Limb hit = mask_of(((diff | (Limb{0} - diff)) >> 63) ^ 1);
+      const Limb* src = entry(i).data();
+      for (std::size_t j = 0; j < l; ++j) sel[j] |= src[j] & hit;
     }
-    r = Bignum::from_bytes_le(bytes);
+    mul(r, r, sel, m, t);
   }
-  if (r >= n_) r = r - n_;
-  return r;
+}
+
+void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
+                std::span<Limb> scratch) noexcept {
+  const std::size_t l = n.size();
+  const std::size_t bits =
+      64 * l - static_cast<std::size_t>(std::countl_zero(n[l - 1]));
+  // 64l = t * 2^j with t odd: reach R*2^t by doublings, then j Montgomery
+  // squarings take R*2^t to R*2^(t*2^j) = R^2.
+  const auto tz = static_cast<std::size_t>(std::countr_zero(l));
+  const std::size_t t = l >> tz;
+  const std::size_t squarings = 6 + tz;
+  std::fill(rr.begin(), rr.end(), Limb{0});
+  rr[(bits - 1) / 64] = Limb{1} << ((bits - 1) % 64);  // 2^(bits-1) < n
+  const auto d = scratch.first(l);
+  for (std::size_t i = 64 * l - (bits - 1) + t; i-- > 0;) {
+    // rr = 2*rr mod n
+    const Limb carry = rr[l - 1] >> 63;
+    for (std::size_t j = l; j-- > 1;) rr[j] = (rr[j] << 1) | (rr[j - 1] >> 63);
+    rr[0] <<= 1;
+    subtract_if_ge(rr.data(), rr.data(), carry, n.data(), l, d.data());
+  }
+  const Modulus m{n, {}, n0_inv};
+  for (std::size_t i = 0; i < squarings; ++i) sqr(rr, rr, m, scratch);
+}
+
+void sub_mod(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+             std::span<const Limb> n) noexcept {
+  const std::size_t l = n.size();
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < l; ++i) {
+    const u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
+    r[i] = static_cast<Limb>(d);
+    borrow = static_cast<Limb>(d >> 64) & 1;
+  }
+  const Limb add = mask_of(borrow);
+  Limb carry = 0;
+  for (std::size_t i = 0; i < l; ++i) {
+    const u128 s = static_cast<u128>(r[i]) + (n[i] & add) + carry;
+    r[i] = static_cast<Limb>(s);
+    carry = static_cast<Limb>(s >> 64);
+  }
+}
+
+void wipe(std::span<Limb> s) noexcept {
+  volatile Limb* vp = s.data();
+  for (std::size_t i = 0; i < s.size(); ++i) vp[i] = 0;
+#if defined(__GNUC__) || defined(__clang__)
+  __asm__ __volatile__("" : : "r"(s.data()) : "memory");
+#endif
+}
+
+}  // namespace mont
+
+namespace {
+
+// One allocation per wrapper call, wiped on exit: R^2 padded to the
+// modulus width, the operand/result slots, then the kernel scratch.
+class Scratch {
+ public:
+  Scratch(std::size_t l, std::size_t slots)
+      : l_(l), buf_(l + slots * l + mont::scratch_limbs(l), Limb{0}) {}
+  ~Scratch() { mont::wipe(buf_); }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  std::span<Limb> rr() { return std::span(buf_).first(l_); }
+  std::span<Limb> slot(std::size_t i) { return std::span(buf_).subspan(l_ + i * l_, l_); }
+  std::span<Limb> kernel(std::size_t slots) {
+    return std::span(buf_).subspan(l_ + slots * l_);
+  }
+
+  /// Copies v into `dst`, zero-padded (v must fit).
+  static void load(std::span<Limb> dst, std::span<const Limb> v) {
+    assert(v.size() <= dst.size());
+    std::copy_n(v.begin(), std::min(v.size(), dst.size()), dst.begin());
+  }
+
+ private:
+  std::size_t l_;
+  std::vector<Limb> buf_;
+};
+
+// a^e mod n over the exponent width `kind` asks for (e zero-padded). `rr`
+// is R^2 mod n when the caller has it; otherwise it is computed into the
+// scratch.
+Bignum exp_once(const Bignum& a, const Bignum& e, Exponent kind, const Bignum& n,
+                Limb n0_inv, const Bignum* rr) {
+  const std::size_t l = n.limb_count();
+  const std::size_t e_limbs =
+      kind == Exponent::kPublic ? e.limb_count() : std::max(l, e.limb_count());
+  const std::size_t e_bits = kind == Exponent::kPublic ? e.bit_length() : 64 * e_limbs;
+  const std::size_t e_slots = (e_limbs + l - 1) / l;
+  Scratch s(l, 1 + e_slots);
+  const auto r = s.slot(0);
+  const auto ek = std::span(s.slot(1).data(), e_limbs);
+  const auto k = s.kernel(1 + e_slots);
+  if (rr != nullptr) {
+    Scratch::load(s.rr(), rr->limbs());
+  } else {
+    mont::compute_rr(s.rr(), n.limbs(), n0_inv, k);
+  }
+  const mont::Modulus m{n.limbs(), s.rr(), n0_inv};
+  Scratch::load(ek, e.limbs());
+  mont::to_mont(r, a.limbs(), m, k);
+  mont::exp(r, r, ek, e_bits, m, k);
+  mont::from_mont(r, r, m, k);
+  return Bignum::from_limbs_le(r);
+}
+
+}  // namespace
+
+MontgomeryContext::MontgomeryContext(const Bignum& n)
+    : n_(n), n0_inv_(mont::neg_inv(n.low_limb())) {
+  assert(n.is_odd() && n > Bignum(Limb{1}));
+  Scratch s(n.limb_count(), 0);
+  mont::compute_rr(s.rr(), n_.limbs(), n0_inv_, s.kernel(0));
+  rr_ = Bignum::from_limbs_le(s.rr());
+}
+
+Bignum MontgomeryContext::to_mont(const Bignum& a) const {
+  Scratch s(n_.limb_count(), 1);
+  Scratch::load(s.rr(), rr_.limbs());
+  mont::to_mont(s.slot(0), a.limbs(), {n_.limbs(), s.rr(), n0_inv_}, s.kernel(1));
+  return Bignum::from_limbs_le(s.slot(0));
+}
+
+Bignum MontgomeryContext::from_mont(const Bignum& a) const {
+  Scratch s(n_.limb_count(), 1);
+  Scratch::load(s.slot(0), a.limbs());
+  mont::from_mont(s.slot(0), s.slot(0), {n_.limbs(), {}, n0_inv_}, s.kernel(1));
+  return Bignum::from_limbs_le(s.slot(0));
 }
 
 Bignum MontgomeryContext::mul(const Bignum& a, const Bignum& b) const {
-  const Bignum prod = a * b;
-  std::vector<Limb> t(prod.limbs().begin(), prod.limbs().end());
-  return reduce(std::move(t));
-}
-
-Bignum MontgomeryContext::to_mont(const Bignum& a) const { return mul(a % n_, rr_); }
-
-Bignum MontgomeryContext::from_mont(const Bignum& a) const {
-  std::vector<Limb> t(a.limbs().begin(), a.limbs().end());
-  return reduce(std::move(t));
+  Scratch s(n_.limb_count(), 2);
+  Scratch::load(s.slot(0), a.limbs());
+  Scratch::load(s.slot(1), b.limbs());
+  mont::mul(s.slot(0), s.slot(0), s.slot(1), {n_.limbs(), {}, n0_inv_}, s.kernel(2));
+  return Bignum::from_limbs_le(s.slot(0));
 }
 
 Bignum MontgomeryContext::exp(const Bignum& a, const Bignum& e) const {
-  if (e.is_zero()) return Bignum(Limb{1}) % n_;
-  constexpr std::size_t kWindow = 4;
-  const Bignum am = to_mont(a);
-  // Precompute am^0 .. am^15 in Montgomery form.
-  std::array<Bignum, 1 << kWindow> table;
-  table[0] = to_mont(Bignum(Limb{1}));
-  for (std::size_t i = 1; i < table.size(); ++i) table[i] = mul(table[i - 1], am);
+  return exp_once(a, e, Exponent::kSecret, n_, n0_inv_, &rr_);
+}
 
-  const std::size_t bits = e.bit_length();
-  const std::size_t windows = (bits + kWindow - 1) / kWindow;
-  Bignum acc = table[0];  // 1 in Montgomery form
-  for (std::size_t w = windows; w-- > 0;) {
-    for (std::size_t s = 0; s < kWindow; ++s) acc = mul(acc, acc);
-    unsigned idx = 0;
-    for (std::size_t b = 0; b < kWindow; ++b) {
-      const std::size_t bit_pos = w * kWindow + (kWindow - 1 - b);
-      idx = (idx << 1) | (e.bit(bit_pos) ? 1u : 0u);
-    }
-    if (idx != 0) acc = mul(acc, table[idx]);
-  }
-  return from_mont(acc);
+Bignum mont_mod_exp(const Bignum& a, const Bignum& e, const Bignum& n, Exponent kind) {
+  assert(n.is_odd() && n > Bignum(Limb{1}));
+  return exp_once(a, e, kind, n, mont::neg_inv(n.low_limb()), nullptr);
 }
 
 }  // namespace keyguard::bn

@@ -1,19 +1,90 @@
 // Montgomery modular arithmetic for odd moduli.
 //
-// This is the analogue of OpenSSL's BN_MONT_CTX — and that analogy is
-// load-bearing for the reproduction: in OpenSSL 0.9.7, RSA private
-// operations with RSA_FLAG_CACHE_PRIVATE set cache Montgomery contexts for
-// P and Q inside the RSA structure. BN_MONT_CTX_set copies the modulus, so
-// each cached context holds *another copy of the prime* in heap memory.
-// That copying is one of the key-flooding mechanisms the paper measures,
-// and disabling it is half of the RSA_memory_align defense. The simulated
-// SSL library (src/sslsim) therefore mirrors this class's contents into
-// simulated process memory.
+// Two layers share one limb kernel:
+//
+//  * `mont::` — fixed-width limb functions over caller-provided storage.
+//    Every operand is exactly L limbs (the modulus width, zero-padded),
+//    every call writes in place into a scratch span the caller owns, and
+//    nothing allocates. The multiply is CIOS (squarings compute each cross
+//    product once, then reduce) with a masked final subtract. `mont::exp`
+//    runs fixed 4-bit windows over as many exponent bits as the caller
+//    names, with a full-table masked select, so neither the branch pattern
+//    nor the memory access pattern depends on the exponent's value.
+//    Callers that hold secrets (secure::SecureRsaKey) put the modulus,
+//    R^2, the operands and the scratch in locked memory and wipe it
+//    themselves.
+//
+//  * `MontgomeryContext` — the Bignum-facing wrapper, the analogue of
+//    OpenSSL's BN_MONT_CTX. Its modulus and R^2 live in ordinary heap
+//    Bignums; each exp() takes one scratch vector and wipes it on exit.
+//    That analogy is load-bearing for the reproduction: in OpenSSL 0.9.7,
+//    RSA private operations with RSA_FLAG_CACHE_PRIVATE set cache
+//    Montgomery contexts for P and Q inside the RSA structure, so each
+//    cached context holds *another copy of the prime* in heap memory —
+//    one of the key-flooding mechanisms the paper measures. The simulated
+//    SSL library (src/sslsim) mirrors this class's contents into simulated
+//    process memory.
 #pragma once
+
+#include <span>
 
 #include "bignum/bignum.hpp"
 
 namespace keyguard::bn {
+
+namespace mont {
+
+/// A modulus as the kernel sees it: n (L limbs, odd, n > 1), R^2 mod n
+/// (L limbs, R = 2^(64L)) and -n^{-1} mod 2^64. Views only; the storage
+/// belongs to the caller.
+struct Modulus {
+  std::span<const Limb> n;
+  std::span<const Limb> rr;
+  Limb n0_inv = 0;
+  std::size_t limbs() const noexcept { return n.size(); }
+};
+
+/// Scratch limbs any kernel call below needs for an L-limb modulus.
+constexpr std::size_t scratch_limbs(std::size_t l) { return 19 * l + 2; }
+
+/// -x^{-1} mod 2^64 for odd x.
+Limb neg_inv(Limb x) noexcept;
+
+/// rr = R^2 mod n for an odd n of L limbs (top limb nonzero); n0_inv from
+/// neg_inv. Does no division: doublings from 2^(bits-1) up to R*2^t, then
+/// Montgomery squarings.
+void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
+                std::span<Limb> scratch) noexcept;
+
+/// r = a*b*R^{-1} mod n (CIOS). Requires a*b < R*n, which holds when one
+/// operand is < n and the other < R. r may alias a or b.
+void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+         const Modulus& m, std::span<Limb> scratch) noexcept;
+
+/// r = x*R mod n for an x of any width (x.size() may be 0): the
+/// Montgomery form of x mod n, by Horner over L-limb chunks, no division.
+void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
+             std::span<Limb> scratch) noexcept;
+
+/// r = a*R^{-1} mod n for a < R.
+void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+               std::span<Limb> scratch) noexcept;
+
+/// r = a^e in Montgomery form, for a base `am` already in Montgomery form,
+/// over the low `bits` bits of e (bits <= 64 * e.size()): ceil(bits / 4)
+/// windows of 4 squarings, a masked select of one of 16 table entries and
+/// one multiply, whatever e's value. r may alias am.
+void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
+         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept;
+
+/// r = (a - b) mod n for a, b < n, without a data-dependent branch.
+void sub_mod(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+             std::span<const Limb> n) noexcept;
+
+/// Zeroes limbs with stores the optimizer cannot elide.
+void wipe(std::span<Limb> s) noexcept;
+
+}  // namespace mont
 
 /// Precomputed state for repeated multiplication modulo an odd modulus n.
 class MontgomeryContext {
@@ -27,26 +98,33 @@ class MontgomeryContext {
   /// BN_MONT_CTX (and thus what leaks as an extra copy of P/Q).
   const Bignum& rr() const noexcept { return rr_; }
 
-  /// Converts into Montgomery form: a*R mod n.
+  /// Converts into Montgomery form: a*R mod n (any a).
   Bignum to_mont(const Bignum& a) const;
 
-  /// Converts out of Montgomery form: a*R^{-1} mod n.
+  /// Converts out of Montgomery form: a*R^{-1} mod n (requires a < R).
   Bignum from_mont(const Bignum& a) const;
 
-  /// Montgomery product: a*b*R^{-1} mod n (operands in Montgomery form).
+  /// Montgomery product: a*b*R^{-1} mod n (operands in Montgomery form, < n).
   Bignum mul(const Bignum& a, const Bignum& b) const;
 
-  /// a^e mod n via fixed 4-bit-window Montgomery exponentiation.
-  /// Operands in ordinary (non-Montgomery) form.
+  /// a^e mod n via mont::exp, operands in ordinary form. The window count
+  /// is fixed by the modulus width (or e's limb count, when wider), never
+  /// by e's bit length.
   Bignum exp(const Bignum& a, const Bignum& e) const;
 
  private:
-  Bignum reduce(std::vector<Limb> t) const;  // CIOS-style REDC
-
   Bignum n_;
-  Bignum rr_;       // R^2 mod n, R = 2^(64 * limbs(n))
-  Limb n0_inv_;     // -n^{-1} mod 2^64
-  std::size_t n_limbs_;
+  Bignum rr_;    // R^2 mod n, R = 2^(64 * limbs(n))
+  Limb n0_inv_;  // -n^{-1} mod 2^64
 };
+
+/// How many windows an exponentiation runs: kSecret covers the modulus
+/// width (16 windows per limb of max(n, e)); kPublic covers e's bit
+/// length only, for exponents such as RSA's e = 65537 (5 windows).
+enum class Exponent { kSecret, kPublic };
+
+/// a^e mod n for an odd n > 1 on one scratch vector, wiped on exit, with
+/// no copy of n: what Bignum::mod_exp and mod_exp_public run for odd moduli.
+Bignum mont_mod_exp(const Bignum& a, const Bignum& e, const Bignum& n, Exponent kind);
 
 }  // namespace keyguard::bn

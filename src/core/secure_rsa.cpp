@@ -1,42 +1,112 @@
 #include "core/secure_rsa.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <cstdlib>
 
+#include "bignum/montgomery.hpp"
+#include "core/secure_zero.hpp"
 
 namespace keyguard::secure {
 
 using bn::Bignum;
+using bn::Limb;
+namespace mont = bn::mont;
 
 namespace {
 
-std::vector<std::byte> le_bytes(const Bignum& v) { return v.to_bytes_le(); }
+std::span<Limb> as_limbs(SecureBuffer& buf) noexcept {
+  return {reinterpret_cast<Limb*>(buf.data().data()), buf.size() / sizeof(Limb)};
+}
+
+SecureBuffer& thread_arena_buffer() {
+  thread_local SecureBuffer buf(0);
+  return buf;
+}
+
+// The calling thread's arena, grown to `limbs` and carved front to back;
+// everything carved is wiped when the lease ends.
+class ArenaLease {
+ public:
+  explicit ArenaLease(std::size_t limbs) {
+    SecureBuffer& buf = thread_arena_buffer();
+    if (buf.size() < limbs * sizeof(Limb)) buf = SecureBuffer(limbs * sizeof(Limb));
+    limbs_ = as_limbs(buf).first(limbs);
+  }
+  ~ArenaLease() { secure_zero(limbs_.data(), limbs_.size_bytes()); }
+  ArenaLease(const ArenaLease&) = delete;
+  ArenaLease& operator=(const ArenaLease&) = delete;
+
+  std::span<Limb> take(std::size_t n) {
+    const auto s = limbs_.subspan(used_, n);
+    used_ += n;
+    return s;
+  }
+  std::span<Limb> rest() { return limbs_.subspan(used_); }
+
+ private:
+  std::span<Limb> limbs_;
+  std::size_t used_ = 0;
+};
+
+// out += a * b, schoolbook. out holds a.size() + b.size() limbs and an
+// addend in its low b.size() limbs (the rest zero).
+void mul_add(std::span<Limb> out, std::span<const Limb> a, std::span<const Limb> b) noexcept {
+  using u128 = unsigned __int128;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    Limb carry = 0;
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      const u128 cur = static_cast<u128>(a[i]) * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
+    }
+    out[i + b.size()] = carry;
+  }
+}
 
 }  // namespace
 
 SecureRsaKey SecureRsaKey::from_key(const crypto::RsaPrivateKey& key) {
-  const std::vector<std::byte> parts[8] = {
-      le_bytes(key.n),    le_bytes(key.e),    le_bytes(key.d),
-      le_bytes(key.p),    le_bytes(key.q),    le_bytes(key.dmp1),
-      le_bytes(key.dmq1), le_bytes(key.iqmp)};
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
+  // Primes without a Montgomery form (even, 0 or 1) are a caller bug; stop
+  // in every build rather than run the kernel over an empty modulus.
+  const auto usable = [](const Bignum& v) { return v.is_odd() && !v.is_one(); };
+  if (!usable(key.p) || !usable(key.q)) std::abort();
+  const std::size_t lp = key.p.limb_count();
+  const std::size_t lq = key.q.limb_count();
+  const std::array<std::size_t, kParts> widths = {
+      key.n.limb_count(), key.e.limb_count(), key.d.limb_count(),
+      lp,                 lq,                 std::max(lp, key.dmp1.limb_count()),
+      std::max(lq, key.dmq1.limb_count()),    lp,
+      lp,                 lq,                 2};
 
   SecureRsaKey out;
-  out.buf_ = SecureBuffer(total);
-  auto dst = out.buf_.data();
-  std::size_t cursor = 0;
-  std::size_t offsets[8];
-  std::size_t lengths[8];
-  for (int i = 0; i < 8; ++i) {
-    offsets[i] = cursor;
-    lengths[i] = parts[i].size();
-    std::memcpy(dst.data() + cursor, parts[i].data(), parts[i].size());
-    cursor += parts[i].size();
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < kParts; ++i) {
+    out.slots_[i] = {total, widths[i]};
+    total += widths[i];
   }
-  out.layout_ = {offsets[0], offsets[1], offsets[2], offsets[3], offsets[4],
-                 offsets[5], offsets[6], offsets[7], lengths[0], lengths[1],
-                 lengths[2], lengths[3], lengths[4], lengths[5], lengths[6],
-                 lengths[7]};
+  out.buf_ = SecureBuffer(total * sizeof(Limb));
+  const auto limbs = as_limbs(out.buf_);
+  const auto slot = [&](Part p) {
+    return limbs.subspan(out.slots_[p].offset, out.slots_[p].limbs);
+  };
+  // The buffer starts zeroed, so each copy is zero-padded to its width.
+  const std::pair<Part, const Bignum*> copied[] = {
+      {kN, &key.n}, {kE, &key.e},       {kD, &key.d},       {kP, &key.p},
+      {kQ, &key.q}, {kDmp1, &key.dmp1}, {kDmq1, &key.dmq1}};
+  for (const auto& [p, v] : copied) std::ranges::copy(v->limbs(), slot(p).begin());
+
+  const auto n0 = slot(kN0);
+  n0[0] = mont::neg_inv(key.p.low_limb());
+  n0[1] = mont::neg_inv(key.q.low_limb());
+  ArenaLease arena(lp + mont::scratch_limbs(std::max(lp, lq)));
+  const auto tmp = arena.take(lp);
+  const auto k = arena.rest();
+  mont::compute_rr(slot(kRrP), slot(kP), n0[0], k);
+  mont::compute_rr(slot(kRrQ), slot(kQ), n0[1], k);
+  // qInv reduced mod p (a no-op for a valid key) so it fits p's width.
+  const mont::Modulus mp{slot(kP), slot(kRrP), n0[0]};
+  mont::to_mont(tmp, key.iqmp.limbs(), mp, k);
+  mont::from_mont(slot(kIqmp), tmp, mp, k);
   return out;
 }
 
@@ -47,32 +117,53 @@ SecureRsaKey SecureRsaKey::from_key_scrubbing(crypto::RsaPrivateKey& key) {
   return out;
 }
 
-Bignum SecureRsaKey::read(std::size_t offset, std::size_t len) const {
-  return Bignum::from_bytes_le(buf_.data().subspan(offset, len));
+std::span<const Limb> SecureRsaKey::part(Part p) const noexcept {
+  const auto* base = reinterpret_cast<const Limb*>(buf_.data().data());
+  return {base + slots_[p].offset, slots_[p].limbs};
 }
 
 crypto::RsaPublicKey SecureRsaKey::public_key() const {
-  return {read(layout_.n, layout_.n_len), read(layout_.e, layout_.e_len)};
+  return {Bignum::from_limbs_le(part(kN)), Bignum::from_limbs_le(part(kE))};
+}
+
+std::span<const std::byte> SecureRsaKey::thread_arena() noexcept {
+  return thread_arena_buffer().data();
 }
 
 Bignum SecureRsaKey::decrypt(const Bignum& c) const {
-  const Bignum p = read(layout_.p, layout_.p_len);
-  const Bignum q = read(layout_.q, layout_.q_len);
-  const Bignum dmp1 = read(layout_.dmp1, layout_.dmp1_len);
-  const Bignum dmq1 = read(layout_.dmq1, layout_.dmq1_len);
-  const Bignum iqmp = read(layout_.iqmp, layout_.iqmp_len);
+  // Garner's recombination, as RsaPrivateKey::decrypt_crt:
+  //   m1 = c^dP mod p, m2 = c^dQ mod q, h = qInv (m1 - m2) mod p,
+  //   m = m2 + h q.
+  const auto p = part(kP);
+  const auto q = part(kQ);
+  const auto n0 = part(kN0);
+  const mont::Modulus mp{p, part(kRrP), n0[0]};
+  const mont::Modulus mq{q, part(kRrQ), n0[1]};
+  const std::size_t lp = p.size();
+  const std::size_t lq = q.size();
 
-  const Bignum m1 = Bignum::mod_exp(c % p, dmp1, p);
-  const Bignum m2 = Bignum::mod_exp(c % q, dmq1, q);
-  Bignum diff;
-  if (m1 >= m2) {
-    diff = m1 - m2;
-  } else {
-    diff = p - ((m2 - m1) % p);
-    if (diff == p) diff = Bignum{};
-  }
-  const Bignum h = (iqmp * diff) % p;
-  return m2 + h * q;
+  ArenaLease arena(3 * lp + 2 * lq + mont::scratch_limbs(std::max(lp, lq)));
+  const auto m1 = arena.take(lp);
+  const auto m2 = arena.take(lq);
+  const auto x = arena.take(lp);
+  const auto m = arena.take(lp + lq);
+  const auto k = arena.rest();
+
+  // Every bit of the padded dP, dQ slots: the window count is the width.
+  const auto dp = part(kDmp1);
+  const auto dq = part(kDmq1);
+  mont::to_mont(m1, c.limbs(), mp, k);
+  mont::exp(m1, m1, dp, 64 * dp.size(), mp, k);  // m1 R mod p
+  mont::to_mont(m2, c.limbs(), mq, k);
+  mont::exp(m2, m2, dq, 64 * dq.size(), mq, k);
+  mont::from_mont(m2, m2, mq, k);
+  mont::to_mont(x, m2, mp, k);            // m2 R mod p
+  mont::sub_mod(x, m1, x, p);             // (m1 - m2) R mod p
+  mont::mul(m1, x, part(kIqmp), mp, k);   // h
+  std::ranges::fill(m, Limb{0});
+  std::ranges::copy(m2, m.begin());
+  mul_add(m, m1, q);
+  return Bignum::from_limbs_le(m);
 }
 
 }  // namespace keyguard::secure

@@ -2,18 +2,26 @@
 //
 // The paper's RSA_memory_align as a complete, usable object: all six CRT
 // parts live in ONE SecureBuffer (page-aligned, mlocked, canaried,
-// zero-on-destroy), laid out exactly like the aligned page the patched
-// OpenSSL builds. Construction scrubs nothing it does not own — use
-// from_key_scrubbing to also destroy the caller's plain copy. Private
-// operations read the limbs straight out of the buffer; no part of the
-// key is ever copied into ordinary heap memory by this class.
+// zero-on-destroy), each part stored as raw little-endian limbs padded to
+// its modulus width. The same buffer also holds the Montgomery state for
+// p and q (R^2 mod p, R^2 mod q and both -p^{-1}, -q^{-1} mod 2^64): the
+// paper bans caching Montgomery contexts in ordinary heap, not in the
+// locked page. Construction scrubs nothing it does not own — use
+// from_key_scrubbing to also destroy the caller's plain copy.
+//
+// Private operations run the bn::mont kernel straight off the buffer's
+// limbs. Every intermediate (c mod p, m1, m2, h, the window table and the
+// CIOS scratch) lives in a per-thread locked SecureBuffer arena that is
+// wiped before decrypt() returns; nothing divides by p or q. Only the
+// public result leaves as an ordinary heap Bignum.
 //
 // fork() safety: the buffer is never written after construction, so
 // copy-on-write keeps the key physically single across any number of
 // children — the same guarantee the simulated defense demonstrates.
 #pragma once
 
-#include <optional>
+#include <array>
+#include <span>
 
 #include "core/secure_buffer.hpp"
 #include "crypto/rsa.hpp"
@@ -23,7 +31,9 @@ namespace keyguard::secure {
 class SecureRsaKey {
  public:
   /// Copies the six private parts (d, p, q, dmp1, dmq1, iqmp) plus n and e
-  /// into one SecureBuffer. The source key is left untouched.
+  /// limb-for-limb into one SecureBuffer and precomputes the Montgomery
+  /// state for p and q there. The source key is left untouched. Aborts
+  /// unless p and q are odd and > 1.
   static SecureRsaKey from_key(const crypto::RsaPrivateKey& key);
 
   /// Same, then secure-zeroes every limb of the caller's copy (the
@@ -36,8 +46,8 @@ class SecureRsaKey {
   /// Public half (safe to copy around).
   crypto::RsaPublicKey public_key() const;
 
-  /// m = c^d mod n via CRT, reading the key material from the secure
-  /// buffer for exactly the duration of the operation.
+  /// m = c^d mod n via CRT in the calling thread's locked arena. Constant
+  /// time in dP and dQ: the window count is fixed by the primes' width.
   bn::Bignum decrypt(const bn::Bignum& c) const;
 
   /// Raw signature (identical math to decrypt; see RsaPrivateKey).
@@ -48,19 +58,23 @@ class SecureRsaKey {
   bool canary_intact() const noexcept { return buf_.canary_intact(); }
   std::size_t footprint_bytes() const noexcept { return buf_.size(); }
 
+  /// The calling thread's scratch arena (empty before its first private
+  /// op). All-zero between operations.
+  static std::span<const std::byte> thread_arena() noexcept;
+
  private:
   SecureRsaKey() : buf_(0) {}
 
-  // Byte offsets of each part inside the buffer.
-  struct Layout {
-    std::size_t n = 0, e = 0, d = 0, p = 0, q = 0, dmp1 = 0, dmq1 = 0, iqmp = 0;
-    std::size_t n_len = 0, e_len = 0, d_len = 0, p_len = 0, q_len = 0, dmp1_len = 0,
-                dmq1_len = 0, iqmp_len = 0;
+  enum Part : std::size_t { kN, kE, kD, kP, kQ, kDmp1, kDmq1, kIqmp, kRrP, kRrQ, kN0, kParts };
+  // Limb offset and width of each part inside the buffer.
+  struct Slot {
+    std::size_t offset = 0;
+    std::size_t limbs = 0;
   };
-  bn::Bignum read(std::size_t offset, std::size_t len) const;
+  std::span<const bn::Limb> part(Part p) const noexcept;
 
   SecureBuffer buf_;
-  Layout layout_;
+  std::array<Slot, kParts> slots_{};
 };
 
 }  // namespace keyguard::secure

@@ -25,9 +25,10 @@ std::optional<bn::Bignum> read_tlv(std::span<const std::byte>& cursor) {
   std::uint32_t len = 0;
   for (int i = 1; i <= 4; ++i) len = (len << 8) | std::to_integer<std::uint32_t>(cursor[i]);
   if (cursor.size() < 5 + static_cast<std::size_t>(len)) return std::nullopt;
-  const bn::Bignum v = bn::Bignum::from_bytes_be(cursor.subspan(5, len));
+  const auto content = cursor.subspan(5, len);
   cursor = cursor.subspan(5 + len);
-  return v;
+  // Built in place: a named const copy would be freed unscrubbed.
+  return bn::Bignum::from_bytes_be(content);
 }
 
 }  // namespace

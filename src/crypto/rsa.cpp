@@ -12,7 +12,7 @@ using bn::Limb;
 
 Bignum RsaPublicKey::encrypt_raw(const Bignum& m) const {
   assert(m < n);
-  return Bignum::mod_exp(m, e, n);
+  return Bignum::mod_exp_public(m, e, n);
 }
 
 Bignum RsaPrivateKey::decrypt_crt(const Bignum& c) const {

@@ -8,9 +8,12 @@
 # ThreadPool fan-out), for the host keystore, whose mlocked plaintext
 # pool is shared across signing threads (keystore_test's concurrent case
 # and keystore_encrypted_test's shared-CoprocessorDomain case),
-# and for the observability layer (obs_concurrency_test hammers the
-# MetricsRegistry/Tracer from many threads and demands exact totals);
-# address/undefined cover the same binaries for memory and UB bugs.
+# for the observability layer (obs_concurrency_test hammers the
+# MetricsRegistry/Tracer from many threads and demands exact totals), and
+# for SecureRsaKey's per-thread locked arena (secure_rsa_test decrypts
+# with one key from four threads); address/undefined cover the same
+# binaries for memory and UB bugs, including the Montgomery kernel's
+# 128-bit carry arithmetic (bignum_montgomery_test's edge battery).
 # CI-runnable: exits non-zero on any failure.
 set -euo pipefail
 
@@ -26,6 +29,9 @@ BUILD="$ROOT/build-${SAN}san"
 # The binaries whose concurrency/memory behaviour the sanitizer polices.
 TARGETS=(
   util_thread_pool_test
+  bignum_montgomery_test
+  secure_rsa_test
+  host_residue_test
   scan_test
   scan_parallel_test
   scan_boundary_test

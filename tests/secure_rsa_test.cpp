@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include "bignum/prime.hpp"
 #include "util/bytes.hpp"
 
@@ -88,6 +92,50 @@ TEST(SecureRsaKey, MoveKeepsWorking) {
   const auto b = std::move(a);
   const Bignum m(7);
   EXPECT_EQ(b.public_key().encrypt_raw(b.sign(m)), m);
+}
+
+TEST(SecureRsaKey, ConcurrentDecryptsShareOneKey) {
+  // Four threads, one key: each runs its own per-thread arena, so every
+  // result must match the plain CRT and every arena must read zero after.
+  const auto secure = SecureRsaKey::from_key(test_key());
+  constexpr int kThreads = 4;
+  constexpr int kOps = 12;
+  std::vector<std::vector<Bignum>> inputs(kThreads);
+  util::Rng rng(44);
+  for (auto& in : inputs) {
+    for (int i = 0; i < kOps; ++i) in.push_back(bn::random_below(rng, test_key().n));
+  }
+  std::vector<std::vector<Bignum>> outputs(kThreads);
+  std::vector<int> dirty_arenas(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const Bignum& c : inputs[t]) {
+        outputs[t].push_back(secure.decrypt(c));
+        const auto arena = SecureRsaKey::thread_arena();
+        if (std::any_of(arena.begin(), arena.end(), [](std::byte b) { return b != std::byte{0}; })) {
+          ++dirty_arenas[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(dirty_arenas[t], 0) << "thread " << t;
+    ASSERT_EQ(outputs[t].size(), inputs[t].size());
+    for (int i = 0; i < kOps; ++i) {
+      EXPECT_EQ(outputs[t][i], test_key().decrypt_crt(inputs[t][i])) << "thread " << t << " op " << i;
+    }
+  }
+}
+
+TEST(SecureRsaKey, DecryptAcceptsInputsAtOrAboveModulus) {
+  // c >= n reduces through R^2 like any other input: c^d mod n as plain.
+  const auto secure = SecureRsaKey::from_key(test_key());
+  const Bignum& n = test_key().n;
+  for (const Bignum& c : {Bignum{}, Bignum(1), n - Bignum(1), n, n + Bignum(7), n * n}) {
+    EXPECT_EQ(secure.decrypt(c), test_key().decrypt_plain(c % n)) << c.to_hex();
+  }
 }
 
 TEST(SecureRsaKey, LockedQueryDoesNotCrash) {
