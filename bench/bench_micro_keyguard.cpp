@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
 #include "core/key_vault.hpp"
 #include "attack/leaks.hpp"
@@ -113,6 +114,80 @@ void BM_SecureRsaKeyDecrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SecureRsaKeyDecrypt);
+
+// --- Montgomery kernel -------------------------------------------------------
+
+// One odd modulus of `limbs` limbs (top bit set), its R^2, two operands
+// below it and a full-width exponent, as the flat spans bn::mont takes.
+struct MontOperands {
+  explicit MontOperands(std::size_t limbs) : l(limbs), s(bn::mont::scratch_limbs(limbs)) {
+    util::Rng rng(16 + limbs);
+    bn::Bignum nb = bn::random_bits(rng, 64 * l);
+    if (!nb.is_odd()) nb = nb.add_limb(1);
+    n = padded(nb);
+    a = padded(bn::random_below(rng, nb));
+    b = padded(bn::random_below(rng, nb));
+    e = padded(bn::random_bits(rng, 64 * l));
+    rr.resize(l);
+    r.resize(l);
+    n0 = bn::mont::neg_inv(n[0]);
+    bn::mont::portable::compute_rr(rr, n, n0, s);
+  }
+  std::vector<bn::Limb> padded(const bn::Bignum& v) const {
+    std::vector<bn::Limb> out(v.limbs().begin(), v.limbs().end());
+    out.resize(l);
+    return out;
+  }
+  bn::mont::Modulus modulus() const { return {n, rr, n0}; }
+
+  std::size_t l;
+  std::vector<bn::Limb> n, rr, a, b, e, r, s;
+  bn::Limb n0 = 0;
+};
+
+// Arg 0: limbs (8 = one CRT half of a 1024-bit key). Arg 1: 0 runs
+// bn::mont:: (the kernel CPUID picked, named in the label), 1 runs
+// bn::mont::portable::. On a host without ADX/BMI2 both rows are portable.
+const char* mont_label(const benchmark::State& state) {
+  return state.range(1) != 0 ? "portable" : bn::mont::kernel_name();
+}
+
+void BM_MontMul(benchmark::State& state) {
+  MontOperands o(static_cast<std::size_t>(state.range(0)));
+  const auto m = o.modulus();
+  const auto mul = state.range(1) != 0 ? bn::mont::portable::mul : bn::mont::mul;
+  for (auto _ : state) {
+    mul(o.r, o.a, o.b, m, o.s);
+    benchmark::DoNotOptimize(o.r.data());
+  }
+  state.SetLabel(mont_label(state));
+}
+BENCHMARK(BM_MontMul)->ArgsProduct({{8, 16}, {0, 1}})->UseRealTime();
+
+void BM_MontSqr(benchmark::State& state) {
+  MontOperands o(static_cast<std::size_t>(state.range(0)));
+  const auto m = o.modulus();
+  const auto sqr = state.range(1) != 0 ? bn::mont::portable::sqr : bn::mont::sqr;
+  for (auto _ : state) {
+    sqr(o.r, o.a, m, o.s);
+    benchmark::DoNotOptimize(o.r.data());
+  }
+  state.SetLabel(mont_label(state));
+}
+BENCHMARK(BM_MontSqr)->ArgsProduct({{8, 16}, {0, 1}})->UseRealTime();
+
+// A full-width secret exponent: 16 windows per limb, as a CRT half runs.
+void BM_MontExp(benchmark::State& state) {
+  MontOperands o(static_cast<std::size_t>(state.range(0)));
+  const auto m = o.modulus();
+  const auto exp = state.range(1) != 0 ? bn::mont::portable::exp : bn::mont::exp;
+  for (auto _ : state) {
+    exp(o.r, o.a, o.e, 64 * o.l, m, o.s);
+    benchmark::DoNotOptimize(o.r.data());
+  }
+  state.SetLabel(mont_label(state));
+}
+BENCHMARK(BM_MontExp)->ArgsProduct({{8, 16}, {0, 1}})->UseRealTime();
 
 // --- scanner ---------------------------------------------------------------
 

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 
+#include "bignum/montgomery_adx.hpp"
+
 namespace keyguard::bn {
 namespace mont {
 namespace {
@@ -39,6 +41,10 @@ void add_mod(Limb* r, const Limb* a, const Limb* b, const Limb* n, std::size_t l
   }
   subtract_if_ge(r, r, carry, n, l, tmp);
 }
+
+}  // namespace
+
+namespace portable {
 
 // r = a*a*R^{-1} mod n for a < n: each cross product once, doubled, plus
 // the diagonal, then a separate REDC pass. scratch: 2l + 1 limbs.
@@ -88,13 +94,15 @@ void sqr(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
   subtract_if_ge(r.data(), t + l, top, np, l, r.data());
 }
 
-}  // namespace
+}  // namespace portable
 
 Limb neg_inv(Limb x) noexcept {
   Limb inv = x;  // correct to 3 bits for odd x; each Newton step doubles that
   for (int i = 0; i < 5; ++i) inv *= 2 - x * inv;
   return ~inv + 1;
 }
+
+namespace portable {
 
 void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
          const Modulus& m, std::span<Limb> scratch) noexcept {
@@ -131,17 +139,71 @@ void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
   subtract_if_ge(r.data(), t, t[l], np, l, r.data());  // t < 2n
 }
 
-void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
-               std::span<Limb> scratch) noexcept {
+}  // namespace portable
+
+namespace {
+
+// The two row kernels as template arguments of the functions built on
+// them, so each instantiation calls its kernel directly.
+struct PortableKernel {
+  static void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+                  const Modulus& m, std::span<Limb> scratch) noexcept {
+    portable::mul(r, a, b, m, scratch);
+  }
+  static void sqr(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+                  std::span<Limb> scratch) noexcept {
+    portable::sqr(r, a, m, scratch);
+  }
+};
+
+#if KEYGUARD_MONT_ADX
+struct AdxKernel {
+  static void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+                  const Modulus& m, std::span<Limb> scratch) noexcept {
+    const std::size_t l = m.limbs();
+    Limb* t = scratch.data();
+    adx::mul_rows(t, a.data(), b.data(), m.n.data(), m.n0_inv, l);
+    subtract_if_ge(r.data(), t + l, t[2 * l], m.n.data(), l, r.data());  // t < 2n
+  }
+  static void sqr(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+                  std::span<Limb> scratch) noexcept {
+    mul(r, a, a, m, scratch);
+  }
+};
+#endif
+
+// CPUID, read once per process.
+bool adx_selected() noexcept {
+#if KEYGUARD_MONT_ADX
+  static const bool selected = adx::available();
+  return selected;
+#else
+  return false;
+#endif
+}
+
+// Calls f with the selected kernel's tag.
+template <class F>
+void with_kernel(F&& f) noexcept {
+#if KEYGUARD_MONT_ADX
+  if (adx_selected()) return f(AdxKernel{});
+#endif
+  f(PortableKernel{});
+}
+
+template <class K>
+void from_mont_with(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+                    std::span<Limb> scratch) noexcept {
   const std::size_t l = m.limbs();
   const auto one = scratch.first(l);
   std::fill(one.begin(), one.end(), Limb{0});
   one[0] = 1;
-  mul(r, a, one, m, scratch.subspan(l));
+  K::mul(r, a, one, m, scratch.subspan(l));
 }
 
-void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
-             std::span<Limb> scratch) noexcept {
+template <class K>
+void to_mont_with(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
+                  std::span<Limb> scratch) noexcept {
   const std::size_t l = m.limbs();
   std::fill(r.begin(), r.end(), Limb{0});
   const auto chunk = scratch.first(l);
@@ -153,14 +215,15 @@ void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
     const std::size_t len = std::min(l, x.size() - lo);
     std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(lo), len, chunk.begin());
     std::fill(chunk.begin() + static_cast<std::ptrdiff_t>(len), chunk.end(), Limb{0});
-    mul(chunk, chunk, m.rr, m, t);
-    mul(r, r, m.rr, m, t);
+    K::mul(chunk, chunk, m.rr, m, t);
+    K::mul(r, r, m.rr, m, t);
     add_mod(r.data(), r.data(), chunk.data(), m.n.data(), l, t.data());
   }
 }
 
-void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
-         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
+template <class K>
+void exp_with(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
+              std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
   constexpr std::size_t kWindow = 4;
   constexpr std::size_t kTable = std::size_t{1} << kWindow;
   const std::size_t l = m.limbs();
@@ -172,13 +235,13 @@ void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
   std::copy(am.begin(), am.end(), entry(1).begin());
   std::fill(sel.begin(), sel.end(), Limb{0});
   sel[0] = 1;
-  mul(entry(0), sel, m.rr, m, t);
-  for (std::size_t i = 2; i < kTable; ++i) mul(entry(i), entry(i - 1), entry(1), m, t);
+  K::mul(entry(0), sel, m.rr, m, t);
+  for (std::size_t i = 2; i < kTable; ++i) K::mul(entry(i), entry(i - 1), entry(1), m, t);
 
   std::copy(entry(0).begin(), entry(0).end(), r.begin());
   constexpr std::size_t kPerLimb = 64 / kWindow;
   for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
-    for (std::size_t s = 0; s < kWindow; ++s) sqr(r, r, m, t);
+    for (std::size_t s = 0; s < kWindow; ++s) K::sqr(r, r, m, t);
     const Limb idx = (e[w / kPerLimb] >> (kWindow * (w % kPerLimb))) & (kTable - 1);
     // Read every entry; keep the one whose index matches.
     std::fill(sel.begin(), sel.end(), Limb{0});
@@ -188,12 +251,13 @@ void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
       const Limb* src = entry(i).data();
       for (std::size_t j = 0; j < l; ++j) sel[j] |= src[j] & hit;
     }
-    mul(r, r, sel, m, t);
+    K::mul(r, r, sel, m, t);
   }
 }
 
-void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
-                std::span<Limb> scratch) noexcept {
+template <class K>
+void compute_rr_with(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
+                     std::span<Limb> scratch) noexcept {
   const std::size_t l = n.size();
   const std::size_t bits =
       64 * l - static_cast<std::size_t>(std::countl_zero(n[l - 1]));
@@ -213,7 +277,41 @@ void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
     subtract_if_ge(rr.data(), rr.data(), carry, n.data(), l, d.data());
   }
   const Modulus m{n, {}, n0_inv};
-  for (std::size_t i = 0; i < squarings; ++i) sqr(rr, rr, m, scratch);
+  for (std::size_t i = 0; i < squarings; ++i) K::sqr(rr, rr, m, scratch);
+}
+
+}  // namespace
+
+const char* kernel_name() noexcept { return adx_selected() ? "adx" : "portable"; }
+
+void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+         const Modulus& m, std::span<Limb> scratch) noexcept {
+  with_kernel([&](auto k) { decltype(k)::mul(r, a, b, m, scratch); });
+}
+
+void sqr(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+         std::span<Limb> scratch) noexcept {
+  with_kernel([&](auto k) { decltype(k)::sqr(r, a, m, scratch); });
+}
+
+void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+               std::span<Limb> scratch) noexcept {
+  with_kernel([&](auto k) { from_mont_with<decltype(k)>(r, a, m, scratch); });
+}
+
+void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
+             std::span<Limb> scratch) noexcept {
+  with_kernel([&](auto k) { to_mont_with<decltype(k)>(r, x, m, scratch); });
+}
+
+void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
+         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
+  with_kernel([&](auto k) { exp_with<decltype(k)>(r, am, e, bits, m, scratch); });
+}
+
+void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
+                std::span<Limb> scratch) noexcept {
+  with_kernel([&](auto k) { compute_rr_with<decltype(k)>(rr, n, n0_inv, scratch); });
 }
 
 void sub_mod(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
@@ -242,6 +340,29 @@ void wipe(std::span<Limb> s) noexcept {
 #endif
 }
 
+namespace portable {
+
+void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
+                std::span<Limb> scratch) noexcept {
+  compute_rr_with<PortableKernel>(rr, n, n0_inv, scratch);
+}
+
+void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
+             std::span<Limb> scratch) noexcept {
+  to_mont_with<PortableKernel>(r, x, m, scratch);
+}
+
+void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+               std::span<Limb> scratch) noexcept {
+  from_mont_with<PortableKernel>(r, a, m, scratch);
+}
+
+void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
+         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
+  exp_with<PortableKernel>(r, am, e, bits, m, scratch);
+}
+
+}  // namespace portable
 }  // namespace mont
 
 namespace {

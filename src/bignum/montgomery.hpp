@@ -12,7 +12,11 @@
 //    nor the memory access pattern depends on the exponent's value.
 //    Callers that hold secrets (secure::SecureRsaKey) put the modulus,
 //    R^2, the operands and the scratch in locked memory and wipe it
-//    themselves.
+//    themselves. mul and sqr run one of two row kernels, picked once per
+//    process by CPUID and named by kernel_name(): the x86-64 mulx/adcx/
+//    adox kernel (montgomery_adx.cpp) when the CPU has ADX and BMI2, else
+//    the portable u128 one. `mont::portable::` always runs the latter; it
+//    is the tests' oracle. Both give bit-identical results.
 //
 //  * `MontgomeryContext` — the Bignum-facing wrapper, the analogue of
 //    OpenSSL's BN_MONT_CTX. Its modulus and R^2 live in ordinary heap
@@ -56,10 +60,18 @@ Limb neg_inv(Limb x) noexcept;
 void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
                 std::span<Limb> scratch) noexcept;
 
+/// "adx" or "portable": the row kernel mul and sqr run in this process.
+const char* kernel_name() noexcept;
+
 /// r = a*b*R^{-1} mod n (CIOS). Requires a*b < R*n, which holds when one
-/// operand is < n and the other < R. r may alias a or b.
+/// operand is < n and the other < R. r may alias a or b. scratch: 2L + 1
+/// limbs.
 void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
          const Modulus& m, std::span<Limb> scratch) noexcept;
+
+/// r = a*a*R^{-1} mod n for a < n. r may alias a. scratch: 2L + 1 limbs.
+void sqr(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+         std::span<Limb> scratch) noexcept;
 
 /// r = x*R mod n for an x of any width (x.size() may be 0): the
 /// Montgomery form of x mod n, by Horner over L-limb chunks, no division.
@@ -83,6 +95,23 @@ void sub_mod(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b
 
 /// Zeroes limbs with stores the optimizer cannot elide.
 void wipe(std::span<Limb> s) noexcept;
+
+/// The same functions on the portable u128 kernel whatever the CPU: a
+/// dedicated squaring (each cross product once, then REDC) and u128 CIOS.
+namespace portable {
+void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
+         const Modulus& m, std::span<Limb> scratch) noexcept;
+void sqr(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+         std::span<Limb> scratch) noexcept;
+void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
+                std::span<Limb> scratch) noexcept;
+void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
+             std::span<Limb> scratch) noexcept;
+void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
+               std::span<Limb> scratch) noexcept;
+void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
+         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept;
+}  // namespace portable
 
 }  // namespace mont
 

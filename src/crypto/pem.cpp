@@ -10,14 +10,22 @@ namespace {
 
 constexpr std::byte kIntegerTag{0x02};
 
-void append_tlv(std::vector<std::byte>& out, const bn::Bignum& v) {
-  const std::vector<std::byte> bytes = v.to_bytes_be();
-  out.push_back(kIntegerTag);
+// Big-endian content bytes of v: its bit length's worth (none for zero).
+std::size_t content_len(const bn::Bignum& v) { return (v.bit_length() + 7) / 8; }
+
+// Writes v's TLV at `out` and returns the end. The content bytes are read
+// straight from v's limbs: no byte-string temporary holds a private part.
+std::byte* put_tlv(std::byte* out, const bn::Bignum& v) {
+  const std::size_t len = content_len(v);
+  *out++ = kIntegerTag;
   // 4-byte big-endian length: simpler than DER's variable-length form and
   // unambiguous for the scanner's purposes.
-  const auto len = static_cast<std::uint32_t>(bytes.size());
-  for (int i = 3; i >= 0; --i) out.push_back(static_cast<std::byte>(len >> (8 * i)));
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  for (int i = 3; i >= 0; --i) *out++ = static_cast<std::byte>(len >> (8 * i));
+  const auto limbs = v.limbs();
+  for (std::size_t i = len; i-- > 0;) {
+    *out++ = static_cast<std::byte>(limbs[i / 8] >> (8 * (i % 8)));
+  }
+  return out;
 }
 
 std::optional<bn::Bignum> read_tlv(std::span<const std::byte>& cursor) {
@@ -34,16 +42,15 @@ std::optional<bn::Bignum> read_tlv(std::span<const std::byte>& cursor) {
 }  // namespace
 
 std::vector<std::byte> der_encode_private_key(const RsaPrivateKey& key) {
-  std::vector<std::byte> out;
-  append_tlv(out, bn::Bignum{});  // version 0
-  append_tlv(out, key.n);
-  append_tlv(out, key.e);
-  append_tlv(out, key.d);
-  append_tlv(out, key.p);
-  append_tlv(out, key.q);
-  append_tlv(out, key.dmp1);
-  append_tlv(out, key.dmq1);
-  append_tlv(out, key.iqmp);
+  const bn::Bignum version;  // 0
+  const bn::Bignum* const parts[] = {&version, &key.n,    &key.e,    &key.d,   &key.p,
+                                     &key.q,   &key.dmp1, &key.dmq1, &key.iqmp};
+  // Sized once: a growing vector would free partial encodings unscrubbed.
+  std::size_t size = 0;
+  for (const bn::Bignum* v : parts) size += 5 + content_len(*v);
+  std::vector<std::byte> out(size);
+  std::byte* w = out.data();
+  for (const bn::Bignum* v : parts) w = put_tlv(w, *v);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "obs/build_info.hpp"
 
+#include "bignum/montgomery.hpp"
 #include "util/json.hpp"
 
 namespace keyguard::obs {
@@ -48,9 +49,12 @@ const char* build_type() {
 #endif
 }
 
+const char* mont_kernel() { return bn::mont::kernel_name(); }
+
 std::string one_line() {
   return std::string("keyguard ") + version() + " | " + compiler() +
-         " | sanitizer=" + sanitizer() + " | " + build_type();
+         " | sanitizer=" + sanitizer() + " | " + build_type() +
+         " | mont_kernel=" + mont_kernel();
 }
 
 void write(util::JsonWriter& w) {
@@ -59,6 +63,7 @@ void write(util::JsonWriter& w) {
   w.field("compiler", compiler());
   w.field("sanitizer", sanitizer());
   w.field("build_type", build_type());
+  w.field("mont_kernel", mont_kernel());
   w.end_object();
 }
 

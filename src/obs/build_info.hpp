@@ -21,11 +21,16 @@ std::string compiler();
 const char* sanitizer();
 /// "debug" or "release" (NDEBUG).
 const char* build_type();
-/// "keyguard <version> | <compiler> | sanitizer=<san> | <type>".
+/// "adx" or "portable": the Montgomery row kernel CPUID picked for this
+/// process (bn::mont::kernel_name()), i.e. which arithmetic ran.
+const char* mont_kernel();
+/// "keyguard <version> | <compiler> | sanitizer=<san> | <type> |
+/// mont_kernel=<kernel>".
 std::string one_line();
 
 /// Emits the build object *value* {"version":...,"compiler":...,
-/// "sanitizer":...,"build_type":...} — caller supplies the key.
+/// "sanitizer":...,"build_type":...,"mont_kernel":...} — caller supplies
+/// the key.
 void write(util::JsonWriter& w);
 
 }  // namespace build_info

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "bignum/prime.hpp"
 #include "util/rng.hpp"
 
@@ -195,6 +197,125 @@ TEST(MontgomeryKernel, SubModWrapsBelowZero) {
     std::vector<Limb> r(3);
     mont::sub_mod(r, av, bv, n.limbs());
     EXPECT_EQ(Bignum::from_limbs_le(r), a >= b ? a - b : n - (b - a));
+  }
+}
+
+// --- kernel equivalence: the CPUID-selected kernel vs mont::portable:: ---
+
+std::vector<Limb> padded(const Bignum& v, std::size_t l) {
+  std::vector<Limb> out(v.limbs().begin(), v.limbs().end());
+  out.resize(l);
+  return out;
+}
+
+// Every kernel entry point on both kernels, compared bit for bit, for one
+// modulus: compute_rr, to_mont of several widths, mul and sqr over corner
+// operands (0, 1, n-1, n-2, random) with r aliasing a and b, and exp.
+void check_kernels_agree(util::Rng& rng, const Bignum& n) {
+  const std::size_t l = n.limb_count();
+  const std::vector<Limb> nv = padded(n, l);
+  const Limb n0 = mont::neg_inv(nv[0]);
+  std::vector<Limb> s(mont::scratch_limbs(l)), rr(l), rr_p(l), r(l), r_p(l);
+  mont::compute_rr(rr, nv, n0, s);
+  mont::portable::compute_rr(rr_p, nv, n0, s);
+  ASSERT_EQ(rr, rr_p) << "compute_rr l=" << l << " n=" << n.to_hex();
+  const mont::Modulus m{nv, rr, n0};
+
+  const Bignum one(1);
+  std::vector<std::vector<Limb>> ops;
+  for (const Bignum& v : {Bignum{}, one, n - one, n - Bignum(2), random_below(rng, n),
+                          random_below(rng, n), n >> 1}) {
+    ops.push_back(padded(v, l));
+  }
+  const auto where = [&](std::size_t i, std::size_t j) {
+    return "l=" + std::to_string(l) + " n=" + n.to_hex() + " ops " + std::to_string(i) + "," +
+           std::to_string(j);
+  };
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    mont::sqr(r, ops[i], m, s);
+    mont::portable::sqr(r_p, ops[i], m, s);
+    EXPECT_EQ(r, r_p) << "sqr " << where(i, i);
+    r = ops[i];  // r aliases a
+    mont::sqr(r, r, m, s);
+    EXPECT_EQ(r, r_p) << "sqr in place " << where(i, i);
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+      mont::mul(r, ops[i], ops[j], m, s);
+      mont::portable::mul(r_p, ops[i], ops[j], m, s);
+      EXPECT_EQ(r, r_p) << "mul " << where(i, j);
+      r = ops[i];
+      mont::mul(r, r, ops[j], m, s);
+      EXPECT_EQ(r, r_p) << "mul r=a " << where(i, j);
+      r = ops[j];
+      mont::mul(r, ops[i], r, m, s);
+      EXPECT_EQ(r, r_p) << "mul r=b " << where(i, j);
+    }
+  }
+  // a*b < R*n also holds for a = R - 1 (all ones) against b < n.
+  const std::vector<Limb> ones(l, ~Limb{0});
+  mont::mul(r, ones, ops[2], m, s);
+  mont::portable::mul(r_p, ones, ops[2], m, s);
+  EXPECT_EQ(r, r_p) << "mul by R-1 " << where(2, 2);
+
+  for (const std::size_t bits : {std::size_t{0}, 64 * l - 1, 64 * l, 64 * l + 64, 192 * l + 5}) {
+    const Bignum x = random_bits(rng, bits);
+    mont::to_mont(r, x.limbs(), m, s);
+    mont::portable::to_mont(r_p, x.limbs(), m, s);
+    EXPECT_EQ(r, r_p) << "to_mont bits=" << bits << " l=" << l;
+  }
+  mont::to_mont(r, ones, m, s);
+  mont::portable::to_mont(r_p, ones, m, s);
+  EXPECT_EQ(r, r_p) << "to_mont R-1 l=" << l;
+  mont::from_mont(r, ops[2], m, s);
+  mont::portable::from_mont(r_p, ops[2], m, s);
+  EXPECT_EQ(r, r_p) << "from_mont n-1 l=" << l;
+
+  // exp of a random base and of n-1, by a random full-width exponent and
+  // by an all-ones one; r aliases the base.
+  std::vector<Limb> am(l);
+  const std::vector<Limb> e_rand = padded(random_bits(rng, 64 * l), l);
+  for (const auto& base : {ops[4], ops[2]}) {
+    mont::portable::to_mont(am, base, m, s);
+    for (const auto& e : {e_rand, ones}) {
+      mont::portable::exp(r_p, am, e, 64 * l, m, s);
+      r = am;
+      mont::exp(r, r, e, 64 * l, m, s);
+      EXPECT_EQ(r, r_p) << "exp l=" << l << " n=" << n.to_hex();
+    }
+  }
+}
+
+class KernelEquivalence : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (std::string_view(mont::kernel_name()) != "adx") {
+      GTEST_SKIP() << "CPUID reports no ADX/BMI2: mont:: runs the portable kernel itself";
+    }
+  }
+};
+
+TEST_F(KernelEquivalence, EveryLimbCountOneToThirtyThree) {
+  // l = 1..3 never enter a 4-limb block; l % 4 = 1..3 end in the tail.
+  util::Rng rng(37);
+  for (std::size_t l = 1; l <= 33; ++l) check_kernels_agree(rng, odd_modulus(rng, l));
+}
+
+TEST_F(KernelEquivalence, TopLimbAllOnes) {
+  // 0xFFFF... top limbs drive both carry chains and the column-l carry.
+  util::Rng rng(38);
+  for (std::size_t l = 1; l <= 33; ++l) {
+    const Bignum r = Bignum(1) << (64 * l);
+    check_kernels_agree(rng, r - Bignum(1));
+    Bignum n = Bignum(0xffffffffffffffffULL) << (64 * (l - 1));
+    if (l > 1) n = n + random_bits(rng, 64 * (l - 1) - 1);
+    check_kernels_agree(rng, n.is_odd() ? n : n.add_limb(1));
+  }
+}
+
+TEST_F(KernelEquivalence, RandomModuliAtRsaWidths) {
+  // The CRT halves of 1024- and 2048-bit keys, many times over.
+  util::Rng rng(39);
+  for (int i = 0; i < 20; ++i) {
+    for (const std::size_t l : {8u, 16u}) check_kernels_agree(rng, odd_modulus(rng, l));
   }
 }
 

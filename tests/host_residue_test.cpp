@@ -3,12 +3,15 @@
 // This binary replaces the global operator new/delete pair. While the
 // probe is armed, every block handed back to the allocator is searched
 // (memmem over its usable size) for each 16-byte slice of two adjacent
-// limbs of d, p, q, dP, dQ and qInv: the raw limb images the paper's
-// scanner looks for. A freed block that still holds one is residue the
-// allocator can hand to anyone. SecureRsaKey custody, Keystore and
-// EncryptedHostKeystore signs at 1024 bits must leave none.
+// limbs of d, p, q, dP, dQ and qInv, both as raw little-endian limb
+// images (what the paper's scanner looks for) and byte-reversed (the
+// big-endian form a DER encoding holds). A freed block that still holds
+// one is residue the allocator can hand to anyone. SecureRsaKey custody,
+// key ingest (add_key) and Keystore and EncryptedHostKeystore signs at
+// 1024 bits must leave none.
 #include <malloc.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -19,6 +22,7 @@
 
 #include "bignum/prime.hpp"
 #include "core/secure_rsa.hpp"
+#include "crypto/pem.hpp"
 #include "keystore/encrypted_keystore_host.hpp"
 #include "keystore/keystore.hpp"
 #include "sim/coprocessor.hpp"
@@ -92,9 +96,13 @@ void add_needles(const crypto::RsaPrivateKey& key) {
     const auto limbs = parts[part]->limbs();
     for (std::size_t i = 0; i + 1 < limbs.size(); ++i) {
       ASSERT_LT(g_needle_count, g_needles.size());
-      Needle& n = g_needles[g_needle_count++];
-      std::memcpy(n.bytes.data(), &limbs[i], 16);
-      n.part = part;
+      Needle& le = g_needles[g_needle_count++];
+      std::memcpy(le.bytes.data(), &limbs[i], 16);
+      le.part = part;
+      ASSERT_LT(g_needle_count, g_needles.size());
+      Needle& be = g_needles[g_needle_count++];
+      std::reverse_copy(le.bytes.begin(), le.bytes.end(), be.bytes.begin());
+      be.part = part;
     }
   }
 }
@@ -150,6 +158,66 @@ TEST_F(HostResidue, NeedlesFindTheirOwnLimbImages) {
   { const Bignum copy = keys()[0].p; }
   g_armed.store(false);
   EXPECT_EQ(g_tainted[1].load(), 1);
+}
+
+TEST_F(HostResidue, NeedlesFindTheirBigEndianImages) {
+  // Positive control: an unscrubbed big-endian image of q is caught.
+  const auto limbs = keys()[0].q.limbs();
+  Probe probe;
+  {
+    std::vector<unsigned char> be(8 * limbs.size());
+    for (std::size_t i = 0; i < be.size(); ++i) {
+      be[be.size() - 1 - i] = static_cast<unsigned char>(limbs[i / 8] >> (8 * (i % 8)));
+    }
+  }
+  g_armed.store(false);
+  EXPECT_EQ(g_tainted[2].load(), 1);
+}
+
+TEST_F(HostResidue, DerEncodeLeavesNoFreedPrivateBytes) {
+  std::vector<std::byte> der;
+  {
+    Probe probe;
+    der = crypto::der_encode_private_key(keys()[0]);
+    EXPECT_EQ(probe.tainted(), 0) << "over " << probe.frees() << " frees";
+  }
+  const auto back = crypto::der_decode_private_key(der);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->p, keys()[0].p);
+  EXPECT_EQ(back->iqmp, keys()[0].iqmp);
+}
+
+TEST_F(HostResidue, KeystoreAddKeyLeavesNoFreedPrivateBytes) {
+  keystore::Keystore ks({.pool_keys = 1});
+  auto scrubbed = keys()[1];
+  keystore::KeyId a = 0, b = 0;
+  {
+    Probe probe;
+    a = ks.add_key(keys()[0]);
+    b = ks.add_key_scrubbing(scrubbed);
+    EXPECT_EQ(probe.tainted(), 0) << "over " << probe.frees() << " frees";
+  }
+  EXPECT_TRUE(scrubbed.p.is_zero());
+  const Bignum m(0x5eed);
+  EXPECT_EQ(ks.public_key(a).encrypt_raw(ks.sign(a, m)), m);
+  EXPECT_EQ(ks.public_key(b).encrypt_raw(ks.sign(b, m)), m);
+}
+
+TEST_F(HostResidue, EncryptedHostKeystoreAddKeyLeavesNoFreedPrivateBytes) {
+  sim::CoprocessorDomain domain(0x5f);
+  keystore::EncryptedHostKeystore ks(domain, {.working_set = 1});
+  std::optional<keystore::KeyId> a, b;
+  {
+    Probe probe;
+    a = ks.add_key(keys()[0]);
+    b = ks.add_key(keys()[1]);
+    EXPECT_EQ(probe.tainted(), 0) << "over " << probe.frees() << " frees";
+  }
+  ASSERT_TRUE(a && b);
+  const Bignum m(0x5eed);
+  const auto sig = ks.sign(*b, m);
+  ASSERT_TRUE(sig.has_value());
+  EXPECT_EQ(keys()[1].public_key().encrypt_raw(*sig), m);
 }
 
 TEST_F(HostResidue, SecureRsaKeyDecryptsLeaveNoFreedPrivateLimbs) {

@@ -5,7 +5,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
+#include "bignum/montgomery.hpp"
+#include "obs/build_info.hpp"
 #include "util/json.hpp"
 
 namespace keyguard::obs {
@@ -161,6 +164,24 @@ TEST(Snapshot, JsonShape) {
   EXPECT_NE(s.find(R"("lat_ms":{"count":1)"), std::string::npos) << s;
   EXPECT_NE(s.find(R"("le":"inf")"), std::string::npos) << s;  // overflow bucket
   EXPECT_NE(s.find(R"("p95":)"), std::string::npos) << s;
+}
+
+TEST(BuildInfo, NamesTheMontgomeryKernelCpuidPicked) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  const bool adx = __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
+#else
+  const bool adx = false;
+#endif
+  const std::string kernel = adx ? "adx" : "portable";
+  EXPECT_EQ(build_info::mont_kernel(), kernel);
+  EXPECT_EQ(bn::mont::kernel_name(), kernel);
+  util::JsonWriter w;
+  build_info::write(w);
+  EXPECT_TRUE(w.complete());
+  EXPECT_NE(w.str().find(R"("mont_kernel":")" + kernel + '"'), std::string::npos) << w.str();
+  EXPECT_NE(build_info::one_line().find(" | mont_kernel=" + kernel), std::string::npos)
+      << build_info::one_line();
 }
 
 TEST(Snapshot, ResetClearsEverything) {
