@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
@@ -120,8 +121,9 @@ BENCHMARK(BM_SecureRsaKeyDecrypt);
 // One odd modulus of `limbs` limbs (top bit set), its R^2, two operands
 // below it and a full-width exponent, as the flat spans bn::mont takes.
 struct MontOperands {
-  explicit MontOperands(std::size_t limbs) : l(limbs), s(bn::mont::scratch_limbs(limbs)) {
-    util::Rng rng(16 + limbs);
+  explicit MontOperands(std::size_t limbs, std::uint64_t seed = 16)
+      : l(limbs), s(bn::mont::scratch_limbs(limbs)) {
+    util::Rng rng(seed + limbs);
     bn::Bignum nb = bn::random_bits(rng, 64 * l);
     if (!nb.is_odd()) nb = nb.add_limb(1);
     n = padded(nb);
@@ -146,10 +148,13 @@ struct MontOperands {
 };
 
 // Arg 0: limbs (8 = one CRT half of a 1024-bit key). Arg 1: 0 runs
-// bn::mont:: (the kernel CPUID picked, named in the label), 1 runs
+// bn::mont:: (the row kernel CPUID picked, named in the label), 1 runs
 // bn::mont::portable::. On a host without ADX/BMI2 both rows are portable.
+const char* row_kernel() {
+  return std::string_view(bn::mont::kernel_name()).starts_with("adx") ? "adx" : "portable";
+}
 const char* mont_label(const benchmark::State& state) {
-  return state.range(1) != 0 ? "portable" : bn::mont::kernel_name();
+  return state.range(1) != 0 ? "portable" : row_kernel();
 }
 
 void BM_MontMul(benchmark::State& state) {
@@ -188,6 +193,36 @@ void BM_MontExp(benchmark::State& state) {
   state.SetLabel(mont_label(state));
 }
 BENCHMARK(BM_MontExp)->ArgsProduct({{8, 16}, {0, 1}})->UseRealTime();
+
+// Both halves of a CRT private op from an ordinary-form x to ordinary-form
+// results. Arg 1: 0 runs bn::mont::exp2 (lockstep on IFMA, labelled with
+// the process's kernels), 1 runs to_mont, exp and from_mont per half on
+// the CPUID-picked row kernel, as the parent's callers did.
+void BM_MontExp2(benchmark::State& state) {
+  const auto l = static_cast<std::size_t>(state.range(0));
+  MontOperands p(l), q(l, 17);
+  const auto mp = p.modulus();
+  const auto mq = q.modulus();
+  std::vector<bn::Limb> s(bn::mont::exp2_scratch_limbs(l));
+  const bool rows = state.range(1) != 0;
+  for (auto _ : state) {
+    if (rows) {
+      for (auto* h : {&p, &q}) {
+        const auto m = h->modulus();
+        bn::mont::to_mont(h->r, p.a, m, h->s);
+        bn::mont::exp(h->r, h->r, h->e, 64 * l, m, h->s);
+        bn::mont::from_mont(h->r, h->r, m, h->s);
+      }
+    } else {
+      bn::mont::exp2(p.r, q.r, p.a, p.e, q.e, mp, mq, s);
+    }
+    benchmark::DoNotOptimize(p.r.data());
+    benchmark::DoNotOptimize(q.r.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(rows ? std::string(row_kernel()) + " rows" : bn::mont::kernel_name());
+}
+BENCHMARK(BM_MontExp2)->ArgsProduct({{8, 16}, {0, 1}})->UseRealTime();
 
 // --- scanner ---------------------------------------------------------------
 

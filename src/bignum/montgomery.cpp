@@ -5,6 +5,7 @@
 #include <cassert>
 
 #include "bignum/montgomery_adx.hpp"
+#include "bignum/montgomery_ifma.hpp"
 
 namespace keyguard::bn {
 namespace mont {
@@ -182,6 +183,17 @@ bool adx_selected() noexcept {
 #endif
 }
 
+// CPUID again: the IFMA dual exp runs only beside the ADX rows, which
+// prepare its inputs.
+bool ifma_selected() noexcept {
+#if KEYGUARD_MONT_IFMA
+  static const bool selected = adx_selected() && ifma::available();
+  return selected;
+#else
+  return false;
+#endif
+}
+
 // Calls f with the selected kernel's tag.
 template <class F>
 void with_kernel(F&& f) noexcept {
@@ -282,7 +294,10 @@ void compute_rr_with(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
 
 }  // namespace
 
-const char* kernel_name() noexcept { return adx_selected() ? "adx" : "portable"; }
+const char* kernel_name() noexcept {
+  if (ifma_selected()) return "adx+ifma";
+  return adx_selected() ? "adx" : "portable";
+}
 
 void mul(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
          const Modulus& m, std::span<Limb> scratch) noexcept {
@@ -312,6 +327,51 @@ void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
 void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
                 std::span<Limb> scratch) noexcept {
   with_kernel([&](auto k) { compute_rr_with<decltype(k)>(rr, n, n0_inv, scratch); });
+}
+
+static_assert(exp2_scratch_limbs(8) == ifma::scratch_limbs(8) + 4 * 8 + scratch_limbs(8));
+static_assert(exp2_scratch_limbs(33) == ifma::scratch_limbs(33) + 4 * 33 + scratch_limbs(33));
+
+void exp2(std::span<Limb> rp, std::span<Limb> rq, std::span<const Limb> x,
+          std::span<const Limb> ep, std::span<const Limb> eq, const Modulus& mp,
+          const Modulus& mq, std::span<Limb> scratch) noexcept {
+#if KEYGUARD_MONT_IFMA
+  const std::size_t l = mp.limbs();
+  if (ifma_selected() && mq.limbs() == l && l <= ifma::kMaxLimbs) {
+    const auto digit_scratch = scratch.first(ifma::scratch_limbs(l));
+    const auto prep = scratch.subspan(digit_scratch.size(), 4 * l);
+    const auto k = scratch.subspan(digit_scratch.size() + 4 * l);
+    // R' = 2^(52D) = 2^(52D - 64l) * R, and 2 <= 52D - 64l <= 53.
+    const Limb r_over_r = Limb{1} << (52 * ifma::digits(l) - 64 * l);
+    const auto half = [&](std::span<Limb> r, std::span<const Limb> e, const Modulus& m,
+                          std::size_t i) {
+      const auto xm = prep.subspan(2 * i * l, l);
+      const auto one = prep.subspan((2 * i + 1) * l, l);
+      to_mont(one, std::span(&r_over_r, 1), m, k);  // R' mod n
+      to_mont(xm, x, m, k);                         // x R mod n
+      mul(xm, xm, one, m, k);                       // x R' mod n
+      return ifma::Half{r, xm, one, m.n, m.n0_inv, e};
+    };
+    const ifma::Half hp = half(rp, ep, mp, 0);
+    const ifma::Half hq = half(rq, eq, mq, 1);
+    ifma::exp2(hp, hq, l, 64 * std::max(ep.size(), eq.size()), digit_scratch);
+    subtract_if_ge(rp.data(), rp.data(), 0, mp.n.data(), l, k.data());
+    subtract_if_ge(rq.data(), rq.data(), 0, mq.n.data(), l, k.data());
+    return;
+  }
+#endif
+  const auto tp = scratch.first(mp.limbs());
+  const auto tq = scratch.subspan(tp.size(), mq.limbs());
+  const auto k = scratch.subspan(tp.size() + tq.size());
+  with_kernel([&](auto kernel) {
+    using K = decltype(kernel);
+    to_mont_with<K>(tp, x, mp, k);
+    to_mont_with<K>(tq, x, mq, k);
+    exp_with<K>(tp, tp, ep, 64 * ep.size(), mp, k);
+    exp_with<K>(tq, tq, eq, 64 * eq.size(), mq, k);
+    from_mont_with<K>(rp, tp, mp, k);
+    from_mont_with<K>(rq, tq, mq, k);
+  });
 }
 
 void sub_mod(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
@@ -460,6 +520,36 @@ Bignum MontgomeryContext::exp(const Bignum& a, const Bignum& e) const {
 Bignum mont_mod_exp(const Bignum& a, const Bignum& e, const Bignum& n, Exponent kind) {
   assert(n.is_odd() && n > Bignum(Limb{1}));
   return exp_once(a, e, kind, n, mont::neg_inv(n.low_limb()), nullptr);
+}
+
+std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const Bignum& p,
+                                        const Bignum& eq, const Bignum& q) {
+  assert(p.is_odd() && p > Bignum(Limb{1}) && q.is_odd() && q > Bignum(Limb{1}));
+  const std::size_t lp = p.limb_count();
+  const std::size_t lq = q.limb_count();
+  const std::size_t ewp = std::max(lp, ep.limb_count());
+  const std::size_t ewq = std::max(lq, eq.limb_count());
+  // R^2 mod p and mod q, both results, both padded exponents, then the
+  // exp2 scratch.
+  std::vector<Limb> buf(2 * (lp + lq) + ewp + ewq + mont::exp2_scratch_limbs(std::max(lp, lq)));
+  const std::span<Limb> all(buf);
+  const auto rrp = all.first(lp);
+  const auto rrq = all.subspan(lp, lq);
+  const auto rp = all.subspan(lp + lq, lp);
+  const auto rq = all.subspan(2 * lp + lq, lq);
+  const auto e1 = all.subspan(2 * (lp + lq), ewp);
+  const auto e2 = all.subspan(2 * (lp + lq) + ewp, ewq);
+  const auto k = all.subspan(2 * (lp + lq) + ewp + ewq);
+  const mont::Modulus mp{p.limbs(), rrp, mont::neg_inv(p.low_limb())};
+  const mont::Modulus mq{q.limbs(), rrq, mont::neg_inv(q.low_limb())};
+  mont::compute_rr(rrp, p.limbs(), mp.n0_inv, k);
+  mont::compute_rr(rrq, q.limbs(), mq.n0_inv, k);
+  std::ranges::copy(ep.limbs(), e1.begin());
+  std::ranges::copy(eq.limbs(), e2.begin());
+  mont::exp2(rp, rq, a.limbs(), e1, e2, mp, mq, k);
+  std::pair<Bignum, Bignum> out{Bignum::from_limbs_le(rp), Bignum::from_limbs_le(rq)};
+  mont::wipe(buf);
+  return out;
 }
 
 }  // namespace keyguard::bn

@@ -16,7 +16,10 @@
 //    process by CPUID and named by kernel_name(): the x86-64 mulx/adcx/
 //    adox kernel (montgomery_adx.cpp) when the CPU has ADX and BMI2, else
 //    the portable u128 one. `mont::portable::` always runs the latter; it
-//    is the tests' oracle. Both give bit-identical results.
+//    is the tests' oracle. Both give bit-identical results. `mont::exp2`
+//    computes both CRT halves at once: in lockstep on 52-bit digits
+//    (montgomery_ifma.cpp) when the CPU also has AVX512F and AVX512IFMA
+//    and the halves are equally wide, else as two row-kernel exps.
 //
 //  * `MontgomeryContext` — the Bignum-facing wrapper, the analogue of
 //    OpenSSL's BN_MONT_CTX. Its modulus and R^2 live in ordinary heap
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 
 #include "bignum/bignum.hpp"
 
@@ -51,6 +55,15 @@ struct Modulus {
 /// Scratch limbs any kernel call below needs for an L-limb modulus.
 constexpr std::size_t scratch_limbs(std::size_t l) { return 19 * l + 2; }
 
+/// Scratch limbs exp2 needs for halves of at most L limbs: per half a
+/// 16-entry table, the modulus and two working values as 52-bit digits
+/// padded to whole zmm registers (8 lanes), plus x*R' and R' mod the
+/// half and a row-kernel scratch.
+constexpr std::size_t exp2_scratch_limbs(std::size_t l) {
+  const std::size_t lanes = ((64 * l + 2 + 51) / 52 + 7) / 8 * 8;
+  return 2 * 19 * lanes + 4 * l + scratch_limbs(l);
+}
+
 /// -x^{-1} mod 2^64 for odd x.
 Limb neg_inv(Limb x) noexcept;
 
@@ -60,7 +73,8 @@ Limb neg_inv(Limb x) noexcept;
 void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
                 std::span<Limb> scratch) noexcept;
 
-/// "adx" or "portable": the row kernel mul and sqr run in this process.
+/// The kernels this process runs, picked once by CPUID: "adx+ifma" (exp2
+/// on IFMA, everything else on the ADX rows), "adx" or "portable".
 const char* kernel_name() noexcept;
 
 /// r = a*b*R^{-1} mod n (CIOS). Requires a*b < R*n, which holds when one
@@ -88,6 +102,17 @@ void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
 /// one multiply, whatever e's value. r may alias am.
 void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
          std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept;
+
+/// rp = x^ep mod p and rq = x^eq mod q in ordinary form, for an x of any
+/// width: the two halves of an RSA CRT private op. Every bit of both
+/// exponent spans is a window bit, whatever the exponents hold. With
+/// IFMA and equal widths both halves run one schedule of
+/// 16 * max(ep.size(), eq.size()) windows in lockstep (an exponent reads
+/// as zero past its end); otherwise each runs exp over its own span. rp
+/// or rq may alias x. scratch: exp2_scratch_limbs(max(L_p, L_q)) limbs.
+void exp2(std::span<Limb> rp, std::span<Limb> rq, std::span<const Limb> x,
+          std::span<const Limb> ep, std::span<const Limb> eq, const Modulus& mp,
+          const Modulus& mq, std::span<Limb> scratch) noexcept;
 
 /// r = (a - b) mod n for a, b < n, without a data-dependent branch.
 void sub_mod(std::span<Limb> r, std::span<const Limb> a, std::span<const Limb> b,
@@ -155,5 +180,11 @@ enum class Exponent { kSecret, kPublic };
 /// a^e mod n for an odd n > 1 on one scratch vector, wiped on exit, with
 /// no copy of n: what Bignum::mod_exp and mod_exp_public run for odd moduli.
 Bignum mont_mod_exp(const Bignum& a, const Bignum& e, const Bignum& n, Exponent kind);
+
+/// {a^ep mod p, a^eq mod q} for odd p, q > 1 through mont::exp2, on one
+/// scratch vector wiped on exit. Each exponent covers every bit of
+/// max(limbs(modulus), limbs(e)) limbs, as mod_exp's kSecret does.
+std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const Bignum& p,
+                                        const Bignum& eq, const Bignum& q);
 
 }  // namespace keyguard::bn

@@ -142,23 +142,20 @@ Bignum SecureRsaKey::decrypt(const Bignum& c) const {
   const std::size_t lp = p.size();
   const std::size_t lq = q.size();
 
-  ArenaLease arena(3 * lp + 2 * lq + mont::scratch_limbs(std::max(lp, lq)));
+  ArenaLease arena(4 * lp + 2 * lq + mont::exp2_scratch_limbs(std::max(lp, lq)));
   const auto m1 = arena.take(lp);
   const auto m2 = arena.take(lq);
   const auto x = arena.take(lp);
+  const auto y = arena.take(lp);
   const auto m = arena.take(lp + lq);
   const auto k = arena.rest();
 
-  // Every bit of the padded dP, dQ slots: the window count is the width.
-  const auto dp = part(kDmp1);
-  const auto dq = part(kDmq1);
-  mont::to_mont(m1, c.limbs(), mp, k);
-  mont::exp(m1, m1, dp, 64 * dp.size(), mp, k);  // m1 R mod p
-  mont::to_mont(m2, c.limbs(), mq, k);
-  mont::exp(m2, m2, dq, 64 * dq.size(), mq, k);
-  mont::from_mont(m2, m2, mq, k);
-  mont::to_mont(x, m2, mp, k);            // m2 R mod p
-  mont::sub_mod(x, m1, x, p);             // (m1 - m2) R mod p
+  // Both halves at once over every bit of the padded dP, dQ slots: the
+  // window count is the width.
+  mont::exp2(m1, m2, c.limbs(), part(kDmp1), part(kDmq1), mp, mq, k);
+  mont::to_mont(x, m2, mp, k);            // m2 R mod p (q may exceed p)
+  mont::to_mont(y, m1, mp, k);            // m1 R mod p
+  mont::sub_mod(x, y, x, p);              // (m1 - m2) R mod p
   mont::mul(m1, x, part(kIqmp), mp, k);   // h
   std::ranges::fill(m, Limb{0});
   std::ranges::copy(m2, m.begin());

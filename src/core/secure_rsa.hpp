@@ -10,10 +10,11 @@
 // from_key_scrubbing to also destroy the caller's plain copy.
 //
 // Private operations run the bn::mont kernel straight off the buffer's
-// limbs. Every intermediate (c mod p, m1, m2, h, the window table and the
-// CIOS scratch) lives in a per-thread locked SecureBuffer arena that is
-// wiped before decrypt() returns; nothing divides by p or q. Only the
-// public result leaves as an ordinary heap Bignum.
+// limbs, both CRT halves through one mont::exp2. Every intermediate (m1,
+// m2, h, both window tables and the kernel scratch) lives in a per-thread
+// locked SecureBuffer arena that is wiped before decrypt() returns;
+// nothing divides by p or q. Only the public result leaves as an
+// ordinary heap Bignum.
 //
 // fork() safety: the buffer is never written after construction, so
 // copy-on-write keeps the key physically single across any number of

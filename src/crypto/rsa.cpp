@@ -1,7 +1,9 @@
 #include "crypto/rsa.hpp"
 
 #include <cassert>
+#include <tuple>
 
+#include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
 #include "crypto/sha256.hpp"
 
@@ -15,23 +17,25 @@ Bignum RsaPublicKey::encrypt_raw(const Bignum& m) const {
   return Bignum::mod_exp_public(m, e, n);
 }
 
-Bignum RsaPrivateKey::decrypt_crt(const Bignum& c) const {
-  // Garner's recombination:
-  //   m1 = c^dmp1 mod p,  m2 = c^dmq1 mod q
-  //   h  = iqmp * (m1 - m2) mod p
-  //   m  = m2 + h * q
-  const Bignum m1 = Bignum::mod_exp(c % p, dmp1, p);
-  const Bignum m2 = Bignum::mod_exp(c % q, dmq1, q);
+CrtResult crt_private_op(const Bignum& c, const Bignum& p, const Bignum& q, const Bignum& dmp1,
+                         const Bignum& dmq1, const Bignum& iqmp) {
+  CrtResult r;
+  std::tie(r.m1, r.m2) = bn::mont_mod_exp2(c, dmp1, p, dmq1, q);
   Bignum diff;
-  if (m1 >= m2) {
-    diff = m1 - m2;
+  if (r.m1 >= r.m2) {
+    diff = r.m1 - r.m2;
   } else {
     // (m1 - m2) mod p without signed arithmetic.
-    diff = p - ((m2 - m1) % p);
+    diff = p - ((r.m2 - r.m1) % p);
     if (diff == p) diff = Bignum{};
   }
   const Bignum h = (iqmp * diff) % p;
-  return m2 + h * q;
+  r.m = r.m2 + h * q;
+  return r;
+}
+
+Bignum RsaPrivateKey::decrypt_crt(const Bignum& c) const {
+  return crt_private_op(c, p, q, dmp1, dmq1, iqmp).m;
 }
 
 Bignum RsaPrivateKey::decrypt_plain(const Bignum& c) const {

@@ -61,6 +61,19 @@ struct RsaPrivateKey {
   void scrub_private_parts() noexcept;
 };
 
+/// The values of one CRT private operation: m1 = c^dmp1 mod p and
+/// m2 = c^dmq1 mod q from one bn::mont_mod_exp2, then Garner's
+/// h = iqmp (m1 - m2) mod p and m = m2 + h q. The simulated SSL library
+/// writes m1 and m2 into simulated heap, as OpenSSL's BN_CTX does.
+struct CrtResult {
+  bn::Bignum m1;
+  bn::Bignum m2;
+  bn::Bignum m;
+};
+CrtResult crt_private_op(const bn::Bignum& c, const bn::Bignum& p, const bn::Bignum& q,
+                         const bn::Bignum& dmp1, const bn::Bignum& dmq1,
+                         const bn::Bignum& iqmp);
+
 /// Generates a key with an n_bits modulus (primes of n_bits/2 each) and
 /// public exponent e (default 65537). Deterministic given the Rng.
 RsaPrivateKey generate_rsa_key(util::Rng& rng, std::size_t n_bits,

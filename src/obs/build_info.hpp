@@ -21,8 +21,8 @@ std::string compiler();
 const char* sanitizer();
 /// "debug" or "release" (NDEBUG).
 const char* build_type();
-/// "adx" or "portable": the Montgomery row kernel CPUID picked for this
-/// process (bn::mont::kernel_name()), i.e. which arithmetic ran.
+/// "adx+ifma", "adx" or "portable": the Montgomery kernels CPUID picked
+/// for this process (bn::mont::kernel_name()), i.e. which arithmetic ran.
 const char* mont_kernel();
 /// "keyguard <version> | <compiler> | sanitizer=<san> | <type> |
 /// mont_kernel=<kernel>".

@@ -214,22 +214,12 @@ Bignum SslLibrary::rsa_private_op(sim::Process& p, SimRsaKey& key, const Bignum&
 
   // CRT (Garner). The arithmetic itself runs host-side; the simulated
   // memory carries the inputs (read above) and the intermediates (below).
-  const Bignum m1 = Bignum::mod_exp(c % P, dmp1, P);
-  const Bignum m2 = Bignum::mod_exp(c % Q, dmq1, Q);
-  Bignum diff;
-  if (m1 >= m2) {
-    diff = m1 - m2;
-  } else {
-    diff = P - ((m2 - m1) % P);
-    if (diff == P) diff = Bignum{};
-  }
-  const Bignum h = (iqmp * diff) % P;
-  const Bignum m = m2 + h * Q;
+  const crypto::CrtResult crt = crypto::crt_private_op(c, P, Q, dmp1, dmq1, iqmp);
 
   // The intermediates pass through heap scratch (BN_CTX pool) and are
   // freed like any temporary.
-  SimBignum s1 = write_bignum_heap(p, m1, "CRT intermediate m1", sim::TaintTag::kCrt);
-  SimBignum s2 = write_bignum_heap(p, m2, "CRT intermediate m2", sim::TaintTag::kCrt);
+  SimBignum s1 = write_bignum_heap(p, crt.m1, "CRT intermediate m1", sim::TaintTag::kCrt);
+  SimBignum s2 = write_bignum_heap(p, crt.m2, "CRT intermediate m2", sim::TaintTag::kCrt);
   free_bignum(p, s1, cfg_.clear_temporaries);
   free_bignum(p, s2, cfg_.clear_temporaries);
 
@@ -237,7 +227,7 @@ Bignum SslLibrary::rsa_private_op(sim::Process& p, SimRsaKey& key, const Bignum&
     free_mont_ctx(p, tmp_p, cfg_.clear_temporaries);
     free_mont_ctx(p, tmp_q, cfg_.clear_temporaries);
   }
-  return m;
+  return crt.m;
 }
 
 void SslLibrary::rsa_free(sim::Process& p, SimRsaKey& key) {

@@ -287,7 +287,7 @@ void check_kernels_agree(util::Rng& rng, const Bignum& n) {
 class KernelEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (std::string_view(mont::kernel_name()) != "adx") {
+    if (!std::string_view(mont::kernel_name()).starts_with("adx")) {
       GTEST_SKIP() << "CPUID reports no ADX/BMI2: mont:: runs the portable kernel itself";
     }
   }
@@ -316,6 +316,160 @@ TEST_F(KernelEquivalence, RandomModuliAtRsaWidths) {
   util::Rng rng(39);
   for (int i = 0; i < 20; ++i) {
     for (const std::size_t l : {8u, 16u}) check_kernels_agree(rng, odd_modulus(rng, l));
+  }
+}
+
+// --- exp2: both CRT halves at once vs two mont::portable::exp calls ---
+
+// A modulus with its R^2, owning the limbs a mont::Modulus views.
+struct OwnedModulus {
+  explicit OwnedModulus(const Bignum& v) : n(padded(v, v.limb_count())), rr(n.size()) {
+    std::vector<Limb> s(mont::scratch_limbs(n.size()));
+    mont::portable::compute_rr(rr, n, mont::neg_inv(n[0]), s);
+  }
+  mont::Modulus view() const { return {n, rr, mont::neg_inv(n[0])}; }
+  std::vector<Limb> n;
+  std::vector<Limb> rr;
+};
+
+// x^e mod n on the portable kernel over every bit of e's span.
+std::vector<Limb> portable_exp(const Bignum& x, const std::vector<Limb>& e,
+                               const OwnedModulus& n) {
+  const mont::Modulus m = n.view();
+  std::vector<Limb> s(mont::scratch_limbs(m.limbs())), r(m.limbs());
+  mont::portable::to_mont(r, x.limbs(), m, s);
+  mont::portable::exp(r, r, e, 64 * e.size(), m, s);
+  mont::portable::from_mont(r, r, m, s);
+  return r;
+}
+
+// exp2 against two portable exps, also with rp and then rq aliasing x
+// (when x fits that half's width).
+void check_exp2(const Bignum& p, const Bignum& q, const Bignum& x, const std::vector<Limb>& ep,
+                const std::vector<Limb>& eq) {
+  const OwnedModulus mp(p), mq(q);
+  const std::size_t lp = mp.n.size(), lq = mq.n.size();
+  const std::vector<Limb> want_p = portable_exp(x, ep, mp), want_q = portable_exp(x, eq, mq);
+  const std::string where = "lp=" + std::to_string(lp) + " lq=" + std::to_string(lq) +
+                            " p=" + p.to_hex() + " q=" + q.to_hex() + " x=" + x.to_hex();
+  std::vector<Limb> s(mont::exp2_scratch_limbs(std::max(lp, lq))), rp(lp), rq(lq);
+  mont::exp2(rp, rq, x.limbs(), ep, eq, mp.view(), mq.view(), s);
+  EXPECT_EQ(rp, want_p) << "p half " << where;
+  EXPECT_EQ(rq, want_q) << "q half " << where;
+  if (x.limb_count() <= lp) {
+    rp = padded(x, lp);
+    mont::exp2(rp, rq, rp, ep, eq, mp.view(), mq.view(), s);
+    EXPECT_EQ(rp, want_p) << "rp aliases x " << where;
+    EXPECT_EQ(rq, want_q) << "rp aliases x " << where;
+  }
+  if (x.limb_count() <= lq) {
+    rq = padded(x, lq);
+    mont::exp2(rp, rq, rq, ep, eq, mp.view(), mq.view(), s);
+    EXPECT_EQ(rp, want_p) << "rq aliases x " << where;
+    EXPECT_EQ(rq, want_q) << "rq aliases x " << where;
+  }
+}
+
+// Random full-width exponents, x = 0, 1, n-1 (of p), a random x below
+// p*q and an x wider than both, then e = 0 and all-ones exponents.
+void check_exp2_corners(util::Rng& rng, const Bignum& p, const Bignum& q) {
+  const std::size_t lp = p.limb_count(), lq = q.limb_count();
+  const std::vector<Limb> ep = padded(random_bits(rng, 64 * lp), lp);
+  const std::vector<Limb> eq = padded(random_bits(rng, 64 * lq), lq);
+  for (const Bignum& x : {Bignum{}, Bignum(1), p - Bignum(1), q - Bignum(1),
+                          random_below(rng, p * q), random_bits(rng, 64 * (lp + lq) + 70)}) {
+    check_exp2(p, q, x, ep, eq);
+  }
+  const Bignum x = random_below(rng, p * q);
+  check_exp2(p, q, x, std::vector<Limb>(lp), std::vector<Limb>(lq));
+  check_exp2(p, q, x, std::vector<Limb>(lp, ~Limb{0}), std::vector<Limb>(lq, ~Limb{0}));
+}
+
+// The modulus whose 52-bit digits are all ones up to bit 52k, for the
+// largest k that keeps it `limbs` wide (else 2^(64 limbs) - 1).
+Bignum all_ones_digits(std::size_t limbs) {
+  const std::size_t k = 64 * limbs / 52;
+  const std::size_t bits = 52 * k > 64 * (limbs - 1) ? 52 * k : 64 * limbs;
+  return (Bignum(1) << bits) - Bignum(1);
+}
+
+TEST(Exp2, UnequalWidthsMatchTwoPortableExps) {
+  // lp != lq never takes the lockstep kernel, whatever the CPU.
+  util::Rng rng(40);
+  for (const auto& [lp, lq] : {std::pair<std::size_t, std::size_t>{1, 2}, {2, 1}, {7, 9},
+                              {9, 7}, {8, 16}, {16, 15}}) {
+    check_exp2_corners(rng, odd_modulus(rng, lp), odd_modulus(rng, lq));
+  }
+}
+
+TEST(Exp2, ExponentSpansOfDifferentWidths) {
+  // One schedule covers the wider span; the narrower reads as zero past
+  // its end, which changes no value.
+  util::Rng rng(41);
+  for (const std::size_t l : {1u, 8u, 16u}) {
+    const Bignum p = odd_modulus(rng, l), q = odd_modulus(rng, l);
+    const Bignum x = random_below(rng, p * q);
+    check_exp2(p, q, x, padded(random_bits(rng, 64 * l), l),
+               padded(random_bits(rng, 64 * l + 40), l + 1));
+    check_exp2(p, q, x, padded(random_bits(rng, 30), 1), padded(random_bits(rng, 64 * l), l));
+  }
+}
+
+TEST(Exp2, MontModExp2MatchesTwoModExps) {
+  // The Bignum wrapper, including exponents wider than their modulus.
+  util::Rng rng(42);
+  for (const auto& [lp, lq] : {std::pair<std::size_t, std::size_t>{8, 8}, {3, 5}, {16, 16}}) {
+    const Bignum p = odd_modulus(rng, lp), q = odd_modulus(rng, lq);
+    const Bignum a = random_below(rng, p * q);
+    const Bignum ep = random_bits(rng, 64 * lp - 3), eq = random_bits(rng, 64 * lq + 90);
+    const auto [m1, m2] = mont_mod_exp2(a, ep, p, eq, q);
+    EXPECT_EQ(m1, Bignum::mod_exp(a, ep, p)) << "lp=" << lp;
+    EXPECT_EQ(m2, Bignum::mod_exp(a, eq, q)) << "lq=" << lq;
+  }
+}
+
+class Exp2Lockstep : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (std::string_view(mont::kernel_name()) != "adx+ifma") {
+      GTEST_SKIP() << "CPUID reports no AVX512F/AVX512IFMA (kernel "
+                   << mont::kernel_name() << "): exp2 runs the row kernel twice, "
+                   << "which the unequal-width cases cover";
+    }
+  }
+};
+
+TEST_F(Exp2Lockstep, EveryLimbCountOneToThirtyThree) {
+  // 1 to 6 zmm registers per operand; D = 8k digits at l = 6, 13, 19, 26.
+  util::Rng rng(43);
+  for (std::size_t l = 1; l <= 33; ++l) {
+    check_exp2_corners(rng, odd_modulus(rng, l), odd_modulus(rng, l));
+  }
+}
+
+TEST_F(Exp2Lockstep, AllOnesDigitsDriveTheCarryLookahead) {
+  // Lanes equal to 2^52 - 1 propagate a carry through the whole vector:
+  // all-ones moduli, n - 1 bases and all-ones exponents.
+  util::Rng rng(44);
+  for (std::size_t l = 1; l <= 33; ++l) {
+    const Bignum ones = all_ones_digits(l);
+    const Bignum top = (Bignum(1) << (64 * l)) - Bignum(1);
+    check_exp2_corners(rng, ones, top);
+    check_exp2_corners(rng, top, odd_modulus(rng, l));
+  }
+}
+
+TEST_F(Exp2Lockstep, RandomModuliAtRsaWidths) {
+  // The CRT halves of 1024- to 4096-bit keys, and the widest modulus the
+  // kernel takes (8 registers per operand).
+  util::Rng rng(45);
+  for (int i = 0; i < 10; ++i) {
+    for (const std::size_t l : {8u, 16u, 32u, 51u}) {
+      if (l > 16 && i > 1) continue;
+      const Bignum p = odd_modulus(rng, l), q = odd_modulus(rng, l);
+      check_exp2(p, q, random_below(rng, p * q), padded(random_bits(rng, 64 * l), l),
+                 padded(random_bits(rng, 64 * l), l));
+    }
   }
 }
 

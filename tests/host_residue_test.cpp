@@ -9,7 +9,16 @@
 // one is residue the allocator can hand to anyone. SecureRsaKey custody,
 // key ingest (add_key) and Keystore and EncryptedHostKeystore signs at
 // 1024 bits must leave none.
+//
+// The stack probe runs private ops on a thread whose stack is a zeroed
+// mapping the test owns, then searches the whole mapping after join for
+// the same slices plus p, q, R mod p and R mod q (R = 2^(64l) of the row
+// kernels and 2^(52D) of the 52-bit-digit kernel), each as 64-bit limbs
+// and as 52-bit digits. A hit is key material a register spill or a stack
+// temporary left behind for any later frame to expose.
 #include <malloc.h>
+#include <pthread.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <array>
@@ -17,9 +26,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
 #include "core/secure_rsa.hpp"
 #include "crypto/pem.hpp"
@@ -286,6 +300,264 @@ TEST_F(HostResidue, EncryptedHostKeystoreSignsLeaveNoFreedPrivateLimbs) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(keys()[i % 3 == 0 ? 1 : 0].public_key().encrypt_raw(sigs[i]), m);
   }
+}
+
+// --- stack residue ---------------------------------------------------------
+
+// The stack cases need frames on the probed stack and code as the
+// compiler emits it for production. AddressSanitizer moves frames onto
+// its own fake stacks, and ThreadSanitizer calls into its runtime around
+// every load and store, so the compiler must save the caller-saved zmm
+// registers to the stack across each call. Both builds skip them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kInstrumentedStack = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kInstrumentedStack = true;
+#else
+constexpr bool kInstrumentedStack = false;
+#endif
+#else
+constexpr bool kInstrumentedStack = false;
+#endif
+
+class HostStackResidue : public HostResidue {
+ protected:
+  void SetUp() override {
+    if (kInstrumentedStack) {
+      GTEST_SKIP() << "address/thread sanitizer build: its instrumentation moves frames "
+                      "off the probed stack or spills registers onto it";
+    }
+    HostResidue::SetUp();
+  }
+};
+
+struct StackNeedle {
+  std::array<unsigned char, 16> bytes{};
+  std::string what;
+};
+
+// 16-byte slices of adjacent words of an image.
+void add_slices(std::vector<StackNeedle>& out, const std::vector<bn::Limb>& words,
+                const std::string& what) {
+  for (std::size_t i = 0; i + 1 < words.size(); ++i) {
+    StackNeedle n{{}, what};
+    std::memcpy(n.bytes.data(), &words[i], 16);
+    out.push_back(n);
+  }
+}
+
+// v's 52-bit digits, one per 64-bit word, as the IFMA kernel lays them out.
+std::vector<bn::Limb> digit_image(const Bignum& v) {
+  const auto limbs = v.limbs();
+  std::vector<bn::Limb> out((64 * limbs.size() + 51) / 52);
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    const std::size_t limb = 52 * j / 64, off = 52 * j % 64;
+    bn::Limb d = limbs[limb] >> off;
+    if (off > 12 && limb + 1 < limbs.size()) d |= limbs[limb + 1] << (64 - off);
+    out[j] = d & ((bn::Limb{1} << 52) - 1);
+  }
+  return out;
+}
+
+// A prime, 2^(64l) mod it (the row kernels' R) and 2^(52D) mod it (the
+// 52-bit-digit kernel's R'), each as limbs and as 52-bit digits.
+void add_modulus_needles(std::vector<StackNeedle>& out, const std::string& name,
+                         const Bignum& prime) {
+  const std::size_t l = prime.limb_count();
+  const std::size_t digits = (64 * l + 2 + 51) / 52;
+  const std::pair<std::string, Bignum> values[] = {
+      {name, prime},
+      {"2^(64l) mod " + name, (Bignum(1) << (64 * l)) % prime},
+      {"2^(52D) mod " + name, (Bignum(1) << (52 * digits)) % prime}};
+  for (const auto& [what, v] : values) {
+    add_slices(out, std::vector<bn::Limb>(v.limbs().begin(), v.limbs().end()), what);
+    add_slices(out, digit_image(v), what + " (52-bit digits)");
+  }
+}
+
+// Every needle of one key: the heap probe's slices of d, p, q, dP, dQ and
+// qInv, then p, q and both Rs mod each as limbs and as 52-bit digits.
+std::vector<StackNeedle> stack_needles(const crypto::RsaPrivateKey& key) {
+  std::vector<StackNeedle> out;
+  const Bignum* parts[kParts] = {&key.d, &key.p, &key.q, &key.dmp1, &key.dmq1, &key.iqmp};
+  for (int part = 0; part < kParts; ++part) {
+    const auto limbs = parts[part]->limbs();
+    std::vector<bn::Limb> le(limbs.begin(), limbs.end()), be(le.size());
+    add_slices(out, le, kPartNames[part]);
+    for (std::size_t i = 0; i < le.size(); ++i) be[le.size() - 1 - i] = __builtin_bswap64(le[i]);
+    add_slices(out, be, std::string(kPartNames[part]) + " (big-endian)");
+  }
+  add_modulus_needles(out, "p", key.p);
+  add_modulus_needles(out, "q", key.q);
+  return out;
+}
+
+// Runs fn on a thread whose stack is a fresh zeroed mapping, then returns
+// the names of the needles found anywhere in that mapping.
+template <class F>
+std::vector<std::string> stack_hits(F&& fn, const std::vector<StackNeedle>& needles) {
+  constexpr std::size_t kStackBytes = std::size_t{1} << 20;
+  void* stack = ::mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (stack == MAP_FAILED) {
+    ADD_FAILURE() << "mmap of the probed stack failed";
+    return {};
+  }
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  pthread_attr_setstack(&attr, stack, kStackBytes);
+  pthread_t thread;
+  const auto body = [](void* f) -> void* {
+    (*static_cast<std::remove_reference_t<F>*>(f))();
+    return nullptr;
+  };
+  const int rc = pthread_create(&thread, &attr, body, &fn);
+  pthread_attr_destroy(&attr);
+  std::vector<std::string> hits;
+  if (rc != 0) {
+    ADD_FAILURE() << "pthread_create failed: " << rc;
+  } else {
+    pthread_join(thread, nullptr);
+    for (const StackNeedle& n : needles) {
+      if (::memmem(stack, kStackBytes, n.bytes.data(), n.bytes.size()) != nullptr) {
+        hits.push_back(n.what);
+      }
+    }
+  }
+  ::munmap(stack, kStackBytes);
+  return hits;
+}
+
+std::string joined(const std::vector<std::string>& v) {
+  std::string out;
+  for (const auto& s : v) out += (out.empty() ? "" : ", ") + s;
+  return out;
+}
+
+// A 1024-bit key whose primes differ in limb count (9 and 7): the CRT
+// halves cannot run in lockstep, so exp2 takes the row kernels on any CPU.
+const crypto::RsaPrivateKey& unbalanced_key() {
+  static const crypto::RsaPrivateKey k = [] {
+    util::Rng rng(0x756e62616c);
+    crypto::RsaPrivateKey key;
+    key.e = Bignum(65537);
+    const Bignum one(1);
+    for (;;) {
+      key.p = bn::random_prime(rng, 576, key.e);
+      key.q = bn::random_prime(rng, 448, key.e);
+      key.n = key.p * key.q;
+      const Bignum p1 = key.p - one, q1 = key.q - one;
+      const Bignum lcm = (p1 / Bignum::gcd(p1, q1)) * q1;
+      const auto d = Bignum::mod_inverse(key.e, lcm);
+      if (!d) continue;
+      key.d = *d;
+      key.dmp1 = key.d % p1;
+      key.dmq1 = key.d % q1;
+      key.iqmp = *Bignum::mod_inverse(key.q, key.p);
+      return key;
+    }
+  }();
+  return k;
+}
+
+TEST_F(HostStackResidue, StackProbeFindsAKeyImageOnTheStack) {
+  // Positive control: a frame that copies q's 52-bit digits to the stack.
+  const auto needles = stack_needles(keys()[0]);
+  const auto hits = stack_hits(
+      [] {
+        const auto digits = digit_image(keys()[0].q);
+        volatile bn::Limb copy[32] = {};
+        for (std::size_t i = 0; i < digits.size() && i < 32; ++i) copy[i] = digits[i];
+        (void)copy[0];
+      },
+      needles);
+  EXPECT_NE(joined(hits).find("q (52-bit digits)"), std::string::npos) << joined(hits);
+}
+
+// SecureRsaKey decrypts and EncryptedHostKeystore signs of one key on a
+// probed stack: no stack hit, no tainted free, and every result checks.
+void expect_clean_stack(const crypto::RsaPrivateKey& key) {
+  util::Rng rng(2);
+  std::vector<Bignum> inputs;
+  for (int i = 0; i < 5; ++i) inputs.push_back(bn::random_below(rng, key.n));
+  std::vector<Bignum> plain(inputs.size()), sigs(inputs.size());
+  sim::CoprocessorDomain domain(0x5d);
+  keystore::EncryptedHostKeystore ks(domain, {.working_set = 1});
+  const auto id = ks.add_key(key);
+  ASSERT_TRUE(id.has_value());
+  const auto needles = stack_needles(key);
+  bool signed_all = true;
+  std::vector<std::string> hits;
+  {
+    Probe probe;
+    hits = stack_hits(
+        [&] {
+          const auto secure = secure::SecureRsaKey::from_key(key);
+          for (std::size_t i = 0; i < inputs.size(); ++i) {
+            plain[i] = secure.decrypt(inputs[i]);
+            const auto sig = ks.sign(*id, inputs[i]);
+            signed_all = signed_all && sig.has_value();
+            if (sig) sigs[i] = *sig;
+          }
+        },
+        needles);
+    EXPECT_EQ(probe.tainted(), 0) << "over " << probe.frees() << " frees";
+  }
+  EXPECT_TRUE(hits.empty()) << hits.size() << " stack hits: " << joined(hits);
+  EXPECT_TRUE(signed_all);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(plain[i], key.decrypt_plain(inputs[i]));
+    EXPECT_EQ(sigs[i], plain[i]);
+  }
+}
+
+TEST_F(HostStackResidue, PrivateOpsLeaveNoKeyImagesOnTheStack) {
+  expect_clean_stack(keys()[0]);
+}
+
+TEST_F(HostStackResidue, Exp2LeavesNoModulusImagesOnTheStackAtAnyWidth) {
+  // mont::exp2 alone, scratch on the heap, at widths that give the
+  // lockstep kernel 1 to 8 zmm registers per operand (the most register
+  // pressure, so the most to spill), and at 52 limbs, past its reach.
+  util::Rng rng(3);
+  for (const std::size_t l : {1u, 3u, 8u, 13u, 16u, 22u, 32u, 38u, 45u, 51u, 52u}) {
+    const auto odd = [&] {
+      const Bignum v = bn::random_bits(rng, 64 * l);
+      return v.is_odd() ? v : v.add_limb(1);
+    };
+    const Bignum p = odd(), q = odd();
+    const auto padded = [&](const Bignum& v) {
+      std::vector<bn::Limb> out(v.limbs().begin(), v.limbs().end());
+      out.resize(l);
+      return out;
+    };
+    const std::vector<bn::Limb> np = padded(p), nq = padded(q);
+    const std::vector<bn::Limb> rrp = padded(bn::MontgomeryContext(p).rr());
+    const std::vector<bn::Limb> rrq = padded(bn::MontgomeryContext(q).rr());
+    const std::vector<bn::Limb> ep = padded(bn::random_bits(rng, 64 * l));
+    const std::vector<bn::Limb> eq = padded(bn::random_bits(rng, 64 * l));
+    const Bignum x = bn::random_below(rng, p * q);
+    std::vector<bn::Limb> rp(l), rq(l), scratch(bn::mont::exp2_scratch_limbs(l));
+    std::vector<StackNeedle> needles;
+    add_modulus_needles(needles, "p", p);
+    add_modulus_needles(needles, "q", q);
+    const auto hits = stack_hits(
+        [&] {
+          bn::mont::exp2(rp, rq, x.limbs(), ep, eq, {np, rrp, bn::mont::neg_inv(np[0])},
+                         {nq, rrq, bn::mont::neg_inv(nq[0])}, scratch);
+        },
+        needles);
+    EXPECT_TRUE(hits.empty()) << "l=" << l << ": " << hits.size()
+                              << " stack hits: " << joined(hits);
+    EXPECT_EQ(Bignum::from_limbs_le(rp), Bignum::mod_exp(x, Bignum::from_limbs_le(ep), p));
+  }
+}
+
+TEST_F(HostStackResidue, RowKernelPrivateOpsLeaveNoKeyImagesOnTheStack) {
+  g_needle_count = 0;
+  add_needles(unbalanced_key());
+  expect_clean_stack(unbalanced_key());
 }
 
 }  // namespace

@@ -170,10 +170,13 @@ TEST(BuildInfo, NamesTheMontgomeryKernelCpuidPicked) {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   __builtin_cpu_init();
   const bool adx = __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
+  const bool ifma = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
 #else
   const bool adx = false;
+  const bool ifma = false;
 #endif
-  const std::string kernel = adx ? "adx" : "portable";
+  // IFMA runs only beside the ADX rows, which prepare its inputs.
+  const std::string kernel = adx ? (ifma ? "adx+ifma" : "adx") : "portable";
   EXPECT_EQ(build_info::mont_kernel(), kernel);
   EXPECT_EQ(bn::mont::kernel_name(), kernel);
   util::JsonWriter w;
