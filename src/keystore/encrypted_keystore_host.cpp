@@ -1,214 +1,16 @@
 #include "keystore/encrypted_keystore_host.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <chrono>
-
-#include "crypto/pem.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace keyguard::keystore {
 
 EncryptedHostKeystore::EncryptedHostKeystore(sim::CoprocessorDomain& domain,
                                              EncryptedHostConfig cfg)
-    : domain_(domain), cfg_(cfg) {
-  assert(cfg_.working_set >= 1);
-}
-
-std::optional<KeyId> EncryptedHostKeystore::add_key(
-    const crypto::RsaPrivateKey& key) {
-  auto der = crypto::der_encode_private_key(key);
-  util::MutexLock lk(mu_);
-  const KeyId id = next_id_;
-  auto blob = seal_authenticated(der, domain_, id);
-  wipe(der);
-  if (!blob) {
-    ++stats_.refusals;
-    return std::nullopt;
-  }
-  ++next_id_;
-  Sealed s;
-  s.blob = std::move(*blob);
-  s.pub = key.public_key();
-  sealed_.emplace(id, std::move(s));
-  return id;
-}
-
-std::optional<KeyId> EncryptedHostKeystore::add_key_scrubbing(
-    crypto::RsaPrivateKey& key) {
-  const auto id = add_key(key);
-  if (id) key.scrub_private_parts();
-  return id;
-}
-
-std::optional<KeyId> EncryptedHostKeystore::add_pem(std::string_view pem) {
-  auto key = crypto::pem_decode_private_key(pem);
-  if (!key) return std::nullopt;
-  const auto id = add_key_scrubbing(*key);
-  key->scrub_private_parts();  // scrub even when the domain refused
-  return id;
-}
-
-const crypto::RsaPublicKey& EncryptedHostKeystore::public_key(KeyId id) const {
-  util::MutexLock lk(mu_);
-  return sealed_.at(id).pub;
-}
-
-EncryptedHostKeystore::PoolEntry* EncryptedHostKeystore::acquire(
-    util::MutexLock& lk, KeyId id) {
-  auto& reg = obs::MetricsRegistry::global();
-  const bool metrics_on = reg.enabled();
-  for (;;) {
-    for (auto& e : pool_) {
-      if (e->id == id) {
-        ++stats_.pool_hits;
-        if (metrics_on) {
-          reg.counter("enc_keystore_host.pool_hits").add(1);
-        }
-        ++e->pins;
-        e->last_used = ++clock_;
-        return e.get();
-      }
-    }
-    if (pool_.size() >= cfg_.working_set) {
-      PoolEntry* victim = nullptr;
-      for (auto& e : pool_) {
-        if (e->pins == 0 && (victim == nullptr || e->last_used < victim->last_used)) {
-          victim = e.get();
-        }
-      }
-      if (victim == nullptr) {
-        lk.wait(pool_cv_);
-        continue;  // re-scan: the key may have been materialized meanwhile
-      }
-      const auto it = std::find_if(pool_.begin(), pool_.end(),
-                                   [&](const auto& e) { return e.get() == victim; });
-      pool_.erase(it);  // ~SecureRsaKey scrubs the working copy
-      ++stats_.evictions;
-      if (metrics_on) {
-        reg.counter("enc_keystore_host.evictions").add(1);
-      }
-    }
-
-    // Materialize under the lock (misses serialize). Authentication comes
-    // FIRST: a tampered blob or dead domain refuses before any plaintext
-    // byte exists, and the pool is left exactly as it was.
-    obs::Tracer::Span unseal_span(obs::Tracer::global(), "enc_keystore_host.unseal");
-    if (unseal_span.live()) {
-      unseal_span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
-    }
-    const auto unseal_t0 = std::chrono::steady_clock::now();
-    const Sealed& s = sealed_.at(id);
-    auto der = unseal_authenticated(s.blob, domain_);
-    if (!der) {
-      ++stats_.refusals;
-      if (metrics_on) {
-        reg.counter("enc_keystore_host.refusals").add(1);
-      }
-      return nullptr;
-    }
-    ++stats_.pool_misses;
-    ++stats_.unseals;
-    auto key = crypto::der_decode_private_key(*der);
-    wipe(*der);
-    assert(key.has_value());  // MAC verified: the DER is authentic
-    auto entry = std::unique_ptr<PoolEntry>(
-        new PoolEntry{id, secure::SecureRsaKey::from_key_scrubbing(*key),
-                      /*pins=*/1, ++clock_});
-    pool_.push_back(std::move(entry));
-    if (metrics_on) {
-      reg.counter("enc_keystore_host.pool_misses").add(1);
-      reg.counter("enc_keystore_host.unseals").add(1);
-      reg.histogram("enc_keystore_host.unseal_ms")
-          .record(std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - unseal_t0)
-                      .count());
-      reg.gauge("enc_keystore_host.working_set_occupancy")
-          .set(static_cast<double>(pool_.size()));
-    }
-    return pool_.back().get();
-  }
-}
-
-std::optional<bn::Bignum> EncryptedHostKeystore::sign(KeyId id,
-                                                      const bn::Bignum& m) {
-  obs::Tracer::Span span(obs::Tracer::global(), "enc_keystore_host.sign");
-  if (span.live()) {
-    span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
-  }
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("enc_keystore_host.ops").add(1);
-  }
-  PoolEntry* entry = nullptr;
-  {
-    util::MutexLock lk(mu_);
-    ++stats_.ops;
-    entry = acquire(lk, id);
-  }
-  if (entry == nullptr) return std::nullopt;  // fail-closed, nothing pinned
-  bn::Bignum result = entry->key.sign(m);  // CRT math outside the lock
-  {
-    util::MutexLock lk(mu_);
-    --entry->pins;
-  }
-  pool_cv_.notify_all();
-  return result;
-}
-
-bool EncryptedHostKeystore::contains(KeyId id) const {
-  util::MutexLock lk(mu_);
-  return sealed_.count(id) != 0;
-}
-
-bool EncryptedHostKeystore::pooled(KeyId id) const {
-  util::MutexLock lk(mu_);
-  return std::any_of(pool_.begin(), pool_.end(),
-                     [&](const auto& e) { return e->id == id; });
-}
-
-std::size_t EncryptedHostKeystore::size() const {
-  util::MutexLock lk(mu_);
-  return sealed_.size();
-}
-
-std::size_t EncryptedHostKeystore::pooled_count() const {
-  util::MutexLock lk(mu_);
-  return pool_.size();
-}
-
-EncryptedHostStats EncryptedHostKeystore::stats() const {
-  util::MutexLock lk(mu_);
-  return stats_;
-}
-
-void EncryptedHostKeystore::evict_all() {
-  util::MutexLock lk(mu_);
-  // Manual loop rather than std::erase_if: the thread-safety analysis
-  // cannot see through a lambda touching guarded members.
-  for (auto it = pool_.begin(); it != pool_.end();) {
-    if ((*it)->pins == 0) {
-      it = pool_.erase(it);  // ~SecureRsaKey scrubs the working copy
-      ++stats_.evictions;
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool EncryptedHostKeystore::flip_blob_byte(KeyId id, std::size_t offset) {
-  util::MutexLock lk(mu_);
-  const auto it = sealed_.find(id);
-  if (it == sealed_.end() || offset >= it->second.blob.size()) return false;
-  it->second.blob[offset] ^= std::byte{0x01};
-  return true;
-}
-
-std::size_t EncryptedHostKeystore::blob_size(KeyId id) const {
-  util::MutexLock lk(mu_);
-  const auto it = sealed_.find(id);
-  return it == sealed_.end() ? 0 : it->second.blob.size();
-}
+    : pool_(
+          "enc_keystore_host", cfg.working_set,
+          [&domain](std::span<const std::byte> der, KeyId id) {
+            return seal_authenticated(der, domain, id);
+          },
+          [&domain](std::span<const std::byte> blob) {
+            return unseal_authenticated(blob, domain);
+          }) {}
 
 }  // namespace keyguard::keystore

@@ -1,50 +1,27 @@
 // Host-side encrypted keystore: the coprocessor-domain pool on real memory.
 //
-// Mirrors Keystore's thread-safe pool discipline (pin under the mutex, CRT
-// math outside it, misses serialize, condition-variable wait when every
-// entry is pinned) with two changes that make it the production shape of
-// EncryptedPoolKeystore:
+// A HostKeyPool (host_pool.hpp) of at most W working copies, the
+// production shape of EncryptedPoolKeystore. What differs from Keystore:
 //
 //   * There is NO master SecureBuffer. Blobs are authenticated KSB2
 //     ciphertext opened through a CoprocessorDomain — the page-encryption
 //     key never exists in this process's addressable memory.
-//   * Everything is fail-closed. add_key and sign return optionals: a
-//     tampered blob (MAC mismatch) or a powered-off domain refuses the
-//     operation; plaintext never materializes on a rejection path and
-//     there is no plaintext fallback ingest.
-//
-// The working set is the pool bound: at most W SecureRsaKey working copies
-// (mlocked, canaried, zero-on-destroy) exist at once.
+//   * Refusals surface. add_key and sign return optionals: a powered-off
+//     domain refuses ingest (there is no plaintext fallback), and a
+//     tampered blob (MAC mismatch) or a powered-off domain refuses a cold
+//     sign before any plaintext exists, leaving the pool as it was.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
-#include <vector>
 
-#include "core/secure_rsa.hpp"
-#include "crypto/rsa.hpp"
-#include "keystore/sealed_blob.hpp"
+#include "keystore/host_pool.hpp"
 #include "sim/coprocessor.hpp"
-#include "util/thread_safety.hpp"
 
 namespace keyguard::keystore {
 
 struct EncryptedHostConfig {
   std::size_t working_set = 4;  ///< W: max simultaneously-plaintext keys
-};
-
-struct EncryptedHostStats {
-  std::uint64_t ops = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t unseals = 0;
-  std::uint64_t refusals = 0;  ///< fail-closed denials (tamper / domain off)
 };
 
 class EncryptedHostKeystore {
@@ -56,69 +33,43 @@ class EncryptedHostKeystore {
   EncryptedHostKeystore(const EncryptedHostKeystore&) = delete;
   EncryptedHostKeystore& operator=(const EncryptedHostKeystore&) = delete;
 
-  /// Seals `key` under the domain. nullopt when the domain is off — the
-  /// store refuses to hold a key it could never reopen (and will not hold
-  /// it plaintext instead).
-  std::optional<KeyId> add_key(const crypto::RsaPrivateKey& key);
+  /// Seals `key` under the domain; nullopt when the domain is off.
+  std::optional<KeyId> add_key(const crypto::RsaPrivateKey& key) { return pool_.add_key(key); }
   /// Same, then scrubs the caller's private parts on success.
-  std::optional<KeyId> add_key_scrubbing(crypto::RsaPrivateKey& key);
-  std::optional<KeyId> add_pem(std::string_view pem);
+  std::optional<KeyId> add_key_scrubbing(crypto::RsaPrivateKey& key) {
+    return pool_.add_key_scrubbing(key);
+  }
+  std::optional<KeyId> add_pem(std::string_view pem) { return pool_.add_pem(pem); }
 
-  const crypto::RsaPublicKey& public_key(KeyId id) const;
+  const crypto::RsaPublicKey& public_key(KeyId id) const { return pool_.public_key(id); }
 
-  /// m^d mod n, fail-closed: nullopt when the blob fails authentication
-  /// or the domain is unavailable. A pool hit serves with no domain
-  /// traffic at all.
-  std::optional<bn::Bignum> sign(KeyId id, const bn::Bignum& m);
+  /// m^d mod n; nullopt when the blob fails authentication or the domain
+  /// is unavailable. A pool hit serves with no domain traffic at all.
+  std::optional<bn::Bignum> sign(KeyId id, const bn::Bignum& m) { return pool_.sign(id, m); }
   std::optional<bn::Bignum> decrypt(KeyId id, const bn::Bignum& c) {
     return sign(id, c);
   }
 
-  bool contains(KeyId id) const;
-  bool pooled(KeyId id) const;
-  std::size_t size() const;
-  std::size_t pooled_count() const;
-  std::size_t working_set() const noexcept { return cfg_.working_set; }
-  EncryptedHostStats stats() const;
+  bool contains(KeyId id) const { return pool_.contains(id); }
+  bool pooled(KeyId id) const { return pool_.pooled(id); }
+  std::size_t size() const { return pool_.size(); }
+  std::size_t pooled_count() const { return pool_.pooled_count(); }
+  std::size_t working_set() const noexcept { return pool_.bound(); }
+  HostKeystoreStats stats() const { return pool_.stats(); }
 
   /// Empties the pool (scrubbing every unpinned working copy).
-  void evict_all();
+  void evict_all() { pool_.evict_all(); }
 
   /// Fault-injection hook: XORs 0x01 into byte `offset` of `id`'s sealed
   /// blob, as a memory-tampering attacker would. Returns false when out of
   /// range. The next cold sign() must refuse.
-  bool flip_blob_byte(KeyId id, std::size_t offset);
-  std::size_t blob_size(KeyId id) const;
-
-  sim::CoprocessorDomain& domain() noexcept { return domain_; }
+  bool flip_blob_byte(KeyId id, std::size_t offset) {
+    return pool_.flip_blob_byte(id, offset);
+  }
+  std::size_t blob_size(KeyId id) const { return pool_.blob_size(id); }
 
  private:
-  struct Sealed {
-    std::vector<std::byte> blob;
-    crypto::RsaPublicKey pub;
-  };
-  struct PoolEntry {
-    KeyId id;
-    secure::SecureRsaKey key;
-    unsigned pins;
-    std::uint64_t last_used;
-  };
-
-  /// Entry for `id` with one pin taken, or nullptr on a fail-closed
-  /// refusal. Requires `lk` (over mu_) held; may release it while waiting
-  /// for a pin to drop.
-  PoolEntry* acquire(util::MutexLock& lk, KeyId id) REQUIRES(mu_);
-
-  sim::CoprocessorDomain& domain_;
-  EncryptedHostConfig cfg_;
-  mutable util::Mutex mu_;
-  std::condition_variable pool_cv_;
-  std::map<KeyId, Sealed> sealed_ GUARDED_BY(mu_);
-  // unique_ptr for address stability across the unlocked CRT computation.
-  std::vector<std::unique_ptr<PoolEntry>> pool_ GUARDED_BY(mu_);
-  KeyId next_id_ GUARDED_BY(mu_) = 1;
-  std::uint64_t clock_ GUARDED_BY(mu_) = 0;
-  EncryptedHostStats stats_ GUARDED_BY(mu_);
+  HostKeyPool pool_;
 };
 
 }  // namespace keyguard::keystore

@@ -1,190 +1,21 @@
 #include "keystore/keystore.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <chrono>
-
-#include "crypto/pem.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace keyguard::keystore {
 
 Keystore::Keystore(HostKeystoreConfig cfg)
-    : cfg_(cfg), master_(kMasterKeyBytes) {
-  assert(cfg_.pool_keys >= 1);
-  util::Rng rng(cfg_.master_seed);
+    : master_(kMasterKeyBytes),
+      pool_(
+          "keystore", cfg.pool_keys,
+          [master = master_.data()](std::span<const std::byte> der, KeyId id) {
+            return seal(der, master, id);
+          },
+          [master = master_.data()](std::span<const std::byte> blob) {
+            return unseal(blob, master);
+          }) {
+  util::Rng rng(cfg.master_seed);
   rng.fill_bytes(master_.data());
-}
-
-KeyId Keystore::seal_der(std::vector<std::byte>& der, crypto::RsaPublicKey pub) {
-  util::MutexLock lk(mu_);
-  const KeyId id = next_id_++;
-  Sealed s;
-  s.blob = seal(der, master_.data(), id);
-  s.pub = std::move(pub);
-  wipe(der);
-  sealed_.emplace(id, std::move(s));
-  return id;
-}
-
-KeyId Keystore::add_key(const crypto::RsaPrivateKey& key) {
-  auto der = crypto::der_encode_private_key(key);
-  return seal_der(der, key.public_key());
-}
-
-KeyId Keystore::add_key_scrubbing(crypto::RsaPrivateKey& key) {
-  auto der = crypto::der_encode_private_key(key);
-  const KeyId id = seal_der(der, key.public_key());
-  key.scrub_private_parts();
-  return id;
-}
-
-std::optional<KeyId> Keystore::add_pem(std::string_view pem) {
-  auto key = crypto::pem_decode_private_key(pem);
-  if (!key) return std::nullopt;
-  const KeyId id = add_key_scrubbing(*key);
-  return id;
-}
-
-const crypto::RsaPublicKey& Keystore::public_key(KeyId id) const {
-  util::MutexLock lk(mu_);
-  return sealed_.at(id).pub;
-}
-
-Keystore::PoolEntry& Keystore::acquire(util::MutexLock& lk, KeyId id) {
-  auto& reg = obs::MetricsRegistry::global();
-  const bool metrics_on = reg.enabled();
-  for (;;) {
-    for (auto& e : pool_) {
-      if (e->id == id) {
-        ++stats_.pool_hits;
-        if (metrics_on) {
-          reg.counter("keystore.pool_hits").add(1);
-        }
-        ++e->pins;
-        e->last_used = ++clock_;
-        return *e;
-      }
-    }
-    if (pool_.size() >= cfg_.pool_keys) {
-      // Evict the least recently used UNPINNED entry; if every entry is
-      // serving an in-flight operation, wait for a pin to drop — the pool
-      // bound is never exceeded to hide latency.
-      PoolEntry* victim = nullptr;
-      for (auto& e : pool_) {
-        if (e->pins == 0 && (victim == nullptr || e->last_used < victim->last_used)) {
-          victim = e.get();
-        }
-      }
-      if (victim == nullptr) {
-        lk.wait(pool_cv_);
-        continue;  // re-scan: the key may have been materialized meanwhile
-      }
-      const auto it = std::find_if(pool_.begin(), pool_.end(),
-                                   [&](const auto& e) { return e.get() == victim; });
-      pool_.erase(it);  // ~SecureRsaKey scrubs the working copy
-      ++stats_.evictions;
-      if (metrics_on) {
-        reg.counter("keystore.evictions").add(1);
-      }
-    }
-
-    // Materialize under the lock (misses serialize; see header).
-    ++stats_.pool_misses;
-    ++stats_.unseals;
-    obs::Tracer::Span unseal_span(obs::Tracer::global(), "keystore.unseal");
-    if (unseal_span.live()) {
-      unseal_span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
-    }
-    const auto unseal_t0 = std::chrono::steady_clock::now();
-    const Sealed& s = sealed_.at(id);
-    auto der = unseal(s.blob, master_.data());
-    assert(der.has_value());
-    auto key = crypto::der_decode_private_key(*der);
-    wipe(*der);
-    assert(key.has_value());
-    auto entry = std::unique_ptr<PoolEntry>(
-        new PoolEntry{id, secure::SecureRsaKey::from_key_scrubbing(*key),
-                      /*pins=*/1, ++clock_});
-    pool_.push_back(std::move(entry));
-    if (metrics_on) {
-      reg.counter("keystore.pool_misses").add(1);
-      reg.counter("keystore.unseals").add(1);
-      reg.histogram("keystore.unseal_ms")
-          .record(std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - unseal_t0)
-                      .count());
-      reg.gauge("keystore.pool_occupancy")
-          .set(static_cast<double>(pool_.size()));
-    }
-    return *pool_.back();
-  }
-}
-
-bn::Bignum Keystore::sign(KeyId id, const bn::Bignum& m) {
-  obs::Tracer::Span span(obs::Tracer::global(), "keystore.sign");
-  if (span.live()) {
-    span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
-  }
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("keystore.ops").add(1);
-  }
-  PoolEntry* entry = nullptr;
-  {
-    util::MutexLock lk(mu_);
-    ++stats_.ops;
-    entry = &acquire(lk, id);
-  }
-  bn::Bignum result = entry->key.sign(m);  // CRT math outside the lock
-  {
-    util::MutexLock lk(mu_);
-    --entry->pins;
-  }
-  pool_cv_.notify_all();
-  return result;
-}
-
-bool Keystore::contains(KeyId id) const {
-  util::MutexLock lk(mu_);
-  return sealed_.count(id) != 0;
-}
-
-bool Keystore::pooled(KeyId id) const {
-  util::MutexLock lk(mu_);
-  return std::any_of(pool_.begin(), pool_.end(),
-                     [&](const auto& e) { return e->id == id; });
-}
-
-std::size_t Keystore::size() const {
-  util::MutexLock lk(mu_);
-  return sealed_.size();
-}
-
-std::size_t Keystore::pooled_count() const {
-  util::MutexLock lk(mu_);
-  return pool_.size();
-}
-
-HostKeystoreStats Keystore::stats() const {
-  util::MutexLock lk(mu_);
-  return stats_;
-}
-
-void Keystore::evict_all() {
-  util::MutexLock lk(mu_);
-  // Manual loop rather than std::erase_if: the thread-safety analysis
-  // cannot see through a lambda touching guarded members.
-  for (auto it = pool_.begin(); it != pool_.end();) {
-    if ((*it)->pins == 0) {
-      it = pool_.erase(it);  // ~SecureRsaKey scrubs the working copy
-      ++stats_.evictions;
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace keyguard::keystore

@@ -1,33 +1,17 @@
 // Host-side multi-tenant keystore: the production shape of the defense.
 //
-// Same lifecycle as SimKeystore, built on real memory primitives: keys
-// rest SEALED (sealed_blob.hpp) in ordinary heap, the master key lives in
-// a 32-byte mlocked SecureBuffer, and plaintext exists only inside a pool
-// of at most N SecureRsaKey working copies (each one mlocked, canaried,
-// zero-on-destroy page). Eviction destroys the SecureRsaKey, which scrubs
-// the page before it returns to the allocator.
-//
-// Thread-safe: sign/decrypt pin their pool entry under the mutex, then run
-// the CRT math OUTSIDE the lock, so concurrent requests for pooled keys
-// proceed in parallel. A miss materializes (unseal + parse) under the
-// lock — misses serialize, which is the deliberate trade: the pool bound
-// is a hard invariant, never relaxed for latency. When every entry is
-// pinned by in-flight operations, further misses wait on a condition
-// variable for a pin to drop rather than exceed N.
+// Same lifecycle as SimKeystore, built on real memory primitives: a
+// HostKeyPool (host_pool.hpp) whose blobs are sealed KSB1 under a 32-byte
+// master key that lives in an mlocked SecureBuffer. Sealing cannot fail,
+// so add_key and sign return plain values.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 #include "core/secure_buffer.hpp"
-#include "core/secure_rsa.hpp"
-#include "crypto/rsa.hpp"
-#include "keystore/sealed_blob.hpp"
-#include "util/thread_safety.hpp"
+#include "keystore/host_pool.hpp"
 
 namespace keyguard::keystore {
 
@@ -38,14 +22,6 @@ struct HostKeystoreConfig {
   std::uint64_t master_seed = 0x6b657973746f7265ULL;
 };
 
-struct HostKeystoreStats {
-  std::uint64_t ops = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t unseals = 0;  ///< blob decryptions (== misses)
-};
-
 class Keystore {
  public:
   explicit Keystore(HostKeystoreConfig cfg);
@@ -54,63 +30,38 @@ class Keystore {
   Keystore& operator=(const Keystore&) = delete;
 
   /// Seals `key` into the store. The caller's copy is left untouched.
-  KeyId add_key(const crypto::RsaPrivateKey& key);
+  KeyId add_key(const crypto::RsaPrivateKey& key) { return pool_.add_key(key).value(); }
   /// Same, then scrubs the caller's private parts (store holds the only
   /// at-rest copy afterwards).
-  KeyId add_key_scrubbing(crypto::RsaPrivateKey& key);
+  KeyId add_key_scrubbing(crypto::RsaPrivateKey& key) {
+    return pool_.add_key_scrubbing(key).value();
+  }
   /// Parses PEM text and seals the result; nullopt on malformed input.
   /// The parse transients are wiped before returning.
-  std::optional<KeyId> add_pem(std::string_view pem);
+  std::optional<KeyId> add_pem(std::string_view pem) { return pool_.add_pem(pem); }
 
-  const crypto::RsaPublicKey& public_key(KeyId id) const;
+  const crypto::RsaPublicKey& public_key(KeyId id) const { return pool_.public_key(id); }
 
-  /// m^d mod n for key `id`: pool hit runs with NO decryption; a miss
-  /// unseals into a fresh SecureRsaKey, evicting the LRU unpinned entry
-  /// when the pool is full.
-  bn::Bignum sign(KeyId id, const bn::Bignum& m);
+  /// m^d mod n for key `id` (HostKeyPool::sign). Only a corrupted blob
+  /// can refuse, and that throws std::bad_optional_access.
+  bn::Bignum sign(KeyId id, const bn::Bignum& m) { return pool_.sign(id, m).value(); }
   bn::Bignum decrypt(KeyId id, const bn::Bignum& c) { return sign(id, c); }
 
-  bool contains(KeyId id) const;
-  bool pooled(KeyId id) const;
-  std::size_t size() const;
-  std::size_t pooled_count() const;
-  std::size_t pool_keys() const noexcept { return cfg_.pool_keys; }
+  bool contains(KeyId id) const { return pool_.contains(id); }
+  bool pooled(KeyId id) const { return pool_.pooled(id); }
+  std::size_t size() const { return pool_.size(); }
+  std::size_t pooled_count() const { return pool_.pooled_count(); }
+  std::size_t pool_keys() const noexcept { return pool_.bound(); }
   /// True when the master key's buffer is pinned against swap.
   bool master_locked() const noexcept { return master_.locked(); }
-  HostKeystoreStats stats() const;
+  HostKeystoreStats stats() const { return pool_.stats(); }
 
-  /// Empties the pool (scrubbing every working copy).
-  void evict_all();
+  /// Empties the pool (scrubbing every unpinned working copy).
+  void evict_all() { pool_.evict_all(); }
 
  private:
-  struct Sealed {
-    std::vector<std::byte> blob;
-    crypto::RsaPublicKey pub;
-  };
-  struct PoolEntry {
-    KeyId id;
-    secure::SecureRsaKey key;
-    unsigned pins;
-    std::uint64_t last_used;
-  };
-
-  KeyId seal_der(std::vector<std::byte>& der, crypto::RsaPublicKey pub);
-  /// Returns the entry for `id` with one pin taken; blocks while the pool
-  /// is full of pinned entries. Requires `lk` (over mu_) held; may release
-  /// it while waiting.
-  PoolEntry& acquire(util::MutexLock& lk, KeyId id) REQUIRES(mu_);
-
-  HostKeystoreConfig cfg_;
-  mutable util::Mutex mu_;
-  std::condition_variable pool_cv_;
-  secure::SecureBuffer master_;
-  std::map<KeyId, Sealed> sealed_ GUARDED_BY(mu_);
-  // unique_ptr for address stability: sign() holds a PoolEntry* across the
-  // unlocked CRT computation while other threads mutate the vector.
-  std::vector<std::unique_ptr<PoolEntry>> pool_ GUARDED_BY(mu_);
-  KeyId next_id_ GUARDED_BY(mu_) = 1;
-  std::uint64_t clock_ GUARDED_BY(mu_) = 0;
-  HostKeystoreStats stats_ GUARDED_BY(mu_);
+  secure::SecureBuffer master_;  // before pool_: its seal/unseal read it
+  HostKeyPool pool_;
 };
 
 }  // namespace keyguard::keystore

@@ -12,11 +12,13 @@
 //     (scrub) rather than leaky.
 //
 // The host-side EncryptedHostKeystore gets the same battery on real
-// memory, plus a concurrency check (shared domain, threads).
+// memory, plus a refusal-on-a-full-pool check and two concurrency checks
+// (shared domain, threads; a storm with refusals injected mid-run).
 #include "keystore/encrypted_keystore.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "analysis/taint_auditor.hpp"
@@ -381,6 +383,102 @@ TEST(EncryptedHostKeystore, ConcurrentSigningSharedDomain) {
   EXPECT_EQ(ks.stats().refusals, 0u);
   EXPECT_EQ(ks.pooled_count(), 2u);
   EXPECT_GT(domain.round_trips(), 0u);
+}
+
+// A cold sign that refuses on a FULL pool must leave it exactly as it
+// was: the unseal runs before the LRU victim is chosen for eviction.
+TEST(EncryptedHostKeystore, RefusalOnAFullPoolEvictsNothing) {
+  sim::CoprocessorDomain domain(0xe3);
+  EncryptedHostKeystore ks(domain, {.working_set = 2});
+  const auto keys = make_keys(4, 24);
+  std::vector<KeyId> ids;
+  for (const auto& k : keys) ids.push_back(ks.add_key(k).value());
+  const bn::Bignum m(0x1234u);
+  ASSERT_TRUE(ks.sign(ids[0], m).has_value());
+  ASSERT_TRUE(ks.sign(ids[1], m).has_value());  // pool = {0, 1}, full
+  const auto before = ks.stats();
+
+  // Tampered blob: refuse, pool untouched.
+  ASSERT_TRUE(ks.flip_blob_byte(ids[2], kSealedHeaderBytes));
+  EXPECT_FALSE(ks.sign(ids[2], m).has_value());
+  // Dead domain: refuse, pool untouched.
+  domain.power_off();
+  EXPECT_FALSE(ks.sign(ids[3], m).has_value());
+
+  const auto after = ks.stats();
+  EXPECT_EQ(ks.pooled_count(), 2u);
+  EXPECT_TRUE(ks.pooled(ids[0]));
+  EXPECT_TRUE(ks.pooled(ids[1]));
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.unseals, before.unseals);
+  EXPECT_EQ(after.refusals, before.refusals + 2);
+  // The pooled keys still serve, with the domain gone.
+  EXPECT_TRUE(ks.sign(ids[0], m).has_value());
+  EXPECT_TRUE(ks.sign(ids[1], m).has_value());
+}
+
+// Storm: more threads than slots, a few hot keys so the same id races
+// itself, and refusals injected mid-storm — first a tampered blob on one
+// key (later restored), then the domain powered off for the last phase
+// (power_off is irreversible). Every success verifies, every failed sign
+// is a counted refusal, the bound holds throughout, and the pool drains.
+TEST(EncryptedHostKeystore, StormWithInjectedRefusalsKeepsTheBound) {
+  constexpr std::size_t kWorkingSet = 2;
+  constexpr int kThreads = 6;
+  sim::CoprocessorDomain domain(0xe4);
+  EncryptedHostKeystore ks(domain, {.working_set = kWorkingSet});
+  const auto keys = make_keys(4, 25);
+  std::vector<KeyId> ids;
+  for (const auto& k : keys) ids.push_back(ks.add_key(k).value());
+  const KeyId tampered = ids[3];
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> failed{0}, bad{0}, over_bound{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      util::Rng rng(700 + static_cast<std::uint64_t>(t));
+      while (!stop.load()) {
+        const auto idx = static_cast<std::size_t>(rng.next_below(ids.size()));
+        const bn::Bignum m(rng.next_below(1u << 30) + 2);
+        const auto sig = ks.sign(ids[idx], m);
+        if (!sig) {
+          ++failed;
+        } else if (keys[idx].public_key().encrypt_raw(*sig) != m) {
+          ++bad;
+        }
+        if (ks.pooled_count() > kWorkingSet) ++over_bound;
+      }
+    });
+  }
+  // Each phase lasts until the storm has done `ops` more signs and, when
+  // asked, refused at least once more.
+  const auto phase = [&](std::uint64_t ops, bool want_refusal) {
+    const auto s0 = ks.stats();
+    for (;;) {
+      const auto s = ks.stats();
+      if (s.ops >= s0.ops + ops && (!want_refusal || s.refusals > s0.refusals)) return;
+      std::this_thread::yield();
+    }
+  };
+  phase(100, false);
+  ASSERT_TRUE(ks.flip_blob_byte(tampered, kSealedHeaderBytes + 1));
+  phase(100, true);
+  ASSERT_TRUE(ks.flip_blob_byte(tampered, kSealedHeaderBytes + 1));  // restore
+  phase(100, false);
+  domain.power_off();
+  phase(100, true);
+  stop.store(true);
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(over_bound.load(), 0u);
+  EXPECT_GT(failed.load(), 0u);
+  EXPECT_EQ(failed.load(), ks.stats().refusals);
+  EXPECT_LE(ks.pooled_count(), kWorkingSet);
+  ks.evict_all();
+  EXPECT_EQ(ks.pooled_count(), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
-// Host-side keystore: sealed-blob format, pool bound + LRU discipline,
-// hit-path-does-no-decryption, and thread safety of the shared pool.
+// Host-side keystores: sealed-blob format, and the HostKeyPool discipline
+// (pool bound, LRU, hit-path-does-no-decryption, evict_all, unknown ids,
+// thread safety of the shared pool) through both facades, Keystore and
+// EncryptedHostKeystore.
 #include "keystore/keystore.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include "crypto/pem.hpp"
+#include "keystore/encrypted_keystore_host.hpp"
 #include "keystore/sealed_blob.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace keyguard::keystore {
@@ -86,61 +91,221 @@ TEST(SealedBlob, KeystreamXorIsAnInvolution) {
   EXPECT_EQ(copy, data);
 }
 
-TEST(Keystore, SignsWithTheRightKeyPerId) {
+/// One rig per host store: the pool-discipline cases below run through
+/// both facades, so they hold of the one HostKeyPool core either way.
+struct MlockedRig {
+  static constexpr const char* kPrefix = "keystore";
+  explicit MlockedRig(std::size_t bound) : ks({.pool_keys = bound}) {}
+  KeyId add(const crypto::RsaPrivateKey& k) { return ks.add_key(k); }
+  std::optional<bn::Bignum> sign(KeyId id, const bn::Bignum& m) { return ks.sign(id, m); }
+  Keystore ks;
+};
+
+struct EncryptedRig {
+  static constexpr const char* kPrefix = "enc_keystore_host";
+  explicit EncryptedRig(std::size_t bound) : ks(domain, {.working_set = bound}) {}
+  KeyId add(const crypto::RsaPrivateKey& k) { return ks.add_key(k).value(); }
+  std::optional<bn::Bignum> sign(KeyId id, const bn::Bignum& m) { return ks.sign(id, m); }
+  sim::CoprocessorDomain domain{0xe5};
+  EncryptedHostKeystore ks;
+};
+
+template <class Rig>
+void signs_with_the_right_key_per_id() {
   auto keys = make_keys(5);
-  Keystore ks({.pool_keys = 2});
+  Rig rig(2);
   std::vector<KeyId> ids;
-  for (const auto& k : keys) ids.push_back(ks.add_key(k));
-  EXPECT_EQ(ks.size(), 5u);
+  for (const auto& k : keys) ids.push_back(rig.add(k));
+  EXPECT_EQ(rig.ks.size(), 5u);
   const bn::Bignum m(123456789);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    expect_valid_signature(keys[i].public_key(), m, ks.sign(ids[i], m));
+    const auto sig = rig.sign(ids[i], m);
+    ASSERT_TRUE(sig.has_value());
+    expect_valid_signature(keys[i].public_key(), m, *sig);
   }
 }
 
-TEST(Keystore, PoolNeverExceedsBound) {
+template <class Rig>
+void pool_never_exceeds_bound() {
   auto keys = make_keys(6);
-  Keystore ks({.pool_keys = 2});
+  Rig rig(2);
   std::vector<KeyId> ids;
-  for (const auto& k : keys) ids.push_back(ks.add_key(k));
+  for (const auto& k : keys) ids.push_back(rig.add(k));
   const bn::Bignum m(77);
   for (int round = 0; round < 3; ++round) {
     for (const auto id : ids) {
-      ks.sign(id, m);
-      EXPECT_LE(ks.pooled_count(), 2u);
+      EXPECT_TRUE(rig.sign(id, m).has_value());
+      EXPECT_LE(rig.ks.pooled_count(), 2u);
     }
   }
-  EXPECT_GT(ks.stats().evictions, 0u);
+  EXPECT_GT(rig.ks.stats().evictions, 0u);
 }
 
-TEST(Keystore, LruKeepsTheHotKeyPooled) {
+template <class Rig>
+void lru_keeps_the_hot_key_pooled() {
   auto keys = make_keys(3);
-  Keystore ks({.pool_keys = 2});
-  const KeyId hot = ks.add_key(keys[0]);
-  const KeyId a = ks.add_key(keys[1]);
-  const KeyId b = ks.add_key(keys[2]);
+  Rig rig(2);
+  const KeyId hot = rig.add(keys[0]);
+  const KeyId a = rig.add(keys[1]);
+  const KeyId b = rig.add(keys[2]);
   const bn::Bignum m(99);
-  ks.sign(hot, m);
-  ks.sign(a, m);   // pool = {hot, a}
-  ks.sign(hot, m); // refreshes hot
-  ks.sign(b, m);   // evicts a (LRU), not hot
-  EXPECT_TRUE(ks.pooled(hot));
-  EXPECT_TRUE(ks.pooled(b));
-  EXPECT_FALSE(ks.pooled(a));
+  rig.sign(hot, m);
+  rig.sign(a, m);    // pool = {hot, a}
+  rig.sign(hot, m);  // refreshes hot
+  rig.sign(b, m);    // evicts a (LRU), not hot
+  EXPECT_TRUE(rig.ks.pooled(hot));
+  EXPECT_TRUE(rig.ks.pooled(b));
+  EXPECT_FALSE(rig.ks.pooled(a));
 }
 
-TEST(Keystore, PoolHitDoesNoDecryption) {
+template <class Rig>
+void pool_hit_does_no_decryption() {
   auto keys = make_keys(1);
-  Keystore ks({.pool_keys = 2});
-  const KeyId id = ks.add_key(keys[0]);
+  Rig rig(2);
+  const KeyId id = rig.add(keys[0]);
   const bn::Bignum m(1234);
-  ks.sign(id, m);
-  const auto unseals_after_first = ks.stats().unseals;
+  rig.sign(id, m);
+  const auto unseals_after_first = rig.ks.stats().unseals;
   EXPECT_EQ(unseals_after_first, 1u);
-  for (int i = 0; i < 10; ++i) ks.sign(id, m);
-  EXPECT_EQ(ks.stats().unseals, unseals_after_first)
+  for (int i = 0; i < 10; ++i) rig.sign(id, m);
+  EXPECT_EQ(rig.ks.stats().unseals, unseals_after_first)
       << "pool hits must serve straight from the working copy";
-  EXPECT_EQ(ks.stats().pool_hits, 10u);
+  EXPECT_EQ(rig.ks.stats().pool_hits, 10u);
+}
+
+template <class Rig>
+void evict_all_empties_the_pool() {
+  auto keys = make_keys(2);
+  Rig rig(2);
+  const KeyId a = rig.add(keys[0]);
+  const KeyId b = rig.add(keys[1]);
+  const bn::Bignum m(2);
+  rig.sign(a, m);
+  rig.sign(b, m);
+  EXPECT_EQ(rig.ks.pooled_count(), 2u);
+  rig.ks.evict_all();
+  EXPECT_EQ(rig.ks.pooled_count(), 0u);
+  EXPECT_EQ(rig.ks.stats().evictions, 2u);
+  const auto again = rig.sign(a, m);  // re-materializes
+  ASSERT_TRUE(again.has_value());
+  expect_valid_signature(keys[0].public_key(), m, *again);
+}
+
+/// evict_all reports through the same path as an LRU eviction: the
+/// registry counter and the occupancy gauge move with stats().
+template <class Rig>
+void evict_all_reports_to_the_registry() {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  auto keys = make_keys(2);
+  Rig rig(2);
+  for (const auto& k : keys) rig.sign(rig.add(k), bn::Bignum(3));
+  const std::string prefix = Rig::kPrefix;
+  EXPECT_EQ(reg.gauge(prefix + ".pool_occupancy").value(), 2.0);
+  rig.ks.evict_all();
+  EXPECT_EQ(reg.counter(prefix + ".evictions").value(), rig.ks.stats().evictions);
+  EXPECT_EQ(reg.counter(prefix + ".evictions").value(), 2u);
+  EXPECT_EQ(reg.gauge(prefix + ".pool_occupancy").value(), 0.0);
+  reg.set_enabled(false);
+}
+
+/// An id the store never issued throws like public_key() does, and
+/// before the pool is touched: no eviction, no miss, no op.
+template <class Rig>
+void unknown_id_throws_before_touching_the_pool() {
+  auto keys = make_keys(1);
+  Rig rig(1);
+  const KeyId id = rig.add(keys[0]);
+  const bn::Bignum m(5);
+  rig.sign(id, m);
+  const auto before = rig.ks.stats();
+  EXPECT_THROW(rig.ks.sign(id + 9999, m), std::out_of_range);
+  EXPECT_THROW(rig.ks.public_key(id + 9999), std::out_of_range);
+  EXPECT_TRUE(rig.ks.pooled(id));
+  const auto after = rig.ks.stats();
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.ops, before.ops);
+}
+
+// The pool is shared mutable state guarded by one mutex + pins; this is
+// the test TSan watches. More threads than pool slots forces the
+// eviction/wait paths under contention.
+template <class Rig>
+void concurrent_signing_is_race_free_and_correct() {
+  auto keys = make_keys(6, 1234);
+  Rig rig(3);
+  std::vector<KeyId> ids;
+  for (const auto& k : keys) ids.push_back(rig.add(k));
+
+  constexpr int kThreads = 6;
+  constexpr int kOpsPerThread = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      util::Rng rng(9000 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const auto idx = static_cast<std::size_t>(rng.next_below(ids.size()));
+        const bn::Bignum m(rng.next_below(1u << 30) + 2);
+        const auto sig = rig.sign(ids[idx], m);
+        if (!sig || keys[idx].public_key().encrypt_raw(*sig) != m) ++failures;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(rig.ks.stats().ops, static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_LE(rig.ks.pooled_count(), 3u);
+}
+
+TEST(Keystore, SignsWithTheRightKeyPerId) { signs_with_the_right_key_per_id<MlockedRig>(); }
+TEST(EncryptedHostKeystore, SignsWithTheRightKeyPerId) {
+  signs_with_the_right_key_per_id<EncryptedRig>();
+}
+
+TEST(Keystore, PoolNeverExceedsBound) { pool_never_exceeds_bound<MlockedRig>(); }
+TEST(EncryptedHostKeystore, PoolNeverExceedsBound) { pool_never_exceeds_bound<EncryptedRig>(); }
+
+TEST(Keystore, LruKeepsTheHotKeyPooled) { lru_keeps_the_hot_key_pooled<MlockedRig>(); }
+TEST(EncryptedHostKeystore, LruKeepsTheHotKeyPooled) {
+  lru_keeps_the_hot_key_pooled<EncryptedRig>();
+}
+
+TEST(Keystore, PoolHitDoesNoDecryption) { pool_hit_does_no_decryption<MlockedRig>(); }
+TEST(EncryptedHostKeystore, PoolHitDoesNoDecryption) {
+  pool_hit_does_no_decryption<EncryptedRig>();
+}
+
+TEST(Keystore, MasterKeyIsLockedAndEvictAllEmptiesThePool) {
+  EXPECT_TRUE(MlockedRig(1).ks.master_locked());
+  evict_all_empties_the_pool<MlockedRig>();
+}
+TEST(EncryptedHostKeystore, EvictAllEmptiesThePool) {
+  evict_all_empties_the_pool<EncryptedRig>();
+}
+
+TEST(Keystore, EvictAllReportsToTheRegistry) {
+  evict_all_reports_to_the_registry<MlockedRig>();
+}
+TEST(EncryptedHostKeystore, EvictAllReportsToTheRegistry) {
+  evict_all_reports_to_the_registry<EncryptedRig>();
+}
+
+TEST(Keystore, UnknownIdThrowsBeforeTouchingThePool) {
+  unknown_id_throws_before_touching_the_pool<MlockedRig>();
+}
+TEST(EncryptedHostKeystore, UnknownIdThrowsBeforeTouchingThePool) {
+  unknown_id_throws_before_touching_the_pool<EncryptedRig>();
+}
+
+TEST(Keystore, ConcurrentSigningIsRaceFreeAndCorrect) {
+  concurrent_signing_is_race_free_and_correct<MlockedRig>();
+}
+TEST(EncryptedHostKeystore, ConcurrentSigningIsRaceFreeAndCorrect) {
+  concurrent_signing_is_race_free_and_correct<EncryptedRig>();
 }
 
 TEST(Keystore, AddKeyScrubbingDestroysTheCallerCopy) {
@@ -164,52 +329,6 @@ TEST(Keystore, AddPemRoundTrips) {
   EXPECT_FALSE(ks.add_pem("not a pem").has_value());
   const bn::Bignum m(31337);
   expect_valid_signature(keys[0].public_key(), m, ks.sign(*id, m));
-}
-
-TEST(Keystore, MasterKeyIsLockedAndEvictAllEmptiesThePool) {
-  auto keys = make_keys(2);
-  Keystore ks({.pool_keys = 2});
-  const KeyId a = ks.add_key(keys[0]);
-  const KeyId b = ks.add_key(keys[1]);
-  EXPECT_TRUE(ks.master_locked());
-  const bn::Bignum m(2);
-  ks.sign(a, m);
-  ks.sign(b, m);
-  EXPECT_EQ(ks.pooled_count(), 2u);
-  ks.evict_all();
-  EXPECT_EQ(ks.pooled_count(), 0u);
-  expect_valid_signature(keys[0].public_key(), m, ks.sign(a, m));  // re-materializes
-}
-
-// The pool is shared mutable state guarded by one mutex + pins; this is
-// the test TSan watches. More threads than pool slots forces the
-// eviction/wait paths under contention.
-TEST(Keystore, ConcurrentSigningIsRaceFreeAndCorrect) {
-  auto keys = make_keys(6, 1234);
-  Keystore ks({.pool_keys = 3});
-  std::vector<KeyId> ids;
-  for (const auto& k : keys) ids.push_back(ks.add_key(k));
-
-  constexpr int kThreads = 6;
-  constexpr int kOpsPerThread = 25;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      util::Rng rng(9000 + static_cast<std::uint64_t>(t));
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const auto idx = static_cast<std::size_t>(rng.next_below(ids.size()));
-        const bn::Bignum m(rng.next_below(1u << 30) + 2);
-        const auto sig = ks.sign(ids[idx], m);
-        if (keys[idx].public_key().encrypt_raw(sig) != m) ++failures;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(ks.stats().ops, static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_LE(ks.pooled_count(), 3u);
 }
 
 }  // namespace

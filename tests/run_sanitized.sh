@@ -6,8 +6,9 @@
 # ThreadSanitizer is the one that matters for the parallel sharded scanner
 # (tests/scan_parallel_test, tests/scan_boundary_test exercise the
 # ThreadPool fan-out), for the host keystore, whose mlocked plaintext
-# pool is shared across signing threads (keystore_test's concurrent case
-# and keystore_encrypted_test's shared-CoprocessorDomain case),
+# pool is shared across signing threads (keystore_test's concurrent cases
+# and keystore_encrypted_test's shared-CoprocessorDomain case and its
+# storm with refusals injected mid-run),
 # for the observability layer (obs_concurrency_test hammers the
 # MetricsRegistry/Tracer from many threads and demands exact totals), and
 # for SecureRsaKey's per-thread locked arena (secure_rsa_test decrypts
