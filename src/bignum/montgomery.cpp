@@ -530,9 +530,17 @@ std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const
   const std::size_t ewp = std::max(lp, ep.limb_count());
   const std::size_t ewq = std::max(lq, eq.limb_count());
   // R^2 mod p and mod q, both results, both padded exponents, then the
-  // exp2 scratch.
-  std::vector<Limb> buf(2 * (lp + lq) + ewp + ewq + mont::exp2_scratch_limbs(std::max(lp, lq)));
-  const std::span<Limb> all(buf);
+  // exp2 scratch, in this thread's scratch: grown to the widest call the
+  // thread has made, all-zero between calls.
+  const std::size_t need =
+      2 * (lp + lq) + ewp + ewq + mont::exp2_scratch_limbs(std::max(lp, lq));
+  thread_local std::vector<Limb> buf;
+  if (buf.size() < need) buf.resize(need);  // frees only a wiped block
+  const std::span<Limb> all = std::span(buf).first(need);
+  const struct WipeOnExit {
+    std::span<Limb> s;
+    ~WipeOnExit() { mont::wipe(s); }
+  } wipe_on_exit{all};
   const auto rrp = all.first(lp);
   const auto rrq = all.subspan(lp, lq);
   const auto rp = all.subspan(lp + lq, lp);
@@ -547,9 +555,7 @@ std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const
   std::ranges::copy(ep.limbs(), e1.begin());
   std::ranges::copy(eq.limbs(), e2.begin());
   mont::exp2(rp, rq, a.limbs(), e1, e2, mp, mq, k);
-  std::pair<Bignum, Bignum> out{Bignum::from_limbs_le(rp), Bignum::from_limbs_le(rq)};
-  mont::wipe(buf);
-  return out;
+  return {Bignum::from_limbs_le(rp), Bignum::from_limbs_le(rq)};
 }
 
 }  // namespace keyguard::bn

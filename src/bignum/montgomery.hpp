@@ -181,9 +181,11 @@ enum class Exponent { kSecret, kPublic };
 /// no copy of n: what Bignum::mod_exp and mod_exp_public run for odd moduli.
 Bignum mont_mod_exp(const Bignum& a, const Bignum& e, const Bignum& n, Exponent kind);
 
-/// {a^ep mod p, a^eq mod q} for odd p, q > 1 through mont::exp2, on one
-/// scratch vector wiped on exit. Each exponent covers every bit of
-/// max(limbs(modulus), limbs(e)) limbs, as mod_exp's kSecret does.
+/// {a^ep mod p, a^eq mod q} for odd p, q > 1 through mont::exp2, on the
+/// calling thread's scratch vector (grown to its widest call, wiped after
+/// every call), so only the two results allocate. Each exponent covers
+/// every bit of max(limbs(modulus), limbs(e)) limbs, as mod_exp's kSecret
+/// does.
 std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const Bignum& p,
                                         const Bignum& eq, const Bignum& q);
 

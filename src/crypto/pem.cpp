@@ -1,5 +1,6 @@
 #include "crypto/pem.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "util/bytes.hpp"
@@ -28,15 +29,15 @@ std::byte* put_tlv(std::byte* out, const bn::Bignum& v) {
   return out;
 }
 
-std::optional<bn::Bignum> read_tlv(std::span<const std::byte>& cursor) {
+// The content of the INTEGER at the front of `cursor`, which moves past it.
+std::optional<std::span<const std::byte>> read_tlv(std::span<const std::byte>& cursor) {
   if (cursor.size() < 5 || cursor[0] != kIntegerTag) return std::nullopt;
   std::uint32_t len = 0;
   for (int i = 1; i <= 4; ++i) len = (len << 8) | std::to_integer<std::uint32_t>(cursor[i]);
   if (cursor.size() < 5 + static_cast<std::size_t>(len)) return std::nullopt;
   const auto content = cursor.subspan(5, len);
   cursor = cursor.subspan(5 + len);
-  // Built in place: a named const copy would be freed unscrubbed.
-  return bn::Bignum::from_bytes_be(content);
+  return content;
 }
 
 }  // namespace
@@ -54,25 +55,47 @@ std::vector<std::byte> der_encode_private_key(const RsaPrivateKey& key) {
   return out;
 }
 
-std::optional<RsaPrivateKey> der_decode_private_key(std::span<const std::byte> der) {
+std::optional<DerIntegers> der_private_key_integers(std::span<const std::byte> der) {
   std::span<const std::byte> cursor = der;
-  std::array<bn::Bignum, 9> fields;
+  DerIntegers fields;
   for (auto& f : fields) {
-    auto v = read_tlv(cursor);
+    const auto v = read_tlv(cursor);
     if (!v) return std::nullopt;
-    f = std::move(*v);
+    f = *v;
   }
   if (!cursor.empty()) return std::nullopt;  // trailing junk
-  if (!fields[0].is_zero()) return std::nullopt;  // unsupported version
+  if (der_integer_limbs(fields[0]) != 0) return std::nullopt;  // unsupported version
+  return fields;
+}
+
+std::size_t der_integer_limbs(std::span<const std::byte> content) noexcept {
+  std::size_t skip = 0;
+  while (skip < content.size() && content[skip] == std::byte{0}) ++skip;
+  return (content.size() - skip + sizeof(bn::Limb) - 1) / sizeof(bn::Limb);
+}
+
+void der_integer_to_limbs(std::span<const std::byte> content,
+                          std::span<bn::Limb> out) noexcept {
+  std::ranges::fill(out, bn::Limb{0});
+  // Byte i from the end lands in limb i / 8 at bit 8 * (i % 8).
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    const std::size_t limb = i / sizeof(bn::Limb);
+    if (limb >= out.size()) break;  // a leading zero byte past the width
+    out[limb] |= std::to_integer<bn::Limb>(content[content.size() - 1 - i])
+                 << (8 * (i % sizeof(bn::Limb)));
+  }
+}
+
+std::optional<RsaPrivateKey> der_decode_private_key(std::span<const std::byte> der) {
+  const auto fields = der_private_key_integers(der);
+  if (!fields) return std::nullopt;
+  // Built in place: a named const copy would be freed unscrubbed.
   RsaPrivateKey key;
-  key.n = std::move(fields[1]);
-  key.e = std::move(fields[2]);
-  key.d = std::move(fields[3]);
-  key.p = std::move(fields[4]);
-  key.q = std::move(fields[5]);
-  key.dmp1 = std::move(fields[6]);
-  key.dmq1 = std::move(fields[7]);
-  key.iqmp = std::move(fields[8]);
+  bn::Bignum* const parts[] = {&key.n,    &key.e,    &key.d,    &key.p,
+                               &key.q,    &key.dmp1, &key.dmq1, &key.iqmp};
+  for (std::size_t i = 0; i < 8; ++i) {
+    *parts[i] = bn::Bignum::from_bytes_be((*fields)[i + 1]);
+  }
   return key;
 }
 

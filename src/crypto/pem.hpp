@@ -9,7 +9,9 @@
 // text is a searchable pattern just like real PEM.
 #pragma once
 
+#include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,25 @@ std::vector<std::byte> der_encode_private_key(const RsaPrivateKey& key);
 /// Parses the TLV body; nullopt on malformed input. Does NOT validate key
 /// consistency (call RsaPrivateKey::validate for that).
 std::optional<RsaPrivateKey> der_decode_private_key(std::span<const std::byte> der);
+
+/// The nine INTEGER contents of a TLV body in field order (version, n, e,
+/// d, p, q, dmp1, dmq1, iqmp): big-endian views into `der`, nothing
+/// copied. nullopt on malformed input, trailing junk or a nonzero
+/// version. der_decode_private_key and secure::rsa_slot::from_der both
+/// walk this.
+using DerIntegers = std::array<std::span<const std::byte>, 9>;
+std::optional<DerIntegers> der_private_key_integers(std::span<const std::byte> der);
+
+/// Significant limbs of a big-endian INTEGER content (leading zero bytes
+/// do not count; 0 for zero).
+std::size_t der_integer_limbs(std::span<const std::byte> content) noexcept;
+
+/// Writes a big-endian INTEGER content into `out` as little-endian limbs,
+/// zero-padded to out.size(): the inverse of the encoder's limb walk, so
+/// a decode never builds a Bignum. Requires out.size() >=
+/// der_integer_limbs(content).
+void der_integer_to_limbs(std::span<const std::byte> content,
+                          std::span<bn::Limb> out) noexcept;
 
 /// Full PEM text: armor lines + base64 body wrapped at 64 columns.
 std::string pem_encode_private_key(const RsaPrivateKey& key);

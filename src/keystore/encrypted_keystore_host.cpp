@@ -9,8 +9,8 @@ EncryptedHostKeystore::EncryptedHostKeystore(sim::CoprocessorDomain& domain,
           [&domain](std::span<const std::byte> der, KeyId id) {
             return seal_authenticated(der, domain, id);
           },
-          [&domain](std::span<const std::byte> blob) {
-            return unseal_authenticated(blob, domain);
+          [&domain](std::span<const std::byte> blob, std::span<std::byte> der) {
+            return unseal_authenticated_into(blob, domain, der);
           }) {}
 
 }  // namespace keyguard::keystore

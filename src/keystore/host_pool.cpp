@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 
+#include "core/secure_rsa.hpp"
+#include "core/secure_zero.hpp"
 #include "crypto/pem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,6 +15,9 @@ namespace keyguard::keystore {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// One slot image per 4 KiB page of the slab.
+constexpr std::size_t kPageLimbs = secure::rsa_slot::kPageLimbs;
 
 template <std::size_t N>
 std::array<std::string, N> prefixed(std::string_view prefix,
@@ -32,23 +37,32 @@ HostKeyPool::HostKeyPool(std::string_view prefix, std::size_t bound, SealFn seal
       seal_(std::move(seal)),
       unseal_(std::move(unseal)),
       names_(prefixed<kNameCount>(
-          prefix, {"ops", "pool_hits", "pool_misses", "evictions", "unseals",
-                   "refusals", "unseal_ms", "pool_occupancy", "sign", "unseal"})) {
+          prefix, {"ops", "pool_hits", "pool_misses", "evictions", "unseals", "refusals",
+                   "coalesced", "unseal_ms", "pool_occupancy", "sign", "unseal"})),
+      slab_(bound * kPageLimbs * sizeof(bn::Limb)),
+      entries_(bound) {
   assert(bound_ >= 1);
+  const std::span<bn::Limb> limbs(reinterpret_cast<bn::Limb*>(slab_.data().data()),
+                                  bound * kPageLimbs);
+  for (std::size_t i = 0; i < bound; ++i) {
+    entries_[i].page = limbs.subspan(i * kPageLimbs, kPageLimbs);
+  }
 }
 
 std::optional<KeyId> HostKeyPool::add_key(const crypto::RsaPrivateKey& key) {
-  auto der = crypto::der_encode_private_key(key);
+  const bool fits = secure::rsa_slot::image_limbs(key) <= kPageLimbs;
+  auto der = fits ? crypto::der_encode_private_key(key) : std::vector<std::byte>{};
   auto pub = key.public_key();
   util::MutexLock lk(mu_);
-  auto blob = seal_(der, next_id_);
+  auto blob = fits ? seal_(der, next_id_) : std::nullopt;
   wipe(der);
   if (!blob) {
     count(stats_.refusals, kRefusals);
     return std::nullopt;
   }
   const KeyId id = next_id_++;
-  sealed_.emplace(id, Sealed{std::move(*blob), std::move(pub)});
+  sealed_.emplace(id,
+                  Sealed{std::make_shared<const Blob>(std::move(*blob)), std::move(pub)});
   return id;
 }
 
@@ -77,12 +91,17 @@ std::optional<bn::Bignum> HostKeyPool::sign(KeyId id, const bn::Bignum& m) {
     span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
   }
   Entry* entry = nullptr;
+  Sealed* sealed = nullptr;
+  std::shared_ptr<const Blob> claim;
   {
     util::MutexLock lk(mu_);
-    entry = acquire(lk, id);
+    sealed = &sealed_.at(id);  // sealed_ never shrinks
+    entry = pin_or_claim(lk, id, *sealed, claim);
   }
+  if (entry == nullptr) entry = materialize(id, *sealed, *claim);
   if (entry == nullptr) return std::nullopt;  // fail-closed, nothing pinned
-  bn::Bignum result = entry->key.sign(m);    // CRT math outside the lock
+  // CRT math outside the lock: the pin keeps the page from being wiped.
+  bn::Bignum result = secure::rsa_slot::decrypt(entry->page, m);
   {
     util::MutexLock lk(mu_);
     --entry->pins;
@@ -91,77 +110,96 @@ std::optional<bn::Bignum> HostKeyPool::sign(KeyId id, const bn::Bignum& m) {
   return result;
 }
 
-HostKeyPool::Entry* HostKeyPool::acquire(util::MutexLock& lk, KeyId id) {
-  const Sealed& sealed = sealed_.at(id);  // sealed_ never shrinks
+HostKeyPool::Entry* HostKeyPool::pin_or_claim(util::MutexLock& lk, KeyId id,
+                                              Sealed& sealed,
+                                              std::shared_ptr<const Blob>& claim) {
   count(stats_.ops, kOps);
+  bool waited = false;
   for (;;) {
-    for (auto& e : pool_) {
-      if (e->id == id) {
+    for (Entry& e : entries_) {
+      if (e.id == id) {
         count(stats_.pool_hits, kHits);
-        ++e->pins;
-        e->last_used = ++clock_;
-        return e.get();
+        ++e.pins;
+        e.last_used = ++clock_;
+        return &e;
       }
     }
-    // At the bound, the victim is the least recently used UNPINNED entry;
-    // if every entry is serving an in-flight operation, wait for a pin to
-    // drop — the bound is never exceeded to hide latency.
-    auto victim = pool_.end();
-    if (pool_.size() >= bound_) {
-      for (auto it = pool_.begin(); it != pool_.end(); ++it) {
-        if ((*it)->pins == 0 &&
-            (victim == pool_.end() || (*it)->last_used < (*victim)->last_used)) {
-          victim = it;
-        }
-      }
-      if (victim == pool_.end()) {
-        lk.wait(cv_);
-        continue;  // re-scan: the key may have been materialized meanwhile
-      }
-    }
-    return materialize(id, sealed, victim);
+    if (!sealed.in_flight) break;
+    // Single flight: another thread is staging this id. Its publish (a
+    // hit for us) or its refusal (we retry) wakes us.
+    if (!waited) count(stats_.coalesced, kCoalesced);
+    waited = true;
+    lk.wait(cv_);
   }
+  sealed.in_flight = true;
+  claim = sealed.blob;
+  return nullptr;
 }
 
-HostKeyPool::Entry* HostKeyPool::materialize(KeyId id, const Sealed& sealed,
-                                             Pool::iterator victim) {
-  obs::Tracer::Span span(obs::Tracer::global(), names_[kUnsealSpan]);
-  if (span.live()) {
-    span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
-  }
+HostKeyPool::Entry* HostKeyPool::materialize(KeyId id, Sealed& sealed, const Blob& blob) {
+  // Stage in this thread's locked arena, with no lock held: the DER, then
+  // the image, then the precompute scratch. The lease wipes all of it.
+  const std::size_t der_limbs = (blob.size() + sizeof(bn::Limb) - 1) / sizeof(bn::Limb);
+  secure::ArenaLease lease(der_limbs + kPageLimbs +
+                           secure::rsa_slot::der_scratch_limbs(blob.size()));
+  const auto der = std::as_writable_bytes(lease.take(der_limbs));
+  const auto image = lease.take(kPageLimbs);
   const auto t0 = Clock::now();
-  std::optional<crypto::RsaPrivateKey> key;
-  if (auto der = unseal_(sealed.blob)) {
-    key = crypto::der_decode_private_key(*der);
-    wipe(*der);
+  std::size_t limbs = 0;
+  {
+    obs::Tracer::Span span(obs::Tracer::global(), names_[kUnsealSpan]);
+    if (span.live()) {
+      span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
+    }
+    if (const auto len = unseal_(blob, der)) {
+      limbs = secure::rsa_slot::from_der(image, der.first(*len), lease.rest());
+    }
   }
-  if (!key) {
-    count(stats_.refusals, kRefusals);
-    return nullptr;
+  const auto staged = Clock::now() - t0;
+
+  Entry* entry = nullptr;
+  {
+    util::MutexLock lk(mu_);
+    if (limbs == 0) {
+      count(stats_.refusals, kRefusals);  // the pool was never touched
+    } else {
+      // The claim stays set while we wait for an unpinned page, so the
+      // id still stages once.
+      while ((entry = victim()) == nullptr) lk.wait(cv_);
+      if (entry->id != 0) evict(*entry);
+      std::ranges::copy(image.first(limbs), entry->page.begin());
+      entry->id = id;
+      entry->pins = 1;
+      entry->last_used = ++clock_;
+      count(stats_.pool_misses, kMisses);
+      count(stats_.unseals, kUnseals);
+      publish_occupancy();
+    }
+    sealed.in_flight = false;
   }
-  // Evict only now that the unseal succeeded, and before the new working
-  // copy exists, so at most bound_ copies are ever live. unseal_ms leaves
-  // the eviction out.
-  const auto t1 = Clock::now();
-  if (victim != pool_.end()) evict(victim);
-  const auto t2 = Clock::now();
-  pool_.push_back(std::unique_ptr<Entry>(new Entry{
-      id, secure::SecureRsaKey::from_key_scrubbing(*key), /*pins=*/1, ++clock_}));
-  count(stats_.pool_misses, kMisses);
-  count(stats_.unseals, kUnseals);
+  cv_.notify_all();
   auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
+  if (entry != nullptr && reg.enabled()) {
     reg.histogram(names_[kUnsealMs])
-        .record(std::chrono::duration<double, std::milli>((t1 - t0) + (Clock::now() - t2))
-                    .count());
+        .record(std::chrono::duration<double, std::milli>(staged).count());
   }
-  publish_occupancy();
-  return pool_.back().get();
+  return entry;
 }
 
-HostKeyPool::Pool::iterator HostKeyPool::evict(Pool::iterator it) {
+HostKeyPool::Entry* HostKeyPool::victim() {
+  Entry* lru = nullptr;
+  for (Entry& e : entries_) {
+    if (e.id == 0) return &e;
+    if (e.pins == 0 && (lru == nullptr || e.last_used < lru->last_used)) lru = &e;
+  }
+  return lru;  // nullptr: every page is pinned by an in-flight sign
+}
+
+void HostKeyPool::evict(Entry& e) {
   count(stats_.evictions, kEvictions);
-  return pool_.erase(it);  // ~SecureRsaKey scrubs the working copy
+  const std::size_t limbs = secure::rsa_slot::limbs_of(e.page);
+  secure::secure_zero(e.page.data(), limbs * sizeof(bn::Limb));
+  e.id = 0;
 }
 
 void HostKeyPool::count(std::uint64_t& stat, Name name) {
@@ -173,8 +211,14 @@ void HostKeyPool::count(std::uint64_t& stat, Name name) {
 void HostKeyPool::publish_occupancy() {
   auto& reg = obs::MetricsRegistry::global();
   if (reg.enabled()) {
-    reg.gauge(names_[kOccupancy]).set(static_cast<double>(pool_.size()));
+    reg.gauge(names_[kOccupancy]).set(static_cast<double>(occupancy()));
   }
+}
+
+std::size_t HostKeyPool::occupancy() const {
+  std::size_t n = 0;
+  for (const Entry& e : entries_) n += e.id != 0 ? 1 : 0;
+  return n;
 }
 
 bool HostKeyPool::contains(KeyId id) const {
@@ -184,8 +228,10 @@ bool HostKeyPool::contains(KeyId id) const {
 
 bool HostKeyPool::pooled(KeyId id) const {
   util::MutexLock lk(mu_);
-  return std::any_of(pool_.begin(), pool_.end(),
-                     [&](const auto& e) { return e->id == id; });
+  for (const Entry& e : entries_) {
+    if (e.id == id) return true;
+  }
+  return false;
 }
 
 std::size_t HostKeyPool::size() const {
@@ -195,7 +241,7 @@ std::size_t HostKeyPool::size() const {
 
 std::size_t HostKeyPool::pooled_count() const {
   util::MutexLock lk(mu_);
-  return pool_.size();
+  return occupancy();
 }
 
 HostKeystoreStats HostKeyPool::stats() const {
@@ -205,10 +251,8 @@ HostKeystoreStats HostKeyPool::stats() const {
 
 void HostKeyPool::evict_all() {
   util::MutexLock lk(mu_);
-  // Manual loop rather than std::erase_if: the thread-safety analysis
-  // cannot see through a lambda touching guarded members.
-  for (auto it = pool_.begin(); it != pool_.end();) {
-    it = (*it)->pins == 0 ? evict(it) : std::next(it);
+  for (Entry& e : entries_) {
+    if (e.id != 0 && e.pins == 0) evict(e);
   }
   publish_occupancy();
 }
@@ -216,15 +260,19 @@ void HostKeyPool::evict_all() {
 bool HostKeyPool::flip_blob_byte(KeyId id, std::size_t offset) {
   util::MutexLock lk(mu_);
   const auto it = sealed_.find(id);
-  if (it == sealed_.end() || offset >= it->second.blob.size()) return false;
-  it->second.blob[offset] ^= std::byte{0x01};
+  if (it == sealed_.end() || offset >= it->second.blob->size()) return false;
+  // A copy swapped in whole: a miss staging from the old blob keeps
+  // reading it, unlocked and unchanged.
+  auto flipped = std::make_shared<Blob>(*it->second.blob);
+  (*flipped)[offset] ^= std::byte{0x01};
+  it->second.blob = std::move(flipped);
   return true;
 }
 
 std::size_t HostKeyPool::blob_size(KeyId id) const {
   util::MutexLock lk(mu_);
   const auto it = sealed_.find(id);
-  return it == sealed_.end() ? 0 : it->second.blob.size();
+  return it == sealed_.end() ? 0 : it->second.blob->size();
 }
 
 }  // namespace keyguard::keystore

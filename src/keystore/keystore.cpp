@@ -11,8 +11,9 @@ Keystore::Keystore(HostKeystoreConfig cfg)
           [master = master_.data()](std::span<const std::byte> der, KeyId id) {
             return seal(der, master, id);
           },
-          [master = master_.data()](std::span<const std::byte> blob) {
-            return unseal(blob, master);
+          [master = master_.data()](std::span<const std::byte> blob,
+                                    std::span<std::byte> der) {
+            return unseal_into(blob, master, der);
           }) {
   util::Rng rng(cfg.master_seed);
   rng.fill_bytes(master_.data());

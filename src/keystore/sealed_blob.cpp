@@ -1,5 +1,6 @@
 #include "keystore/sealed_blob.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -82,13 +83,23 @@ std::vector<std::byte> seal(std::span<const std::byte> plaintext,
   return blob;
 }
 
-std::optional<std::vector<std::byte>> unseal(std::span<const std::byte> blob,
-                                             std::span<const std::byte> master) {
+std::optional<std::size_t> unseal_into(std::span<const std::byte> blob,
+                                       std::span<const std::byte> master,
+                                       std::span<std::byte> out) {
   if (blob.size() < kSealedHeaderBytes) return std::nullopt;
   if (std::memcmp(blob.data(), kMagic, sizeof kMagic) != 0) return std::nullopt;
-  const std::uint64_t nonce = get_le64(blob.data() + sizeof kMagic);
-  std::vector<std::byte> plain(blob.begin() + kSealedHeaderBytes, blob.end());
-  keystream_xor(plain, master, nonce);
+  const auto ct = blob.subspan(kSealedHeaderBytes);
+  if (out.size() < ct.size()) return std::nullopt;
+  const auto plain = out.first(ct.size());
+  std::memcpy(plain.data(), ct.data(), ct.size());
+  keystream_xor(plain, master, get_le64(blob.data() + sizeof kMagic));
+  return ct.size();
+}
+
+std::optional<std::vector<std::byte>> unseal(std::span<const std::byte> blob,
+                                             std::span<const std::byte> master) {
+  std::vector<std::byte> plain(blob.size() - std::min(blob.size(), kSealedHeaderBytes));
+  if (!unseal_into(blob, master, plain)) return std::nullopt;
   return plain;
 }
 
@@ -100,12 +111,11 @@ std::optional<std::vector<std::byte>> seal_authenticated(
   std::memcpy(blob.data(), kAuthMagic, sizeof kAuthMagic);
   put_le64(blob.data() + sizeof kAuthMagic, nonce);
   const auto body = std::span(blob).subspan(kSealedHeaderBytes, plaintext.size());
-  std::vector<std::byte> ks(plaintext.size());
-  if (!domain.keystream(nonce, ks)) return std::nullopt;
-  for (std::size_t i = 0; i < plaintext.size(); ++i) {
-    body[i] = plaintext[i] ^ ks[i];
+  std::memcpy(body.data(), plaintext.data(), plaintext.size());
+  if (!domain.keystream_xor(nonce, body)) {
+    wipe(blob);  // the plaintext copy never got its keystream
+    return std::nullopt;
   }
-  wipe(ks);
   const auto tag = domain.mac(nonce, body);
   if (!tag) {
     wipe(blob);  // half-built ciphertext without a key to reopen it
@@ -124,32 +134,38 @@ std::optional<std::uint64_t> authenticated_nonce(std::span<const std::byte> blob
   return get_le64(blob.data() + sizeof kAuthMagic);
 }
 
-std::optional<std::vector<std::byte>> unseal_authenticated(
+std::optional<std::size_t> unseal_authenticated_into(
     std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
-    std::span<const std::byte> keystream) {
+    std::span<std::byte> out, std::span<const std::byte> keystream) {
   // Verify EVERYTHING before touching the keystream: fail-closed means no
   // partial plaintext exists on any rejection path.
   const auto nonce = authenticated_nonce(blob);
   if (!nonce) return std::nullopt;
   const auto ct = blob.subspan(kSealedHeaderBytes,
                                blob.size() - kSealedHeaderBytes - kAuthTagBytes);
+  if (out.size() < ct.size()) return std::nullopt;
   const auto tag = blob.subspan(blob.size() - kAuthTagBytes);
   const auto expect = domain.mac(*nonce, ct);
   if (!expect) return std::nullopt;  // domain off: refuse, never fall back
   if (!ct_equal(tag, *expect)) return std::nullopt;
 
-  std::vector<std::byte> plain(ct.begin(), ct.end());
+  const auto plain = out.first(ct.size());
+  std::memcpy(plain.data(), ct.data(), ct.size());
   if (keystream.size() >= ct.size()) {
     for (std::size_t i = 0; i < plain.size(); ++i) plain[i] ^= keystream[i];
-  } else {
-    std::vector<std::byte> ks(ct.size());
-    if (!domain.keystream(*nonce, ks)) {
-      wipe(plain);
-      return std::nullopt;
-    }
-    for (std::size_t i = 0; i < plain.size(); ++i) plain[i] ^= ks[i];
-    wipe(ks);
+  } else if (!domain.keystream_xor(*nonce, plain)) {
+    wipe(plain);
+    return std::nullopt;
   }
+  return ct.size();
+}
+
+std::optional<std::vector<std::byte>> unseal_authenticated(
+    std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
+    std::span<const std::byte> keystream) {
+  const std::size_t overhead = kSealedHeaderBytes + kAuthTagBytes;
+  std::vector<std::byte> plain(blob.size() - std::min(blob.size(), overhead));
+  if (!unseal_authenticated_into(blob, domain, plain, keystream)) return std::nullopt;
   return plain;
 }
 

@@ -73,8 +73,16 @@ std::vector<std::byte> seal(std::span<const std::byte> plaintext,
                             std::span<const std::byte> master,
                             std::uint64_t nonce);
 
-/// header || ciphertext -> plaintext. Rejects short blobs and bad magic
-/// (nullopt). The caller owns wiping the returned plaintext.
+/// header || ciphertext -> plaintext written into `out`, the keystream
+/// XORed in place block by block; returns the plaintext length. Rejects
+/// short blobs, bad magic and an `out` shorter than the ciphertext
+/// (nullopt, nothing written).
+std::optional<std::size_t> unseal_into(std::span<const std::byte> blob,
+                                       std::span<const std::byte> master,
+                                       std::span<std::byte> out);
+
+/// unseal_into a fresh vector. The caller owns wiping the returned
+/// plaintext.
 std::optional<std::vector<std::byte>> unseal(std::span<const std::byte> blob,
                                              std::span<const std::byte> master);
 
@@ -99,6 +107,15 @@ std::optional<std::vector<std::byte>> seal_authenticated(
 std::optional<std::vector<std::byte>> unseal_authenticated(
     std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
     std::span<const std::byte> keystream = {});
+
+/// The same, into a caller-owned `out` (at least the ciphertext length):
+/// the ciphertext is copied there only once the tag verifies, and the
+/// domain XORs its keystream in place (CoprocessorDomain::keystream_xor),
+/// so no keystream buffer exists. Returns the plaintext length; nullopt
+/// on every failure above or a short `out`, leaving no plaintext there.
+std::optional<std::size_t> unseal_authenticated_into(
+    std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
+    std::span<std::byte> out, std::span<const std::byte> keystream = {});
 
 /// Nonce stored in an authenticated blob header (nullopt when the blob is
 /// too short or mis-tagged as KSB1/garbage). Format inspection only — no

@@ -41,7 +41,7 @@ void CoprocessorDomain::power_off() {
   powered_ = false;
 }
 
-void CoprocessorDomain::fill_locked(const KeystreamRequest& req) {
+void CoprocessorDomain::fill_locked(const KeystreamRequest& req, bool xor_in) {
   std::byte trailer[17];
   trailer[0] = std::byte{'C'};
   put_le64(trailer + 1, req.nonce);
@@ -53,7 +53,7 @@ void CoprocessorDomain::fill_locked(const KeystreamRequest& req) {
     h.update(trailer);
     auto ks = h.finish();
     const std::size_t n = std::min(kBlockBytes, out.size());
-    std::copy_n(ks.begin(), n, out.begin());
+    for (std::size_t i = 0; i < n; ++i) out[i] = xor_in ? out[i] ^ ks[i] : ks[i];
     wipe_bytes(ks);
     out = out.subspan(n);
   }
@@ -67,17 +67,29 @@ bool CoprocessorDomain::keystream(std::uint64_t nonce, std::span<std::byte> out,
   return keystream_batch({&req, 1});
 }
 
+bool CoprocessorDomain::keystream_xor(std::uint64_t nonce, std::span<std::byte> data) {
+  std::lock_guard lk(mu_);
+  if (!begin_keystream_locked(0)) return false;
+  fill_locked({nonce, 0, data}, /*xor_in=*/true);
+  return true;
+}
+
 bool CoprocessorDomain::keystream_batch(std::span<KeystreamRequest> requests) {
   std::lock_guard lk(mu_);
+  if (!begin_keystream_locked(requests.size() == 1 ? 0 : 1)) return false;
+  for (const auto& req : requests) fill_locked(req);
+  return true;
+}
+
+bool CoprocessorDomain::begin_keystream_locked(std::uint64_t refusal_code) {
   if (!powered_) {
     if (auto& bus = obs::EventBus::global(); bus.enabled()) {
-      bus.publish(obs::ObsEventKind::kDomainRefusal, requests.size() == 1 ? 0 : 1);
+      bus.publish(obs::ObsEventKind::kDomainRefusal, refusal_code);
     }
     return false;
   }
   ++round_trips_;
   ++keystream_round_trips_;
-  for (const auto& req : requests) fill_locked(req);
   return true;
 }
 

@@ -79,6 +79,12 @@ class CoprocessorDomain {
   bool keystream(std::uint64_t nonce, std::span<std::byte> out,
                  std::uint64_t first_block = 0);
 
+  /// XORs stream `nonce` into `data` in place, one block at a time, so
+  /// no keystream buffer exists outside the domain (one round trip,
+  /// counted as one CTR request). False, `data` untouched, when powered
+  /// off.
+  bool keystream_xor(std::uint64_t nonce, std::span<std::byte> data);
+
   /// Many CTR requests in ONE round trip — the amortization primitive.
   /// All-or-nothing: false (and no output) when powered off.
   bool keystream_batch(std::span<KeystreamRequest> requests);
@@ -99,8 +105,12 @@ class CoprocessorDomain {
   std::uint64_t mac_round_trips() const;
 
  private:
-  /// Fills `out` for one request. Caller holds mu_.
-  void fill_locked(const KeystreamRequest& req);
+  /// Fills `out` for one request, or XORs the stream into it. Caller
+  /// holds mu_.
+  void fill_locked(const KeystreamRequest& req, bool xor_in = false);
+  /// Counts one round trip, or publishes a refusal and returns false
+  /// when powered off. Caller holds mu_.
+  bool begin_keystream_locked(std::uint64_t refusal_code);
 
   mutable std::mutex mu_;
   std::array<std::byte, 32> secret_{};

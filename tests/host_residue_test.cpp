@@ -59,6 +59,8 @@ std::size_t g_needle_count = 0;
 std::atomic<bool> g_armed{false};
 std::array<std::atomic<int>, kParts> g_tainted{};
 std::atomic<long> g_frees{0};
+// Every block operator new has handed out, armed or not.
+std::atomic<long> g_news{0};
 
 void probe(void* p) noexcept {
   if (p == nullptr || !g_armed.load(std::memory_order_relaxed)) return;
@@ -76,8 +78,16 @@ void probe(void* p) noexcept {
   }
 }
 
+// Out of line, so gcc never sees free() inlined against a pointer from
+// operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept {
+  probe(p);
+  std::free(p);
+}
+
 void* checked(void* p) {
   if (p == nullptr) throw std::bad_alloc();
+  g_news.fetch_add(1, std::memory_order_relaxed);
   return p;
 }
 
@@ -90,14 +100,14 @@ void* operator new(std::size_t n, std::align_val_t a) {
   return checked(std::aligned_alloc(align, (n + align - 1) / align * align));
 }
 void* operator new[](std::size_t n, std::align_val_t a) { return operator new(n, a); }
-void operator delete(void* p) noexcept { probe(p); std::free(p); }
-void operator delete[](void* p) noexcept { probe(p); std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { probe(p); std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { probe(p); std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { probe(p); std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { probe(p); std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { probe(p); std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { probe(p); std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { release(p); }
 
 namespace keyguard {
 namespace {
@@ -300,6 +310,58 @@ TEST_F(HostResidue, EncryptedHostKeystoreSignsLeaveNoFreedPrivateLimbs) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(keys()[i % 3 == 0 ? 1 : 0].public_key().encrypt_raw(sigs[i]), m);
   }
+}
+
+// Blocks operator new hands out while fn runs on this thread.
+template <class F>
+long allocations(F&& fn) {
+  const long before = g_news.load();
+  fn();
+  return g_news.load() - before;
+}
+
+// Pool of one over two keys on this thread. After one miss per key (the
+// thread's arena has grown to its largest lease), a miss allocates exactly
+// what a hit does: the result Bignum. The unseal, the DER walk, the slot
+// image and the precompute all run in the locked arena and the slab.
+template <class Store>
+void expect_miss_allocates_like_a_hit(Store& ks, keystore::KeyId a, keystore::KeyId b) {
+  const Bignum m(0x2468ace);
+  std::optional<Bignum> sig;
+  // Moving the result into `sig` allocates nothing; the check runs
+  // outside the counted call.
+  const auto sign = [&](keystore::KeyId id) {
+    const long n = allocations([&] { sig = ks.sign(id, m); });
+    EXPECT_TRUE(sig && ks.public_key(id).encrypt_raw(*sig) == m);
+    return n;
+  };
+  sign(a);
+  sign(b);  // warm-up: two misses
+  const auto s0 = ks.stats();
+  const long hit = sign(b);
+  const auto s1 = ks.stats();
+  const long miss = sign(a);
+  const auto s2 = ks.stats();
+  ASSERT_EQ(s1.pool_hits, s0.pool_hits + 1);
+  ASSERT_EQ(s2.pool_misses, s1.pool_misses + 1);
+  EXPECT_EQ(miss, hit) << "a miss allocated " << miss << " blocks, a hit " << hit;
+  EXPECT_EQ(hit, 1) << "a hit should allocate only its result";
+}
+
+TEST_F(HostResidue, KeystoreMissAllocatesNoMoreThanAHit) {
+  keystore::Keystore ks({.pool_keys = 1});
+  const auto a = ks.add_key(keys()[0]);
+  const auto b = ks.add_key(keys()[1]);
+  expect_miss_allocates_like_a_hit(ks, a, b);
+}
+
+TEST_F(HostResidue, EncryptedHostKeystoreMissAllocatesNoMoreThanAHit) {
+  sim::CoprocessorDomain domain(0x5c);
+  keystore::EncryptedHostKeystore ks(domain, {.working_set = 1});
+  const auto a = ks.add_key(keys()[0]);
+  const auto b = ks.add_key(keys()[1]);
+  ASSERT_TRUE(a && b);
+  expect_miss_allocates_like_a_hit(ks, *a, *b);
 }
 
 // --- stack residue ---------------------------------------------------------

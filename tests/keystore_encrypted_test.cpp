@@ -12,13 +12,20 @@
 //     (scrub) rather than leaky.
 //
 // The host-side EncryptedHostKeystore gets the same battery on real
-// memory, plus a refusal-on-a-full-pool check and two concurrency checks
-// (shared domain, threads; a storm with refusals injected mid-run).
+// memory, plus a refusal-on-a-full-pool check and three concurrency checks
+// (shared domain, threads; refusal of a single-flight miss waking every
+// waiter; a storm with refusals injected mid-run).
 #include "keystore/encrypted_keystore.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <latch>
+#include <mutex>
 #include <thread>
 
 #include "analysis/taint_auditor.hpp"
@@ -349,7 +356,7 @@ TEST(EncryptedHostKeystore, ConcurrentSigningSharedDomain) {
   }
 
   // 4 threads hammer 6 keys through a 2-entry working set: pins, waits,
-  // evictions, and serialized misses all exercise the shared domain's
+  // evictions, and concurrent misses all exercise the shared domain's
   // internal lock (the TSan target).
   std::vector<std::thread> workers;
   std::vector<int> failures(4, 0);
@@ -416,6 +423,59 @@ TEST(EncryptedHostKeystore, RefusalOnAFullPoolEvictsNothing) {
   // The pooled keys still serve, with the domain gone.
   EXPECT_TRUE(ks.sign(ids[0], m).has_value());
   EXPECT_TRUE(ks.sign(ids[1], m).has_value());
+}
+
+// Single flight on a refusing id: threads released together on one cold
+// id whose blob is tampered. One claims the miss and refuses; the refusal
+// wakes every waiter, each retries on its own and refuses too. Every
+// request refuses, none unseals, the pool is as it was, and nobody hangs.
+TEST(EncryptedHostKeystore, RefusalWakesEveryWaiter) {
+  constexpr int kThreads = 8;
+  sim::CoprocessorDomain domain(0xe6);
+  EncryptedHostKeystore ks(domain, {.working_set = 2});
+  const auto keys = make_keys(2, 26);
+  const KeyId pooled = ks.add_key(keys[0]).value();
+  const KeyId cold = ks.add_key(keys[1]).value();
+  const bn::Bignum m(0x4242u);
+  ASSERT_TRUE(ks.sign(pooled, m).has_value());
+  ASSERT_TRUE(ks.flip_blob_byte(cold, kSealedHeaderBytes));
+  const auto before = ks.stats();
+
+  std::latch start(kThreads);
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0;
+  std::atomic<int> refused{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      start.arrive_and_wait();
+      if (!ks.sign(cold, m)) ++refused;
+      std::lock_guard lk(mu);
+      ++done;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(30), [&] { return done == kThreads; })) {
+      // A waiter the refusal never woke would hang the join: fail now.
+      std::fprintf(stderr, "RefusalWakesEveryWaiter: %d of %d signs returned in 30 s\n",
+                   done, kThreads);
+      std::_Exit(1);
+    }
+  }
+  for (auto& w : workers) w.join();
+
+  const auto after = ks.stats();
+  EXPECT_EQ(refused.load(), kThreads);
+  EXPECT_EQ(after.refusals - before.refusals, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(after.unseals, before.unseals);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(ks.pooled_count(), 1u);
+  EXPECT_TRUE(ks.pooled(pooled));
+  EXPECT_FALSE(ks.pooled(cold));
 }
 
 // Storm: more threads than slots, a few hot keys so the same id races

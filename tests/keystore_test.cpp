@@ -1,12 +1,13 @@
 // Host-side keystores: sealed-blob format, and the HostKeyPool discipline
 // (pool bound, LRU, hit-path-does-no-decryption, evict_all, unknown ids,
-// thread safety of the shared pool) through both facades, Keystore and
-// EncryptedHostKeystore.
+// thread safety of the shared pool, single-flight misses) through both
+// facades, Keystore and EncryptedHostKeystore.
 #include "keystore/keystore.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 
@@ -261,6 +262,36 @@ void concurrent_signing_is_race_free_and_correct() {
   EXPECT_LE(rig.ks.pooled_count(), 3u);
 }
 
+// Single flight: threads released together on one cold id stage it once.
+// The first claims the miss; every other request waits on it (or arrives
+// after the publish) and is a pool hit.
+template <class Rig>
+void cold_signs_of_one_id_unseal_once() {
+  constexpr int kThreads = 8;
+  auto keys = make_keys(1, 4321);
+  Rig rig(2);
+  const KeyId id = rig.add(keys[0]);
+  std::latch start(kThreads);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const bn::Bignum m(static_cast<bn::Limb>(1000 + t));
+      start.arrive_and_wait();
+      const auto sig = rig.sign(id, m);
+      if (!sig || keys[0].public_key().encrypt_raw(*sig) != m) ++bad;
+    });
+  }
+  for (auto& w : workers) w.join();
+  const auto s = rig.ks.stats();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(s.unseals, 1u);
+  EXPECT_EQ(s.pool_misses, 1u);
+  EXPECT_EQ(s.pool_hits + s.pool_misses, static_cast<std::uint64_t>(kThreads));
+  EXPECT_LE(s.coalesced, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(s.refusals, 0u);
+}
+
 TEST(Keystore, SignsWithTheRightKeyPerId) { signs_with_the_right_key_per_id<MlockedRig>(); }
 TEST(EncryptedHostKeystore, SignsWithTheRightKeyPerId) {
   signs_with_the_right_key_per_id<EncryptedRig>();
@@ -306,6 +337,28 @@ TEST(Keystore, ConcurrentSigningIsRaceFreeAndCorrect) {
 }
 TEST(EncryptedHostKeystore, ConcurrentSigningIsRaceFreeAndCorrect) {
   concurrent_signing_is_race_free_and_correct<EncryptedRig>();
+}
+
+TEST(Keystore, ColdSignsOfOneIdUnsealOnce) {
+  cold_signs_of_one_id_unseal_once<MlockedRig>();
+}
+TEST(EncryptedHostKeystore, ColdSignsOfOneIdUnsealOnce) {
+  cold_signs_of_one_id_unseal_once<EncryptedRig>();
+}
+
+// The slab holds one key per 4 KiB page: a key whose slot image is wider
+// is refused at ingest, like a refused seal, and nothing is stored.
+TEST(EncryptedHostKeystore, AddKeyRefusesAKeyWiderThanOnePage) {
+  sim::CoprocessorDomain domain(0xe7);
+  EncryptedHostKeystore ks(domain, {.working_set = 1});
+  crypto::RsaPrivateKey wide = make_keys(1)[0];
+  util::Rng rng(8);
+  std::vector<std::byte> bytes(8 * 520);
+  rng.fill_bytes(bytes);
+  wide.n = bn::Bignum::from_bytes_le(bytes);  // 520 limbs: past one page
+  EXPECT_FALSE(ks.add_key(wide).has_value());
+  EXPECT_EQ(ks.size(), 0u);
+  EXPECT_EQ(ks.stats().refusals, 1u);
 }
 
 TEST(Keystore, AddKeyScrubbingDestroysTheCallerCopy) {

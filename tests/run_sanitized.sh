@@ -6,9 +6,11 @@
 # ThreadSanitizer is the one that matters for the parallel sharded scanner
 # (tests/scan_parallel_test, tests/scan_boundary_test exercise the
 # ThreadPool fan-out), for the host keystore, whose mlocked plaintext
-# pool is shared across signing threads (keystore_test's concurrent cases
-# and keystore_encrypted_test's shared-CoprocessorDomain case and its
-# storm with refusals injected mid-run),
+# pool is shared across signing threads and stages misses outside its
+# mutex (keystore_test's concurrent and single-flight cases, and
+# keystore_encrypted_test's shared-CoprocessorDomain case, its
+# refusal-wakes-every-waiter case and its storm with refusals injected
+# mid-run),
 # for the observability layer (obs_concurrency_test hammers the
 # MetricsRegistry/Tracer from many threads and demands exact totals), and
 # for SecureRsaKey's per-thread locked arena (secure_rsa_test decrypts

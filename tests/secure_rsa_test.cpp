@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bignum/prime.hpp"
+#include "crypto/pem.hpp"
 #include "util/bytes.hpp"
 
 namespace keyguard::secure {
@@ -142,6 +143,46 @@ TEST(SecureRsaKey, LockedQueryDoesNotCrash) {
   const auto secure = SecureRsaKey::from_key(test_key());
   (void)secure.locked();  // may be false under RLIMIT_MEMLOCK
   SUCCEED();
+}
+
+// The pool builds its images from DER; SecureRsaKey from Bignums. Both
+// must give the same image, limb for limb.
+TEST(RsaSlot, FromDerMatchesFromKeyLimbForLimb) {
+  const auto der = crypto::der_encode_private_key(test_key());
+  std::vector<bn::Limb> by_key(rsa_slot::kPageLimbs), by_der(rsa_slot::kPageLimbs);
+  std::vector<bn::Limb> scratch(rsa_slot::der_scratch_limbs(der.size()));
+  const std::size_t n = rsa_slot::from_key(by_key, test_key(), scratch);
+  ASSERT_EQ(n, rsa_slot::image_limbs(test_key()));
+  EXPECT_EQ(rsa_slot::from_der(by_der, der, scratch), n);
+  EXPECT_EQ(rsa_slot::limbs_of(by_der), n);
+  EXPECT_EQ(by_der, by_key);
+  const Bignum c(0xc0ffee);
+  EXPECT_EQ(rsa_slot::decrypt(by_der, c), test_key().decrypt_crt(c));
+}
+
+// What SecureRsaKey::from_key aborts on, the DER builder refuses: a key
+// with no Montgomery form, a body that does not parse, an image wider
+// than the caller's span. Each leaves the span zero.
+TEST(RsaSlot, FromDerRefusesAndLeavesNothing) {
+  crypto::RsaPrivateKey even = test_key();
+  even.q = even.q.add_limb(1);
+  const auto bad_prime = crypto::der_encode_private_key(even);
+  auto truncated = crypto::der_encode_private_key(test_key());
+  truncated.pop_back();
+  const auto good = crypto::der_encode_private_key(test_key());
+  std::vector<bn::Limb> scratch(rsa_slot::der_scratch_limbs(good.size()));
+  std::vector<bn::Limb> out(rsa_slot::kPageLimbs);
+  const auto all_zero = [&] {
+    return std::all_of(out.begin(), out.end(), [](bn::Limb l) { return l == 0; });
+  };
+  EXPECT_EQ(rsa_slot::from_der(out, bad_prime, scratch), 0u);
+  EXPECT_TRUE(all_zero());
+  EXPECT_EQ(rsa_slot::from_der(out, truncated, scratch), 0u);
+  EXPECT_TRUE(all_zero());
+  const std::size_t need = rsa_slot::image_limbs(test_key());
+  EXPECT_EQ(rsa_slot::from_der(std::span(out).first(need - 1), good, scratch), 0u);
+  EXPECT_TRUE(all_zero());
+  EXPECT_EQ(rsa_slot::from_der(out, good, scratch), need);
 }
 
 }  // namespace
