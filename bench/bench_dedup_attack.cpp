@@ -308,8 +308,8 @@ SaltPhase run_salt_phase(const Scale& s, const crypto::RsaPrivateKey& key) {
     *blob = blob_bytes(kernel, proc, ks, *id);
     // The salted blob must still unseal to the SAME key: sign/verify once.
     const bn::Bignum m(0x1dedu);
-    const auto sig = ks.private_op(*id, m);
-    *op_ok = ks.public_key(*id).encrypt_raw(sig) == m;
+    const auto sig = ks.try_private_op(*id, m);
+    *op_ok = sig && ks.public_key(*id).encrypt_raw(*sig) == m;
     ks.shutdown();
     kernel.exit_process(proc);
   };

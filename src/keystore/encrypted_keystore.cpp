@@ -2,504 +2,106 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cstring>
-
-#include "crypto/pem.hpp"
-#include "obs/event_bus.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "sim/physmem.hpp"
+#include <functional>
 
 namespace keyguard::keystore {
 
-namespace {
-
-sslsim::SslConfig ssl_config_for(const EncryptedKeystoreConfig& cfg) {
-  sslsim::SslConfig out;
-  out.auto_align = false;  // the working set, not per-key pages, bounds residue
-  out.clear_temporaries = cfg.clear_temporaries;
-  out.open_keys_nocache = cfg.open_keys_nocache;
-  return out;
-}
-
-void bus_event(obs::ObsEventKind kind, std::uint64_t a, std::uint64_t b = 0) {
-  if (auto& bus = obs::EventBus::global(); bus.enabled()) {
-    bus.publish(kind, a, b);
-  }
-}
-
-}  // namespace
-
-// keylint: allow(unscrubbed) — the pages allocated here outlive the ctor
-// by design; evict_slot() and shutdown() scrub them at end of life
-EncryptedPoolKeystore::EncryptedPoolKeystore(sim::Kernel& kernel,
-                                             sim::Process& proc,
+EncryptedPoolKeystore::EncryptedPoolKeystore(sim::Kernel& kernel, sim::Process& proc,
                                              sim::CoprocessorDomain& domain,
                                              EncryptedKeystoreConfig cfg)
-    : kernel_(kernel),
-      proc_(proc),
+    : SimKeyPool(
+          kernel, proc,
+          {.backend = PoolBackend::kEncrypted,
+           .prefix = "enc_keystore",
+           .pool_pages = cfg.pool_pages,
+           .working_set = cfg.working_set,
+           .scrub_on_evict = cfg.scrub_on_evict,
+           .clear_temporaries = cfg.clear_temporaries,
+           .open_keys_nocache = cfg.open_keys_nocache,
+           .seal = [this](std::span<const std::byte> der, KeyId id) {
+             return seal_authenticated(der, domain_, blob_nonce(id));
+           },
+           .unseal = std::bind_front(&EncryptedPoolKeystore::unseal_blob, this),
+           .page_keystream = std::bind_front(&EncryptedPoolKeystore::page_keystream, this)}),
       domain_(domain),
-      cfg_(cfg),
-      ssl_(kernel, ssl_config_for(cfg)) {
-  assert(cfg_.working_set >= 1 && cfg_.working_set <= cfg_.pool_pages);
-  // The pool: N pages allocated up front, NOT mlocked — at rest they hold
-  // ciphertext (or zeroes), which may swap out or be imaged harmlessly.
-  // mlock is acquired per page exactly for the plaintext interval.
-  slots_.resize(cfg_.pool_pages);
-  for (auto& s : slots_) {
-    // keylint: allow(unlocked) — ciphertext at rest is deliberately
-    // swappable; decrypt_into_slot mlocks per page for the plaintext window
-    s.page = kernel_.mmap_anon(proc_, sim::kPageSize, /*mlocked=*/false,
-                               "enc keystore pool slot");
-    assert(s.page != 0);
-  }
-}
+      cfg_(cfg) {}
 
-EncryptedPoolKeystore::~EncryptedPoolKeystore() { shutdown(); }
-
-void EncryptedPoolKeystore::publish_occupancy() {
-  auto& reg = obs::MetricsRegistry::global();
-  if (!reg.enabled()) return;
-  reg.gauge("enc_keystore.working_set_occupancy")
-      .set(static_cast<double>(plaintext_count()));
-  reg.gauge("enc_keystore.pool_occupancy")
-      .set(static_cast<double>(pooled_count()));
-}
-
-std::optional<KeyId> EncryptedPoolKeystore::ingest_pem(const std::string& vfs_path) {
-  assert(!shut_);
-  const int flags =
-      cfg_.open_keys_nocache ? sim::kOpenNoCache : sim::kOpenReadOnly;
-  auto file = kernel_.read_file(proc_, vfs_path, flags);
-  if (!file) return std::nullopt;
-
-  const sim::VirtAddr pem_buf =
-      kernel_.heap_alloc(proc_, file->size(), "PEM read buffer (keystore ingest)");
-  assert(pem_buf != 0);
-  kernel_.mem_write(proc_, pem_buf, *file, sim::TaintTag::kPem);
-
-  const auto drop_pem = [&] {
-    if (cfg_.clear_temporaries) {
-      kernel_.heap_clear_free(proc_, pem_buf);
-    } else {
-      kernel_.heap_free(proc_, pem_buf);  // keylint: allow(raw-free)
-    }
-  };
-
-  auto parsed = crypto::pem_decode_private_key(
-      std::string_view(reinterpret_cast<const char*>(file->data()), file->size()));
-  if (!parsed) {
-    drop_pem();
-    return std::nullopt;
-  }
-
-  const KeyId id = next_id_++;
-  Entry e;
-  e.pub = parsed->public_key();
-
-  auto der = crypto::der_encode_private_key(*parsed);
-  auto blob = seal_authenticated(der, domain_, blob_nonce(id));
-  wipe(der);
-  parsed->scrub_private_parts();
-  drop_pem();
-  if (!blob) {
-    // Domain unavailable: refuse the ingest outright. Storing plaintext
-    // "until the domain comes back" would be exactly the fallback this
-    // backend exists to rule out.
-    ++stats_.refusals;
-    bus_event(obs::ObsEventKind::kKeystoreRefusal, id);
-    return std::nullopt;
-  }
-
-  e.blob_len = blob->size();
-  e.blob = kernel_.heap_alloc(proc_, blob->size(), "authenticated key blob");
-  assert(e.blob != 0);
-  kernel_.mem_write(proc_, e.blob, *blob, sim::TaintTag::kSealed);
-
-  keys_.emplace(id, std::move(e));
-  ++stats_.ingested;
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("enc_keystore.ingested").add(1);
-  }
-  return id;
-}
-
-const crypto::RsaPublicKey& EncryptedPoolKeystore::public_key(KeyId id) const {
-  return keys_.at(id).pub;
-}
-
-std::optional<std::vector<std::byte>> EncryptedPoolKeystore::fetch_keystream(
-    std::uint64_t nonce, std::size_t len, KeystreamCache* cache) {
-  if (cache) {
-    const auto it = cache->find(nonce);
-    if (it != cache->end() && it->second.size() >= len) {
-      ++stats_.prefetch_hits;
-      return std::vector<std::byte>(it->second.begin(), it->second.begin() + len);
+std::optional<std::vector<std::byte>> EncryptedPoolKeystore::unseal_blob(
+    std::span<const std::byte> blob, KeyId id) {
+  std::span<const std::byte> ks;
+  if (blob.size() >= kSealedHeaderBytes + kAuthTagBytes) {
+    const auto it = batch_.find(blob_nonce(id));
+    const std::size_t ct_len = blob.size() - kSealedHeaderBytes - kAuthTagBytes;
+    if (it != batch_.end() && it->second.size() >= ct_len) {
+      ++prefetch_hits_;
+      ks = std::span(it->second).first(ct_len);
     }
   }
-  std::vector<std::byte> ks(len);
-  if (!domain_.keystream(nonce, ks)) return std::nullopt;
-  return ks;
+  return unseal_authenticated(blob, domain_, ks);
 }
 
-void EncryptedPoolKeystore::reencrypt_slot(std::size_t si) {
-  Slot& s = slots_[si];
-  assert(s.occupant && s.is_plaintext);
-  obs::Tracer::Span span(obs::Tracer::global(), "enc_keystore.reencrypt");
-  if (span.live()) {
-    span.add(obs::TraceAttr::n("key", static_cast<double>(*s.occupant)));
-    span.add(obs::TraceAttr::n("slot", static_cast<double>(si)));
+bool EncryptedPoolKeystore::page_keystream(std::uint64_t nonce, std::span<std::byte> out) {
+  const auto it = batch_.find(nonce);
+  if (it != batch_.end() && it->second.size() >= out.size()) {
+    ++prefetch_hits_;
+    std::copy_n(it->second.begin(), out.size(), out.begin());
+    return true;
   }
-  // Fresh epoch per re-encryption: the (key, epoch) pair is never reused
-  // for two different page states, so CTR nonces never collide.
-  ++s.epoch;
-  std::vector<std::byte> ks(s.used_bytes);
-  if (!domain_.keystream(page_nonce(*s.occupant, s.epoch), ks)) {
-    // Domain gone mid-flight: we cannot produce ciphertext, so fail in the
-    // amnesiac direction — scrub the slot. The key survives as its blob.
-    evict_slot(si);
-    ++stats_.evictions;
-    return;
-  }
-  std::vector<std::byte> page(s.used_bytes);
-  kernel_.mem_read(proc_, s.page, page);
-  for (std::size_t i = 0; i < page.size(); ++i) page[i] ^= ks[i];
-  wipe(ks);
-  // The write retags the bytes kSealed — from this instant the frame holds
-  // ciphertext, drops out of the secret-taint census, and may be unlocked.
-  kernel_.mem_write(proc_, s.page, page, sim::TaintTag::kSealed);
-  wipe(page);
-  kernel_.mlock_range(proc_, s.page, sim::kPageSize, /*locked=*/false);
-  s.is_plaintext = false;
-  ++stats_.reencrypts;
-  bus_event(obs::ObsEventKind::kKeystoreSeal, *s.occupant);
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("enc_keystore.reencrypts").add(1);
-  }
-  publish_occupancy();
-}
-
-void EncryptedPoolKeystore::make_working_room() {
-  while (plaintext_count() >= cfg_.working_set) {
-    std::size_t lru = slots_.size();
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!slots_[i].is_plaintext) continue;
-      if (lru == slots_.size() || slots_[i].last_used < slots_[lru].last_used) {
-        lru = i;
-      }
-    }
-    assert(lru < slots_.size());
-    reencrypt_slot(lru);
-  }
-}
-
-std::optional<std::size_t> EncryptedPoolKeystore::ensure_plaintext(
-    KeyId id, KeystreamCache* cache) {
-  auto& reg = obs::MetricsRegistry::global();
-  const bool metrics_on = reg.enabled();
-  const auto key_it = keys_.find(id);
-  if (key_it == keys_.end()) {
-    ++stats_.refusals;
-    bus_event(obs::ObsEventKind::kKeystoreRefusal, id);
-    return std::nullopt;
-  }
-  Entry& e = key_it->second;
-
-  // Working-set hit: the page is plaintext right now, no domain traffic.
-  if (e.slot >= 0 && slots_[static_cast<std::size_t>(e.slot)].is_plaintext) {
-    ++stats_.working_hits;
-    if (metrics_on) reg.counter("enc_keystore.working_hits").add(1);
-    slots_[static_cast<std::size_t>(e.slot)].last_used = ++clock_;
-    return static_cast<std::size_t>(e.slot);
-  }
-
-  obs::Tracer::Span unseal_span(obs::Tracer::global(), "enc_keystore.unseal");
-  if (unseal_span.live()) {
-    unseal_span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
-    unseal_span.add(
-        obs::TraceAttr::s("kind", e.slot >= 0 ? "page" : "blob"));
-  }
-  const auto unseal_t0 = std::chrono::steady_clock::now();
-  const auto record_unseal = [&] {
-    if (!metrics_on) return;
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - unseal_t0)
-                          .count();
-    reg.histogram("enc_keystore.unseal_ms").record(ms);
-  };
-
-  if (e.slot >= 0) {
-    // Pooled ciphertext: decrypt the page in place. The keystream is
-    // fetched BEFORE any pool mutation so a refusal leaves no trace.
-    Slot& s = slots_[static_cast<std::size_t>(e.slot)];
-    auto ks = fetch_keystream(page_nonce(id, s.epoch), s.used_bytes, cache);
-    if (!ks) {
-      ++stats_.refusals;
-      if (metrics_on) reg.counter("enc_keystore.refusals").add(1);
-      bus_event(obs::ObsEventKind::kKeystoreRefusal, id);
-      return std::nullopt;
-    }
-    make_working_room();
-    std::vector<std::byte> page(s.used_bytes);
-    kernel_.mem_read(proc_, s.page, page);
-    for (std::size_t i = 0; i < page.size(); ++i) page[i] ^= (*ks)[i];
-    wipe(*ks);
-    // mlock BEFORE the plaintext write lands: there is no instant where
-    // the frame holds secret bytes without being pinned.
-    kernel_.mlock_range(proc_, s.page, sim::kPageSize, /*locked=*/true);
-    kernel_.mem_write(proc_, s.page, page, sim::TaintTag::kPoolKey);
-    wipe(page);
-    s.is_plaintext = true;
-    s.last_used = ++clock_;
-    ++stats_.page_decrypts;
-    if (metrics_on) reg.counter("enc_keystore.page_decrypts").add(1);
-    bus_event(obs::ObsEventKind::kKeystoreUnseal, id, /*blob=*/0);
-    record_unseal();
-    publish_occupancy();
-    return static_cast<std::size_t>(e.slot);
-  }
-
-  // Cold miss: authenticate + decrypt the blob. This happens BEFORE any
-  // pool mutation — a corrupt blob or dead domain refuses with the pool
-  // untouched (no eviction, no admission, no partial plaintext).
-  std::vector<std::byte> blob(e.blob_len);
-  kernel_.mem_read(proc_, e.blob, blob);
-  std::span<const std::byte> ks_span;
-  if (cache && e.blob_len >= kSealedHeaderBytes + kAuthTagBytes) {
-    const auto it = cache->find(blob_nonce(id));
-    const std::size_t ct_len = e.blob_len - kSealedHeaderBytes - kAuthTagBytes;
-    if (it != cache->end() && it->second.size() >= ct_len) {
-      ++stats_.prefetch_hits;
-      ks_span = std::span(it->second).first(ct_len);
-    }
-  }
-  auto der = unseal_authenticated(blob, domain_, ks_span);
-  if (!der) {
-    ++stats_.refusals;
-    if (metrics_on) reg.counter("enc_keystore.refusals").add(1);
-    bus_event(obs::ObsEventKind::kKeystoreRefusal, id);
-    return std::nullopt;
-  }
-  auto key = crypto::der_decode_private_key(*der);
-  wipe(*der);
-  if (!key) {  // cannot happen once the tag verified, but stay closed
-    ++stats_.refusals;
-    if (metrics_on) reg.counter("enc_keystore.refusals").add(1);
-    bus_event(obs::ObsEventKind::kKeystoreRefusal, id);
-    return std::nullopt;
-  }
-
-  // Pick a slot: first empty, else evict the overall-LRU occupant.
-  std::size_t victim = slots_.size();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].occupant) {
-      victim = i;
-      break;
-    }
-  }
-  if (victim == slots_.size()) {
-    victim = 0;
-    for (std::size_t i = 1; i < slots_.size(); ++i) {
-      if (slots_[i].last_used < slots_[victim].last_used) victim = i;
-    }
-    evict_slot(victim);
-    ++stats_.evictions;
-  }
-  make_working_room();
-
-  Slot& s = slots_[victim];
-  s.view = sslsim::SimRsaKey{};
-  s.view.cache_private = false;
-  kernel_.mlock_range(proc_, s.page, sim::kPageSize, /*locked=*/true);
-  sim::VirtAddr cursor = s.page;
-  const auto place = [&](sslsim::SimBignum& part, const bn::Bignum& v) {
-    const auto image = sslsim::SslLibrary::limb_image(v);
-    kernel_.mem_write(proc_, cursor, image, sim::TaintTag::kPoolKey);
-    part = sslsim::SimBignum{cursor, image.size() / 8, /*static_data=*/true};
-    cursor += image.size();
-  };
-  place(s.view.d, key->d);
-  place(s.view.p, key->p);
-  place(s.view.q, key->q);
-  place(s.view.dmp1, key->dmp1);
-  place(s.view.dmq1, key->dmq1);
-  place(s.view.iqmp, key->iqmp);
-  assert(cursor - s.page <= sim::kPageSize);
-  s.used_bytes = cursor - s.page;
-  s.occupant = id;
-  s.is_plaintext = true;
-  s.last_used = ++clock_;
-  e.slot = static_cast<int>(victim);
-  key->scrub_private_parts();
-  ++stats_.blob_unseals;
-  if (metrics_on) reg.counter("enc_keystore.blob_unseals").add(1);
-  bus_event(obs::ObsEventKind::kKeystoreUnseal, id, /*blob=*/1);
-  record_unseal();
-  publish_occupancy();
-  return victim;
-}
-
-std::optional<bn::Bignum> EncryptedPoolKeystore::op_internal(
-    KeyId id, const bn::Bignum& c, KeystreamCache* cache) {
-  assert(!shut_);
-  const auto slot = ensure_plaintext(id, cache);
-  if (!slot) return std::nullopt;
-  ++stats_.ops;
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("enc_keystore.ops").add(1);
-  }
-  return ssl_.rsa_private_op(proc_, slots_[*slot].view, c);
-}
-
-std::optional<bn::Bignum> EncryptedPoolKeystore::try_private_op(
-    KeyId id, const bn::Bignum& c) {
-  return op_internal(id, c, nullptr);
+  return domain_.keystream(nonce, out);
 }
 
 std::vector<std::optional<bn::Bignum>> EncryptedPoolKeystore::private_op_batch(
     std::span<const KeyId> ids, std::span<const bn::Bignum> cs) {
   assert(ids.size() == cs.size());
-  ++stats_.batches;
+  for (const KeyId id : ids) (void)public_key(id);  // unknown ids throw here
+  ++batches_;
 
   // Prefetch: one CTR round trip covers every keystream the queued misses
   // will need — page keystreams for pooled-but-encrypted keys (at their
   // CURRENT epoch) and blob keystreams for unpooled ones. An epoch that
   // moves mid-batch (working-set churn) simply misses the cache and falls
   // back to a single fetch: amortization never changes results.
-  KeystreamCache cache;
   for (const KeyId id : ids) {
-    const auto it = keys_.find(id);
-    if (it == keys_.end()) continue;
-    const Entry& e = it->second;
-    std::uint64_t nonce;
-    std::size_t len;
-    if (e.slot >= 0) {
-      const Slot& s = slots_[static_cast<std::size_t>(e.slot)];
-      if (s.is_plaintext) continue;  // will hit, no keystream needed
-      nonce = page_nonce(id, s.epoch);
-      len = s.used_bytes;
-    } else {
-      if (e.blob_len < kSealedHeaderBytes + kAuthTagBytes) continue;
-      nonce = blob_nonce(id);
-      len = e.blob_len - kSealedHeaderBytes - kAuthTagBytes;
+    if (const auto page = page_reentry(id)) {
+      batch_.try_emplace(page->nonce, page->len, std::byte{0});
+    } else if (!pooled(id) && blob_size(id) >= kSealedHeaderBytes + kAuthTagBytes) {
+      batch_.try_emplace(blob_nonce(id), blob_size(id) - kSealedHeaderBytes - kAuthTagBytes,
+                         std::byte{0});
     }
-    cache.try_emplace(nonce, len, std::byte{0});
   }
-  if (!cache.empty()) {
+  if (!batch_.empty()) {
     std::vector<sim::CoprocessorDomain::KeystreamRequest> reqs;
-    reqs.reserve(cache.size());
-    for (auto& [nonce, out] : cache) {
+    reqs.reserve(batch_.size());
+    for (auto& [nonce, out] : batch_) {
       reqs.push_back({nonce, 0, std::span(out)});
     }
     if (!domain_.keystream_batch(reqs)) {
-      cache.clear();  // domain off: per-op paths will refuse on their own
+      batch_.clear();  // domain off: per-op paths will refuse on their own
     }
   }
 
   std::vector<std::optional<bn::Bignum>> out;
   out.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    out.push_back(op_internal(ids[i], cs[i], &cache));
+    out.push_back(try_private_op(ids[i], cs[i]));
   }
-  for (auto& [nonce, ks] : cache) wipe(ks);
+  for (auto& [nonce, ks] : batch_) wipe(ks);
+  batch_.clear();
   return out;
 }
 
-void EncryptedPoolKeystore::reencrypt_all() {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].occupant && slots_[i].is_plaintext) {
-      reencrypt_slot(i);
-    }
-  }
-}
-
-void EncryptedPoolKeystore::evict_slot(std::size_t si) {
-  Slot& slot = slots_[si];
-  if (!slot.occupant) return;
-  obs::Tracer::Span span(obs::Tracer::global(), "enc_keystore.evict");
-  if (span.live()) {
-    span.add(obs::TraceAttr::n("key", static_cast<double>(*slot.occupant)));
-    span.add(obs::TraceAttr::n("slot", static_cast<double>(si)));
-    span.add(obs::TraceAttr::b("scrub", cfg_.scrub_on_evict));
-  }
-  keys_.at(*slot.occupant).slot = -1;
-  bus_event(obs::ObsEventKind::kKeystoreEvict, *slot.occupant);
-  if (cfg_.scrub_on_evict && slot.used_bytes > 0) {
-    kernel_.mem_zero(proc_, slot.page, slot.used_bytes);
-  }
-  if (slot.is_plaintext) {
-    kernel_.mlock_range(proc_, slot.page, sim::kPageSize, /*locked=*/false);
-  }
-  slot.occupant.reset();
-  slot.view = sslsim::SimRsaKey{};
-  slot.used_bytes = 0;
-  slot.is_plaintext = false;
-  // slot.epoch is NOT reset: it increments monotonically for the life of
-  // the page so no (key, epoch) nonce pair can recur with new contents.
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("enc_keystore.evictions").add(1);
-  }
-  publish_occupancy();
-}
-
-void EncryptedPoolKeystore::evict(KeyId id) {
-  const auto it = keys_.find(id);
-  if (it == keys_.end() || it->second.slot < 0) return;
-  evict_slot(static_cast<std::size_t>(it->second.slot));
-  ++stats_.evictions;
-}
-
-void EncryptedPoolKeystore::evict_all() {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].occupant) {
-      evict_slot(i);
-      ++stats_.evictions;
-    }
-  }
-}
-
-void EncryptedPoolKeystore::shutdown() {
-  if (shut_) return;
-  shut_ = true;
-  evict_all();
-  for (auto& s : slots_) {
-    kernel_.munmap(proc_, s.page, sim::kPageSize);
-    s.page = 0;
-  }
-  for (auto& [id, e] : keys_) {
-    if (e.blob == 0) continue;
-    // Authenticated ciphertext at rest: nothing secret to scrub.
-    kernel_.heap_free(proc_, e.blob);  // keylint: allow(raw-free)
-    e.blob = 0;
-  }
-}
-
-bool EncryptedPoolKeystore::pooled(KeyId id) const {
-  const auto it = keys_.find(id);
-  return it != keys_.end() && it->second.slot >= 0;
-}
-
-bool EncryptedPoolKeystore::plaintext(KeyId id) const {
-  const auto it = keys_.find(id);
-  return it != keys_.end() && it->second.slot >= 0 &&
-         slots_[static_cast<std::size_t>(it->second.slot)].is_plaintext;
-}
-
-std::size_t EncryptedPoolKeystore::pooled_count() const {
-  std::size_t n = 0;
-  for (const auto& s : slots_) n += s.occupant.has_value();
-  return n;
-}
-
-std::size_t EncryptedPoolKeystore::plaintext_count() const {
-  std::size_t n = 0;
-  for (const auto& s : slots_) n += s.is_plaintext;
-  return n;
+EncryptedKeystoreStats EncryptedPoolKeystore::stats() const {
+  const SimPoolStats& s = counts();
+  return {.ingested = s.ingested,
+          .ops = s.ops,
+          .working_hits = s.pool_hits,
+          .page_decrypts = s.page_decrypts,
+          .reencrypts = s.reencrypts,
+          .blob_unseals = s.unseals,
+          .evictions = s.evictions,
+          .refusals = s.refusals,
+          .batches = batches_,
+          .prefetch_hits = prefetch_hits_};
 }
 
 }  // namespace keyguard::keystore

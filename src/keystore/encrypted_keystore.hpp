@@ -2,12 +2,13 @@
 // working set.
 //
 // SimKeystore bounds plaintext to N mlocked pool pages — but all N are
-// scannable at every instant. This backend takes MemShield's next step:
-// the N pool pages themselves are SHA-256-CTR ciphertext in simulated RAM
-// except inside a working set of W << N pages that are transiently
-// decrypted IN PLACE, and the page-encryption key lives in a
-// CoprocessorDomain whose bytes are outside PhysicalMemory entirely.
-// What a scanner, taint sweep, or cold-boot image can see at any instant:
+// scannable at every instant. This facade over SimKeyPool (sim_pool.hpp)
+// takes MemShield's next step: the N pool pages themselves are
+// SHA-256-CTR ciphertext in simulated RAM except inside a working set of
+// W << N pages that are transiently decrypted IN PLACE, and the
+// page-encryption key lives in a CoprocessorDomain whose bytes are
+// outside PhysicalMemory entirely. What a scanner, taint sweep, or
+// cold-boot image can see at any instant:
 //
 //     plaintext key material ⊆ W working-set pages, all mlocked
 //     (TaintAuditor::bounded_plaintext_working_set(W); there is no
@@ -43,15 +44,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
+#include <span>
 #include <vector>
 
-#include "crypto/rsa.hpp"
-#include "keystore/backend.hpp"
-#include "keystore/sealed_blob.hpp"
+#include "keystore/sim_pool.hpp"
 #include "sim/coprocessor.hpp"
-#include "sim/kernel.hpp"
-#include "sslsim/ssl_library.hpp"
 
 namespace keyguard::keystore {
 
@@ -80,7 +77,7 @@ struct EncryptedKeystoreStats {
   std::uint64_t prefetch_hits = 0;  ///< keystreams served from a batch fetch
 };
 
-class EncryptedPoolKeystore final : public SimBackend {
+class EncryptedPoolKeystore final : public SimKeyPool {
  public:
   /// Maps the N pool pages (NOT mlocked — they hold ciphertext at rest;
   /// pages are mlocked only while plaintext) in `proc`. `domain` must
@@ -88,28 +85,13 @@ class EncryptedPoolKeystore final : public SimBackend {
   EncryptedPoolKeystore(sim::Kernel& kernel, sim::Process& proc,
                         sim::CoprocessorDomain& domain,
                         EncryptedKeystoreConfig cfg);
-  ~EncryptedPoolKeystore() override;
-
-  EncryptedPoolKeystore(const EncryptedPoolKeystore&) = delete;
-  EncryptedPoolKeystore& operator=(const EncryptedPoolKeystore&) = delete;
-
-  /// PEM file -> authenticated blob in heap. nullopt on missing/malformed
-  /// input or a powered-off domain (nothing is stored that could not be
-  /// reopened).
-  std::optional<KeyId> ingest_pem(const std::string& vfs_path) override;
-
-  const crypto::RsaPublicKey& public_key(KeyId id) const override;
-
-  /// Fail-closed private op: nullopt when the blob fails authentication
-  /// or the domain is unavailable. A key whose page is already plaintext
-  /// serves without any domain traffic.
-  std::optional<bn::Bignum> try_private_op(KeyId id, const bn::Bignum& c) override;
 
   /// Batched ops: all CTR keystreams the queued misses need are fetched
   /// in ONE domain round trip, then the ops run in order. Element i of
   /// the result corresponds to (ids[i], cs[i]); per-op failures are
   /// nullopt, exactly as try_private_op would return. ids and cs must be
-  /// the same length.
+  /// the same length; an unknown id throws std::out_of_range before any
+  /// op runs.
   std::vector<std::optional<bn::Bignum>> private_op_batch(
       std::span<const KeyId> ids, std::span<const bn::Bignum> cs);
 
@@ -117,42 +99,9 @@ class EncryptedPoolKeystore final : public SimBackend {
   /// evicting anyone). The quiesce step before fork: a COW child of a
   /// quiesced process shares only ciphertext. With the domain off, slots
   /// are scrubbed instead (amnesiac fallback).
-  void reencrypt_all();
-
-  /// Drops `id`'s slot entirely (scrub per config). No-op when unpooled.
-  void evict(KeyId id);
-  void evict_all();
-
+  using SimKeyPool::reencrypt_all;
   /// Scrubs + unmaps every pool page and frees the blobs. Idempotent.
-  void shutdown() override;
-
-  std::size_t plaintext_page_bound() const override { return cfg_.working_set; }
-  const char* backend_name() const override {
-    return pool_backend_name(PoolBackend::kEncrypted);
-  }
-
-  /// Key holds a pool slot (plaintext OR ciphertext).
-  bool pooled(KeyId id) const;
-  /// Key's page is currently plaintext (in the working set).
-  bool plaintext(KeyId id) const;
-  std::size_t pooled_count() const;
-  std::size_t plaintext_count() const;
-  std::size_t key_count() const noexcept { return keys_.size(); }
-  std::size_t pool_pages() const noexcept { return cfg_.pool_pages; }
-  std::size_t working_set() const noexcept { return cfg_.working_set; }
-
-  /// Virtual address / written extent of pool slot `i` (tests inspect
-  /// scrub + ciphertext state).
-  sim::VirtAddr slot_page(std::size_t i) const { return slots_.at(i).page; }
-  std::optional<KeyId> slot_occupant(std::size_t i) const {
-    return slots_.at(i).occupant;
-  }
-
-  /// Heap address/length of `id`'s sealed blob — the fault-injection
-  /// surface (tests flip bits through kernel memory like a disclosure-
-  /// then-tamper attack would).
-  sim::VirtAddr blob_address(KeyId id) const { return keys_.at(id).blob; }
-  std::size_t blob_size(KeyId id) const { return keys_.at(id).blob_len; }
+  using SimKeyPool::shutdown;
 
   /// Salted at-rest blob nonce (bit 63 clear — never collides with
   /// page_nonce space, salted or not). Public so salting tests can pin
@@ -162,62 +111,25 @@ class EncryptedPoolKeystore final : public SimBackend {
   }
 
   sim::CoprocessorDomain& domain() noexcept { return domain_; }
-  const EncryptedKeystoreStats& stats() const noexcept { return stats_; }
+  EncryptedKeystoreStats stats() const;
   const EncryptedKeystoreConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct Entry {
-    sim::VirtAddr blob = 0;  ///< heap chunk: authenticated KSB2 blob
-    std::size_t blob_len = 0;
-    crypto::RsaPublicKey pub;
-    int slot = -1;  ///< pool slot index when materialized
-  };
-  struct Slot {
-    sim::VirtAddr page = 0;  ///< one pool page (mlocked iff plaintext)
-    std::optional<KeyId> occupant;
-    sslsim::SimRsaKey view;      ///< static_data views into the page
-    std::size_t used_bytes = 0;  ///< bytes written (crypt/scrub extent)
-    std::uint64_t last_used = 0;
-    bool is_plaintext = false;
-    std::uint64_t epoch = 0;  ///< bumped per re-encrypt; part of the nonce
-  };
-
   /// Prefetched CTR keystreams for a batch, keyed by nonce.
   using KeystreamCache = std::map<std::uint64_t, std::vector<std::byte>>;
 
-  /// CTR nonce for `id`'s page at `epoch`. Top bit set keeps the page
-  /// nonce space disjoint from blob nonces (which are the small KeyIds).
-  static std::uint64_t page_nonce(KeyId id, std::uint64_t epoch) {
-    return (1ull << 63) | (epoch << 24) | id;
-  }
+  /// KSB2 blob -> DER through the domain, its keystream from the batch
+  /// cache when prefetched.
+  std::optional<std::vector<std::byte>> unseal_blob(std::span<const std::byte> blob,
+                                                    KeyId id);
+  /// Page keystream: batch cache first, else one round trip.
+  bool page_keystream(std::uint64_t nonce, std::span<std::byte> out);
 
-  std::optional<bn::Bignum> op_internal(KeyId id, const bn::Bignum& c,
-                                        KeystreamCache* cache);
-  /// Hit / in-place decrypt / blob unseal. nullopt = fail-closed refusal.
-  std::optional<std::size_t> ensure_plaintext(KeyId id, KeystreamCache* cache);
-  /// Keystream for (nonce, len): batch cache first, else one round trip.
-  std::optional<std::vector<std::byte>> fetch_keystream(std::uint64_t nonce,
-                                                        std::size_t len,
-                                                        KeystreamCache* cache);
-  /// Re-encrypts LRU plaintext slots until the working set has room.
-  void make_working_room();
-  /// Plaintext -> ciphertext in place (or scrub when the domain is gone).
-  void reencrypt_slot(std::size_t s);
-  /// Scrub + detach slot `s` (full eviction).
-  void evict_slot(std::size_t s);
-  void publish_occupancy();
-
-  sim::Kernel& kernel_;
-  sim::Process& proc_;
   sim::CoprocessorDomain& domain_;
   EncryptedKeystoreConfig cfg_;
-  sslsim::SslLibrary ssl_;
-  std::vector<Slot> slots_;
-  std::map<KeyId, Entry> keys_;
-  KeyId next_id_ = 1;
-  std::uint64_t clock_ = 0;
-  EncryptedKeystoreStats stats_;
-  bool shut_ = false;
+  KeystreamCache batch_;  ///< a batch's prefetched keystreams, empty between batches
+  std::uint64_t batches_ = 0;
+  std::uint64_t prefetch_hits_ = 0;
 };
 
 }  // namespace keyguard::keystore

@@ -1,57 +1,55 @@
 #include "keystore/sim_keystore.hpp"
 
 #include <cassert>
-#include <chrono>
-#include <cstring>
+#include <functional>
 
-#include "crypto/pem.hpp"
-#include "keystore/sealed_blob.hpp"
-#include "obs/event_bus.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "sim/physmem.hpp"
 #include "util/rng.hpp"
 
 namespace keyguard::keystore {
 
 namespace {
 
-sslsim::SslConfig ssl_config_for(const SimKeystoreConfig& cfg) {
-  sslsim::SslConfig out;
-  out.auto_align = false;  // the pool, not per-key aligned pages, bounds residue
-  out.clear_temporaries = cfg.clear_temporaries;
-  out.open_keys_nocache = cfg.open_keys_nocache;
-  return out;
+// The master key: pinned on its own mlocked page like the paper's vault
+// page, mapped before the pool. It never leaves this page except as a
+// transient host copy during seal/unseal (wiped immediately after use).
+// keylint: allow(unscrubbed) — the page outlives this call by design;
+// SimKeystore::shutdown() scrubs it at end of life
+sim::VirtAddr map_master(sim::Kernel& kernel, sim::Process& proc, std::uint64_t seed) {
+  const sim::VirtAddr page =
+      kernel.mmap_anon(proc, kMasterKeyBytes, /*mlocked=*/true, "keystore master key");
+  assert(page != 0);
+  std::vector<std::byte> master(kMasterKeyBytes);
+  util::Rng rng(seed);
+  rng.fill_bytes(master);
+  kernel.mem_write(proc, page, master, sim::TaintTag::kMasterKey);
+  wipe(master);
+  return page;
 }
 
 }  // namespace
 
-// keylint: allow(unscrubbed) — the pages allocated here outlive the ctor
-// by design; evict_slot() and shutdown() scrub them at end of life
-SimKeystore::SimKeystore(sim::Kernel& kernel, sim::Process& proc,
-                         SimKeystoreConfig cfg)
-    : kernel_(kernel), proc_(proc), cfg_(cfg), ssl_(kernel, ssl_config_for(cfg)) {
-  // The master key: pinned on its own mlocked page like the paper's vault
-  // page. It never leaves this page except as a transient host copy during
-  // seal/unseal (wiped immediately after use).
-  master_page_ = kernel_.mmap_anon(proc_, kMasterKeyBytes, /*mlocked=*/true,
-                                   "keystore master key");
-  assert(master_page_ != 0);
-  std::vector<std::byte> master(kMasterKeyBytes);
-  util::Rng rng(cfg_.master_seed);
-  rng.fill_bytes(master);
-  kernel_.mem_write(proc_, master_page_, master, sim::TaintTag::kMasterKey);
-  wipe(master);
+SimKeystore::SimKeystore(sim::Kernel& kernel, sim::Process& proc, SimKeystoreConfig cfg)
+    : SimKeystore(kernel, proc, cfg, map_master(kernel, proc, cfg.master_seed)) {}
 
-  // The pool: N mlocked pages, allocated up front so the locked-memory
-  // budget is fixed at construction, not traffic-dependent.
-  slots_.resize(cfg_.pool_pages);
-  for (auto& s : slots_) {
-    s.page = kernel_.mmap_anon(proc_, sim::kPageSize, /*mlocked=*/true,
-                               "keystore pool slot");
-    assert(s.page != 0);
-  }
-}
+SimKeystore::SimKeystore(sim::Kernel& kernel, sim::Process& proc, SimKeystoreConfig cfg,
+                         sim::VirtAddr master_page)
+    : SimKeyPool(kernel, proc,
+                 {.backend = PoolBackend::kMlocked,
+                  .prefix = "sim_keystore",
+                  .pool_pages = cfg.pool_pages,
+                  .working_set = cfg.pool_pages,
+                  .scrub_on_evict = cfg.scrub_on_evict,
+                  .clear_temporaries = cfg.clear_temporaries,
+                  .open_keys_nocache = cfg.open_keys_nocache,
+                  .seal = cfg.seal_at_rest
+                              ? SealFn(std::bind_front(&SimKeystore::seal_blob, this))
+                              : nullptr,
+                  .unseal = cfg.seal_at_rest
+                                ? UnsealFn(std::bind_front(&SimKeystore::unseal_blob, this))
+                                : nullptr,
+                  .page_keystream = nullptr}),
+      cfg_(cfg),
+      master_page_(master_page) {}
 
 SimKeystore::~SimKeystore() { shutdown(); }
 
@@ -61,262 +59,41 @@ std::vector<std::byte> SimKeystore::read_master() const {
   return master;
 }
 
-std::optional<KeyId> SimKeystore::ingest_pem(const std::string& vfs_path) {
-  assert(!shut_);
-  const int flags =
-      cfg_.open_keys_nocache ? sim::kOpenNoCache : sim::kOpenReadOnly;
-  auto file = kernel_.read_file(proc_, vfs_path, flags);
-  if (!file) return std::nullopt;
-
-  // PEM_read: the text passes through a heap buffer like fgets would
-  // produce — a plaintext transient the config decides the fate of.
-  const sim::VirtAddr pem_buf =
-      kernel_.heap_alloc(proc_, file->size(), "PEM read buffer (keystore ingest)");
-  assert(pem_buf != 0);
-  kernel_.mem_write(proc_, pem_buf, *file, sim::TaintTag::kPem);
-
-  auto parsed = crypto::pem_decode_private_key(
-      std::string_view(reinterpret_cast<const char*>(file->data()), file->size()));
-  if (!parsed) {
-    if (cfg_.clear_temporaries) {
-      kernel_.heap_clear_free(proc_, pem_buf);
-    } else {
-      kernel_.heap_free(proc_, pem_buf);  // keylint: allow(raw-free)
-    }
-    return std::nullopt;
-  }
-
-  const KeyId id = next_id_++;
-  Entry e;
-  e.pub = parsed->public_key();
-
-  auto der = crypto::der_encode_private_key(*parsed);
-  if (cfg_.seal_at_rest) {
-    auto master = read_master();
-    auto blob = seal(der, master, salted_nonce(id, cfg_.blob_salt));
-    wipe(master);
-    e.blob_len = blob.size();
-    e.blob = kernel_.heap_alloc(proc_, blob.size(), "sealed key blob");
-    assert(e.blob != 0);
-    kernel_.mem_write(proc_, e.blob, blob, sim::TaintTag::kSealed);
-  } else {
-    // Baseline: the at-rest copy is plaintext DER in ordinary heap — the
-    // unbounded disclosure surface the sealed path exists to remove.
-    e.blob_len = der.size();
-    e.blob = kernel_.heap_alloc(proc_, der.size(), "DER key blob (plaintext)");
-    assert(e.blob != 0);
-    kernel_.mem_write(proc_, e.blob, der, sim::TaintTag::kDer);
-  }
-  wipe(der);
-  parsed->scrub_private_parts();
-
-  if (cfg_.clear_temporaries) {
-    kernel_.heap_clear_free(proc_, pem_buf);
-  } else {
-    kernel_.heap_free(proc_, pem_buf);  // keylint: allow(raw-free)
-  }
-
-  keys_.emplace(id, std::move(e));
-  ++stats_.ingested;
-  return id;
+std::optional<std::vector<std::byte>> SimKeystore::seal_blob(std::span<const std::byte> der,
+                                                             KeyId id) const {
+  auto master = read_master();
+  auto blob = seal(der, master, salted_nonce(id, cfg_.blob_salt));
+  wipe(master);
+  return blob;
 }
 
-const crypto::RsaPublicKey& SimKeystore::public_key(KeyId id) const {
-  return keys_.at(id).pub;
-}
-
-std::size_t SimKeystore::ensure_pooled(KeyId id) {
-  auto& reg = obs::MetricsRegistry::global();
-  const bool metrics_on = reg.enabled();
-  Entry& e = keys_.at(id);
-  if (e.slot >= 0) {
-    ++stats_.pool_hits;
-    if (metrics_on) {
-      reg.counter("sim_keystore.pool_hits").add(1);
-    }
-    slots_[static_cast<std::size_t>(e.slot)].last_used = ++clock_;
-    return static_cast<std::size_t>(e.slot);
-  }
-  ++stats_.pool_misses;
-  if (metrics_on) {
-    reg.counter("sim_keystore.pool_misses").add(1);
-  }
-  obs::Tracer::Span unseal_span(obs::Tracer::global(), "sim_keystore.unseal");
-  if (unseal_span.live()) {
-    unseal_span.add(obs::TraceAttr::n("key", static_cast<double>(id)));
-  }
-  const auto unseal_t0 = std::chrono::steady_clock::now();
-
-  // Pick a slot: first empty, else evict the least recently used.
-  std::size_t victim = slots_.size();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].occupant) {
-      victim = i;
-      break;
-    }
-  }
-  if (victim == slots_.size()) {
-    victim = 0;
-    for (std::size_t i = 1; i < slots_.size(); ++i) {
-      if (slots_[i].last_used < slots_[victim].last_used) victim = i;
-    }
-    evict_slot(victim);
-    ++stats_.evictions;
-  }
-
-  // Unseal: blob -> host DER scratch -> parsed parts -> pool page. The
-  // host transients are wiped as soon as the limb images are written.
-  std::vector<std::byte> blob(e.blob_len);
-  kernel_.mem_read(proc_, e.blob, blob);
-  std::optional<std::vector<std::byte>> der;
-  if (cfg_.seal_at_rest) {
-    auto master = read_master();
-    der = unseal(blob, master);
-    wipe(master);
-  } else {
-    der = std::move(blob);
-  }
-  assert(der.has_value());
-  auto key = crypto::der_decode_private_key(*der);
-  assert(key.has_value());
-  wipe(*der);
-  ++stats_.unseals;
-  if (auto& bus = obs::EventBus::global(); bus.enabled()) {
-    bus.publish(obs::ObsEventKind::kKeystoreUnseal, id, /*blob=*/1);
-  }
-
-  // Materialize: all six private parts as limb images on the one mlocked
-  // page (rsa_memory_align's layout, so scanner needles match), viewed as
-  // BN_FLG_STATIC_DATA bignums. The Montgomery cache stays off: cached
-  // contexts would be per-key prime copies living OUTSIDE the pool bound.
-  Slot& s = slots_[victim];
-  s.view = sslsim::SimRsaKey{};
-  s.view.cache_private = false;
-  sim::VirtAddr cursor = s.page;
-  const auto place = [&](sslsim::SimBignum& part, const bn::Bignum& v) {
-    const auto image = sslsim::SslLibrary::limb_image(v);
-    kernel_.mem_write(proc_, cursor, image, sim::TaintTag::kPoolKey);
-    part = sslsim::SimBignum{cursor, image.size() / 8, /*static_data=*/true};
-    cursor += image.size();
-  };
-  place(s.view.d, key->d);
-  place(s.view.p, key->p);
-  place(s.view.q, key->q);
-  place(s.view.dmp1, key->dmp1);
-  place(s.view.dmq1, key->dmq1);
-  place(s.view.iqmp, key->iqmp);
-  assert(cursor - s.page <= sim::kPageSize);
-  s.used_bytes = cursor - s.page;
-  s.occupant = id;
-  s.last_used = ++clock_;
-  e.slot = static_cast<int>(victim);
-  key->scrub_private_parts();
-  if (metrics_on) {
-    const double unseal_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - unseal_t0)
-            .count();
-    reg.histogram("sim_keystore.unseal_ms").record(unseal_ms);
-    reg.gauge("sim_keystore.pool_occupancy")
-        .set(static_cast<double>(pooled_count()));
-  }
-  return victim;
-}
-
-bn::Bignum SimKeystore::private_op(KeyId id, const bn::Bignum& c) {
-  assert(!shut_);
-  const std::size_t slot = ensure_pooled(id);
-  ++stats_.ops;
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("sim_keystore.ops").add(1);
-  }
-  return ssl_.rsa_private_op(proc_, slots_[slot].view, c);
-}
-
-void SimKeystore::evict_slot(std::size_t s) {
-  Slot& slot = slots_[s];
-  if (!slot.occupant) return;
-  obs::Tracer::Span span(obs::Tracer::global(), "sim_keystore.evict");
-  if (span.live()) {
-    span.add(obs::TraceAttr::n("key", static_cast<double>(*slot.occupant)));
-    span.add(obs::TraceAttr::n("slot", static_cast<double>(s)));
-    span.add(obs::TraceAttr::b("scrub", cfg_.scrub_on_evict));
-  }
-  keys_.at(*slot.occupant).slot = -1;
-  if (auto& bus = obs::EventBus::global(); bus.enabled()) {
-    bus.publish(obs::ObsEventKind::kKeystoreEvict, *slot.occupant);
-  }
-  if (cfg_.scrub_on_evict && slot.used_bytes > 0) {
-    obs::Tracer::Span scrub(obs::Tracer::global(), "sim_keystore.scrub");
-    if (scrub.live()) {
-      scrub.add(obs::TraceAttr::n("bytes", static_cast<double>(slot.used_bytes)));
-    }
-    kernel_.mem_zero(proc_, slot.page, slot.used_bytes);
-  }
-  slot.occupant.reset();
-  slot.view = sslsim::SimRsaKey{};
-  slot.used_bytes = 0;
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.counter("sim_keystore.evictions").add(1);
-    reg.gauge("sim_keystore.pool_occupancy")
-        .set(static_cast<double>(pooled_count()));
-  }
-}
-
-void SimKeystore::evict(KeyId id) {
-  const auto it = keys_.find(id);
-  if (it == keys_.end() || it->second.slot < 0) return;
-  evict_slot(static_cast<std::size_t>(it->second.slot));
-  ++stats_.evictions;
-}
-
-void SimKeystore::evict_all() {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].occupant) {
-      evict_slot(i);
-      ++stats_.evictions;
-    }
-  }
+std::optional<std::vector<std::byte>> SimKeystore::unseal_blob(
+    std::span<const std::byte> blob, KeyId /*id*/) const {
+  auto master = read_master();
+  auto der = unseal(blob, master);
+  wipe(master);
+  return der;
 }
 
 void SimKeystore::shutdown() {
-  if (shut_) return;
-  shut_ = true;
-  evict_all();
-  for (auto& s : slots_) {
-    kernel_.munmap(proc_, s.page, sim::kPageSize);
-    s.page = 0;
-  }
+  SimKeyPool::shutdown();
+  if (master_page_ == 0) return;
   if (cfg_.scrub_on_evict) {
     kernel_.mem_zero(proc_, master_page_, kMasterKeyBytes);
   }
   kernel_.munmap(proc_, master_page_, kMasterKeyBytes);
   master_page_ = 0;
-  for (auto& [id, e] : keys_) {
-    if (e.blob == 0) continue;
-    if (cfg_.seal_at_rest) {
-      // Ciphertext at rest: nothing secret to scrub.
-      kernel_.heap_free(proc_, e.blob);  // keylint: allow(raw-free)
-    } else if (cfg_.clear_temporaries) {
-      kernel_.heap_clear_free(proc_, e.blob);
-    } else {
-      kernel_.heap_free(proc_, e.blob);  // keylint: allow(raw-free)
-    }
-    e.blob = 0;
-  }
 }
 
-bool SimKeystore::pooled(KeyId id) const {
-  const auto it = keys_.find(id);
-  return it != keys_.end() && it->second.slot >= 0;
-}
-
-std::size_t SimKeystore::pooled_count() const {
-  std::size_t n = 0;
-  for (const auto& s : slots_) n += s.occupant.has_value();
-  return n;
+SimKeystoreStats SimKeystore::stats() const {
+  const SimPoolStats& s = counts();
+  return {.ingested = s.ingested,
+          .ops = s.ops,
+          .pool_hits = s.pool_hits,
+          .pool_misses = s.unseals,
+          .evictions = s.evictions,
+          .unseals = s.unseals,
+          .refusals = s.refusals};
 }
 
 }  // namespace keyguard::keystore

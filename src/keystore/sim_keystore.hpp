@@ -1,40 +1,25 @@
 // Simulated multi-tenant keystore: many keys at rest, few in plaintext.
 //
-// The paper's integrated defense gives ONE server key one mlocked page.
-// An SNI front end holds thousands, and "mlock everything" neither scales
-// (locked memory is a hard rlimit) nor bounds the disclosure surface. The
-// keystore keeps every ingested key SEALED (sealed_blob.hpp) in ordinary
-// heap — ciphertext, tagged TaintTag::kSealed, harmless to disclose — and
-// materializes plaintext on demand into a fixed pool of N mlocked pages
-// with LRU eviction + scrub. The master key is pinned on its own mlocked
-// page exactly like the paper's vault page. The measurable claim, at any
-// instant under any traffic mix:
+// The mlocked facade over SimKeyPool (sim_pool.hpp): every ingested key
+// rests SEALED ("KSB1", sealed_blob.hpp) in ordinary heap — ciphertext,
+// tagged TaintTag::kSealed, harmless to disclose — and materializes into
+// a fixed pool of N mlocked pages with LRU eviction + scrub. The master
+// key is pinned on its own mlocked page exactly like the paper's vault
+// page. W = N, so no pool page is ever re-encrypted. The measurable
+// claim, at any instant under any traffic mix:
 //
 //     plaintext key material ⊆ N pool pages + 1 master page, all mlocked
 //
-// i.e. TaintAuditor::bounded_locked_pages_only(N) holds.
-//
-// Everything flows through sim::Kernel so the scanner and ShadowTaintMap
-// see the same copy population a real server would produce: PEM read
-// buffers on ingest, DER scratch, CRT/Montgomery temporaries on every
-// private op (cache_private is off — cached contexts would be per-key
-// plaintext outside the pool), and the scrub-on-evict writes themselves.
-// Pool slots hold the six private parts as little-endian limb images (the
-// rsa_memory_align layout), so the scanner's d/P/Q needles match pooled
-// keys byte-for-byte.
+// i.e. TaintAuditor::bounded_locked_pages_only(N) holds. With
+// seal_at_rest off (the zero-protection baseline) the at-rest copy is
+// plaintext DER instead. A blob that fails to unseal or decode refuses
+// the op (nullopt) with the pool untouched.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "crypto/rsa.hpp"
-#include "keystore/backend.hpp"
-#include "keystore/sealed_blob.hpp"
-#include "sim/kernel.hpp"
-#include "sslsim/ssl_library.hpp"
+#include "keystore/sim_pool.hpp"
 
 namespace keyguard::keystore {
 
@@ -62,101 +47,36 @@ struct SimKeystoreStats {
   std::uint64_t pool_misses = 0; ///< op had to materialize (unseal) first
   std::uint64_t evictions = 0;   ///< occupied slots recycled
   std::uint64_t unseals = 0;     ///< blob decryptions (== misses)
+  std::uint64_t refusals = 0;    ///< fail-closed denials (corrupt blob)
 };
 
-class SimKeystore final : public SimBackend {
+class SimKeystore final : public SimKeyPool {
  public:
-  /// Maps the master page and the N pool pages (all mlocked) in `proc`.
+  /// Maps the master page, then the N pool pages (all mlocked) in `proc`.
   SimKeystore(sim::Kernel& kernel, sim::Process& proc, SimKeystoreConfig cfg);
-  ~SimKeystore() override;
-
-  SimKeystore(const SimKeystore&) = delete;
-  SimKeystore& operator=(const SimKeystore&) = delete;
-
-  /// Loads a PEM key file through the kernel (page cache, read buffers),
-  /// seals it, and stores the blob in heap. The plaintext transients (PEM
-  /// buffer, host DER scratch) are scrubbed per config. Returns nullopt on
-  /// missing/malformed file.
-  std::optional<KeyId> ingest_pem(const std::string& vfs_path) override;
-
-  /// Public half (host-side copy; public material is not secret).
-  const crypto::RsaPublicKey& public_key(KeyId id) const override;
-
-  /// m = c^d mod N for key `id`: materializes the key into a pool slot if
-  /// needed (LRU eviction + scrub when full), then runs the CRT private op
-  /// through the simulated SSL library.
-  bn::Bignum private_op(KeyId id, const bn::Bignum& c);
-
-  /// SimBackend shape of private_op. The mlocked pool can always
-  /// materialize (the master key is local), so this never refuses.
-  std::optional<bn::Bignum> try_private_op(KeyId id, const bn::Bignum& c) override {
-    return private_op(id, c);
-  }
-
-  std::size_t plaintext_page_bound() const override { return cfg_.pool_pages; }
-  const char* backend_name() const override {
-    return pool_backend_name(PoolBackend::kMlocked);
-  }
-
-  /// Drops `id` from the pool (scrub per config). No-op when not pooled.
-  void evict(KeyId id);
-  /// Empties the whole pool.
-  void evict_all();
+  ~SimKeystore();
 
   /// Evicts the pool, scrubs + unmaps master and pool pages, and frees the
   /// at-rest blobs. Idempotent; called by the destructor. Must run before
   /// the owning process exits.
-  void shutdown() override;
+  void shutdown();
 
-  bool pooled(KeyId id) const;
-  std::size_t pooled_count() const;
-  /// Heap address/length of `id`'s at-rest blob (dedup benches compare
-  /// cross-tenant ciphertext bytes; with blob_salt == 0 and a shared
-  /// master seed they collide, the channel the salt exists to close).
-  sim::VirtAddr blob_address(KeyId id) const { return keys_.at(id).blob; }
-  std::size_t blob_size(KeyId id) const { return keys_.at(id).blob_len; }
-  std::size_t key_count() const noexcept { return keys_.size(); }
-  std::size_t pool_pages() const noexcept { return cfg_.pool_pages; }
   sim::VirtAddr master_page() const noexcept { return master_page_; }
-  /// Virtual address of pool slot `i`'s page (tests inspect scrub state).
-  sim::VirtAddr slot_page(std::size_t i) const { return slots_.at(i).page; }
-  /// Occupant of slot `i`, if any.
-  std::optional<KeyId> slot_occupant(std::size_t i) const {
-    return slots_.at(i).occupant;
-  }
-  const SimKeystoreStats& stats() const noexcept { return stats_; }
+  SimKeystoreStats stats() const;
   const SimKeystoreConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct Entry {
-    sim::VirtAddr blob = 0;  ///< heap chunk: sealed blob (or plaintext DER)
-    std::size_t blob_len = 0;
-    crypto::RsaPublicKey pub;
-    int slot = -1;  ///< pool slot index when materialized
-  };
-  struct Slot {
-    sim::VirtAddr page = 0;           ///< one mlocked page
-    std::optional<KeyId> occupant;
-    sslsim::SimRsaKey view;           ///< static_data views into the page
-    std::size_t used_bytes = 0;       ///< bytes written (scrub extent)
-    std::uint64_t last_used = 0;      ///< LRU clock
-  };
-
-  std::size_t ensure_pooled(KeyId id);
-  void evict_slot(std::size_t s);
+  SimKeystore(sim::Kernel& kernel, sim::Process& proc, SimKeystoreConfig cfg,
+              sim::VirtAddr master_page);
   std::vector<std::byte> read_master() const;
+  /// KSB1 under the master page (the pool's seal/unseal callables).
+  std::optional<std::vector<std::byte>> seal_blob(std::span<const std::byte> der,
+                                                  KeyId id) const;
+  std::optional<std::vector<std::byte>> unseal_blob(std::span<const std::byte> blob,
+                                                    KeyId id) const;
 
-  sim::Kernel& kernel_;
-  sim::Process& proc_;
   SimKeystoreConfig cfg_;
-  sslsim::SslLibrary ssl_;
-  sim::VirtAddr master_page_ = 0;
-  std::vector<Slot> slots_;
-  std::map<KeyId, Entry> keys_;
-  KeyId next_id_ = 1;
-  std::uint64_t clock_ = 0;
-  SimKeystoreStats stats_;
-  bool shut_ = false;
+  sim::VirtAddr master_page_;
 };
 
 }  // namespace keyguard::keystore

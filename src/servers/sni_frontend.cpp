@@ -19,10 +19,10 @@ bool SniFrontend::start(std::span<const crypto::RsaPrivateKey> vhost_keys) {
   if (cfg_.backend == keystore::PoolBackend::kEncrypted) {
     domain_.emplace(cfg_.domain_seed);
     enc_keystore_.emplace(kernel_, *proc_, *domain_, cfg_.encrypted);
-    backend_ = &*enc_keystore_;
+    pool_ = &*enc_keystore_;
   } else {
     keystore_.emplace(kernel_, *proc_, cfg_.keystore);
-    backend_ = &*keystore_;
+    pool_ = &*keystore_;
   }
   ids_.reserve(vhost_keys.size());
   for (std::size_t i = 0; i < vhost_keys.size(); ++i) {
@@ -30,7 +30,7 @@ bool SniFrontend::start(std::span<const crypto::RsaPrivateKey> vhost_keys) {
     kernel_.vfs().write_file(
         path, util::to_bytes(crypto::pem_encode_private_key(vhost_keys[i])),
         sim::TaintTag::kPem);
-    const auto id = backend_->ingest_pem(path);
+    const auto id = pool_->ingest_pem(path);
     if (!id) {
       stop();
       return false;
@@ -45,9 +45,9 @@ void SniFrontend::stop() {
   // Graceful shutdown: the keystore scrubs its pool (and master page)
   // BEFORE the process exits (exit tears the address space down without
   // clearing, so ordering matters — the §4 "special care before the
-  // application dies" requirement again).
-  backend_->shutdown();
-  backend_ = nullptr;
+  // application dies" requirement again). Each facade's destructor runs
+  // its shutdown.
+  pool_ = nullptr;
   keystore_.reset();
   enc_keystore_.reset();
   domain_.reset();
@@ -74,14 +74,14 @@ bool SniFrontend::handle_request(std::size_t vhost) {
   // Client side: encrypt a session secret to the vhost's public key.
   std::vector<std::byte> secret(32);
   rng_.fill_bytes(secret);
-  const auto& pub = backend_->public_key(id);
+  const auto& pub = pool_->public_key(id);
   auto ciphertext = crypto::pad_encrypt(rng_, pub, secret);
   if (!ciphertext) return false;
 
   // Server side: the private op through the keystore (pool hit or
   // materialize + LRU evict). The encrypted backend is fail-closed — a
   // refusal surfaces as a failed handshake, never a plaintext fallback.
-  const auto plain_opt = backend_->try_private_op(id, *ciphertext);
+  const auto plain_opt = pool_->try_private_op(id, *ciphertext);
   if (!plain_opt) return false;
   const Bignum& plain = *plain_opt;
 

@@ -5,8 +5,9 @@
 // hundreds of SNI certificates, or a CDN edge). Each vhost has its own
 // RSA private key on disk; the paper's one-mlocked-page-per-key defense
 // does not scale here, so the frontend routes every private operation
-// through a SimKeystore: keys rest sealed, at most N are plaintext at any
-// instant, and eviction scrubs.
+// through a SimKeyPool (SimKeystore or EncryptedPoolKeystore): keys rest
+// sealed, at most N (or W) are plaintext at any instant, and eviction
+// scrubs.
 //
 // Traffic shape: handle_request() draws vhosts from a skewed popularity
 // distribution (a hot fifth of the vhosts takes ~80% of requests — the
@@ -21,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "keystore/backend.hpp"
 #include "keystore/encrypted_keystore.hpp"
 #include "keystore/sim_keystore.hpp"
 #include "sim/coprocessor.hpp"
@@ -73,8 +73,6 @@ class SniFrontend {
   /// Same, vhost drawn from the skewed popularity distribution.
   bool handle_request();
 
-  /// The active pool backend (either discipline).
-  keystore::SimBackend& backend() { return *backend_; }
   /// mlocked-backend accessor; only valid when backend == kMlocked.
   keystore::SimKeystore& keystore() { return *keystore_; }
   const keystore::SimKeystore& keystore() const { return *keystore_; }
@@ -92,7 +90,7 @@ class SniFrontend {
   std::optional<sim::CoprocessorDomain> domain_;
   std::optional<keystore::SimKeystore> keystore_;
   std::optional<keystore::EncryptedPoolKeystore> enc_keystore_;
-  keystore::SimBackend* backend_ = nullptr;
+  keystore::SimKeyPool* pool_ = nullptr;  ///< whichever facade is live
   std::vector<keystore::KeyId> ids_;  ///< vhost index -> key id
   std::uint64_t handshakes_ = 0;
 };

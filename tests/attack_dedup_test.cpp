@@ -56,7 +56,7 @@ struct VictimRig {
     }
     // Materialize key 0: its pool-slot page is now the guessable target.
     const bn::Bignum c(42);
-    (void)ks.private_op(ids[0], c);
+    (void)ks.try_private_op(ids[0], c);
   }
 
   ~VictimRig() { ks.shutdown(); }

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "attack/leaks.hpp"
+#include "core/protection.hpp"
 #include "core/scenario.hpp"
+#include "servers/sni_frontend.hpp"
 #include "servers/ssh_server.hpp"
 #include "util/bytes.hpp"
 
@@ -107,6 +109,56 @@ TEST(Golden, MemoryImageHashPinned) {
   for (int i = 0; i < 10; ++i) server2.handle_connection(4 << 10);
   server2.stop();
   EXPECT_EQ(h, util::fnv1a(s2.kernel().memory().all()));
+}
+
+struct SniPin {
+  keystore::PoolBackend backend;
+  core::ProtectionLevel level;
+  std::uint64_t memory_hash;
+  std::size_t allocated;
+  std::size_t unallocated;
+};
+
+TEST(Golden, SniPoolMemoryImagePinned) {
+  // Every simulated byte an SNI frontend leaves behind, per pool backend
+  // and protection level: 24 vhosts over 6 distinct keys, N=4, W=2, 200
+  // skewed requests. The hash is taken before stop() so the pool pages,
+  // blobs and heap residue all count.
+  constexpr SniPin kPins[] = {
+      {keystore::PoolBackend::kMlocked, core::ProtectionLevel::kNone,
+       0x662a57020ea2c509ULL, 37, 0},
+      {keystore::PoolBackend::kMlocked, core::ProtectionLevel::kIntegrated,
+       0xe4c3c293a671f494ULL, 12, 0},
+      {keystore::PoolBackend::kEncrypted, core::ProtectionLevel::kNone,
+       0x98e2338c5e1919afULL, 30, 0},
+      {keystore::PoolBackend::kEncrypted, core::ProtectionLevel::kIntegrated,
+       0x312d26e9eb1a2a14ULL, 6, 0},
+  };
+  util::Rng key_rng(2024);
+  std::vector<crypto::RsaPrivateKey> distinct;
+  for (int i = 0; i < 6; ++i) distinct.push_back(crypto::generate_rsa_key(key_rng, 512));
+  std::vector<crypto::RsaPrivateKey> vhosts;
+  for (std::size_t i = 0; i < 24; ++i) vhosts.push_back(distinct[i % distinct.size()]);
+  const scan::KeyScanner scanner(scan::KeyPatterns::from_keys(distinct));
+
+  for (const auto& pin : kPins) {
+    SCOPED_TRACE(std::string(keystore::pool_backend_name(pin.backend)) + "/" +
+                 std::string(core::protection_name(pin.level)));
+    const auto profile = core::make_profile(pin.level, 16ull << 20);
+    sim::Kernel kernel(profile.kernel);
+    auto cfg = core::sni_config(profile, 4);
+    cfg.backend = pin.backend;
+    cfg.encrypted.working_set = 2;
+    servers::SniFrontend frontend(kernel, cfg, util::Rng(31));
+    ASSERT_TRUE(frontend.start(vhosts));
+    for (int i = 0; i < 200; ++i) ASSERT_TRUE(frontend.handle_request());
+    const auto census = scan::KeyScanner::census(scanner.scan_kernel(kernel));
+    const auto hash = util::fnv1a(kernel.memory().all());
+    frontend.stop();
+    EXPECT_EQ(hash, pin.memory_hash);
+    EXPECT_EQ(census.allocated, pin.allocated);
+    EXPECT_EQ(census.unallocated, pin.unallocated);
+  }
 }
 
 }  // namespace
