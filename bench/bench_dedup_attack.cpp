@@ -91,13 +91,7 @@ struct StateResult {
 /// plaintext-secret tag (kSealed ciphertext is NOT secret — salting, not
 /// the no-merge veto, is the at-rest defense).
 std::function<bool(sim::FrameNumber)> secret_pred(const analysis::ShadowTaintMap& map) {
-  return [&map](sim::FrameNumber f) {
-    const std::size_t off = static_cast<std::size_t>(f) * sim::kPageSize;
-    for (std::size_t i = 0; i < sim::kPageSize; ++i) {
-      if (sim::taint_tag_secret(map.phys_tag(off + i))) return true;
-    }
-    return false;
-  };
+  return [&map](sim::FrameNumber f) { return map.frame_secrets(f).secret > 0; };
 }
 
 /// A recognizable non-secret page image (twin `i` of the filler set).

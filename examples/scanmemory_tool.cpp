@@ -648,13 +648,8 @@ int main(int argc, char** argv) {
     dedup = std::make_unique<sim::DedupEngine>(s.kernel());
     if (taint_map) {
       auto* map = taint_map.get();
-      dedup->set_secret_predicate([map](sim::FrameNumber f) {
-        const std::size_t off = static_cast<std::size_t>(f) * sim::kPageSize;
-        for (std::size_t i = 0; i < sim::kPageSize; ++i) {
-          if (sim::taint_tag_secret(map->phys_tag(off + i))) return true;
-        }
-        return false;
-      });
+      dedup->set_secret_predicate(
+          [map](sim::FrameNumber f) { return map->frame_secrets(f).secret > 0; });
     }
     const auto merged = dedup->scan();
     std::fprintf(stderr, "dedup: %zu pages merged, %zu saved\n", merged,

@@ -95,9 +95,7 @@ struct AuditReport {
   // Frame counts over SECRET taint only (the invariant's currency).
   std::size_t secret_tainted_frames = 0;  ///< RAM frames holding secret bytes
   std::size_t secret_mlocked_frames = 0;  ///< subset that is mlocked
-  /// Secret frames whose only secret tag is kMasterKey: the pinned master
-  /// key lives outside the pool bound (the "+1" in "N pool pages + the
-  /// master-key page").
+  /// Secret frames whose only secret tag is kMasterKey.
   std::size_t master_key_frames = 0;
 
   std::size_t total_bytes() const noexcept {
@@ -105,27 +103,21 @@ struct AuditReport {
            bytes_swap;
   }
 
-  /// The encrypted-backend generalization: every byte of PLAINTEXT key
-  /// material sits on an mlocked page, those pages number at most `w`
-  /// (master-key-only pages excluded), and nothing secret survives in
-  /// unallocated memory, the page cache, kernel buffers, or swap. Sealed
-  /// ciphertext is exempt. Unlike bounded_locked_pages_only there is NO
-  /// >= 1 floor: for an encrypted-at-rest pool an EMPTY working set —
-  /// every page re-encrypted, the machine fully amnesiac — is the
-  /// backend's best state, not a vacuous pass.
-  bool bounded_plaintext_working_set(std::size_t w) const noexcept {
-    return secret_tainted_frames - master_key_frames <= w &&
-           secret_mlocked_frames == secret_tainted_frames &&
-           secret.unallocated == 0 && secret.page_cache == 0 &&
-           secret.kernel == 0 && secret.swap == 0;
+  /// This walk's numbers in the invariant's terms (see SecretCensus).
+  SecretCensus census() const noexcept {
+    return {.secret_frames = secret_tainted_frames,
+            .secret_mlocked_frames = secret_mlocked_frames,
+            .master_key_frames = master_key_frames,
+            .secret_unallocated_bytes = secret.unallocated,
+            .secret_page_cache_bytes = secret.page_cache,
+            .secret_kernel_bytes = secret.kernel,
+            .secret_swap_bytes = secret.swap};
   }
-
-  /// The bounded-working-set invariant: bounded_plaintext_working_set(n)
-  /// plus at least one secret frame, so an empty shadow does not trivially
-  /// pass (the mlocked pool always holds its master key, so "no secrets at
-  /// all" there means the shadow lost a flow).
+  bool bounded_plaintext_working_set(std::size_t w) const noexcept {
+    return census().bounded_plaintext_working_set(w);
+  }
   bool bounded_locked_pages_only(std::size_t n) const noexcept {
-    return secret_tainted_frames >= 1 && bounded_plaintext_working_set(n);
+    return census().bounded_locked_pages_only(n);
   }
 
   /// The paper's single-server invariant: the N=1 case of the bound (no

@@ -8,57 +8,65 @@ namespace {
 
 std::size_t idx(sim::TaintTag t) noexcept { return static_cast<std::size_t>(t); }
 
+/// Adds (sign +1) or removes (-1) one byte tagged `t` in its page's
+/// counts.
+void count_secret(PageSecrets& page, sim::TaintTag t, int sign) noexcept {
+  if (!sim::taint_tag_secret(t)) return;
+  page.secret = static_cast<std::uint16_t>(page.secret + sign);
+  if (t != sim::TaintTag::kMasterKey) {
+    page.nonmaster = static_cast<std::uint16_t>(page.nonmaster + sign);
+  }
+}
+
 }  // namespace
 
+ShadowTaintMap::Shadow::Shadow(std::size_t bytes,
+                               std::array<std::size_t, sim::kTaintTagCount>& by_tag_,
+                               std::size_t& total_)
+    : tags(bytes, sim::TaintTag::kClean),
+      pages((bytes + sim::kPageSize - 1) / sim::kPageSize),
+      by_tag(by_tag_),
+      total(total_) {}
+
+void ShadowTaintMap::Shadow::retag(std::size_t i, sim::TaintTag neu) {
+  const sim::TaintTag old = tags[i];
+  if (old == neu) return;
+  if (old != sim::TaintTag::kClean) {
+    --by_tag[idx(old)];
+    --total;
+  }
+  if (neu != sim::TaintTag::kClean) {
+    ++by_tag[idx(neu)];
+    ++total;
+  }
+  PageSecrets& page = pages[i / sim::kPageSize];
+  count_secret(page, old, -1);
+  count_secret(page, neu, +1);
+  tags[i] = neu;
+}
+
+void ShadowTaintMap::Shadow::set_range(std::size_t off, std::size_t len,
+                                       sim::TaintTag tag) {
+  const std::size_t end = std::min(off + len, tags.size());
+  for (std::size_t i = std::min(off, tags.size()); i < end; ++i) retag(i, tag);
+}
+
+void ShadowTaintMap::Shadow::copy_range(std::size_t dst, const sim::TaintTag* src,
+                                        std::size_t len) {
+  const std::size_t end = std::min(dst + len, tags.size());
+  for (std::size_t i = std::min(dst, tags.size()); i < end; ++i) {
+    retag(i, src[i - dst]);
+  }
+}
+
 ShadowTaintMap::ShadowTaintMap(std::size_t phys_bytes, std::size_t swap_pages)
-    : phys_(phys_bytes, sim::TaintTag::kClean),
-      swap_(swap_pages * sim::kPageSize, sim::TaintTag::kClean),
+    : phys_(phys_bytes, stats_.phys_by_tag, stats_.phys_tainted),
+      swap_(swap_pages * sim::kPageSize, stats_.swap_by_tag, stats_.swap_tainted),
       frame_epoch_(phys_bytes / sim::kPageSize, 0) {}
 
 ShadowTaintMap::ShadowTaintMap(const sim::Kernel& kernel)
     : ShadowTaintMap(kernel.memory().size_bytes(),
                      kernel.swap() ? kernel.swap()->capacity() : 0) {}
-
-void ShadowTaintMap::set_range(std::vector<sim::TaintTag>& shadow,
-                               std::array<std::size_t, sim::kTaintTagCount>& by_tag,
-                               std::size_t& total, std::size_t off, std::size_t len,
-                               sim::TaintTag tag) {
-  const std::size_t end = std::min(off + len, shadow.size());
-  for (std::size_t i = std::min(off, shadow.size()); i < end; ++i) {
-    const sim::TaintTag old = shadow[i];
-    if (old == tag) continue;
-    if (old != sim::TaintTag::kClean) {
-      --by_tag[idx(old)];
-      --total;
-    }
-    if (tag != sim::TaintTag::kClean) {
-      ++by_tag[idx(tag)];
-      ++total;
-    }
-    shadow[i] = tag;
-  }
-}
-
-void ShadowTaintMap::copy_range(std::vector<sim::TaintTag>& dst_shadow,
-                                std::array<std::size_t, sim::kTaintTagCount>& by_tag,
-                                std::size_t& total, std::size_t dst,
-                                const sim::TaintTag* src, std::size_t len) {
-  const std::size_t end = std::min(dst + len, dst_shadow.size());
-  for (std::size_t i = std::min(dst, dst_shadow.size()); i < end; ++i) {
-    const sim::TaintTag old = dst_shadow[i];
-    const sim::TaintTag neu = src[i - dst];
-    if (old == neu) continue;
-    if (old != sim::TaintTag::kClean) {
-      --by_tag[idx(old)];
-      --total;
-    }
-    if (neu != sim::TaintTag::kClean) {
-      ++by_tag[idx(neu)];
-      ++total;
-    }
-    dst_shadow[i] = neu;
-  }
-}
 
 void ShadowTaintMap::note_frame_taint(std::size_t off, std::size_t len) {
   if (len == 0) return;
@@ -73,7 +81,7 @@ void ShadowTaintMap::on_phys_store(std::size_t off, std::size_t len,
                                    sim::TaintTag tag) {
   ++epoch_;
   ++stats_.stores;
-  set_range(phys_, stats_.phys_by_tag, stats_.phys_tainted, off, len, tag);
+  phys_.set_range(off, len, tag);
   if (tag != sim::TaintTag::kClean) note_frame_taint(off, len);
 }
 
@@ -82,11 +90,11 @@ void ShadowTaintMap::on_phys_copy(std::size_t dst, std::size_t src, std::size_t 
   ++stats_.copies;
   // Snapshot the source shadow first: physical copies (COW break, realloc
   // move) never overlap, but the snapshot makes this safe regardless.
-  const std::size_t src_end = std::min(src + len, phys_.size());
-  std::vector<sim::TaintTag> tags(phys_.begin() + std::min(src, phys_.size()),
-                                  phys_.begin() + src_end);
+  const std::size_t src_end = std::min(src + len, phys_.tags.size());
+  std::vector<sim::TaintTag> tags(phys_.tags.begin() + std::min(src, phys_.tags.size()),
+                                  phys_.tags.begin() + src_end);
   tags.resize(len, sim::TaintTag::kClean);
-  copy_range(phys_, stats_.phys_by_tag, stats_.phys_tainted, dst, tags.data(), len);
+  phys_.copy_range(dst, tags.data(), len);
   if (std::any_of(tags.begin(), tags.end(),
                   [](sim::TaintTag t) { return t != sim::TaintTag::kClean; })) {
     note_frame_taint(dst, len);
@@ -96,8 +104,7 @@ void ShadowTaintMap::on_phys_copy(std::size_t dst, std::size_t src, std::size_t 
 void ShadowTaintMap::on_phys_clear(std::size_t off, std::size_t len) {
   ++epoch_;
   ++stats_.clears;
-  set_range(phys_, stats_.phys_by_tag, stats_.phys_tainted, off, len,
-            sim::TaintTag::kClean);
+  phys_.set_range(off, len, sim::TaintTag::kClean);
 }
 
 void ShadowTaintMap::on_swap_store(std::uint32_t slot, std::size_t phys_src) {
@@ -107,8 +114,7 @@ void ShadowTaintMap::on_swap_store(std::uint32_t slot, std::size_t phys_src) {
   // the vacated RAM frame keeps its own (it is hot-freed uncleared on a
   // stock kernel; zero_on_free clears it through on_phys_clear).
   const std::size_t dst = static_cast<std::size_t>(slot) * sim::kPageSize;
-  copy_range(swap_, stats_.swap_by_tag, stats_.swap_tainted, dst,
-             phys_.data() + phys_src, sim::kPageSize);
+  swap_.copy_range(dst, phys_.tags.data() + phys_src, sim::kPageSize);
 }
 
 void ShadowTaintMap::on_swap_load(std::size_t phys_dst, std::uint32_t slot) {
@@ -117,9 +123,8 @@ void ShadowTaintMap::on_swap_load(std::size_t phys_dst, std::uint32_t slot) {
   const std::size_t src = static_cast<std::size_t>(slot) * sim::kPageSize;
   // The slot's shadow stays put — like its bytes, which persist on the
   // device until the slot is scrubbed.
-  copy_range(phys_, stats_.phys_by_tag, stats_.phys_tainted, phys_dst,
-             swap_.data() + src, sim::kPageSize);
-  if (std::any_of(swap_.begin() + src, swap_.begin() + src + sim::kPageSize,
+  phys_.copy_range(phys_dst, swap_.tags.data() + src, sim::kPageSize);
+  if (std::any_of(swap_.tags.begin() + src, swap_.tags.begin() + src + sim::kPageSize,
                   [](sim::TaintTag t) { return t != sim::TaintTag::kClean; })) {
     note_frame_taint(phys_dst, sim::kPageSize);
   }
@@ -128,22 +133,21 @@ void ShadowTaintMap::on_swap_load(std::size_t phys_dst, std::uint32_t slot) {
 void ShadowTaintMap::on_swap_clear(std::uint32_t slot) {
   ++epoch_;
   ++stats_.swap_clears;
-  set_range(swap_, stats_.swap_by_tag, stats_.swap_tainted,
-            static_cast<std::size_t>(slot) * sim::kPageSize, sim::kPageSize,
-            sim::TaintTag::kClean);
+  swap_.set_range(static_cast<std::size_t>(slot) * sim::kPageSize, sim::kPageSize,
+                  sim::TaintTag::kClean);
 }
 
 bool ShadowTaintMap::range_fully_tainted(std::size_t off, std::size_t len) const {
-  if (off + len > phys_.size()) return false;
-  return std::all_of(phys_.begin() + off, phys_.begin() + off + len,
+  if (off + len > phys_.tags.size()) return false;
+  return std::all_of(phys_.tags.begin() + off, phys_.tags.begin() + off + len,
                      [](sim::TaintTag t) { return t != sim::TaintTag::kClean; });
 }
 
 std::size_t ShadowTaintMap::tainted_bytes_in(std::size_t off, std::size_t len) const {
-  const std::size_t end = std::min(off + len, phys_.size());
+  const std::size_t end = std::min(off + len, phys_.tags.size());
   std::size_t n = 0;
-  for (std::size_t i = std::min(off, phys_.size()); i < end; ++i) {
-    if (phys_[i] != sim::TaintTag::kClean) ++n;
+  for (std::size_t i = std::min(off, phys_.tags.size()); i < end; ++i) {
+    if (phys_.tags[i] != sim::TaintTag::kClean) ++n;
   }
   return n;
 }

@@ -13,6 +13,14 @@
 // scrubs, swap-slot scrubs) or by being overwritten with clean data —
 // the same two ways real bytes die.
 //
+// Outside TaintAuditor's independent walk, the map is also the one place
+// a tag is classified: beside the tags it keeps, per 4 KiB RAM frame and
+// per swap slot, how many bytes carry a secret tag (sim::taint_tag_secret,
+// so kSealed is not secret) and how many of those are not the master key.
+// The counts move in the same loops that move the tags, so readers such
+// as obs::AlertEngine answer "which frames hold plaintext key material"
+// in O(frames) without a second per-byte array.
+//
 // The map is a passive sim::TaintTracker: attach it with
 // Kernel::attach_taint BEFORE the workload so no key flow predates the
 // shadow. It never mutates the machine, draws no randomness, and keeps
@@ -52,6 +60,53 @@ struct TaintStats {
   std::size_t total_tainted() const noexcept { return phys_tainted + swap_tainted; }
 };
 
+/// Secret-byte counts of one 4 KiB page of the shadow (a RAM frame or a
+/// swap slot). Both fit in 16 bits: a page holds at most 4096 bytes.
+struct PageSecrets {
+  std::uint16_t secret = 0;     ///< bytes whose tag is taint_tag_secret
+  std::uint16_t nonmaster = 0;  ///< subset whose tag is not kMasterKey
+};
+
+/// Where plaintext key material sits, in the seven numbers the custody
+/// invariant reads, and the invariant's two predicates. The one
+/// definition of the policy: TaintAuditor's AuditReport fills it from
+/// its own walk over the tags, obs::AlertEngine maintains it per event.
+struct SecretCensus {
+  std::uint64_t secret_frames = 0;          ///< RAM frames holding secret bytes
+  std::uint64_t secret_mlocked_frames = 0;  ///< subset that is mlocked
+  /// Secret frames whose only secret tag is kMasterKey: the pinned master
+  /// key lives outside the pool bound (the "+1" in "N pool pages + the
+  /// master-key page").
+  std::uint64_t master_key_frames = 0;
+  std::uint64_t secret_unallocated_bytes = 0;  ///< secret bytes in kFree frames
+  std::uint64_t secret_page_cache_bytes = 0;
+  std::uint64_t secret_kernel_bytes = 0;
+  std::uint64_t secret_swap_bytes = 0;  ///< secret bytes on the swap device
+
+  /// The encrypted-backend generalization: every byte of PLAINTEXT key
+  /// material sits on an mlocked page, those pages number at most `w`
+  /// (master-key-only pages excluded), and nothing secret survives in
+  /// unallocated memory, the page cache, kernel buffers, or swap. Sealed
+  /// ciphertext is exempt. Unlike bounded_locked_pages_only there is NO
+  /// >= 1 floor: for an encrypted-at-rest pool an EMPTY working set —
+  /// every page re-encrypted, the machine fully amnesiac — is the
+  /// backend's best state, not a vacuous pass.
+  bool bounded_plaintext_working_set(std::uint64_t w) const noexcept {
+    return secret_frames - master_key_frames <= w &&
+           secret_mlocked_frames == secret_frames &&
+           secret_unallocated_bytes == 0 && secret_page_cache_bytes == 0 &&
+           secret_kernel_bytes == 0 && secret_swap_bytes == 0;
+  }
+
+  /// The bounded-working-set invariant: bounded_plaintext_working_set(n)
+  /// plus at least one secret frame, so an empty shadow does not trivially
+  /// pass (the mlocked pool always holds its master key, so "no secrets at
+  /// all" there means the shadow lost a flow).
+  bool bounded_locked_pages_only(std::uint64_t n) const noexcept {
+    return secret_frames >= 1 && bounded_plaintext_working_set(n);
+  }
+};
+
 class ShadowTaintMap final : public sim::TaintTracker {
  public:
   /// Shadow for `phys_bytes` of RAM and `swap_pages` swap slots.
@@ -78,12 +133,20 @@ class ShadowTaintMap final : public sim::TaintTracker {
   }
 
   // -- queries ---------------------------------------------------------------
-  sim::TaintTag phys_tag(std::size_t off) const { return phys_[off]; }
+  sim::TaintTag phys_tag(std::size_t off) const { return phys_.tags[off]; }
   sim::TaintTag swap_tag(std::uint32_t slot, std::size_t off) const {
-    return swap_[static_cast<std::size_t>(slot) * sim::kPageSize + off];
+    return swap_.tags[static_cast<std::size_t>(slot) * sim::kPageSize + off];
   }
-  std::span<const sim::TaintTag> phys_shadow() const noexcept { return phys_; }
-  std::span<const sim::TaintTag> swap_shadow() const noexcept { return swap_; }
+  std::span<const sim::TaintTag> phys_shadow() const noexcept { return phys_.tags; }
+  std::span<const sim::TaintTag> swap_shadow() const noexcept { return swap_.tags; }
+
+  /// Secret-byte counts of RAM frame `frame` / swap slot `slot`.
+  const PageSecrets& frame_secrets(sim::FrameNumber frame) const {
+    return phys_.pages[frame];
+  }
+  const PageSecrets& slot_secrets(std::uint32_t slot) const {
+    return swap_.pages[slot];
+  }
 
   /// True when every byte of [off, off+len) is tainted (any tag).
   bool range_fully_tainted(std::size_t off, std::size_t len) const;
@@ -101,21 +164,30 @@ class ShadowTaintMap final : public sim::TaintTracker {
   const TaintStats& stats() const noexcept { return stats_; }
 
  private:
-  void set_range(std::vector<sim::TaintTag>& shadow,
-                 std::array<std::size_t, sim::kTaintTagCount>& by_tag,
-                 std::size_t& total, std::size_t off, std::size_t len,
-                 sim::TaintTag tag);
-  void copy_range(std::vector<sim::TaintTag>& dst_shadow,
-                  std::array<std::size_t, sim::kTaintTagCount>& by_tag,
-                  std::size_t& total, std::size_t dst,
-                  const sim::TaintTag* src, std::size_t len);
+  /// One shadowed device (RAM or swap): the per-byte tags, the per-page
+  /// secret counts, and the device's per-tag totals in stats_.
+  struct Shadow {
+    Shadow(std::size_t bytes,
+           std::array<std::size_t, sim::kTaintTagCount>& by_tag,
+           std::size_t& total);
+    /// Retags byte `i` as `neu`, moving every count with it.
+    void retag(std::size_t i, sim::TaintTag neu);
+    void set_range(std::size_t off, std::size_t len, sim::TaintTag tag);
+    void copy_range(std::size_t dst, const sim::TaintTag* src, std::size_t len);
+
+    std::vector<sim::TaintTag> tags;
+    std::vector<PageSecrets> pages;
+    std::array<std::size_t, sim::kTaintTagCount>& by_tag;
+    std::size_t& total;
+  };
+
   void note_frame_taint(std::size_t off, std::size_t len);
 
-  std::vector<sim::TaintTag> phys_;
-  std::vector<sim::TaintTag> swap_;
+  TaintStats stats_;  // before the shadows, which bind its totals
+  Shadow phys_;
+  Shadow swap_;
   std::vector<std::uint64_t> frame_epoch_;
   std::uint64_t epoch_ = 0;
-  TaintStats stats_;
 };
 
 }  // namespace keyguard::analysis

@@ -97,8 +97,6 @@ AlertEngine::AlertEngine(const sim::Kernel& kernel,
     : kernel_(kernel), shadow_(shadow), monitor_(monitor) {
   frames_.resize(kernel_.memory().page_count());
   slot_secret_bytes_.resize(shadow_.swap_shadow().size() / sim::kPageSize, 0);
-  phys_class_.resize(shadow_.phys_shadow().size(), 0);
-  swap_class_.resize(shadow_.swap_shadow().size(), 0);
 }
 
 void AlertEngine::add_rule(AlertRule rule) {
@@ -112,18 +110,10 @@ void AlertEngine::add_sink(AlertSink* sink) {
 
 namespace {
 
-/// Per-byte class derived from a taint tag: 0 = not secret (kClean,
-/// kSealed ciphertext), 1 = the master key, 2 = any other secret.
-std::uint8_t classify(sim::TaintTag t) noexcept {
-  if (!sim::taint_tag_secret(t)) return 0;
-  return t == sim::TaintTag::kMasterKey ? 1 : 2;
-}
-
-/// A frame entry's share of the aggregate fields, with `sign` +1 to add
-/// and -1 to remove — every mutation applies the old entry at -1 and the
-/// new one at +1, which keeps every aggregate exact without ever walking
-/// the full shadow.
-void apply_frame(WatcherAggregates& agg, std::uint64_t secret_bytes,
+/// A frame entry's share of the census, with `sign` +1 to add and -1 to
+/// remove — every refresh applies the old entry at -1 and the new one at
+/// +1, which keeps every field exact without ever walking the machine.
+void apply_frame(analysis::SecretCensus& agg, std::uint64_t secret_bytes,
                  bool nonmaster, bool mlocked, sim::FrameState state,
                  std::int64_t sign) {
   if (secret_bytes == 0) return;
@@ -148,305 +138,117 @@ void apply_frame(WatcherAggregates& agg, std::uint64_t secret_bytes,
 }  // namespace
 
 void AlertEngine::resync() {
-  agg_ = WatcherAggregates{};
-  const auto phys = shadow_.phys_shadow();
-  for (std::size_t i = 0; i < phys_class_.size(); ++i) {
-    phys_class_[i] = classify(phys[i]);
-  }
-  for (sim::FrameNumber f = 0; f < frames_.size(); ++f) {
-    FrameEntry e;
-    e.state = kernel_.allocator().state(f);
-    e.mlocked = kernel_.frame_mlocked(f);
-    const std::size_t base = static_cast<std::size_t>(f) * sim::kPageSize;
-    for (std::size_t i = base; i < base + sim::kPageSize; ++i) {
-      e.secret_bytes += phys_class_[i] != 0;
-      e.nonmaster_bytes += phys_class_[i] == 2;
-    }
-    frames_[f] = e;
-    apply_frame(agg_, e.secret_bytes, e.nonmaster_bytes > 0, e.mlocked,
-                e.state, +1);
-  }
-  const auto swap = shadow_.swap_shadow();
-  for (std::size_t i = 0; i < swap_class_.size(); ++i) {
-    swap_class_[i] = classify(swap[i]);
-  }
-  for (std::uint32_t s = 0; s < slot_secret_bytes_.size(); ++s) {
-    const std::size_t base = static_cast<std::size_t>(s) * sim::kPageSize;
-    std::uint32_t n = 0;
-    for (std::size_t i = base; i < base + sim::kPageSize; ++i) {
-      n += swap_class_[i] != 0;
-    }
-    slot_secret_bytes_[s] = n;
-    agg_.secret_swap_bytes += n;
-  }
-  shadow_bytes_examined_ += phys_class_.size() + swap_class_.size();
+  agg_ = analysis::SecretCensus{};
+  std::fill(frames_.begin(), frames_.end(), FrameEntry{});
+  std::fill(slot_secret_bytes_.begin(), slot_secret_bytes_.end(), 0);
+  for (sim::FrameNumber f = 0; f < frames_.size(); ++f) refresh_frame(f);
+  for (std::uint32_t s = 0; s < slot_secret_bytes_.size(); ++s) refresh_slot(s);
 }
 
-void AlertEngine::set_phys_class(std::size_t off, std::size_t len,
-                                 std::uint8_t cls) {
-  if (off >= phys_class_.size()) return;
-  len = std::min(len, phys_class_.size() - off);
-  if (len == 0) return;
-  const std::size_t end = off + len;
-  for (std::size_t pos = off; pos < end;) {
-    const auto f = static_cast<sim::FrameNumber>(pos / sim::kPageSize);
-    const std::size_t stop =
-        std::min(end, (static_cast<std::size_t>(f) + 1) * sim::kPageSize);
-    FrameEntry& e = frames_[f];
-    if (cls == 0 && e.secret_bytes == 0) {
-      pos = stop;  // all classes in the frame are already 0: a literal no-op
-      continue;
-    }
-    apply_frame(agg_, e.secret_bytes, e.nonmaster_bytes > 0, e.mlocked,
-                e.state, -1);
-    e.state = kernel_.allocator().state(f);
-    e.mlocked = kernel_.frame_mlocked(f);
-    std::uint32_t old_secret = 0;
-    std::uint32_t old_nm = 0;
-    for (std::size_t i = pos; i < stop; ++i) {
-      old_secret += phys_class_[i] != 0;
-      old_nm += phys_class_[i] == 2;
-    }
-    std::fill(phys_class_.begin() + pos, phys_class_.begin() + stop, cls);
-    const auto n = static_cast<std::uint32_t>(stop - pos);
-    e.secret_bytes += (cls != 0 ? n : 0) - old_secret;
-    e.nonmaster_bytes += (cls == 2 ? n : 0) - old_nm;
-    apply_frame(agg_, e.secret_bytes, e.nonmaster_bytes > 0, e.mlocked,
-                e.state, +1);
-    shadow_bytes_examined_ += stop - pos;
-    pos = stop;
-  }
-}
-
-void AlertEngine::copy_phys_class(std::size_t dst, const std::uint8_t* src,
-                                  std::size_t len, bool src_may_secret) {
-  if (dst >= phys_class_.size()) return;
-  len = std::min(len, phys_class_.size() - dst);
-  if (len == 0) return;
-  const std::size_t end = dst + len;
-  for (std::size_t pos = dst; pos < end;) {
-    const auto f = static_cast<sim::FrameNumber>(pos / sim::kPageSize);
-    const std::size_t stop =
-        std::min(end, (static_cast<std::size_t>(f) + 1) * sim::kPageSize);
-    FrameEntry& e = frames_[f];
-    if (!src_may_secret && e.secret_bytes == 0) {
-      pos = stop;  // class-0 data over class-0 bytes: counts cannot move
-      continue;
-    }
-    apply_frame(agg_, e.secret_bytes, e.nonmaster_bytes > 0, e.mlocked,
-                e.state, -1);
-    e.state = kernel_.allocator().state(f);
-    e.mlocked = kernel_.frame_mlocked(f);
-    std::uint32_t old_secret = 0;
-    std::uint32_t old_nm = 0;
-    std::uint32_t new_secret = 0;
-    std::uint32_t new_nm = 0;
-    for (std::size_t i = pos; i < stop; ++i) {
-      const std::uint8_t o = phys_class_[i];
-      const std::uint8_t c = src[i - dst];
-      old_secret += o != 0;
-      old_nm += o == 2;
-      new_secret += c != 0;
-      new_nm += c == 2;
-      phys_class_[i] = c;
-    }
-    e.secret_bytes += new_secret - old_secret;
-    e.nonmaster_bytes += new_nm - old_nm;
-    apply_frame(agg_, e.secret_bytes, e.nonmaster_bytes > 0, e.mlocked,
-                e.state, +1);
-    shadow_bytes_examined_ += stop - pos;
-    pos = stop;
-  }
-}
-
-void AlertEngine::store_slot_classes(std::uint32_t slot,
-                                     std::size_t phys_src) {
-  if (slot >= slot_secret_bytes_.size()) return;
-  const bool src_secret = range_has_secret(phys_src, sim::kPageSize);
-  if (!src_secret && slot_secret_bytes_[slot] == 0) return;
-  const std::size_t base = static_cast<std::size_t>(slot) * sim::kPageSize;
-  std::uint32_t n = 0;
-  for (std::size_t i = 0; i < sim::kPageSize; ++i) {
-    const std::size_t s = phys_src + i;
-    const std::uint8_t c = s < phys_class_.size() ? phys_class_[s] : 0;
-    swap_class_[base + i] = c;
-    n += c != 0;
-  }
-  agg_.secret_swap_bytes += n;
-  agg_.secret_swap_bytes -= slot_secret_bytes_[slot];
-  slot_secret_bytes_[slot] = n;
-  shadow_bytes_examined_ += sim::kPageSize;
-}
-
-void AlertEngine::clear_slot_classes(std::uint32_t slot) {
-  if (slot >= slot_secret_bytes_.size()) return;
-  if (slot_secret_bytes_[slot] == 0) return;  // already all class 0
-  const std::size_t base = static_cast<std::size_t>(slot) * sim::kPageSize;
-  std::fill(swap_class_.begin() + base,
-            swap_class_.begin() + base + sim::kPageSize, 0);
-  agg_.secret_swap_bytes -= slot_secret_bytes_[slot];
-  slot_secret_bytes_[slot] = 0;
-  shadow_bytes_examined_ += sim::kPageSize;
-}
-
-void AlertEngine::refresh_frame_meta(sim::FrameNumber frame) {
-  if (frame >= frames_.size()) return;
+void AlertEngine::refresh_frame(sim::FrameNumber frame) {
+  const analysis::PageSecrets& counts = shadow_.frame_secrets(frame);
+  shadow_bytes_examined_ += sizeof(counts);
   FrameEntry& e = frames_[frame];
-  apply_frame(agg_, e.secret_bytes, e.nonmaster_bytes > 0, e.mlocked, e.state,
-              -1);
+  // A frame with no secret bytes, before or after, contributes nothing
+  // whatever its state: skip the allocator and mlock lookups.
+  if (e.secret_bytes == 0 && counts.secret == 0) return;
+  apply_frame(agg_, e.secret_bytes, e.nonmaster, e.mlocked, e.state, -1);
+  e.secret_bytes = counts.secret;
+  e.nonmaster = counts.nonmaster > 0;
   e.state = kernel_.allocator().state(frame);
   e.mlocked = kernel_.frame_mlocked(frame);
-  apply_frame(agg_, e.secret_bytes, e.nonmaster_bytes > 0, e.mlocked, e.state,
-              +1);
+  apply_frame(agg_, e.secret_bytes, e.nonmaster, e.mlocked, e.state, +1);
 }
 
-bool AlertEngine::range_has_secret(std::size_t off, std::size_t len) const {
-  if (len == 0) return false;
-  const auto first = static_cast<sim::FrameNumber>(off / sim::kPageSize);
-  const auto last =
-      static_cast<sim::FrameNumber>((off + len - 1) / sim::kPageSize);
-  for (sim::FrameNumber f = first; f <= last; ++f) {
-    if (f < frames_.size() && frames_[f].secret_bytes > 0) return true;
+void AlertEngine::refresh_range(std::size_t off, std::size_t len) {
+  if (len == 0) return;
+  const std::size_t last =
+      std::min((off + len - 1) / sim::kPageSize + 1, frames_.size());
+  for (std::size_t f = off / sim::kPageSize; f < last; ++f) {
+    refresh_frame(static_cast<sim::FrameNumber>(f));
   }
-  return false;
+}
+
+void AlertEngine::refresh_slot(std::uint32_t slot) {
+  if (slot >= slot_secret_bytes_.size()) return;
+  const analysis::PageSecrets& counts = shadow_.slot_secrets(slot);
+  shadow_bytes_examined_ += sizeof(counts);
+  agg_.secret_swap_bytes += counts.secret;
+  agg_.secret_swap_bytes -= slot_secret_bytes_[slot];
+  slot_secret_bytes_[slot] = counts.secret;
 }
 
 void AlertEngine::on_phys_store(std::size_t off, std::size_t len,
-                                sim::TaintTag tag) {
-  set_phys_class(off, len, classify(tag));
+                                sim::TaintTag /*tag*/) {
+  refresh_range(off, len);
   evaluate(now_ns());
 }
 
-void AlertEngine::on_phys_copy(std::size_t dst, std::size_t src,
+void AlertEngine::on_phys_copy(std::size_t dst, std::size_t /*src*/,
                                std::size_t len) {
-  // The copy carries the source's classes. Kernel copies (COW break,
-  // realloc move) never overlap, but snapshot if one ever does so the
-  // in-place walk cannot read bytes it already wrote.
-  const bool src_secret = range_has_secret(src, len);
-  const std::size_t avail =
-      src < phys_class_.size() ? phys_class_.size() - src : 0;
-  if (len <= avail &&
-      (dst >= src + len || src >= dst + len)) {  // disjoint, in range
-    copy_phys_class(dst, phys_class_.data() + src, len, src_secret);
-  } else {
-    std::vector<std::uint8_t> tmp(len, 0);
-    std::copy_n(phys_class_.begin() + std::min(src, phys_class_.size()),
-                std::min(len, avail), tmp.begin());
-    copy_phys_class(dst, tmp.data(), len, src_secret);
-  }
+  refresh_range(dst, len);
   evaluate(now_ns());
 }
 
 void AlertEngine::on_phys_clear(std::size_t off, std::size_t len) {
-  set_phys_class(off, len, 0);
+  refresh_range(off, len);
   evaluate(now_ns());
 }
 
-void AlertEngine::on_swap_store(std::uint32_t slot, std::size_t phys_src) {
-  // The slot now holds a copy of the source page; if neither side held
-  // secret bytes the slot count stays 0 and the page walk is skipped.
-  store_slot_classes(slot, phys_src);
+void AlertEngine::on_swap_store(std::uint32_t slot, std::size_t /*phys_src*/) {
+  refresh_slot(slot);
   const std::uint64_t ts = now_ns();
   if (slot < slot_secret_bytes_.size() && slot_secret_bytes_[slot] > 0) {
     // Secret bytes just crossed the RAM/swap boundary: a single-event
     // fact, detected here (on the taint path, so it fires even when the
     // event bus is disabled) rather than on the later kSwapOut event.
-    for (std::size_t ri = 0; ri < rules_.size(); ++ri) {
-      const AlertRule& r = rules_[ri];
-      if (r.kind != RuleKind::kSecretToSwap) continue;
-      if (!cooled_down(r, states_[ri], ts)) continue;
-      Alert a;
-      a.rule = r.name;
-      a.kind = r.kind;
-      a.severity = r.severity;
-      a.ts_ns = ts;
-      a.breach_ts_ns = ts;
-      a.a = slot;
-      a.b = slot_secret_bytes_[slot];
-      a.value = static_cast<double>(slot_secret_bytes_[slot]);
-      fire(ri, std::move(a));
-    }
+    fire_anomaly(RuleKind::kSecretToSwap, ts, slot, slot_secret_bytes_[slot],
+                 0.0);
   }
   evaluate(ts);
 }
 
-void AlertEngine::on_swap_load(std::size_t phys_dst, std::uint32_t slot) {
-  if (slot < slot_secret_bytes_.size()) {
-    // The slot's classes stay put — like its bytes, which persist on the
-    // device until the slot is scrubbed.
-    copy_phys_class(phys_dst,
-                    swap_class_.data() +
-                        static_cast<std::size_t>(slot) * sim::kPageSize,
-                    sim::kPageSize, slot_secret_bytes_[slot] > 0);
-  }
+void AlertEngine::on_swap_load(std::size_t phys_dst, std::uint32_t /*slot*/) {
+  refresh_range(phys_dst, sim::kPageSize);
   evaluate(now_ns());
 }
 
 void AlertEngine::on_swap_clear(std::uint32_t slot) {
-  clear_slot_classes(slot);
+  refresh_slot(slot);
   evaluate(now_ns());
 }
 
 void AlertEngine::on_obs_event(const ObsEvent& ev) {
-  // State/mlock flips move no bytes: an O(1) reapplication of the
-  // frame's cached counts under the new state keeps every aggregate
-  // exact. This is the entire cost of the hot alloc/free path.
+  // State/mlock flips move no bytes: one refresh of the frame under its
+  // new state keeps every census field exact. This is the entire cost of
+  // the hot alloc/free path.
+  const auto frame = static_cast<sim::FrameNumber>(ev.a);
   switch (ev.kind) {
     case ObsEventKind::kFrameAllocated:
     case ObsEventKind::kMlockChanged:
-      refresh_frame_meta(static_cast<sim::FrameNumber>(ev.a));
+      if (frame < frames_.size()) refresh_frame(frame);
       break;
-    case ObsEventKind::kFrameFreed: {
-      const auto frame = static_cast<sim::FrameNumber>(ev.a);
-      refresh_frame_meta(frame);
-      if (frame < frames_.size() && frames_[frame].secret_bytes > 0) {
+    case ObsEventKind::kFrameFreed:
+      if (frame < frames_.size()) {
+        refresh_frame(frame);
         // The frame went back to the free lists with live taint — the
         // scrub-free residue the paper's scans kept finding. kFrameFreed
         // is published after any zero-on-free clear, so a defended
         // kernel never reaches this branch.
-        for (std::size_t ri = 0; ri < rules_.size(); ++ri) {
-          const AlertRule& r = rules_[ri];
-          if (r.kind != RuleKind::kResidueOnFree) continue;
-          if (!cooled_down(r, states_[ri], ev.ts_ns)) continue;
-          Alert a;
-          a.rule = r.name;
-          a.kind = r.kind;
-          a.severity = r.severity;
-          a.ts_ns = ev.ts_ns;
-          a.breach_ts_ns = ev.ts_ns;
-          a.a = frame;
-          a.b = frames_[frame].secret_bytes;
-          a.value = static_cast<double>(frames_[frame].secret_bytes);
-          fire(ri, std::move(a));
+        if (frames_[frame].secret_bytes > 0) {
+          fire_anomaly(RuleKind::kResidueOnFree, ev.ts_ns, frame,
+                       frames_[frame].secret_bytes, 0.0);
         }
       }
       break;
-    }
-    case ObsEventKind::kPageMerged: {
-      const auto frame = static_cast<sim::FrameNumber>(ev.a);
+    case ObsEventKind::kPageMerged:
+      // A secret-tainted frame now backs a stranger's mapping: the
+      // share-count side channel the dedup probe times.
       if (frame < frames_.size() && frames_[frame].secret_bytes > 0 &&
           ev.b > 1) {
-        // A secret-tainted frame now backs a stranger's mapping: the
-        // share-count side channel the dedup probe times (PR 8).
-        for (std::size_t ri = 0; ri < rules_.size(); ++ri) {
-          const AlertRule& r = rules_[ri];
-          if (r.kind != RuleKind::kSecretFrameMerged) continue;
-          if (!cooled_down(r, states_[ri], ev.ts_ns)) continue;
-          Alert a;
-          a.rule = r.name;
-          a.kind = r.kind;
-          a.severity = r.severity;
-          a.ts_ns = ev.ts_ns;
-          a.breach_ts_ns = ev.ts_ns;
-          a.a = frame;
-          a.b = ev.b;
-          a.value = static_cast<double>(ev.b);
-          a.threshold = 1.0;
-          fire(ri, std::move(a));
-        }
+        fire_anomaly(RuleKind::kSecretFrameMerged, ev.ts_ns, frame, ev.b, 1.0);
       }
       break;
-    }
     case ObsEventKind::kKeystoreRefusal:
     case ObsEventKind::kDomainRefusal:
       note_refusal(ev.ts_ns);
@@ -593,6 +395,26 @@ bool AlertEngine::cooled_down(const AlertRule& rule, const RuleState& st,
                               std::uint64_t ts) const {
   if (!st.fired_once) return true;
   return ts - st.last_fired >= rule.cooldown_ns;
+}
+
+void AlertEngine::fire_anomaly(RuleKind kind, std::uint64_t ts,
+                               std::uint64_t a, std::uint64_t b,
+                               double threshold) {
+  for (std::size_t ri = 0; ri < rules_.size(); ++ri) {
+    const AlertRule& r = rules_[ri];
+    if (r.kind != kind || !cooled_down(r, states_[ri], ts)) continue;
+    Alert alert;
+    alert.rule = r.name;
+    alert.kind = r.kind;
+    alert.severity = r.severity;
+    alert.ts_ns = ts;
+    alert.breach_ts_ns = ts;
+    alert.a = a;
+    alert.b = b;
+    alert.value = static_cast<double>(b);
+    alert.threshold = threshold;
+    fire(ri, std::move(alert));
+  }
 }
 
 void AlertEngine::fire(std::size_t ri, Alert alert) {

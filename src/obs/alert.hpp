@@ -22,17 +22,25 @@
 //   time during the last sweep period".
 //
 // Invariant rules turn the TaintAuditor's end-of-run predicates
-// (bounded_locked_pages_only / bounded_plaintext_working_set) into
-// continuously-enforced watchers. Rather than re-auditing the whole
-// shadow per event, the engine derives a per-byte CLASS array (not
-// secret / master-key-only / other secret) from the hook stream itself
-// and keeps per-frame and per-swap-slot counts over it. Every hook
-// updates exactly the bytes the event moved — O(bytes moved) per event,
-// the same asymptotic cost the shadow map itself pays — and frame
-// state/mlock flips arriving over the bus are O(1) count reapplications.
-// A periodic sweep pays O(machine) per period instead; bench_alert_latency
-// quantifies the gap. The equivalence aggregates == audit is asserted
-// under churn in obs_alert_test.
+// (analysis::SecretCensus: bounded_locked_pages_only /
+// bounded_plaintext_working_set) into continuously-enforced watchers.
+// Rather than re-auditing the whole shadow per event, the engine keeps
+// the census incrementally from the shadow map's per-frame and per-slot
+// secret counts. It caches, per frame, the counts plus the frame's
+// allocator state and mlock bit; every taint hook refreshes exactly the
+// frames (or the slot) the event touched — take the cached entry's share
+// out of the census, re-read counts, state and mlock, add the share back
+// — so a hook costs O(frames touched), not O(bytes moved), and a state or
+// mlock flip arriving over the bus is one refresh. A periodic sweep pays
+// O(machine) per period instead; bench_alert_latency quantifies the gap.
+// The equivalence census == audit is asserted under churn in
+// obs_alert_test.
+//
+// ORDER CONTRACT: the engine reads the shadow map's counts, so it must
+// hear every hook AFTER the map has applied it — add it to the
+// TaintFanout after the ShadowTaintMap. Attached out of order, the
+// engine caches the counts from before the event and the census goes
+// stale until the next refresh of that frame.
 //
 // False-alert discipline: legitimate crypto transiently violates the
 // invariants (CRT temporaries live in the heap for the duration of a
@@ -151,40 +159,15 @@ class MetricsAlertSink final : public AlertSink {
   MetricsRegistry& reg_;
 };
 
-/// The invariant watcher's incremental aggregates — the exact fields the
-/// TaintAuditor's predicates consume, maintained per event instead of
-/// recomputed per sweep. Public so the equivalence test can compare them
-/// field-for-field against a fresh audit at arbitrary instants.
-struct WatcherAggregates {
-  std::uint64_t secret_frames = 0;          ///< RAM frames holding secret bytes
-  std::uint64_t secret_mlocked_frames = 0;  ///< subset that is mlocked
-  std::uint64_t master_key_frames = 0;      ///< only-secret-tag-is-master subset
-  std::uint64_t secret_unallocated_bytes = 0;  ///< secret bytes in kFree frames
-  std::uint64_t secret_page_cache_bytes = 0;
-  std::uint64_t secret_kernel_bytes = 0;
-  std::uint64_t secret_swap_bytes = 0;  ///< secret bytes on the swap device
-
-  /// Mirrors AuditReport::bounded_plaintext_working_set exactly.
-  bool bounded_plaintext_working_set(std::uint64_t w) const noexcept {
-    return secret_frames - master_key_frames <= w &&
-           secret_mlocked_frames == secret_frames &&
-           secret_unallocated_bytes == 0 && secret_page_cache_bytes == 0 &&
-           secret_kernel_bytes == 0 && secret_swap_bytes == 0;
-  }
-  /// Mirrors AuditReport::bounded_locked_pages_only exactly.
-  bool bounded_locked_pages_only(std::uint64_t n) const noexcept {
-    return secret_frames >= 1 && bounded_plaintext_working_set(n);
-  }
-};
-
 class AlertEngine final : public sim::TaintTracker, public ObsEventSink {
  public:
   /// Borrows everything; all referents must outlive the engine. `monitor`
   /// may be null when no kExposureBudget rule is installed. The engine
   /// does not attach itself anywhere: add it to the workload's
-  /// TaintFanout AFTER the shadow map (and monitor), and subscribe it to
-  /// EventBus::global() after any FlightRecorder (so the breaching event
-  /// is in the ring before the alert freezes it).
+  /// TaintFanout AFTER the shadow map (required: see the order contract
+  /// above) and monitor, and subscribe it to EventBus::global() after any
+  /// FlightRecorder (so the breaching event is in the ring before the
+  /// alert freezes it).
   AlertEngine(const sim::Kernel& kernel, const analysis::ShadowTaintMap& shadow,
               ExposureMonitor* monitor = nullptr);
 
@@ -192,8 +175,9 @@ class AlertEngine final : public sim::TaintTracker, public ObsEventSink {
   void add_sink(AlertSink* sink);  ///< borrowed, fan-out in add order
   const std::vector<AlertRule>& rules() const noexcept { return rules_; }
 
-  /// Full rebuild of the per-frame/per-slot caches from the shadow map.
-  /// Call once after attaching if the machine may already hold taint.
+  /// Full rebuild of the per-frame/per-slot caches from the shadow map's
+  /// counts. Call once after attaching if the machine may already hold
+  /// taint.
   void resync();
 
   // sim::TaintTracker — byte movements (fired after the shadow updated).
@@ -212,21 +196,23 @@ class AlertEngine final : public sim::TaintTracker, public ObsEventSink {
   /// crossings while the live set is static).
   void poll();
 
-  const WatcherAggregates& aggregates() const noexcept { return agg_; }
+  /// The invariant watchers' census, maintained per event; equal to a
+  /// fresh TaintAuditor audit's census() at every instant.
+  const analysis::SecretCensus& aggregates() const noexcept { return agg_; }
   std::uint64_t alerts_fired() const noexcept { return alerts_fired_; }
   std::uint64_t evaluations() const noexcept { return evaluations_; }
-  /// Derived-state bytes the engine actually walked (class-array bytes
-  /// counted, filled or copied) — its total inspection cost, directly
-  /// comparable with sweeps × shadow size for the periodic-audit
-  /// baseline (bench_alert_latency).
+  /// Bytes of the shadow map's per-frame and per-slot count entries
+  /// (analysis::PageSecrets) the engine has read — its total inspection
+  /// cost, directly comparable with sweeps × shadow size for the
+  /// periodic-audit baseline (bench_alert_latency).
   std::uint64_t shadow_bytes_examined() const noexcept {
     return shadow_bytes_examined_;
   }
 
  private:
   struct FrameEntry {
-    std::uint32_t secret_bytes = 0;     ///< bytes of class != 0 in the frame
-    std::uint32_t nonmaster_bytes = 0;  ///< bytes of class 2 (non-master secret)
+    std::uint32_t secret_bytes = 0;  ///< shadow count at the last refresh
+    bool nonmaster = false;          ///< a non-master secret byte was present
     bool mlocked = false;
     sim::FrameState state = sim::FrameState::kFree;
   };
@@ -246,40 +232,21 @@ class AlertEngine final : public sim::TaintTracker, public ObsEventSink {
     std::deque<std::uint64_t> bursts;  ///< refusal timestamps (kRefusalBurst)
   };
 
-  // The engine never re-reads the shadow map on the hot path. It derives
-  // a per-byte CLASS (0 = not secret, 1 = master-key, 2 = other secret)
-  // from the hook stream — the same stream the shadow map consumes — and
-  // maintains per-frame/per-slot counts over it incrementally. Each hook
-  // costs O(bytes the event moved); a store/clear/copy that provably
-  // cannot change any count (class-0 data into frames whose cached
-  // secret_bytes is already 0) costs one cached check per frame. That
-  // fast path is sound because every aggregate field counts secret bytes
-  // or secret-bearing frames: a frame holding none contributes nothing
-  // whatever its state, and the cache is exact because the engine sees
-  // every hook (resync() re-derives everything when attached late).
-
-  /// Set [off, off+len) of physical memory to the constant class `cls`.
-  void set_phys_class(std::size_t off, std::size_t len, std::uint8_t cls);
-  /// [dst, dst+len) of physical memory takes the classes at `src` (a COW
-  /// break / realloc move / swap-in). `src_may_secret` false promises the
-  /// source classes are all 0, enabling the clean-into-clean skip.
-  void copy_phys_class(std::size_t dst, const std::uint8_t* src,
-                       std::size_t len, bool src_may_secret);
-  /// Swap slot `slot` takes the classes of the physical page at phys_src.
-  void store_slot_classes(std::uint32_t slot, std::size_t phys_src);
-  void clear_slot_classes(std::uint32_t slot);
-  /// O(1) re-application of a frame's cached counts after a state or
-  /// mlock flip arriving over the event bus (no bytes moved).
-  void refresh_frame_meta(sim::FrameNumber frame);
-  /// True when the cached frame entries say [off, off+len) holds at
-  /// least one secret byte (conservative, frame-granular).
-  bool range_has_secret(std::size_t off, std::size_t len) const;
+  /// Re-reads `frame`'s counts, allocator state and mlock bit, moving its
+  /// share of the census from the cached entry to the fresh one.
+  void refresh_frame(sim::FrameNumber frame);
+  /// refresh_frame over every frame [off, off+len) touches.
+  void refresh_range(std::size_t off, std::size_t len);
+  void refresh_slot(std::uint32_t slot);
   void evaluate(std::uint64_t ts);
   void evaluate_budget(std::size_t ri, std::uint64_t ts);
   void evaluate_invariant(std::size_t ri, std::uint64_t ts);
   void note_refusal(std::uint64_t ts);
   bool cooled_down(const AlertRule& rule, const RuleState& st,
                    std::uint64_t ts) const;
+  /// Fires every cooled-down rule of `kind` for one single-event anomaly.
+  void fire_anomaly(RuleKind kind, std::uint64_t ts, std::uint64_t a,
+                    std::uint64_t b, double threshold);
   void fire(std::size_t ri, Alert alert);
 
   const sim::Kernel& kernel_;
@@ -290,9 +257,7 @@ class AlertEngine final : public sim::TaintTracker, public ObsEventSink {
   std::vector<AlertSink*> sinks_;
   std::vector<FrameEntry> frames_;
   std::vector<std::uint32_t> slot_secret_bytes_;
-  std::vector<std::uint8_t> phys_class_;  ///< derived per-byte class, RAM
-  std::vector<std::uint8_t> swap_class_;  ///< derived per-byte class, swap
-  WatcherAggregates agg_;
+  analysis::SecretCensus agg_;
   std::uint64_t alerts_fired_ = 0;
   std::uint64_t evaluations_ = 0;
   std::uint64_t shadow_bytes_examined_ = 0;

@@ -9,6 +9,7 @@
 #include "analysis/taint_auditor.hpp"
 #include "sim/kernel.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace keyguard::analysis {
 namespace {
@@ -30,6 +31,38 @@ std::size_t phys_of(const Kernel& k, const sim::Process& p, VirtAddr a) {
   const auto frame = k.translate(p, a);
   EXPECT_TRUE(frame.has_value());
   return static_cast<std::size_t>(*frame) * kPageSize + a % kPageSize;
+}
+
+/// Empty when every frame's and slot's PageSecrets equals a recount of
+/// its tags; otherwise names each page that disagrees.
+std::string count_divergence(const ShadowTaintMap& map) {
+  std::string out;
+  const auto check = [&](const char* what, std::size_t page,
+                         std::span<const TaintTag> tags, const PageSecrets& got) {
+    PageSecrets want;
+    for (const TaintTag t : tags) {
+      if (!sim::taint_tag_secret(t)) continue;
+      ++want.secret;
+      if (t != TaintTag::kMasterKey) ++want.nonmaster;
+    }
+    if (got.secret != want.secret || got.nonmaster != want.nonmaster) {
+      out += std::string(what) + " " + std::to_string(page) + ": secret " +
+             std::to_string(got.secret) + "/" + std::to_string(want.secret) +
+             " nonmaster " + std::to_string(got.nonmaster) + "/" +
+             std::to_string(want.nonmaster) + "; ";
+    }
+  };
+  const auto phys = map.phys_shadow();
+  for (std::size_t f = 0; f < phys.size() / kPageSize; ++f) {
+    check("frame", f, phys.subspan(f * kPageSize, kPageSize),
+          map.frame_secrets(static_cast<sim::FrameNumber>(f)));
+  }
+  const auto swap = map.swap_shadow();
+  for (std::size_t s = 0; s < swap.size() / kPageSize; ++s) {
+    check("slot", s, swap.subspan(s * kPageSize, kPageSize),
+          map.slot_secrets(static_cast<std::uint32_t>(s)));
+  }
+  return out;
 }
 
 /// All `len` bytes starting at virtual `a` carry `tag`.
@@ -300,6 +333,92 @@ TEST(TaintAuditor, FormatMentionsInvariantAndTags) {
   const auto text = TaintAuditor::format(TaintAuditor(map).audit(k));
   EXPECT_NE(text.find("single-locked-page invariant: HOLDS"), std::string::npos);
   EXPECT_NE(text.find("vault=6"), std::string::npos);
+  k.attach_taint(nullptr);
+}
+
+TEST(ShadowTaintMap, FrameAndSlotCountsMatchTheTags) {
+  KernelConfig cfg = small_config();
+  cfg.swap_pages = 8;
+  Kernel k(cfg);
+  ShadowTaintMap map(k);
+  k.attach_taint(&map);
+  util::Rng rng(33);
+  auto& p = k.spawn("p");
+  const TaintTag tags[] = {TaintTag::kKeyD, TaintTag::kMasterKey,
+                           TaintTag::kSealed, TaintTag::kClean};
+  std::vector<std::byte> page(kPageSize);
+  std::vector<VirtAddr> maps;
+  std::size_t slot_secrets_seen = 0;
+  std::size_t master_seen = 0;
+  for (int round = 0; round < 60; ++round) {
+    const auto pick = rng.next_u64() % 8;
+    switch (pick) {
+      case 0: {  // a fresh mapping, stored under one of the four tags
+        const VirtAddr a = k.mmap_anon(p, kPageSize, (rng.next_u64() % 2) != 0);
+        if (a == 0) break;
+        rng.fill_bytes(page);
+        const auto len = 1 + rng.next_u64() % kPageSize;
+        k.mem_write(p, a, std::span(page).first(len), tags[rng.next_u64() % 4]);
+        maps.push_back(a);
+        break;
+      }
+      case 1: {  // a partial clean overwrite
+        if (maps.empty()) break;
+        k.mem_write(p, maps[rng.next_u64() % maps.size()] + 100,
+                    std::span(page).first(512));
+        break;
+      }
+      case 2:  // scrub
+        if (maps.empty()) break;
+        k.mem_zero(p, maps[rng.next_u64() % maps.size()], kPageSize);
+        break;
+      case 3: {  // munmap: the frame keeps its tags on the free lists
+        if (maps.empty()) break;
+        const auto i = rng.next_u64() % maps.size();
+        k.munmap(p, maps[i], kPageSize);
+        maps.erase(maps.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+      case 4: {  // swap round trip: out, then fault one page back in
+        k.swap_out_pages(p, 2);
+        if (maps.empty()) break;
+        std::vector<std::byte> back(16);
+        k.mem_read(p, maps[rng.next_u64() % maps.size()], back);
+        break;
+      }
+      case 5:  // slot scrub (direct hook: a stock kernel never scrubs)
+        map.on_swap_clear(static_cast<std::uint32_t>(rng.next_u64() % 8));
+        break;
+      case 6: {  // fork, COW-break one page in the child, exit
+        auto& child = k.fork(p, "child");
+        if (!maps.empty()) {
+          k.mem_write(child, maps[rng.next_u64() % maps.size()],
+                      std::span(page).first(64), TaintTag::kKeyD);
+        }
+        k.exit_process(child);
+        break;
+      }
+      case 7: {  // overlapping copies around a resident page (direct hook)
+        if (maps.empty()) break;
+        const auto frame = k.translate(p, maps[rng.next_u64() % maps.size()]);
+        if (!frame || *frame + 2 >= k.memory().page_count()) break;
+        const std::size_t base = static_cast<std::size_t>(*frame) * kPageSize;
+        map.on_phys_copy(base + 1000, base + 3000, 2 * kPageSize - 1500);
+        map.on_phys_copy(base + 3000, base + 1000, 2 * kPageSize - 1500);
+        break;
+      }
+    }
+    ASSERT_EQ(count_divergence(map), "") << "round " << round << " op " << pick;
+    for (std::uint32_t s = 0; s < cfg.swap_pages; ++s) {
+      slot_secrets_seen += map.slot_secrets(s).secret;
+    }
+    master_seen +=
+        map.stats().phys_by_tag[static_cast<std::size_t>(TaintTag::kMasterKey)];
+  }
+  // The churn reached the counts it is meant to check.
+  EXPECT_GT(slot_secrets_seen, 0u);
+  EXPECT_GT(master_seen, 0u);
+  EXPECT_GT(map.stats().copies, 0u);
   k.attach_taint(nullptr);
 }
 

@@ -318,7 +318,7 @@ TEST_F(AlertTest, AggregatesEqualAuditUnderChurn) {
 TEST_F(AlertTest, ResyncRebuildsAfterLateAttach) {
   // Taint the machine BEFORE the engine hears any hooks: the caches are
   // blind until resync() re-derives them from the shadow.
-  sim::Kernel kernel({.mem_bytes = 4ull << 20});
+  sim::Kernel kernel({.mem_bytes = 4ull << 20, .swap_pages = 4});
   analysis::ShadowTaintMap shadow(kernel);
   sim::TaintFanout fanout;
   fanout.add(&shadow);
@@ -327,12 +327,23 @@ TEST_F(AlertTest, ResyncRebuildsAfterLateAttach) {
   const auto addr = kernel.mmap_anon(p, sim::kPageSize, /*mlocked=*/true);
   std::vector<std::byte> key(256, std::byte{0x5A});
   kernel.mem_write(p, addr, key, sim::TaintTag::kKeyD);
+  // A master-key page, and a secret page that goes out to swap (its
+  // vacated frame keeps the taint on the free lists).
+  const auto master = kernel.mmap_anon(p, sim::kPageSize, /*mlocked=*/true);
+  kernel.mem_write(p, master, std::span(key).first(32),
+                   sim::TaintTag::kMasterKey);
+  const auto paged = kernel.mmap_anon(p, sim::kPageSize, /*mlocked=*/false);
+  kernel.mem_write(p, paged, std::span(key).first(64), sim::TaintTag::kKeyP);
+  ASSERT_EQ(kernel.swap_out_pages(p, 1), 1u);
 
   AlertEngine engine(kernel, shadow);
   EXPECT_EQ(engine.aggregates().secret_frames, 0u);  // attached late, blind
   engine.resync();
-  EXPECT_EQ(engine.aggregates().secret_frames, 1u);
-  EXPECT_EQ(engine.aggregates().secret_mlocked_frames, 1u);
+  EXPECT_EQ(engine.aggregates().secret_frames, 3u);
+  EXPECT_EQ(engine.aggregates().secret_mlocked_frames, 2u);
+  EXPECT_EQ(engine.aggregates().master_key_frames, 1u);
+  EXPECT_EQ(engine.aggregates().secret_unallocated_bytes, 64u);
+  EXPECT_EQ(engine.aggregates().secret_swap_bytes, 64u);
   EXPECT_EQ(aggregate_divergence(engine, shadow, kernel), "");
   kernel.attach_taint(nullptr);
 }
