@@ -31,7 +31,9 @@
 //                  and contain no key-byte substring (raw or hex).
 //
 // Runs argument-free; --smoke shrinks the overhead phase for CI; --json
-// writes BENCH_alert_latency.json for tools/check_alert_gate.py.
+// PATH names the JSON report (default BENCH_alert_latency.json). The
+// SHAPE CHECKs are the gate: the exit status is non-zero when any fails
+// or the JSON cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -74,7 +76,7 @@ struct ScenarioResult {
   std::string name;
   bool detected = false;        ///< undefended run fired >= 1 alert
   bool sweep_detects = false;   ///< full audit sees the breach after (not before)
-  bool defended_clean = false;  ///< defended run fired 0 alerts
+  bool defended_clean = false;  ///< defended twin quiet (merge: also vetoed + merged)
   std::uint64_t true_breach_ns = 0;
   std::uint64_t engine_detect_ns = 0;  ///< alert ts_ns
   std::uint64_t engine_breach_ns = 0;  ///< alert breach_ts_ns
@@ -618,30 +620,27 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry::global().set_enabled(true);
   obs::manual_clock_install();
 
+  // The undefended run's result, with its defended twin's verdict.
+  const auto with_twin = [](ScenarioResult r, const ScenarioResult& twin) {
+    r.defended_clean = twin.defended_clean;
+    r.defended_alerts = twin.defended_alerts;
+    return r;
+  };
   std::vector<ScenarioResult> results;
   {
     ScenarioResult r;
     r.name = "secret_to_swap";
-    r = run_swap_scenario(false, r);
-    r.defended_clean = run_swap_scenario(true, {}).defended_clean;
-    results.push_back(r);
-  }
-  {
-    ScenarioResult r;
+    results.push_back(with_twin(run_swap_scenario(false, r),
+                                run_swap_scenario(true, {})));
     r.name = "secret_frame_merged";
-    r = run_merge_scenario(false, r);
-    r.defended_clean = run_merge_scenario(true, {}).defended_clean;
-    results.push_back(r);
-  }
-  {
-    ScenarioResult r;
+    results.push_back(with_twin(run_merge_scenario(false, r),
+                                run_merge_scenario(true, {})));
     r.name = "working_set_overflow";
-    r = run_working_set_scenario(false, r);
-    r.defended_clean = run_working_set_scenario(true, {}).defended_clean;
-    results.push_back(r);
+    results.push_back(with_twin(run_working_set_scenario(false, r),
+                                run_working_set_scenario(true, {})));
   }
   BudgetOutcome budget = run_budget_scenario(false, sc);
-  budget.r.defended_clean = run_budget_scenario(true, sc).r.defended_clean;
+  budget.r = with_twin(budget.r, run_budget_scenario(true, sc).r);
   results.push_back(budget.r);
 
   std::printf("[scenarios]  sweep period %.0f ms\n",
@@ -665,13 +664,18 @@ int main(int argc, char** argv) {
                                "hit after)");
     ok &= shape_check(r.engine_latency_ns < kSweepPeriodNs,
                       r.name + ": latency strictly below one sweep period");
+    ok &= shape_check(r.breach_err_ns <= kBreachEpsilonNs,
+                      r.name + ": breach timestamp exact (err " +
+                          std::to_string(r.breach_err_ns) + " ns <= " +
+                          std::to_string(kBreachEpsilonNs) + " ns)");
+    ok &= shape_check(r.defended_alerts == 0,
+                      r.name + ": defended twin fired zero alerts (" +
+                          std::to_string(r.defended_alerts) + ")");
     ok &= shape_check(r.defended_clean,
-                      r.name + ": defended run fired zero alerts");
+                      r.name + ": defended twin's verdict is clean");
     ok &= shape_check(r.engine_bytes > 0 && r.sweep_bytes > r.engine_bytes,
                       r.name + ": incremental cost below the sweep's");
   }
-  ok &= shape_check(budget.r.breach_err_ns <= kBreachEpsilonNs,
-                    "budget breach_ts interpolates the exact crossing");
   ok &= shape_check(budget.bundle_frozen, "flight recorder froze on breach");
   ok &= shape_check(budget.bundle_exact,
                     "bundle trigger replays the exact breach instant");
@@ -712,13 +716,6 @@ int main(int argc, char** argv) {
   obs::write_metrics_field(json, obs::MetricsRegistry::global());
   json.end_object();
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fwrite(json.str().data(), 1, json.str().size(), f);
-    std::fclose(f);
-    std::printf("JSON written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", json_path.c_str());
-    ok = false;
-  }
+  ok &= write_json(json_path, json.str());
   return ok ? 0 : 1;
 }

@@ -32,9 +32,9 @@
 // rest yet still serve correct private ops.
 //
 // Writes machine-readable results to BENCH_dedup_attack.json (--json
-// PATH); --smoke shrinks rounds/memory for CI. tools/check_dedup_gate.py
-// gates on the JSON: precision >= 0.9 undefended, detection <= chance +
-// epsilon defended, nonzero defended savings.
+// PATH); --smoke shrinks rounds/memory for CI. The SHAPE CHECKs below are
+// the gate: the exit status is non-zero when any fails or the JSON
+// cannot be written.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -401,6 +401,9 @@ int main(int argc, char** argv) {
   ok &= shape_check(undefended.total.recall() >= 0.9,
                     "no defense: every resident key page is detected "
                     "(recall " + util::fmt(undefended.total.recall(), 2) + ")");
+  ok &= shape_check(undefended.dedup.pages_merged > 0,
+                    "no defense: dedup merged pages (" +
+                        std::to_string(undefended.dedup.pages_merged) + ")");
   ok &= shape_check(!undefended.all_bounded,
                     "no defense: the COW break copies key-tainted bytes into "
                     "the attacker's frame — locked-pages bound VIOLATED");
@@ -416,6 +419,8 @@ int main(int argc, char** argv) {
                         std::to_string(defended.saved_pages_final) + " pages)");
   ok &= shape_check(defended.dedup.vetoed_secret > 0,
                     "defense: the veto actually fired on secret pages");
+  ok &= shape_check(defended.dedup.unmerges == 0,
+                    "defense: zero unmerges (no secret page was ever merged)");
   ok &= shape_check(defended.all_bounded,
                     "defense: bounded_locked_pages_only(4) HOLDS every round");
   ok &= shape_check(salt.unsalted_equal,
@@ -429,12 +434,6 @@ int main(int argc, char** argv) {
   json.field("shape_checks_ok", ok);
   obs::write_metrics_field(json, obs::MetricsRegistry::global());
   json.end_object();
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fwrite(json.str().data(), 1, json.str().size(), f);
-    std::fclose(f);
-    std::printf("\nJSON written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", json_path.c_str());
-  }
+  ok &= write_json(json_path, json.str());
   return ok ? 0 : 1;
 }

@@ -315,23 +315,7 @@ int main(int argc, char** argv) {
   obs::write_metrics_field(json, obs::MetricsRegistry::global());
   json.end_object();
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fwrite(json.str().data(), 1, json.str().size(), f);
-    std::fclose(f);
-    std::printf("JSON written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", json_path.c_str());
-    ok = false;
-  }
-  const auto trace_text = tracer.jsonl();
-  if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
-    std::fwrite(trace_text.data(), 1, trace_text.size(), f);
-    std::fclose(f);
-    std::printf("trace written to %s (%llu events)\n", trace_path.c_str(),
-                static_cast<unsigned long long>(tracer.event_count()));
-  } else {
-    std::fprintf(stderr, "could not write %s\n", trace_path.c_str());
-    ok = false;
-  }
+  ok &= write_json(json_path, json.str());
+  ok &= write_json(trace_path, tracer.jsonl());
   return ok ? 0 : 1;
 }

@@ -659,12 +659,6 @@ int main(int argc, char** argv) {
   json.field("shape_checks_ok", ok);
   obs::write_metrics_field(json, obs::MetricsRegistry::global());
   json.end_object();
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fwrite(json.str().data(), 1, json.str().size(), f);
-    std::fclose(f);
-    std::printf("JSON written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", json_path.c_str());
-  }
+  ok &= write_json(json_path, json.str());
   return ok ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "attack/leaks.hpp"
 #include "core/scenario.hpp"
@@ -84,6 +85,24 @@ inline void banner(const char* figure, const char* paper_claim, const Scale& s) 
 inline bool shape_check(bool ok, const std::string& what) {
   std::printf("SHAPE CHECK [%s] %s\n", ok ? "OK" : "FAIL", what.c_str());
   return ok;
+}
+
+/// Writes a bench's JSON (or JSONL) artifact to `path`. False, with a
+/// message on stderr, when the file cannot be written in full: a bench
+/// folds this into its exit status, so a missing artifact fails the run.
+inline bool write_json(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "could not write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("JSON written to %s\n", path.c_str());
+  return true;
 }
 
 /// ScanStats trailer for benches that time the scanner: one greppable line

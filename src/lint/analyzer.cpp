@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace keyguard::lint {
@@ -56,6 +57,14 @@ bool is_source_file(const fs::path& p) {
 std::string normalize(std::string p) {
   if (p.rfind("./", 0) == 0) p.erase(0, 2);
   return p;
+}
+
+std::optional<std::string> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 bool path_suffix_match(std::string_view path, std::string_view entry) {
@@ -132,8 +141,9 @@ bool Annotations::function_allows(const Function& fn,
                                   std::string_view kind) const {
   if (run_above_allows(fn.signature_line, kind)) return true;
   if (kind == "unscrubbed") {
-    // keylint v1 compatibility: a body-wide allow(unscrubbed) covers the
-    // whole function.
+    // A body-wide allow(unscrubbed) covers the whole function: the
+    // deliberately-vulnerable paths annotate once, where the reason is
+    // clearest, rather than at every allocation.
     for (const Allow& a : allows_) {
       if (a.line >= fn.signature_line && a.line <= fn.last_line &&
           has_kind(a.kinds, kind)) {
@@ -178,11 +188,15 @@ void apply_waivers(std::vector<Finding>& findings,
 }
 
 FileCheckResult analyze_source(const std::string& repo_rel_path,
-                               std::string_view source) {
+                               std::string_view source,
+                               std::string_view companion_header) {
   const TokenStream ts = tokenize(source);
   const std::vector<Function> fns = parse_functions(ts);
   const Annotations allows(ts);
-  return run_checks(repo_rel_path, ts, fns, allows);
+  LockedNames locked;
+  locked.collect(ts);
+  if (!companion_header.empty()) locked.collect(tokenize(companion_header));
+  return run_checks(repo_rel_path, ts, fns, allows, locked);
 }
 
 AnalysisResult analyze_paths(const std::vector<std::string>& paths) {
@@ -205,11 +219,15 @@ AnalysisResult analyze_paths(const std::vector<std::string>& paths) {
 
   AnalysisResult res;
   for (const std::string& file : files) {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) continue;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    FileCheckResult fr = analyze_source(file, buf.str());
+    const auto source = slurp(file);
+    if (!source) continue;
+    const fs::path path(file);
+    const std::string header =
+        path.extension() == ".cpp"
+            ? slurp(fs::path(path).replace_extension(".hpp").string())
+                  .value_or(std::string{})
+            : std::string{};
+    FileCheckResult fr = analyze_source(file, *source, header);
     res.findings.insert(res.findings.end(),
                         std::make_move_iterator(fr.findings.begin()),
                         std::make_move_iterator(fr.findings.end()));

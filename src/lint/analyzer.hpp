@@ -2,9 +2,9 @@
 //
 // `Annotations` is the AllowOracle implementation — it binds
 // `// keylint: allow(kind, ...)` comments to statements (any line of the
-// statement, or the own-line comment run immediately above it) instead of
-// keylint v1's 3-line lookback window, which silently attached an allow on
-// one statement to an unrelated neighbour.
+// statement, or the own-line comment run immediately above it), never to
+// a fixed window of lines, which would silently attach an allow on one
+// statement to an unrelated neighbour.
 #pragma once
 
 #include <string>
@@ -63,11 +63,15 @@ struct AnalysisResult {
 };
 
 /// Lints one in-memory source (the fixture battery uses this directly).
+/// `companion_header` is the text of the file's own header (x.hpp for
+/// x.cpp), read only for its locked-memory declarations.
 FileCheckResult analyze_source(const std::string& repo_rel_path,
-                               std::string_view source);
+                               std::string_view source,
+                               std::string_view companion_header = {});
 
 /// Lints files and directories (recursing into .cpp/.cc/.hpp/.h), in
-/// sorted order for deterministic output.
+/// sorted order for deterministic output. Each x.cpp is analyzed with its
+/// x.hpp, when there is one, as companion header.
 AnalysisResult analyze_paths(const std::vector<std::string>& paths);
 
 }  // namespace keyguard::lint

@@ -6,8 +6,8 @@
 // if/else branching, early returns (edge to the exit node), loops as join
 // points (back edge to the header, exit edge past it), break/continue, and
 // switch sections. The KL101 dataflow pass (checks.cpp) runs a forward
-// fixpoint over this graph, so a scrub that covers only the happy path no
-// longer satisfies the check the way it satisfied keylint v1's KL003.
+// fixpoint over this graph, so a scrub that covers only the happy path
+// does not satisfy the check.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -10,8 +11,7 @@
 namespace keyguard::lint {
 namespace {
 
-// Files allowed to call memset directly (the scrub funnels themselves);
-// mirrors keylint v1's MEMSET_WHITELIST.
+// Files allowed to call memset directly (the scrub funnels themselves).
 constexpr std::string_view kMemsetWhitelist[] = {
     "src/core/secure_zero.cpp",
     "src/sim/physmem.cpp",
@@ -199,8 +199,10 @@ struct AllocEvent {
   std::string label;
   int line = 0;
   std::string funnel;        // "heap_alloc" | "mmap_anon" | "write_bignum_heap"
+                             // | "locked read"
   bool locked = false;       // mmap_anon literal lock flag
   bool locked_known = false;
+  bool value = false;        // an owning copy of locked memory, not a handle
 };
 
 struct SinkEvent {
@@ -218,12 +220,97 @@ struct StmtFacts {
   std::vector<AllocEvent> allocs;
   std::vector<std::string> scrubbed;
   std::vector<std::string> disposed;  // raw-freed / munmapped / transferred
+  std::vector<std::string> moved;     // std::move arguments
+  std::vector<std::string> tainted;   // views over locked memory (KL103)
   std::vector<std::pair<std::string, int>> raw_frees;  // KL102
   std::vector<int> raw_memsets;                        // KL102
   std::vector<SinkEvent> sinks;
   std::vector<AssignEvent> assigns;
   std::vector<std::string> returned;  // names in a return expression
+  std::string returned_whole;         // `return x;`: x itself
 };
+
+// Where a statement can read locked memory from (see checks.hpp).
+struct LockedScope {
+  const LockedNames& names;
+  bool key_member = false;  // a SecureRsaKey member: bare image() reads it
+};
+
+std::string_view last_component(std::string_view chain) {
+  const auto dot = chain.rfind('.');
+  return dot == std::string_view::npos ? chain : chain.substr(dot + 1);
+}
+
+// A read of locked memory in [b, e): `buf.data()` on a SecureBuffer name,
+// `key.image()` on a SecureRsaKey name, or a bare `image()` in a member.
+bool reads_locked(const std::vector<Token>& t, std::size_t b, std::size_t e,
+                  const LockedScope& scope) {
+  for (const Call& c : find_calls(t, b, e)) {
+    const std::string last(last_component(c.receiver));
+    if (c.callee == "data" && scope.names.buffers.count(last) != 0) return true;
+    if (c.callee == "image" && (c.receiver.empty()
+                                    ? scope.key_member
+                                    : scope.names.keys.count(last) != 0)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool owning_type_name(const Token& t) {
+  return t.ident("Bignum") || t.ident("vector") || t.ident("string");
+}
+
+struct Decl {
+  std::string var;
+  int line = 0;
+  bool owning = false;
+  std::size_t init = 0;  // first initializer token
+};
+
+// `T name = init;`, `T name(init);` or `T name{init};`: the declared name,
+// and whether T owns its bytes (Bignum, std::vector or std::string by
+// value, or `auto` initialized from one). Nothing for assignments, calls
+// and the other statements a declaration can look like.
+std::optional<Decl> declaration_of(const std::vector<Token>& t) {
+  static const std::set<std::string_view> kNotAType = {
+      "return", "throw",    "delete",    "new",      "goto",     "case",
+      "using",  "typedef",  "co_return", "co_yield", "co_await", "operator",
+      "friend", "template"};
+  std::size_t k = 0;
+  for (; k + 1 < t.size(); ++k) {
+    if (t[k].kind == TokKind::kIdentifier) {
+      if (t[k + 1].is("=") || t[k + 1].is("(") || t[k + 1].is("{")) break;
+    } else if (!(t[k].is("::") || t[k].is("<") || t[k].is(">") ||
+                 t[k].is(">>") || t[k].is(",") || t[k].is("&") ||
+                 t[k].is("&&") || t[k].is("*"))) {
+      return std::nullopt;
+    }
+  }
+  if (k == 0 || k + 1 >= t.size()) return std::nullopt;
+  const Token& before = t[k - 1];
+  const bool by_ref = before.is("&") || before.is("&&") || before.is("*");
+  if (!(before.kind == TokKind::kIdentifier || before.is(">") ||
+        before.is(">>") || by_ref) ||
+      t[0].kind != TokKind::kIdentifier || kNotAType.count(t[0].text) != 0) {
+    return std::nullopt;
+  }
+  Decl d{t[k].text, t[k].line, false, k + 2};
+  bool owning = false, view = false, deduced = false;
+  for (std::size_t i = 0; i < k; ++i) {
+    owning |= owning_type_name(t[i]);
+    view |= t[i].ident("span");
+    deduced |= t[i].ident("auto");
+  }
+  if (deduced) {
+    for (std::size_t i = d.init; i < t.size() && !t[i].is("(") && !t[i].is("{");
+         ++i) {
+      owning |= owning_type_name(t[i]);
+    }
+  }
+  d.owning = owning && !view && !by_ref;
+  return d;
+}
 
 bool flag_means_clear(const std::vector<Token>& t, std::size_t b,
                       std::size_t e) {
@@ -234,12 +321,14 @@ bool flag_means_clear(const std::vector<Token>& t, std::size_t b,
     if (t[i].text == "false") saw_false = true;
     if (t[i].text.find("clear") != std::string::npos) return true;
   }
-  // A runtime-variable flag gets the benefit of the doubt (keylint v1's
-  // lenient SCRUB behaviour); a literal `false` does not.
+  // A runtime-variable flag (the defense's clear_temporaries switch) gets
+  // the benefit of the doubt: the lint cannot know a run's config, and the
+  // flag exists to clear. A literal `false` does not.
   return !saw_false && b != e;
 }
 
-StmtFacts extract_facts(const std::vector<Token>& head, bool is_return) {
+StmtFacts extract_facts(const std::vector<Token>& head, bool is_return,
+                        const LockedScope& locked) {
   StmtFacts f;
   const std::size_t n = head.size();
   const std::string assigned = lvalue_of(head, 0, n);
@@ -284,6 +373,16 @@ StmtFacts extract_facts(const std::vector<Token>& head, bool is_return) {
       if (!c.receiver.empty()) f.scrubbed.push_back(c.receiver);
       for (const auto& [ab, ae] : c.args) {
         for (auto& nm : names_in(head, ab, ae)) f.scrubbed.push_back(nm);
+        // secure_zero(v.data(), v.size()) scrubs v.
+        for (const Call& inner : find_calls(head, ab, ae)) {
+          if (!inner.receiver.empty()) f.scrubbed.push_back(inner.receiver);
+        }
+      }
+      continue;
+    }
+    if (c.callee == "move" && (c.receiver.empty() || c.receiver == "std")) {
+      for (const auto& [ab, ae] : c.args) {
+        for (auto& nm : names_in(head, ab, ae)) f.moved.push_back(nm);
       }
       continue;
     }
@@ -364,7 +463,25 @@ StmtFacts extract_facts(const std::vector<Token>& head, bool is_return) {
 
   if (is_return) {
     f.returned = names_in(head, 0, n);
-  } else if (!assigned.empty()) {
+    const bool bare = std::all_of(head.begin(), head.end(), [](const Token& t) {
+      return t.kind == TokKind::kIdentifier || t.is(".") || t.is("->");
+    });
+    if (bare && f.returned.size() == 1) f.returned_whole = f.returned.front();
+  } else if (const auto d = declaration_of(head);
+             d && reads_locked(head, d->init, n, locked)) {
+    if (d->owning) {
+      AllocEvent a;
+      a.var = d->var;
+      a.label = "owning copy of locked memory";
+      a.line = d->line;
+      a.funnel = "locked read";
+      a.value = true;
+      f.allocs.push_back(std::move(a));
+    } else {
+      f.tainted.push_back(d->var);
+    }
+  }
+  if (!is_return && !assigned.empty()) {
     AssignEvent a;
     a.dst = assigned;
     int depth = 0;
@@ -459,13 +576,6 @@ struct FlowState {
   }
 };
 
-void erase_covered(std::map<std::string, std::set<AllocSite>>& live,
-                   const std::string& name) {
-  for (auto it = live.begin(); it != live.end();) {
-    it = covers(name, it->first) ? live.erase(it) : std::next(it);
-  }
-}
-
 bool tainted(const std::set<std::string>& taint, const std::string& name) {
   for (const auto& t : taint) {
     if (covers(t, name) || covers(name, t)) return true;
@@ -476,15 +586,18 @@ bool tainted(const std::set<std::string>& taint, const std::string& name) {
 class FunctionFlow {
  public:
   FunctionFlow(const std::string& file, const Function& fn,
-               const AllowOracle& allows)
+               const AllowOracle& allows, const LockedScope& locked)
       : file_(file), fn_(fn), allows_(allows), cfg_(build_cfg(fn)) {
     facts_.resize(cfg_.nodes.size());
     std::map<const Stmt*, std::size_t> node_of;
     for (std::size_t i = 0; i < cfg_.nodes.size(); ++i) {
       const Stmt* s = cfg_.nodes[i].stmt;
       if (s != nullptr) {
-        facts_[i] = extract_facts(s->head, s->kind == StmtKind::kReturn);
+        facts_[i] = extract_facts(s->head, s->kind == StmtKind::kReturn, locked);
         node_of[s] = i;
+        for (const AllocEvent& a : facts_[i].allocs) {
+          if (a.value) values_.insert(a.var);
+        }
       }
     }
     apply_null_guards(fn_.body, node_of);
@@ -558,7 +671,7 @@ class FunctionFlow {
     for (const auto& [key, exits] : leaks_) {
       const auto& [var, site] = key;
       std::ostringstream msg;
-      msg << "secret-labelled allocation `" << display_var(var) << "` (\""
+      msg << "secret allocation `" << display_var(var) << "` (\""
           << site.label << "\") is not scrubbed on every exit path (leaks at "
           << (exits.size() == 1 ? "exit line " : "exit lines ");
       bool first = true;
@@ -586,18 +699,26 @@ class FunctionFlow {
     return v.rfind("<anon:", 0) == 0 ? "<temporary>" : v;
   }
 
+  // Drops the live secrets `name` covers. A handle leaves with any
+  // transfer or returned expression; an owning value only when scrubbed,
+  // moved or returned whole (`values_too`).
+  void erase(FlowState& st, const std::string& name, bool values_too) const {
+    for (auto it = st.live.begin(); it != st.live.end();) {
+      const bool gone = covers(name, it->first) &&
+                        (values_too || values_.count(it->first) == 0);
+      it = gone ? st.live.erase(it) : std::next(it);
+    }
+  }
+
   void transfer(std::size_t node, FlowState& st) {
     const StmtFacts& f = facts_[node];
     const Stmt* s = cfg_.nodes[node].stmt;
-    for (const auto& nm : f.scrubbed) {
-      erase_covered(st.live, nm);
-    }
-    for (const auto& nm : f.disposed) {
-      erase_covered(st.live, nm);
-    }
-    for (const auto& nm : f.returned) {
-      erase_covered(st.live, nm);  // ownership escapes to the caller
-    }
+    for (const auto& nm : f.scrubbed) erase(st, nm, true);
+    for (const auto& nm : f.moved) erase(st, nm, true);
+    for (const auto& nm : f.disposed) erase(st, nm, false);
+    for (const auto& nm : f.returned) erase(st, nm, false);  // escapes
+    if (!f.returned_whole.empty()) erase(st, f.returned_whole, true);
+    for (const auto& nm : f.tainted) st.taint.insert(nm);
     for (const AllocEvent& a : f.allocs) {
       if (s != nullptr && allows_.statement_allows(*s, "unscrubbed")) continue;
       if (allows_.function_allows(fn_, "unscrubbed")) continue;
@@ -636,6 +757,7 @@ class FunctionFlow {
   const AllowOracle& allows_;
   Cfg cfg_;
   std::vector<StmtFacts> facts_;
+  std::set<std::string> values_;  // owning copies of locked memory
   std::map<std::pair<std::string, AllocSite>, std::set<int>> leaks_;
   std::set<std::tuple<int, std::string, std::string>> sink_hits_;
 };
@@ -703,10 +825,12 @@ bool is_must_lock_label(std::string_view s) {
 const std::vector<CheckInfo>& check_catalogue() {
   static const std::vector<CheckInfo> cat = {
       {"KL101",
-       "secret-labelled allocation not scrubbed on every exit path",
+       "secret allocation not scrubbed on every exit path",
        "Path-sensitive: every early return, branch join and loop exit must "
-       "see the secret scrubbed or ownership transferred. Scrub, transfer, "
-       "or annotate `// keylint: allow(unscrubbed) — why`."},
+       "see the secret scrubbed or ownership transferred. Secrets are "
+       "secret-labelled allocations and owning copies (Bignum, std::vector, "
+       "std::string) of locked memory. Scrub, transfer, or annotate "
+       "`// keylint: allow(unscrubbed) — why`."},
       {"KL102",
        "raw memset/heap_free bypasses the scrub funnels",
        "Zeroing must go through core::secure_zero or the sim clear funnels; "
@@ -729,9 +853,26 @@ const std::vector<CheckInfo>& check_catalogue() {
   return cat;
 }
 
+void LockedNames::collect(const TokenStream& ts) {
+  const auto& t = ts.tokens;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const bool buffer = t[i].ident("SecureBuffer");
+    if (!buffer && !t[i].ident("SecureRsaKey")) continue;
+    std::size_t j = i + 1;
+    while (j < t.size() &&
+           (t[j].is("&") || t[j].is("&&") || t[j].is("*") || t[j].ident("const"))) {
+      ++j;
+    }
+    if (j < t.size() && t[j].kind == TokKind::kIdentifier) {
+      (buffer ? buffers : keys).insert(t[j].text);
+    }
+  }
+}
+
 FileCheckResult run_checks(const std::string& path, const TokenStream& ts,
                            const std::vector<Function>& fns,
-                           const AllowOracle& allows) {
+                           const AllowOracle& allows,
+                           const LockedNames& locked) {
   FileCheckResult res;
   bool memset_ok = false;
   for (const auto entry : kMemsetWhitelist) {
@@ -740,10 +881,13 @@ FileCheckResult run_checks(const std::string& path, const TokenStream& ts,
 
   for (const Function& fn : fns) {
     const bool secret_fn = function_mentions_secret(fn);
+    const LockedScope scope{
+        locked, ("::" + fn.name).find("::SecureRsaKey::") != std::string::npos};
 
     // KL102 + KL104 sites: one linear walk, allow bound to the statement.
     walk_stmts(fn.body, [&](const Stmt& s) {
-      const StmtFacts f = extract_facts(s.head, s.kind == StmtKind::kReturn);
+      const StmtFacts f =
+          extract_facts(s.head, s.kind == StmtKind::kReturn, scope);
       for (const auto& [target, line] : f.raw_frees) {
         if (!secret_fn) continue;
         if (allows.statement_allows(s, "raw-free")) continue;
@@ -826,7 +970,7 @@ FileCheckResult run_checks(const std::string& path, const TokenStream& ts,
     });
 
     // KL101 + KL103 dataflow.
-    FunctionFlow flow(path, fn, allows);
+    FunctionFlow flow(path, fn, allows, scope);
     flow.run(res.findings);
   }
 

@@ -6,8 +6,7 @@
 // inside them are found), aggregate initializers and lambdas are swallowed
 // into the statement that contains them, and anything unrecognized degrades
 // to a plain statement — unknown syntax can hide a finding but never
-// crashes the tool or corrupts brace tracking the way keylint v1's
-// line-regex pass could.
+// crashes the tool or corrupts brace tracking.
 #pragma once
 
 #include <string>

@@ -1,6 +1,6 @@
-// Output backends for keylint2: human-readable text (the keylint v1
-// `path:line: KLxxx message` shape, so the differential oracle can diff the
-// two tools), SARIF 2.1.0 for CI code-scanning upload, and the
+// Output backends for keylint2: human-readable text (`path:line: KLxxx
+// message`, the compiler-diagnostic shape editors and grep understand),
+// SARIF 2.1.0 for CI code-scanning upload, and the
 // locked-memory compliance report (the KeepTower MEMORY_LOCKING_AUDIT
 // idiom: one machine-readable JSON document per release enumerating every
 // audited key-material allocation site and its mlock status).
@@ -14,7 +14,7 @@
 namespace keyguard::lint {
 
 /// `path:line: KLxxx message` lines, waived findings annotated, followed by
-/// a one-line summary. Matches keylint v1's shape for the oracle.
+/// a one-line summary.
 std::string render_text(const std::vector<Finding>& findings);
 
 /// SARIF 2.1.0 document: one run, one rule per catalogue entry, one result

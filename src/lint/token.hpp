@@ -1,10 +1,9 @@
 // Lexer for keylint2 (src/lint): C++ source -> token stream.
 //
-// keylint v1 (tools/keylint.py) matched regexes against raw lines, which is
-// why it could not see control flow: a `{` inside a string literal broke its
-// brace counting, a wrapped condition hid `return` from it, and an allow
-// annotation had no statement to bind to. Everything downstream of this
-// lexer (parse.hpp, cfg.hpp, checks.hpp) works on tokens instead.
+// Everything downstream of this lexer (parse.hpp, cfg.hpp, checks.hpp)
+// works on tokens, never on raw lines: a `{` inside a string literal must
+// not move brace depth, a wrapped condition must not hide a `return`, and
+// an allow annotation needs a statement to bind to.
 //
 // Scope: this is a *linter* lexer, not a compiler front end. It understands
 // exactly what the checks need — identifiers, literals (string contents are

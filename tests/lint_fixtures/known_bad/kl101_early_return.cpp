@@ -1,6 +1,5 @@
-// THE differential fixture: the scrub on the happy path satisfies keylint
-// v1's KL003 ("a scrub exists somewhere in the body"), so the legacy tool
-// reports nothing here. keylint2's path-sensitive KL101 sees the early
+// A scrub on the happy path only: a body-wide "is there a scrub anywhere"
+// check passes this function. The path-sensitive KL101 sees the early
 // return that leaves the PEM copy live in a freed-reachable heap chunk.
 #include "sim/kernel.hpp"
 

@@ -1,6 +1,6 @@
 // The scrub lives inside the loop's success branch; when the loop
 // exhausts without finding a match, the function falls off the end with
-// the secret still live. keylint v1's body-wide scrub check passes.
+// the secret still live. A body-wide scrub check would pass it.
 #include "sim/kernel.hpp"
 
 namespace fixture {

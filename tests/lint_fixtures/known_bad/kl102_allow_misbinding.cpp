@@ -1,6 +1,6 @@
 // The allow annotation binds to the statement directly below it — NOT to
-// anything within a 3-line window. keylint v1's window bug suppressed the
-// memset here; keylint2 (and the fixed keylint.py) still report it.
+// anything within a window of lines, which would suppress the memset
+// here.
 #include "sim/kernel.hpp"
 
 namespace fixture {

@@ -1,5 +1,5 @@
 // Secret-to-sink flow: the session secret's address flows through a local
-// alias into a printf-family sink. keylint v1 has no notion of this.
+// alias into a printf-family sink.
 #include "sim/kernel.hpp"
 
 namespace fixture {

@@ -1,6 +1,6 @@
 // The allow annotation binds to the whole statement below it, even when the
-// raw call sits several lines into the statement — outside keylint v1's
-// 3-line window, which reported a false positive here before the fix.
+// raw call sits several lines into the statement — outside any fixed
+// window of lines, which would report a false positive here.
 #include "sim/kernel.hpp"
 
 namespace fixture {

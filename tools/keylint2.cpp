@@ -3,9 +3,8 @@
 //   keylint2 [paths...] [--sarif FILE] [--compliance FILE]
 //            [--waivers FILE] [--list-checks]
 //
-// Text findings go to stdout in keylint v1's `path:line: KLxxx message`
-// shape (tools/lint_diff_oracle.py diffs the two tools on it). Exit codes
-// match v1: 0 clean (or everything waived), 1 unwaived findings, 2 usage.
+// Text findings go to stdout as `path:line: KLxxx message`. Exit codes:
+// 0 clean (or everything waived), 1 unwaived findings, 2 usage.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
