@@ -15,9 +15,13 @@
 #include "core/secure_buffer.hpp"
 #include "core/secure_rsa.hpp"
 #include "core/secure_zero.hpp"
+#include "crypto/pem.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/sha256.hpp"
+#include "keystore/sealed_blob.hpp"
 #include "scan/key_scanner.hpp"
 #include "servers/ssh_server.hpp"
+#include "sim/coprocessor.hpp"
 
 using namespace keyguard;
 
@@ -115,6 +119,71 @@ void BM_SecureRsaKeyDecrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SecureRsaKeyDecrypt);
+
+// --- unseal staging ----------------------------------------------------------
+//
+// A host pool miss stages a key in three phases: unseal the blob (SHA-256
+// keystream, plus the domain MAC for KSB2), walk the DER into a slot
+// image, and precompute R^2 and qInv mod p (from_der does both).
+
+// Compression over Arg 0 bytes of whole blocks (64 = the one block a
+// keystream block hashes). Arg 1: 0 runs crypto::sha256_compress (the
+// kernel CPUID picked, named in the label), 1 runs the portable kernel.
+void BM_Sha256(benchmark::State& state) {
+  std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)));
+  util::Rng(18).fill_bytes(data);
+  const bool portable = state.range(1) != 0;
+  const auto compress = portable ? crypto::portable::sha256_compress : crypto::sha256_compress;
+  crypto::Sha256State st{};
+  for (auto _ : state) {
+    compress(st, data);
+    benchmark::DoNotOptimize(st.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel(portable ? "portable" : crypto::sha256_kernel_name());
+}
+BENCHMARK(BM_Sha256)->ArgsProduct({{64, 4096}, {0, 1}});
+
+const std::vector<std::byte>& bench_der() {
+  static const std::vector<std::byte> der = crypto::der_encode_private_key(bench_key());
+  return der;
+}
+
+// KSB1: the keystream under a master key, as Keystore's miss runs it.
+void BM_UnsealKsb1(benchmark::State& state) {
+  std::vector<std::byte> master(keystore::kMasterKeyBytes), out(bench_der().size());
+  util::Rng(19).fill_bytes(master);
+  const auto blob = keystore::seal(bench_der(), master, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(keystore::unseal_into(blob, master, out));
+  }
+  state.SetLabel(crypto::sha256_kernel_name());
+}
+BENCHMARK(BM_UnsealKsb1);
+
+// KSB2: the domain's MAC, then its keystream, as EncryptedHostKeystore's
+// miss runs them.
+void BM_UnsealKsb2(benchmark::State& state) {
+  sim::CoprocessorDomain domain(20);
+  std::vector<std::byte> out(bench_der().size());
+  const auto blob = keystore::seal_authenticated(bench_der(), domain, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(keystore::unseal_authenticated_into(*blob, domain, out));
+  }
+  state.SetLabel(crypto::sha256_kernel_name());
+}
+BENCHMARK(BM_UnsealKsb2);
+
+// The DER walk into a slot image plus its precompute.
+void BM_SlotFromDer(benchmark::State& state) {
+  std::vector<bn::Limb> image(secure::rsa_slot::kPageLimbs);
+  std::vector<bn::Limb> scratch(secure::rsa_slot::der_scratch_limbs(bench_der().size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secure::rsa_slot::from_der(image, bench_der(), scratch));
+  }
+  state.SetLabel(bn::mont::kernel_name());
+}
+BENCHMARK(BM_SlotFromDer);
 
 // --- Montgomery kernel -------------------------------------------------------
 

@@ -113,6 +113,8 @@ std::size_t build(std::span<Limb> out, const Widths& w, std::span<Limb> scratch,
   const mont::Modulus mp{p, rrp, n0[0]};
   mont::to_mont(tmp, iqmp, mp, k);
   mont::from_mont(lay.part(image, kIqmpModP), tmp, mp, k);
+  // fill and the copies above move limbs through vector registers.
+  clear_vector_registers();
   return lay.total;
 }
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <functional>
 
+#include "core/secure_zero.hpp"
+
 namespace keyguard::keystore {
 
 EncryptedPoolKeystore::EncryptedPoolKeystore(sim::Kernel& kernel, sim::Process& proc,
@@ -85,7 +87,7 @@ std::vector<std::optional<bn::Bignum>> EncryptedPoolKeystore::private_op_batch(
   for (std::size_t i = 0; i < ids.size(); ++i) {
     out.push_back(try_private_op(ids[i], cs[i]));
   }
-  for (auto& [nonce, ks] : batch_) wipe(ks);
+  for (auto& [nonce, ks] : batch_) secure::secure_zero(ks);
   batch_.clear();
   return out;
 }

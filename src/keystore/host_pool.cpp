@@ -55,7 +55,7 @@ std::optional<KeyId> HostKeyPool::add_key(const crypto::RsaPrivateKey& key) {
   auto pub = key.public_key();
   util::MutexLock lk(mu_);
   auto blob = fits ? seal_(der, next_id_) : std::nullopt;
-  wipe(der);
+  secure::secure_zero(der);
   if (!blob) {
     count(stats_.refusals, kRefusals);
     return std::nullopt;

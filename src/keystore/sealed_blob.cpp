@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "core/secure_zero.hpp"
 #include "crypto/sha256.hpp"
 
 namespace keyguard::keystore {
@@ -68,7 +69,7 @@ void keystream_xor(std::span<std::byte> data, std::span<const std::byte> master,
     auto ks = h.finish();
     const std::size_t n = std::min(crypto::Sha256::kDigestSize, data.size() - off);
     for (std::size_t i = 0; i < n; ++i) data[off + i] ^= ks[i];
-    wipe(ks);
+    secure::secure_zero(ks);
   }
 }
 
@@ -113,12 +114,12 @@ std::optional<std::vector<std::byte>> seal_authenticated(
   const auto body = std::span(blob).subspan(kSealedHeaderBytes, plaintext.size());
   std::memcpy(body.data(), plaintext.data(), plaintext.size());
   if (!domain.keystream_xor(nonce, body)) {
-    wipe(blob);  // the plaintext copy never got its keystream
+    secure::secure_zero(blob);  // the plaintext copy never got its keystream
     return std::nullopt;
   }
   const auto tag = domain.mac(nonce, body);
   if (!tag) {
-    wipe(blob);  // half-built ciphertext without a key to reopen it
+    secure::secure_zero(blob);  // half-built ciphertext without a key to reopen it
     return std::nullopt;
   }
   std::memcpy(blob.data() + kSealedHeaderBytes + plaintext.size(), tag->data(),
@@ -154,7 +155,7 @@ std::optional<std::size_t> unseal_authenticated_into(
   if (keystream.size() >= ct.size()) {
     for (std::size_t i = 0; i < plain.size(); ++i) plain[i] ^= keystream[i];
   } else if (!domain.keystream_xor(*nonce, plain)) {
-    wipe(plain);
+    secure::secure_zero(plain);
     return std::nullopt;
   }
   return ct.size();
@@ -167,11 +168,6 @@ std::optional<std::vector<std::byte>> unseal_authenticated(
   std::vector<std::byte> plain(blob.size() - std::min(blob.size(), overhead));
   if (!unseal_authenticated_into(blob, domain, plain, keystream)) return std::nullopt;
   return plain;
-}
-
-void wipe(std::span<std::byte> data) noexcept {
-  volatile std::byte* p = data.data();
-  for (std::size_t i = 0; i < data.size(); ++i) p[i] = std::byte{0};
 }
 
 }  // namespace keyguard::keystore

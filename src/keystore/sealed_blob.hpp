@@ -122,10 +122,4 @@ std::optional<std::size_t> unseal_authenticated_into(
 /// authenticity implied.
 std::optional<std::uint64_t> authenticated_nonce(std::span<const std::byte> blob);
 
-/// Volatile-store zeroization for HOST-side transients (DER scratch, master
-/// copies) that live outside both the simulated kernel and core's
-/// SecureBuffer. Mirrors core/secure_zero; duplicated here so the sim-side
-/// keystore library does not link keyguard_core (which links the servers).
-void wipe(std::span<std::byte> data) noexcept;
-
 }  // namespace keyguard::keystore

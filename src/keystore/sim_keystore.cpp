@@ -3,6 +3,7 @@
 #include <cassert>
 #include <functional>
 
+#include "core/secure_zero.hpp"
 #include "util/rng.hpp"
 
 namespace keyguard::keystore {
@@ -22,7 +23,7 @@ sim::VirtAddr map_master(sim::Kernel& kernel, sim::Process& proc, std::uint64_t 
   util::Rng rng(seed);
   rng.fill_bytes(master);
   kernel.mem_write(proc, page, master, sim::TaintTag::kMasterKey);
-  wipe(master);
+  secure::secure_zero(master);
   return page;
 }
 
@@ -63,7 +64,7 @@ std::optional<std::vector<std::byte>> SimKeystore::seal_blob(std::span<const std
                                                              KeyId id) const {
   auto master = read_master();
   auto blob = seal(der, master, salted_nonce(id, cfg_.blob_salt));
-  wipe(master);
+  secure::secure_zero(master);
   return blob;
 }
 
@@ -71,7 +72,7 @@ std::optional<std::vector<std::byte>> SimKeystore::unseal_blob(
     std::span<const std::byte> blob, KeyId /*id*/) const {
   auto master = read_master();
   auto der = unseal(blob, master);
-  wipe(master);
+  secure::secure_zero(master);
   return der;
 }
 

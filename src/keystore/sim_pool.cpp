@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "core/secure_zero.hpp"
 #include "crypto/pem.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
@@ -147,7 +148,7 @@ std::optional<KeyId> SimKeyPool::ingest_pem(const std::string& vfs_path) {
   // the unbounded disclosure surface the sealed path exists to remove.
   auto blob = seal_ ? seal_(der, id) : std::optional(der);
   const auto drop_transients = [&] {
-    wipe(der);
+    secure::secure_zero(der);
     parsed->scrub_private_parts();
     drop_pem();
   };
@@ -163,7 +164,7 @@ std::optional<KeyId> SimKeyPool::ingest_pem(const std::string& vfs_path) {
   assert(e.blob != 0);
   kernel_.mem_write(proc_, e.blob, *blob,
                     seal_ ? sim::TaintTag::kSealed : sim::TaintTag::kDer);
-  if (!seal_) wipe(*blob);
+  if (!seal_) secure::secure_zero(*blob);
   if (store_first) drop_transients();
 
   keys_.emplace(id, std::move(e));
@@ -218,12 +219,12 @@ std::optional<std::size_t> SimKeyPool::reenter(KeyId id, std::size_t si) {
   std::vector<std::byte> page(s.used_bytes);
   kernel_.mem_read(proc_, s.page, page);
   for (std::size_t i = 0; i < page.size(); ++i) page[i] ^= ks[i];
-  wipe(ks);
+  secure::secure_zero(ks);
   // mlock BEFORE the plaintext write lands: there is no instant where
   // the frame holds secret bytes without being pinned.
   lock_page(s, true);
   kernel_.mem_write(proc_, s.page, page, sim::TaintTag::kPoolKey);
-  wipe(page);
+  secure::secure_zero(page);
   s.is_plaintext = true;
   s.last_used = ++clock_;
   count(stats_.page_decrypts, kPageDecrypts);
@@ -239,7 +240,7 @@ std::optional<std::size_t> SimKeyPool::unseal_into_victim(KeyId id, Entry& e) {
   auto der = unseal_ ? unseal_(blob, id) : std::optional(std::move(blob));
   if (!der) return std::nullopt;
   auto key = crypto::der_decode_private_key(*der);
-  wipe(*der);
+  secure::secure_zero(*der);
   if (!key) return std::nullopt;
 
   const std::size_t victim_slot = victim();
@@ -319,11 +320,11 @@ void SimKeyPool::reencrypt_slot(std::size_t si) {
   std::vector<std::byte> page(s.used_bytes);
   kernel_.mem_read(proc_, s.page, page);
   for (std::size_t i = 0; i < page.size(); ++i) page[i] ^= ks[i];
-  wipe(ks);
+  secure::secure_zero(ks);
   // The write retags the bytes kSealed — from this instant the frame holds
   // ciphertext, drops out of the secret-taint census, and may be unlocked.
   kernel_.mem_write(proc_, s.page, page, sim::TaintTag::kSealed);
-  wipe(page);
+  secure::secure_zero(page);
   lock_page(s, false);
   s.is_plaintext = false;
   count(stats_.reencrypts, kReencrypts);

@@ -1,6 +1,7 @@
 #include "obs/build_info.hpp"
 
 #include "bignum/montgomery.hpp"
+#include "crypto/sha256.hpp"
 #include "util/json.hpp"
 
 namespace keyguard::obs {
@@ -51,10 +52,12 @@ const char* build_type() {
 
 const char* mont_kernel() { return bn::mont::kernel_name(); }
 
+const char* sha256_kernel() { return crypto::sha256_kernel_name(); }
+
 std::string one_line() {
   return std::string("keyguard ") + version() + " | " + compiler() +
          " | sanitizer=" + sanitizer() + " | " + build_type() +
-         " | mont_kernel=" + mont_kernel();
+         " | mont_kernel=" + mont_kernel() + " | sha256_kernel=" + sha256_kernel();
 }
 
 void write(util::JsonWriter& w) {
@@ -64,6 +67,7 @@ void write(util::JsonWriter& w) {
   w.field("sanitizer", sanitizer());
   w.field("build_type", build_type());
   w.field("mont_kernel", mont_kernel());
+  w.field("sha256_kernel", sha256_kernel());
   w.end_object();
 }
 

@@ -24,13 +24,16 @@ const char* build_type();
 /// "adx+ifma", "adx" or "portable": the Montgomery kernels CPUID picked
 /// for this process (bn::mont::kernel_name()), i.e. which arithmetic ran.
 const char* mont_kernel();
+/// "sha_ni" or "portable": the SHA-256 compression kernel CPUID picked
+/// (crypto::sha256_kernel_name()), i.e. what every unseal hashed on.
+const char* sha256_kernel();
 /// "keyguard <version> | <compiler> | sanitizer=<san> | <type> |
-/// mont_kernel=<kernel>".
+/// mont_kernel=<kernel> | sha256_kernel=<kernel>".
 std::string one_line();
 
 /// Emits the build object *value* {"version":...,"compiler":...,
-/// "sanitizer":...,"build_type":...,"mont_kernel":...} — caller supplies
-/// the key.
+/// "sanitizer":...,"build_type":...,"mont_kernel":...,
+/// "sha256_kernel":...} — caller supplies the key.
 void write(util::JsonWriter& w);
 
 }  // namespace build_info

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/secure_zero.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/event_bus.hpp"
 #include "util/rng.hpp"
@@ -16,11 +17,6 @@ void put_le64(std::byte* out, std::uint64_t v) {
   }
 }
 
-void wipe_bytes(std::span<std::byte> data) noexcept {
-  volatile std::byte* p = data.data();
-  for (std::size_t i = 0; i < data.size(); ++i) p[i] = std::byte{0};
-}
-
 }  // namespace
 
 CoprocessorDomain::CoprocessorDomain(std::uint64_t seed) {
@@ -28,7 +24,7 @@ CoprocessorDomain::CoprocessorDomain(std::uint64_t seed) {
   rng.fill_bytes(secret_);
 }
 
-CoprocessorDomain::~CoprocessorDomain() { wipe_bytes(secret_); }
+CoprocessorDomain::~CoprocessorDomain() { secure::secure_zero(secret_); }
 
 bool CoprocessorDomain::available() const {
   std::lock_guard lk(mu_);
@@ -37,7 +33,7 @@ bool CoprocessorDomain::available() const {
 
 void CoprocessorDomain::power_off() {
   std::lock_guard lk(mu_);
-  wipe_bytes(secret_);
+  secure::secure_zero(secret_);
   powered_ = false;
 }
 
@@ -54,7 +50,7 @@ void CoprocessorDomain::fill_locked(const KeystreamRequest& req, bool xor_in) {
     auto ks = h.finish();
     const std::size_t n = std::min(kBlockBytes, out.size());
     for (std::size_t i = 0; i < n; ++i) out[i] = xor_in ? out[i] ^ ks[i] : ks[i];
-    wipe_bytes(ks);
+    secure::secure_zero(ks);
     out = out.subspan(n);
   }
   keystream_requests_ += 1;

@@ -35,10 +35,12 @@
 
 #include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
+#include "core/secure_buffer.hpp"
 #include "core/secure_rsa.hpp"
 #include "crypto/pem.hpp"
 #include "keystore/encrypted_keystore_host.hpp"
 #include "keystore/keystore.hpp"
+#include "keystore/sealed_blob.hpp"
 #include "sim/coprocessor.hpp"
 #include "util/rng.hpp"
 
@@ -620,6 +622,58 @@ TEST_F(HostStackResidue, RowKernelPrivateOpsLeaveNoKeyImagesOnTheStack) {
   g_needle_count = 0;
   add_needles(unbalanced_key());
   expect_clean_stack(unbalanced_key());
+}
+
+// 16-byte windows, at every 4-byte step, of a 32-byte secret as raw bytes
+// (what SHA-256's block buffer holds) and as big-endian 32-bit words (the
+// image of the message schedule w, in memory or in a vector register).
+std::vector<StackNeedle> secret_needles(std::uint64_t seed, const std::string& name) {
+  std::array<std::byte, keystore::kMasterKeyBytes> secret;
+  util::Rng(seed).fill_bytes(secret);
+  std::array<std::byte, secret.size()> words;
+  for (std::size_t i = 0; i < secret.size(); ++i) words[i] = secret[i ^ 3];
+  std::vector<StackNeedle> out;
+  for (std::size_t off = 0; off + 16 <= secret.size(); off += 4) {
+    StackNeedle raw{{}, name}, be{{}, name + " (big-endian words)"};
+    std::memcpy(raw.bytes.data(), secret.data() + off, 16);
+    std::memcpy(be.bytes.data(), words.data() + off, 16);
+    out.push_back(raw);
+    out.push_back(be);
+  }
+  return out;
+}
+
+TEST_F(HostStackResidue, SealAndUnsealLeaveNoMasterOrDomainSecretOnTheStack) {
+  // KSB1 hashes master || nonce || i and KSB2 secret || 'C'/'M' || ...: one
+  // seal and one unseal of each, each on its own probed stack, must leave
+  // neither secret behind, in SHA-256's block buffer, its schedule or a
+  // register some later frame saves.
+  constexpr std::uint64_t kMasterSeed = 0x6d6173746572;
+  constexpr std::uint64_t kDomainSeed = 0x646f6d61696e;
+  secure::SecureBuffer master(keystore::kMasterKeyBytes);
+  util::Rng(kMasterSeed).fill_bytes(master.data());
+  sim::CoprocessorDomain domain(kDomainSeed);
+  const auto der = crypto::der_encode_private_key(keys()[0]);
+  std::vector<std::byte> plain(der.size());
+  bool ok = true;
+  const auto ksb1 = [&] {
+    const auto blob = keystore::seal(der, master.data(), 1);
+    ok = ok && keystore::unseal_into(blob, master.data(), plain) && plain == der;
+  };
+  const auto ksb2 = [&] {
+    const auto blob = keystore::seal_authenticated(der, domain, 2);
+    ok = ok && blob && keystore::unseal_authenticated_into(*blob, domain, plain) &&
+         plain == der;
+  };
+  ksb1();  // warm-up, off the probed stack
+  ksb2();
+  ASSERT_TRUE(ok);
+  const auto master_hits = stack_hits([&] { ksb1(); }, secret_needles(kMasterSeed, "master key"));
+  EXPECT_TRUE(master_hits.empty()) << master_hits.size() << " stack hits: " << joined(master_hits);
+  const auto domain_hits =
+      stack_hits([&] { ksb2(); }, secret_needles(kDomainSeed, "domain secret"));
+  EXPECT_TRUE(domain_hits.empty()) << domain_hits.size() << " stack hits: " << joined(domain_hits);
+  EXPECT_TRUE(ok);
 }
 
 }  // namespace

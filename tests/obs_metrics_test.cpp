@@ -7,7 +7,12 @@
 #include <limits>
 #include <string>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <cpuid.h>
+#endif
+
 #include "bignum/montgomery.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/build_info.hpp"
 #include "util/json.hpp"
 
@@ -184,6 +189,30 @@ TEST(BuildInfo, NamesTheMontgomeryKernelCpuidPicked) {
   EXPECT_TRUE(w.complete());
   EXPECT_NE(w.str().find(R"("mont_kernel":")" + kernel + '"'), std::string::npos) << w.str();
   EXPECT_NE(build_info::one_line().find(" | mont_kernel=" + kernel), std::string::npos)
+      << build_info::one_line();
+}
+
+TEST(BuildInfo, NamesTheSha256KernelCpuidPicked) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  const bool sha_ni = __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+                      (ebx & bit_SHA) != 0 && __builtin_cpu_supports("sse4.1") &&
+                      __builtin_cpu_supports("ssse3");
+#else
+  const bool sha_ni = false;
+#endif
+  const std::string kernel = sha_ni ? "sha_ni" : "portable";
+  EXPECT_EQ(build_info::sha256_kernel(), kernel);
+  EXPECT_EQ(crypto::sha256_kernel_name(), kernel);
+  util::JsonWriter w;
+  build_info::write(w);
+  EXPECT_TRUE(w.complete());
+  EXPECT_NE(w.str().find(R"("mont_kernel":")" + std::string(build_info::mont_kernel()) +
+                         R"(","sha256_kernel":")" + kernel + '"'),
+            std::string::npos)
+      << w.str();
+  EXPECT_NE(build_info::one_line().find(" | sha256_kernel=" + kernel), std::string::npos)
       << build_info::one_line();
 }
 

@@ -16,7 +16,8 @@
 # for SecureRsaKey's per-thread locked arena (secure_rsa_test decrypts
 # with one key from four threads); address/undefined cover the same
 # binaries for memory and UB bugs, including the Montgomery kernel's
-# 128-bit carry arithmetic (bignum_montgomery_test's edge battery).
+# 128-bit carry arithmetic (bignum_montgomery_test's edge battery) and
+# the SHA-NI kernel's unaligned block loads (crypto_sha256_test).
 # CI-runnable: exits non-zero on any failure.
 set -euo pipefail
 
@@ -33,6 +34,7 @@ BUILD="$ROOT/build-${SAN}san"
 TARGETS=(
   util_thread_pool_test
   bignum_montgomery_test
+  crypto_sha256_test
   secure_rsa_test
   host_residue_test
   scan_test

@@ -1,7 +1,7 @@
 // Does the scrub survive the optimizer? This binary is built at -O3 (see
 // tests/CMakeLists.txt) and checks the property secure_zero exists for:
 // a memset whose buffer is dead afterwards is a candidate for dead-store
-// elimination, while core::secure_zero's volatile stores must survive.
+// elimination, while core::secure_zero's stores must survive.
 //
 // Methodology: each worker writes a distinctive 8-byte pattern into a
 // stack-local buffer, scrubs it (or not — the positive control), and

@@ -90,14 +90,17 @@ TEST(ThreadPool, ParallelForBlocksCoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, ParallelForBlocksZeroWorkersRunsInline) {
+  // ThreadPool(0) is the default sizing, hardware_concurrency - 1 workers:
+  // inline only on a 1-core host. Elsewhere helpers add to the sum too, so
+  // it is atomic (a plain sum raced and lost blocks on multi-core hosts).
   ThreadPool pool(0);
-  std::size_t sum = 0;  // no atomics needed: everything runs on this thread
+  std::atomic<std::size_t> sum{0};
   pool.parallel_for_blocks(100, 9, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) sum += i;
+    for (std::size_t i = begin; i < end; ++i) sum.fetch_add(i);
   });
-  EXPECT_EQ(sum, 100u * 99u / 2u);
+  EXPECT_EQ(sum.load(), 100u * 99u / 2u);
   pool.parallel_for_blocks(0, 4, [&](std::size_t, std::size_t) { sum = 0; });
-  EXPECT_EQ(sum, 100u * 99u / 2u);  // n == 0: body never runs
+  EXPECT_EQ(sum.load(), 100u * 99u / 2u);  // n == 0: body never runs
 }
 
 TEST(ThreadPool, ParallelForBlocksZeroBlockTreatedAsOne) {
