@@ -48,24 +48,6 @@ struct Slot {
   bool agree = false;
 };
 
-/// Diffs the monitor's live set against a fresh full sweep, copy for copy
-/// (same (offset, pattern) order contract on both sides).
-bool diff_against_sweep(const obs::ExposureMonitor& monitor,
-                        const sim::Kernel& kernel, std::size_t* sweep_copies) {
-  scan::KeyScanner scanner(monitor.patterns());
-  const auto truth = scanner.scan_capture(kernel.memory().all());
-  *sweep_copies = truth.size();
-  const auto live = monitor.copies();
-  if (live.size() != truth.size()) return false;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i].offset != truth[i].offset ||
-        monitor.patterns().patterns[live[i].pattern].name != truth[i].part) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void print_slots(const char* tag, const std::vector<Slot>& slots) {
   util::Table t({"t(s)", "workload", "copies", "live B", "byte*s", "sweep",
                  "verdict"});
@@ -101,7 +83,7 @@ Slot sample_slot(std::size_t t, std::string workload,
   Slot s;
   s.t = t;
   s.workload = std::move(workload);
-  s.agree = diff_against_sweep(monitor, kernel, &s.sweep_copies);
+  s.agree = monitor_matches_sweep(monitor, kernel, &s.sweep_copies);
   double byte_seconds = 0.0;
   std::size_t live_bytes = 0;
   for (std::size_t k = 0; k < monitor.key_count(); ++k) {

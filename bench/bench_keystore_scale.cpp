@@ -122,21 +122,6 @@ constexpr std::size_t kCmpPool = 64;     ///< N for both backends
 constexpr std::size_t kCmpWorking = 4;   ///< W for the encrypted backend
 constexpr std::size_t kCmpVhosts = 96;   ///< > N so the mlocked pool churns
 
-bool monitor_equals_sweep(const obs::ExposureMonitor& monitor,
-                          const sim::Kernel& kernel) {
-  scan::KeyScanner scanner(monitor.patterns());
-  const auto truth = scanner.scan_capture(kernel.memory().all());
-  const auto live = monitor.copies();
-  if (live.size() != truth.size()) return false;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i].offset != truth[i].offset ||
-        monitor.patterns().patterns[live[i].pattern].name != truth[i].part) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct ExposureSample {
   std::uint64_t requests;
   std::size_t plain_frames;   ///< secret frames excluding master-key pages
@@ -236,7 +221,7 @@ ExposureRun run_exposure_backend(keystore::PoolBackend backend, const Scale& s,
       visible.insert(m.part.substr(m.part.find('#') + 1));
     }
     sm.visible_keys = visible.size();
-    sm.monitor_ok = monitor_equals_sweep(monitor, kernel);
+    sm.monitor_ok = monitor_matches_sweep(monitor, kernel);
     double total = 0.0;
     for (std::size_t k = 0; k < monitor.key_count(); ++k) {
       total += monitor.exposure_window(k);

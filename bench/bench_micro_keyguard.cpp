@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
@@ -19,6 +20,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "keystore/sealed_blob.hpp"
+#include "obs/exposure_monitor.hpp"
 #include "scan/key_scanner.hpp"
 #include "servers/ssh_server.hpp"
 #include "sim/coprocessor.hpp"
@@ -327,6 +329,39 @@ BENCHMARK(BM_ScanMemory)
     ->Args({64, 2})
     ->Args({64, 4})
     ->UseRealTime();
+
+// --- exposure monitor --------------------------------------------------------
+
+// Arg 0: needle count (d, P, Q, PEM per key). One iteration is one 64-byte
+// mem_write of noise with the monitor attached: one taint hook, settled
+// against a live set that holds one copy per key.
+void BM_ExposureMonitorHook(benchmark::State& state) {
+  const std::size_t keys = static_cast<std::size_t>(state.range(0)) / 4;
+  util::Rng rng(17);
+  std::vector<crypto::RsaPrivateKey> ring;
+  for (std::size_t i = 0; i < keys; ++i) {
+    ring.push_back(crypto::generate_rsa_key(rng, 512));
+  }
+  sim::Kernel kernel({.mem_bytes = 16ull << 20});
+  obs::ExposureMonitor monitor(kernel.memory(), scan::KeyPatterns::from_keys(ring));
+  kernel.attach_taint(&monitor);
+  auto& p = kernel.spawn("victim");
+  const auto buf = kernel.heap_alloc(p, 64 << 10);
+  for (std::size_t i = 0; i < keys; ++i) {
+    kernel.mem_write(p, buf + i * 1024, sslsim::SslLibrary::limb_image(ring[i].p));
+  }
+  std::vector<std::byte> noise(64);
+  rng.fill_bytes(noise);
+  std::size_t off = 0;
+  for (auto _ : state) {
+    kernel.mem_write(p, buf + (32 << 10) + off, noise);
+    benchmark::ClobberMemory();
+    off = (off + noise.size()) % (16 << 10);
+  }
+  state.SetLabel(std::to_string(monitor.total_copies()) + " live copies");
+  kernel.attach_taint(nullptr);
+}
+BENCHMARK(BM_ExposureMonitorHook)->Arg(4)->Arg(64);
 
 // --- simulator hot paths -----------------------------------------------------
 

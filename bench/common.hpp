@@ -15,6 +15,8 @@
 
 #include "attack/leaks.hpp"
 #include "core/scenario.hpp"
+#include "obs/exposure_monitor.hpp"
+#include "scan/key_scanner.hpp"
 #include "servers/apache_server.hpp"
 #include "servers/ssh_server.hpp"
 #include "servers/timeline.hpp"
@@ -131,6 +133,26 @@ inline void ssh_churn(servers::SshServer& server, int connections,
 /// Apache equivalent: N HTTPS requests at moderate concurrency.
 inline void apache_churn(servers::ApacheServer& server, int requests) {
   for (int i = 0; i < requests; ++i) server.handle_request();
+}
+
+/// Diffs an ExposureMonitor's live set against a fresh full sweep of the
+/// same RAM, copy for copy (both sides keep (offset, pattern) order).
+/// `sweep_copies`, when non-null, receives the sweep's copy count.
+inline bool monitor_matches_sweep(const obs::ExposureMonitor& monitor,
+                                  const sim::Kernel& kernel,
+                                  std::size_t* sweep_copies = nullptr) {
+  const scan::KeyScanner scanner(monitor.patterns());
+  const auto truth = scanner.scan_capture(kernel.memory().all());
+  if (sweep_copies != nullptr) *sweep_copies = truth.size();
+  const auto& live = monitor.copies();
+  if (live.size() != truth.size()) return false;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (live[i].offset != truth[i].offset ||
+        monitor.patterns().patterns[live[i].pattern_index].name != truth[i].part) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace kgbench

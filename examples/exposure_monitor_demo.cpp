@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     bool agree = live.size() == truth.size();
     for (std::size_t i = 0; agree && i < live.size(); ++i) {
       agree = live[i].offset == truth[i].offset &&
-              monitor.patterns().patterns[live[i].pattern].name ==
+              monitor.patterns().patterns[live[i].pattern_index].name ==
                   truth[i].part;
     }
     if (!agree) ++mismatches;

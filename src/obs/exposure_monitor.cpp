@@ -1,48 +1,24 @@
 #include "obs/exposure_monitor.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <string>
+#include <utility>
 
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/bytes.hpp"
+#include "scan/settle.hpp"
 
 namespace keyguard::obs {
-namespace {
-
-/// Key index from a pattern name: "d#3" -> 3, "PEM#12" -> 12, "d" -> 0.
-/// Mirrors KeyPatterns::from_keys naming.
-std::size_t key_from_name(const std::string& name) {
-  const auto hash = name.rfind('#');
-  if (hash == std::string::npos || hash + 1 >= name.size()) {
-    return 0;
-  }
-  std::size_t key = 0;
-  for (std::size_t i = hash + 1; i < name.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') {
-      return 0;
-    }
-    key = key * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return key;
-}
-
-}  // namespace
 
 ExposureMonitor::ExposureMonitor(const sim::PhysicalMemory& mem,
                                  scan::KeyPatterns patterns)
-    : mem_(mem), patterns_(std::move(patterns)) {
-  std::size_t max_key = 0;
-  pattern_key_.reserve(patterns_.patterns.size());
-  for (const auto& p : patterns_.patterns) {
-    const std::size_t key = key_from_name(p.name);
-    pattern_key_.push_back(key);
-    max_key = std::max(max_key, key);
-    max_len_ = std::max(max_len_, p.bytes.size());
-  }
-  keys_.resize(patterns_.patterns.empty() ? 0 : max_key + 1);
+    : mem_(mem),
+      patterns_(std::move(patterns)),
+      matcher_(patterns_.needles()) {
+  std::size_t keys = 0;
+  for (const auto& p : patterns_.patterns) keys = std::max(keys, p.key + 1);
+  keys_.resize(keys);
   last_accrue_ns_ = now_ns();
 }
 
@@ -62,37 +38,6 @@ void ExposureMonitor::accrue() {
   }
 }
 
-bool ExposureMonitor::still_matches(std::size_t off,
-                                    std::size_t pattern) const {
-  const auto& needle = patterns_.patterns[pattern].bytes;
-  const auto window = mem_.range(off, needle.size());
-  return window.size() == needle.size() &&
-         std::memcmp(window.data(), needle.data(), needle.size()) == 0;
-}
-
-void ExposureMonitor::insert_copy(std::size_t off, std::size_t pattern) {
-  const auto [it, inserted] =
-      live_.emplace(std::make_pair(off, pattern),
-                    patterns_.patterns[pattern].bytes.size());
-  if (!inserted) {
-    return;
-  }
-  auto& k = keys_[pattern_key_[pattern]];
-  k.live_copies += 1;
-  k.live_bytes += it->second;
-  k.copies_created += 1;
-  k.peak_copies = std::max(k.peak_copies, k.live_copies);
-}
-
-void ExposureMonitor::erase_copy(
-    std::map<std::pair<std::size_t, std::size_t>, std::size_t>::iterator it) {
-  auto& k = keys_[pattern_key_[it->first.second]];
-  k.live_copies -= 1;
-  k.live_bytes -= it->second;
-  k.copies_destroyed += 1;
-  live_.erase(it);
-}
-
 void ExposureMonitor::touch(std::size_t off, std::size_t len) {
   if (patterns_.patterns.empty() || len == 0) {
     return;
@@ -100,41 +45,22 @@ void ExposureMonitor::touch(std::size_t off, std::size_t len) {
   // The integral must be split at the mutation: time before it runs at
   // the old byte counts, time after at the new ones.
   accrue();
-
-  const std::size_t reach = max_len_ - 1;
-  const std::size_t lo = off > reach ? off - reach : 0;
-  const std::size_t end = off + len;  // first unmodified byte
-
-  // 1) Re-validate recorded copies whose byte range intersects the
-  //    dirtied range. A copy starting at o with length L intersects
-  //    [off, end) iff o < end && o + L > off; every such o is >= lo.
-  for (auto it = live_.lower_bound({lo, 0});
-       it != live_.end() && it->first.first < end;) {
-    const std::size_t o = it->first.first;
-    const std::size_t L = it->second;
-    if (o + L <= off || still_matches(o, it->first.second)) {
-      ++it;
-    } else {
-      erase_copy(it++);
-    }
+  gone_.clear();
+  born_.clear();
+  const scan::ByteRun run{off, off + len};
+  scan::settle(mem_.all(), matcher_, {&run, 1}, live_, &gone_, &born_);
+  for (const auto& m : gone_) {
+    auto& k = keys_[pattern_key(m.pattern_index)];
+    k.live_copies -= 1;
+    k.live_bytes -= m.matched_bytes;
+    k.copies_destroyed += 1;
   }
-
-  // 2) Re-scan the widened window for matches the mutation created. Any
-  //    new match must include at least one modified byte, so it starts
-  //    in [lo, end); scanning [lo, end + reach) covers every candidate.
-  const auto window = mem_.range(lo, end - lo + reach);
-  for (std::size_t pi = 0; pi < patterns_.patterns.size(); ++pi) {
-    const auto& needle = patterns_.patterns[pi].bytes;
-    if (needle.empty() || needle.size() > window.size()) {
-      continue;
-    }
-    for (const std::size_t local :
-         util::find_all(window, std::span<const std::byte>(needle))) {
-      if (lo + local >= end) {
-        break;  // starts past the modified range: already recorded
-      }
-      insert_copy(lo + local, pi);
-    }
+  for (const auto& m : born_) {
+    auto& k = keys_[pattern_key(m.pattern_index)];
+    k.live_copies += 1;
+    k.live_bytes += m.matched_bytes;
+    k.copies_created += 1;
+    k.peak_copies = std::max(k.peak_copies, k.live_copies);
   }
 }
 
@@ -177,23 +103,7 @@ void ExposureMonitor::on_swap_clear(std::uint32_t /*slot*/) {
   ++swap_clears_;
 }
 
-void ExposureMonitor::resync() {
-  accrue();
-  while (!live_.empty()) {
-    erase_copy(live_.begin());
-  }
-  const auto all = mem_.all();
-  for (std::size_t pi = 0; pi < patterns_.patterns.size(); ++pi) {
-    const auto& needle = patterns_.patterns[pi].bytes;
-    if (needle.empty()) {
-      continue;
-    }
-    for (const std::size_t off :
-         util::find_all(all, std::span<const std::byte>(needle))) {
-      insert_copy(off, pi);
-    }
-  }
-}
+void ExposureMonitor::resync() { touch(0, mem_.all().size()); }
 
 std::size_t ExposureMonitor::copy_count(std::size_t key) const {
   return key < keys_.size() ? keys_[key].live_copies : 0;
@@ -211,15 +121,6 @@ double ExposureMonitor::exposure_window(std::size_t key) {
 KeyExposure ExposureMonitor::exposure(std::size_t key) {
   accrue();
   return key < keys_.size() ? keys_[key] : KeyExposure{};
-}
-
-std::vector<ExposureCopy> ExposureMonitor::copies() const {
-  std::vector<ExposureCopy> out;
-  out.reserve(live_.size());
-  for (const auto& [loc, len] : live_) {
-    out.push_back(ExposureCopy{loc.first, loc.second});
-  }
-  return out;
 }
 
 void ExposureMonitor::publish(MetricsRegistry& reg) {

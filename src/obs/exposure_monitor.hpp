@@ -7,12 +7,13 @@
 // every byte that changes in simulated physical RAM flows through a
 // TaintTracker hook — stores (including kClean churn), kernel-internal
 // copies, clears, and swap-ins — and the kernel fires each hook AFTER
-// the bytes have moved, so memory content is current at hook time. On
-// each event the monitor re-validates recorded copies overlapping the
-// dirtied range and re-scans a window widened by (max needle length - 1)
-// on both sides for matches the mutation created. By induction the live
-// set equals what a full sweep would find, at every instant, at a cost
-// proportional to bytes-touched instead of bytes-of-RAM.
+// the bytes have moved, so memory content is current at hook time. Each
+// hook settles the one changed run through scan::settle, the rule the
+// incremental sweep also uses (scan/settle.hpp): rescan the starts the
+// change can reach with the scanner's MultiMatcher, splice, and count
+// the copies that left or joined. By induction the live set equals what
+// a full sweep would find, at every instant, at a cost proportional to
+// bytes-touched instead of bytes-of-RAM.
 //
 // Swap is the one boundary: SwapDevice encrypts slot contents after
 // on_swap_store fires, so slot bytes cannot be needle-matched the way
@@ -34,12 +35,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "scan/key_scanner.hpp"
+#include "scan/multi_matcher.hpp"
 #include "sim/physmem.hpp"
 #include "sim/taint.hpp"
 
@@ -48,15 +47,7 @@ namespace keyguard::obs {
 class MetricsRegistry;
 class Tracer;
 
-/// One live plaintext copy: pattern `pattern` (index into patterns())
-/// matching at physical byte offset `offset`.
-struct ExposureCopy {
-  std::size_t offset = 0;
-  std::size_t pattern = 0;
-};
-
-/// Per-key rollup. `key` is the index encoded in the pattern name suffix
-/// ("d#3" -> key 3; unsuffixed single-key patterns are key 0).
+/// Per-key rollup, indexed by KeyPatterns::Pattern::key.
 struct KeyExposure {
   std::size_t live_copies = 0;
   std::size_t live_bytes = 0;
@@ -73,6 +64,8 @@ class ExposureMonitor final : public sim::TaintTracker {
   /// ShadowTaintMap is also listening — then call resync() once if the
   /// machine may already hold copies.
   ExposureMonitor(const sim::PhysicalMemory& mem, scan::KeyPatterns patterns);
+  ExposureMonitor(const ExposureMonitor&) = delete;  // matcher views patterns_
+  ExposureMonitor& operator=(const ExposureMonitor&) = delete;
 
   // TaintTracker hooks (fired by the kernel on every physical mutation).
   void on_phys_store(std::size_t off, std::size_t len,
@@ -84,7 +77,8 @@ class ExposureMonitor final : public sim::TaintTracker {
   void on_swap_load(std::size_t phys_dst, std::uint32_t slot) override;
   void on_swap_clear(std::uint32_t slot) override;
 
-  /// Full-sweep rebuild of the live set (integrals are preserved).
+  /// One matcher pass over all of RAM settles the live set (integrals
+  /// are preserved; copies that were already recorded stay as they are).
   void resync();
 
   // ---- queries (all O(live set) or better, no memory walk) ----
@@ -97,14 +91,14 @@ class ExposureMonitor final : public sim::TaintTracker {
   double exposure_window(std::size_t key);
   /// Accrue-then-read full rollup.
   KeyExposure exposure(std::size_t key);
-  /// Live copies sorted by (offset, pattern) — directly comparable with
-  /// scan_capture output (same order contract).
-  std::vector<ExposureCopy> copies() const;
+  /// Live copies sorted by (offset, pattern_index) — directly comparable
+  /// with scan_capture output (same order contract).
+  const std::vector<scan::RawMatch>& copies() const noexcept { return live_; }
 
   const scan::KeyPatterns& patterns() const noexcept { return patterns_; }
   /// Key index a pattern reports under.
   std::size_t pattern_key(std::size_t pattern) const {
-    return pattern_key_[pattern];
+    return patterns_.patterns[pattern].key;
   }
   /// Hook events observed (all types).
   std::uint64_t event_count() const noexcept { return events_; }
@@ -120,19 +114,14 @@ class ExposureMonitor final : public sim::TaintTracker {
 
  private:
   void touch(std::size_t off, std::size_t len);
-  bool still_matches(std::size_t off, std::size_t pattern) const;
-  void insert_copy(std::size_t off, std::size_t pattern);
-  void erase_copy(std::map<std::pair<std::size_t, std::size_t>,
-                           std::size_t>::iterator it);
   void accrue();
 
   const sim::PhysicalMemory& mem_;
   scan::KeyPatterns patterns_;
-  std::vector<std::size_t> pattern_key_;  // pattern index -> key index
-  std::size_t max_len_ = 0;
-  /// (offset, pattern) -> needle length. Keyed exactly like the
-  /// scanner's match order so copies() needs no re-sort.
-  std::map<std::pair<std::size_t, std::size_t>, std::size_t> live_;
+  scan::MultiMatcher matcher_;        // views patterns_' needles
+  std::vector<scan::RawMatch> live_;  // (offset, pattern_index) order
+  std::vector<scan::RawMatch> gone_;  // touch() scratch
+  std::vector<scan::RawMatch> born_;  // touch() scratch
   std::vector<KeyExposure> keys_;
   std::uint64_t last_accrue_ns_ = 0;
   std::uint64_t events_ = 0;

@@ -157,10 +157,10 @@ std::string FlightRecorder::bundle_json() {
     }
     w.end_array();
     w.key("copies").begin_array();
-    for (const ExposureCopy& c : monitor_->copies()) {
+    for (const scan::RawMatch& c : monitor_->copies()) {
       w.begin_object()
           .field("offset", static_cast<std::uint64_t>(c.offset))
-          .field("pattern", static_cast<std::uint64_t>(c.pattern))
+          .field("pattern", static_cast<std::uint64_t>(c.pattern_index))
           .end_object();
     }
     w.end_array().end_object();

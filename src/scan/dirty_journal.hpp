@@ -6,10 +6,11 @@
 // (mem_write, COW breaks, clear_page, page-cache fills, swap-ins) already
 // reports through sim::TaintTracker, so attaching the journal to the
 // kernel's TaintFanout records exactly the frames whose bytes could have
-// changed. KeyScanner::scan_kernel_incremental then rescans only those
-// frames (plus needle-length seam windows) and splices the result into
-// the cached previous sweep — the same revalidate-window argument
-// obs::ExposureMonitor::touch() uses, proved in DESIGN.md §8.
+// changed. KeyScanner::scan_kernel_incremental hands those frames to
+// scan::settle (scan/settle.hpp) as changed byte runs, which rescans the
+// match starts they can reach and splices the result into the cached
+// previous sweep. obs::ExposureMonitor settles through the same rule at
+// every hook instead of once per sweep; DESIGN.md §8 has the argument.
 //
 // Swap-slot events (on_swap_store / on_swap_clear) do NOT mark frames:
 // copying a page out to swap or scrubbing a slot leaves RAM bytes

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 
 #include "crypto/pem.hpp"
 #include "obs/metrics.hpp"
 #include "scan/capture_stream.hpp"
 #include "scan/multi_matcher.hpp"
+#include "scan/settle.hpp"
 #include "sslsim/ssl_library.hpp"
 #include "util/bytes.hpp"
 #include "util/flags.hpp"
@@ -59,16 +59,17 @@ KeyPatterns KeyPatterns::from_keys(std::span<const crypto::RsaPrivateKey> keys) 
     auto one = from_key(keys[i]);
     for (auto& p : one.patterns) {
       p.name += "#" + std::to_string(i);
+      p.key = i;
       out.patterns.push_back(std::move(p));
     }
   }
   return out;
 }
 
-std::vector<std::span<const std::byte>> KeyScanner::needles() const {
+std::vector<std::span<const std::byte>> KeyPatterns::needles() const {
   std::vector<std::span<const std::byte>> out;
-  out.reserve(patterns_.patterns.size());
-  for (const auto& p : patterns_.patterns) out.emplace_back(p.bytes);
+  out.reserve(patterns.size());
+  for (const auto& p : patterns) out.emplace_back(p.bytes);
   return out;
 }
 
@@ -109,7 +110,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel(const sim::Kernel& kernel,
   // Byte scan first — the O(memory) part, sharded across the pool over
   // an immutable byte span.
   const auto raw =
-      sharded_scan(kernel.memory().all(), needles(), effective_shards(),
+      sharded_scan(kernel.memory().all(), patterns_.needles(), effective_shards(),
                    /*min_prefix_bytes=*/0, stats);
   return resolve_raw(kernel, raw);
 }
@@ -121,7 +122,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
   if (!cache.primed || cache.phys_bytes != buffer.size()) {
     // Prime: one full sweep populates the cache; everything the journal
     // accumulated so far is covered by it, so the backlog is discarded.
-    cache.raw = sharded_scan(buffer, needles(), effective_shards(),
+    cache.raw = sharded_scan(buffer, patterns_.needles(), effective_shards(),
                              /*min_prefix_bytes=*/0, stats);
     cache.phys_bytes = buffer.size();
     cache.primed = true;
@@ -131,95 +132,25 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto dirty = journal.drain();
-  const auto needle_views = needles();
-  // Compiled once per sweep and shared by every rescan window below.
-  const MultiMatcher mm(needle_views);
-  const std::size_t reach = mm.max_needle_len() > 0 ? mm.max_needle_len() - 1 : 0;
+  // Every dirty frame is a changed byte run; settle() widens, merges,
+  // rescans and splices them into the cache (DESIGN.md §8).
+  const MultiMatcher mm(patterns_.needles());
   const std::size_t frame_bytes = journal.frame_bytes();
-
-  // Coalesce dirty frames into affected byte intervals. A dirty byte run
-  // [d0, d1) can create/destroy matches whose FIRST byte lies in
-  // [d0 - (max_len-1), d1) only — a match starting earlier ends before d0
-  // and overlaps no changed byte (DESIGN.md §8). Left-extending by
-  // `reach` and merging adjacent runs keeps the intervals disjoint and
-  // ascending.
-  struct Interval {
-    std::size_t lo;
-    std::size_t hi;  // exclusive
-  };
-  std::vector<Interval> affected;
-  for (std::size_t i = 0; i < dirty.size();) {
-    std::size_t j = i + 1;
-    while (j < dirty.size() && dirty[j] == dirty[j - 1] + 1) ++j;
-    const std::size_t d0 = dirty[i] * frame_bytes;
-    const std::size_t d1 = std::min(buffer.size(), dirty[j - 1] * frame_bytes + frame_bytes);
-    const std::size_t lo = d0 >= reach ? d0 - reach : 0;
-    if (!affected.empty() && lo <= affected.back().hi) {
-      affected.back().hi = std::max(affected.back().hi, d1);
-    } else {
-      affected.push_back({lo, d1});
-    }
-    i = j;
+  std::vector<ByteRun> runs;
+  runs.reserve(dirty.size());
+  for (const std::size_t f : dirty) {
+    runs.push_back({f * frame_bytes, f * frame_bytes + frame_bytes});
   }
-
-  // Drop cached matches whose offset falls inside any affected interval —
-  // they are exactly the ones the rescan below re-derives (or proves
-  // gone). Both lists are sorted, so one forward walk suffices.
-  std::vector<RawMatch> survivors;
-  survivors.reserve(cache.raw.size());
-  {
-    std::size_t ai = 0;
-    for (const auto& r : cache.raw) {
-      while (ai < affected.size() && affected[ai].hi <= r.offset) ++ai;
-      const bool inside =
-          ai < affected.size() && r.offset >= affected[ai].lo;
-      if (!inside) survivors.push_back(r);
-    }
-  }
-
-  // Rescan each affected interval with the standard seam window on the
-  // right: matches may START inside and continue past hi, so the window
-  // extends `reach` bytes (bounded by the true end of memory) while only
-  // first-byte-inside hits are kept — identical attribution to a shard
-  // seam. Intervals are ascending and each scan appends a sorted run, so
-  // `fresh` comes out globally (offset, pattern)-sorted.
-  std::vector<RawMatch> fresh;
-  std::size_t rescanned_bytes = 0;
   if (stats != nullptr) stats->shards.clear();
-  for (std::size_t wi = 0; wi < affected.size(); ++wi) {
-    const auto [lo, hi] = affected[wi];
-    const std::size_t window_end = std::min(buffer.size(), hi + reach);
-    const auto tw = std::chrono::steady_clock::now();
-    const std::size_t before = fresh.size();
-    mm.scan(buffer, lo, hi, window_end, fresh);
-    rescanned_bytes += hi - lo;
-    if (stats != nullptr) {
-      const double ms = std::max(
-          0.0, std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - tw)
-                   .count());
-      stats->shards.push_back({wi, lo, hi - lo, fresh.size() - before, ms});
-    }
-  }
-
-  // Splice: survivors (outside every interval) and fresh (inside one)
-  // interleave by offset; a single merge restores the serial walk's
-  // (offset, pattern_index) order.
-  std::vector<RawMatch> next;
-  next.reserve(survivors.size() + fresh.size());
-  std::merge(survivors.begin(), survivors.end(), fresh.begin(), fresh.end(),
-             std::back_inserter(next),
-             [](const RawMatch& a, const RawMatch& b) {
-               return a.offset != b.offset ? a.offset < b.offset
-                                           : a.pattern_index < b.pattern_index;
-             });
-  cache.raw = std::move(next);
+  const std::size_t rescanned =
+      settle(buffer, mm, runs, cache.raw, nullptr, nullptr,
+             stats != nullptr ? &stats->shards : nullptr);
 
   if (stats != nullptr) {
-    stats->bytes_scanned = rescanned_bytes;
+    stats->bytes_scanned = rescanned;
     stats->match_count = cache.raw.size();
-    stats->shard_count = affected.size();
-    stats->overlap_bytes = reach;
+    stats->shard_count = stats->shards.size();
+    stats->overlap_bytes = mm.max_needle_len() > 0 ? mm.max_needle_len() - 1 : 0;
     stats->pattern_count = mm.active_needles();
     stats->simd_kind = mm.simd_kind();
     stats->incremental = true;
@@ -236,7 +167,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
 
 std::vector<CaptureMatch> KeyScanner::scan_capture(
     std::span<const std::byte> capture, ScanStats* stats) const {
-  const auto raw = sharded_scan(capture, needles(), effective_shards(),
+  const auto raw = sharded_scan(capture, patterns_.needles(), effective_shards(),
                                 /*min_prefix_bytes=*/0, stats);
   std::vector<CaptureMatch> matches;
   matches.reserve(raw.size());
@@ -249,7 +180,7 @@ std::vector<CaptureMatch> KeyScanner::scan_capture(
 std::vector<PartialMatch> KeyScanner::scan_capture_prefix(
     std::span<const std::byte> capture, std::size_t min_bytes,
     ScanStats* stats) const {
-  const auto raw = sharded_scan(capture, needles(), effective_shards(),
+  const auto raw = sharded_scan(capture, patterns_.needles(), effective_shards(),
                                 min_bytes, stats);
   std::vector<PartialMatch> matches;
   matches.reserve(raw.size());
@@ -264,7 +195,7 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
                                              std::size_t min_prefix_bytes,
                                              ScanStats* stats) const {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto needle_views = needles();
+  const auto needle_views = patterns_.needles();
   // Reach covers the longest needle that can actually match (prefix mode
   // skips needles shorter than the minimum, exactly as the matcher does).
   std::size_t max_len = 0;
@@ -353,7 +284,9 @@ std::vector<ProcessMatch> KeyScanner::scan_process(const sim::Kernel& kernel,
   // span adjacent virtual pages are found even when their frames are
   // physically scattered. Runs are small (one process), so this path
   // stays serial.
+  const MultiMatcher mm(patterns_.needles());
   std::vector<ProcessMatch> matches;
+  std::vector<RawMatch> raw;
   const auto& pt = process.page_table();
   auto it = pt.begin();
   std::vector<std::byte> run;
@@ -368,16 +301,14 @@ std::vector<ProcessMatch> KeyScanner::scan_process(const sim::Kernel& kernel,
       ++it;
     }
     if (it != pt.end() && it->first == expected) ++it;  // swapped page: skip
-    for (const auto& pattern : patterns_.patterns) {
-      for (const std::size_t off : util::find_all(run, pattern.bytes)) {
-        matches.push_back({start + off, pattern.name});
-      }
+    // Runs ascend and the matcher emits (offset, pattern) order, so the
+    // matches come out sorted with no further pass.
+    raw.clear();
+    mm.scan(run, 0, run.size(), run.size(), raw);
+    for (const auto& r : raw) {
+      matches.push_back({start + r.offset, patterns_.patterns[r.pattern_index].name});
     }
   }
-  std::sort(matches.begin(), matches.end(),
-            [](const ProcessMatch& a, const ProcessMatch& b) {
-              return a.vaddr < b.vaddr;
-            });
   return matches;
 }
 

@@ -39,16 +39,21 @@ struct KeyPatterns {
   struct Pattern {
     std::string name;              ///< "d", "P", "Q", "PEM"
     std::vector<std::byte> bytes;  ///< exact needle
+    std::size_t key = 0;           ///< index of the key it belongs to
   };
   std::vector<Pattern> patterns;
+
+  /// Needle views over `patterns`, in declaration order (the tie-break).
+  std::vector<std::span<const std::byte>> needles() const;
 
   /// Builds the four needles from a key: limb images of d, P, Q and the
   /// PEM text of the whole key.
   static KeyPatterns from_key(const crypto::RsaPrivateKey& key);
 
   /// Needles for a multi-tenant key population: the same four per key,
-  /// named "d#i" / "P#i" / "Q#i" / "PEM#i" by key index. Pass DISTINCT
-  /// keys — duplicates would report every hit once per duplicate.
+  /// with `key` = i and named "d#i" / "P#i" / "Q#i" / "PEM#i" for display.
+  /// Pass DISTINCT keys — duplicates would report every hit once per
+  /// duplicate.
   static KeyPatterns from_keys(std::span<const crypto::RsaPrivateKey> keys);
 };
 
@@ -202,8 +207,6 @@ class KeyScanner {
   const KeyPatterns& patterns() const noexcept { return patterns_; }
 
  private:
-  /// Needle views over patterns_, in declaration order (the tie-break).
-  std::vector<std::span<const std::byte>> needles() const;
   /// shards_ resolved against the machine/env for an actual scan.
   std::size_t effective_shards() const;
   /// Layers frame state / owners / provenance onto raw engine hits.

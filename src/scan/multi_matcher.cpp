@@ -194,7 +194,7 @@ void MultiMatcher::check_candidate(const unsigned char* base,
     }
     const Entry& e = entries_[ei];
     // The whole compared span must fit inside the window — the same
-    // rule find_all applies to the legacy walk, which is what makes a
+    // rule the legacy per-needle walk applies, which is what makes a
     // shard's seam-overlap attribution bit-identical.
     if (pos + e.match_len > window_end) continue;
     if (((have8 ^ e.prefix) & e.mask) != 0) continue;

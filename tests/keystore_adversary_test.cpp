@@ -98,7 +98,7 @@ class EncryptedAdversaryTest : public ::testing::Test {
     ASSERT_EQ(live.size(), truth.size());
     for (std::size_t i = 0; i < live.size(); ++i) {
       EXPECT_EQ(live[i].offset, truth[i].offset);
-      EXPECT_EQ(monitor_->patterns().patterns[live[i].pattern].name,
+      EXPECT_EQ(monitor_->patterns().patterns[live[i].pattern_index].name,
                 truth[i].part);
     }
   }

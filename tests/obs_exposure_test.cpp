@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/taint_auditor.hpp"
 #include "analysis/taint_map.hpp"
 #include "core/protection.hpp"
@@ -24,6 +28,7 @@ scan::KeyPatterns make_patterns(util::Rng& rng, std::size_t n_keys = 1,
   for (std::size_t k = 0; k < n_keys; ++k) {
     scan::KeyPatterns::Pattern pat;
     pat.name = n_keys == 1 ? "d" : ("d#" + std::to_string(k));
+    pat.key = k;
     pat.bytes.resize(len);
     rng.fill_bytes(pat.bytes);
     pat.bytes[0] = std::byte{0xA5};  // never a zero-filled false positive
@@ -40,7 +45,7 @@ bool monitor_equals_sweep(const ExposureMonitor& monitor,
   if (live.size() != truth.size()) return false;
   for (std::size_t i = 0; i < live.size(); ++i) {
     if (live[i].offset != truth[i].offset ||
-        monitor.patterns().patterns[live[i].pattern].name != truth[i].part) {
+        monitor.patterns().patterns[live[i].pattern_index].name != truth[i].part) {
       return false;
     }
   }
@@ -227,6 +232,212 @@ TEST_F(ExposureTest, EvictionStormMonitorAuditorScannerAgree) {
   frontend.stop();
   EXPECT_TRUE(monitor_equals_sweep(monitor, kernel));
   kernel.attach_taint(nullptr);
+}
+
+/// A needle set whose patterns carry their key index: `per_key` needles
+/// for each of `n_keys` keys, lengths 16..63. Needle 1 of every key is a
+/// prefix of needle 0 (two copies at one offset), and key 0's needle 2 has
+/// period 8, so periodic runs hold overlapping copies of it.
+scan::KeyPatterns keyed_needles(util::Rng& rng, std::size_t n_keys,
+                                std::size_t per_key) {
+  scan::KeyPatterns p;
+  for (std::size_t k = 0; k < n_keys; ++k) {
+    for (std::size_t j = 0; j < per_key; ++j) {
+      scan::KeyPatterns::Pattern pat;
+      pat.name = "n" + std::to_string(j) + "#" + std::to_string(k);
+      pat.key = k;
+      pat.bytes.resize(16 + rng.next_below(48));
+      rng.fill_bytes(pat.bytes);
+      if (j == 1) {
+        const auto& longer = p.patterns[p.patterns.size() - 1].bytes;
+        pat.bytes.assign(longer.begin(), longer.begin() + 16);
+      }
+      pat.bytes[0] = std::byte{0xA5};  // never a zero-filled false positive
+      if (k == 0 && j == 2) {
+        for (std::size_t i = 8; i < pat.bytes.size(); ++i) {
+          pat.bytes[i] = pat.bytes[i % 8];
+        }
+      }
+      p.patterns.push_back(std::move(pat));
+    }
+  }
+  return p;
+}
+
+/// Sits behind the monitor in a TaintFanout and, after every hook, holds
+/// it to a fresh sweep: copies() equals scan_capture, each key's live
+/// count equals the sweep's, and created - destroyed equals live.
+class SweepChecker final : public sim::TaintTracker {
+ public:
+  SweepChecker(ExposureMonitor& monitor, const sim::Kernel& kernel)
+      : monitor_(monitor), kernel_(kernel), scanner_(monitor.patterns()) {
+    scanner_.set_shards(1);
+  }
+
+  void on_phys_store(std::size_t, std::size_t, sim::TaintTag) override { check(); }
+  void on_phys_copy(std::size_t, std::size_t, std::size_t) override { check(); }
+  void on_phys_clear(std::size_t, std::size_t) override { check(); }
+  void on_swap_store(std::uint32_t, std::size_t) override { check(); }
+  void on_swap_load(std::size_t, std::uint32_t) override { check(); }
+  void on_swap_clear(std::uint32_t) override { check(); }
+
+  std::size_t hooks = 0;
+  std::size_t failures = 0;
+
+ private:
+  void check() {
+    ++hooks;
+    const auto truth = scanner_.scan_capture(kernel_.memory().all());
+    const auto& live = monitor_.copies();
+    bool ok = live.size() == truth.size();
+    std::vector<std::size_t> per_key(monitor_.key_count(), 0);
+    for (std::size_t i = 0; ok && i < live.size(); ++i) {
+      const auto& name = monitor_.patterns().patterns[live[i].pattern_index].name;
+      ok = live[i].offset == truth[i].offset && name == truth[i].part;
+      per_key[monitor_.pattern_key(live[i].pattern_index)] += 1;
+    }
+    for (std::size_t k = 0; ok && k < monitor_.key_count(); ++k) {
+      const KeyExposure e = monitor_.exposure(k);
+      ok = e.live_copies == per_key[k] &&
+           e.copies_created - e.copies_destroyed == e.live_copies;
+    }
+    if (!ok && failures++ == 0) {
+      ADD_FAILURE() << "hook " << hooks << ": monitor holds " << live.size()
+                    << " copies, sweep finds " << truth.size();
+    }
+  }
+
+  ExposureMonitor& monitor_;
+  const sim::Kernel& kernel_;
+  scan::KeyScanner scanner_;
+};
+
+std::uint64_t total(ExposureMonitor& monitor, bool created) {
+  std::uint64_t n = 0;
+  for (std::size_t k = 0; k < monitor.key_count(); ++k) {
+    const auto e = monitor.exposure(k);
+    n += created ? e.copies_created : e.copies_destroyed;
+  }
+  return n;
+}
+
+void storm(std::uint64_t seed, std::size_t n_keys, std::size_t per_key) {
+  util::Rng rng(seed);
+  const auto patterns = keyed_needles(rng, n_keys, per_key);
+  sim::Kernel kernel({.mem_bytes = 1ull << 20, .swap_pages = 64});
+  ExposureMonitor monitor(kernel.memory(), patterns);
+  SweepChecker checker(monitor, kernel);
+  sim::TaintFanout fanout;
+  fanout.add(&monitor);
+  fanout.add(&checker);
+  kernel.attach_taint(&fanout);
+
+  constexpr std::size_t kRegion = 4 * sim::kPageSize;
+  auto& root = kernel.spawn("root");
+  const sim::VirtAddr base = kernel.mmap_anon(root, kRegion, false);
+  std::vector<sim::Pid> pids{root.pid()};  // forks map the region too
+  std::vector<std::pair<sim::VirtAddr, std::size_t>> planted;
+  const auto needle = [&] {
+    return patterns.patterns[rng.next_below(patterns.patterns.size())].bytes;
+  };
+  std::size_t identical_rewrites = 0;
+  for (std::size_t step = 0; step < 240; ++step) {
+    auto* p = kernel.find_process(pids[rng.next_below(pids.size())]);
+    ASSERT_NE(p, nullptr);
+    const auto at = [&](std::size_t len) {
+      return base + rng.next_below(kRegion - len);
+    };
+    switch (rng.next_below(8)) {
+      case 0: {  // byte-granular: a needle, one byte per write
+        const auto n = needle();
+        const auto a = at(n.size());
+        const std::size_t upto = rng.next_below(2) == 0 ? n.size()
+                                                        : 1 + rng.next_below(n.size());
+        for (std::size_t i = 0; i < upto; ++i) {
+          kernel.mem_write(*p, a + i, std::span(n).subspan(i, 1));
+        }
+        planted.emplace_back(a, n.size());
+        break;
+      }
+      case 1: {  // adjacent or overlapping copies in one write
+        std::vector<std::byte> buf = needle();
+        const auto second = needle();
+        const std::size_t shift = rng.next_below(buf.size() + 1);
+        buf.resize(shift);
+        buf.insert(buf.end(), second.begin(), second.end());
+        const auto a = at(buf.size());
+        kernel.mem_write(*p, a, buf);
+        planted.emplace_back(a, buf.size());
+        break;
+      }
+      case 2: {  // periodic run: overlapping copies of key 0's needle 2
+        const auto& n = patterns.patterns[2].bytes;
+        std::vector<std::byte> run(n.size() + 8 * (1 + rng.next_below(4)));
+        for (std::size_t i = 0; i < run.size(); ++i) run[i] = n[i % 8];
+        kernel.mem_write(*p, at(run.size()), run);
+        break;
+      }
+      case 3: {  // identical rewrite of a planted copy: changes nothing
+        if (planted.empty()) break;
+        const auto [a, len] = planted[rng.next_below(planted.size())];
+        std::vector<std::byte> same(len);
+        kernel.mem_read(*p, a, same);
+        kernel.mem_write(*p, a, same);  // may break COW: a new frame's copies
+        const auto created = total(monitor, true);
+        const auto destroyed = total(monitor, false);
+        const std::size_t before = monitor.copies().size();
+        kernel.mem_write(*p, a, same);
+        EXPECT_EQ(total(monitor, true), created) << "step " << step;
+        EXPECT_EQ(total(monitor, false), destroyed) << "step " << step;
+        EXPECT_EQ(monitor.copies().size(), before) << "step " << step;
+        ++identical_rewrites;
+        break;
+      }
+      case 4: {  // noise over part of the region
+        std::vector<std::byte> noise(1 + rng.next_below(256));
+        rng.fill_bytes(noise);
+        kernel.mem_write(*p, at(noise.size()), noise);
+        break;
+      }
+      case 5:  // fork: COW-shared frames, then a write breaks one
+        if (pids.size() < 6) {
+          auto& child = kernel.fork(*p, "child");
+          pids.push_back(child.pid());
+          const auto n = needle();
+          kernel.mem_write(child, at(n.size()), n);
+        }
+        break;
+      case 6: {  // swap round trip: out, then a read faults it back in
+        kernel.swap_out_pages(*p, 1 + rng.next_below(3));
+        std::byte b;
+        for (std::size_t off = 0; off < kRegion; off += sim::kPageSize) {
+          kernel.mem_read(*p, base + off, {&b, 1});
+        }
+        break;
+      }
+      default: {  // a whole needle, possibly on top of others
+        const auto n = needle();
+        const auto a = at(n.size());
+        kernel.mem_write(*p, a, n);
+        planted.emplace_back(a, n.size());
+        break;
+      }
+    }
+  }
+  EXPECT_GT(identical_rewrites, 0u);
+  EXPECT_GT(checker.hooks, 500u);
+  EXPECT_GT(monitor.swap_in_events(), 0u);
+  EXPECT_GT(monitor.total_copies(), 0u);
+  EXPECT_EQ(checker.failures, 0u);
+  kernel.attach_taint(nullptr);
+}
+
+// Every hook the kernel fires is followed by a full sweep of RAM: the
+// eagerly settled live set never drifts from it, over a 4-needle set and
+// a 16-key set.
+TEST_F(ExposureTest, EveryHookEqualsAFreshSweep) {
+  storm(2024, 1, 4);
+  storm(2025, 16, 4);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "attack/leaks.hpp"
 #include "core/scenario.hpp"
 #include "scan/key_scanner.hpp"
@@ -113,6 +116,93 @@ TEST(ProcessScan, FindsPatternSpanningScatteredFrames) {
   const auto matches = scanner.scan_process(k, p);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].vaddr, region + sim::kPageSize - 13);
+}
+
+/// scan_process's oracle: the resident image reassembled run by run, one
+/// util::find_all per pattern, then a stable sort by vaddr so hits at one
+/// vaddr keep pattern order.
+std::vector<ProcessMatch> process_oracle(const sim::Kernel& k,
+                                         const sim::Process& p,
+                                         const KeyPatterns& pats) {
+  std::vector<ProcessMatch> out;
+  const auto& pt = p.page_table();
+  for (auto it = pt.begin(); it != pt.end();) {
+    if (it->second.swapped) {
+      ++it;
+      continue;
+    }
+    const sim::VirtAddr start = it->first;
+    std::vector<std::byte> run;
+    for (sim::VirtAddr next = start;
+         it != pt.end() && it->first == next && !it->second.swapped;
+         ++it, next += sim::kPageSize) {
+      const auto page = k.memory().page(it->second.frame);
+      run.insert(run.end(), page.begin(), page.end());
+    }
+    for (const auto& pat : pats.patterns) {
+      for (const std::size_t off : util::find_all(run, pat.bytes)) {
+        out.push_back({start + off, pat.name});
+      }
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ProcessMatch& a, const ProcessMatch& b) {
+                     return a.vaddr < b.vaddr;
+                   });
+  return out;
+}
+
+TEST(ProcessScan, MatchesPerPatternOracle) {
+  sim::KernelConfig cfg;
+  cfg.mem_bytes = 4ull << 20;
+  cfg.swap_pages = 16;
+  sim::Kernel k(cfg);
+  util::Rng rng(77);
+  std::vector<std::byte> a(40);
+  std::vector<std::byte> b(24);
+  rng.fill_bytes(a);
+  rng.fill_bytes(b);
+  KeyPatterns pats;
+  pats.patterns.push_back({"A", a});
+  pats.patterns.push_back({"A16", {a.begin(), a.begin() + 16}});  // same vaddr
+  pats.patterns.push_back({"B", b});
+
+  auto& p = k.spawn("p");
+  const std::size_t page = sim::kPageSize;
+  const auto region = k.mmap_anon(p, 5 * page, false);
+  // Touch page 1 before page 0 so the two frames are not in physical order.
+  k.mem_write(p, region + page + 200, b);
+  k.mem_write(p, region + page - 13, a);      // straddles pages 0|1
+  k.mem_write(p, region + 2 * page + 100, b);  // page 2: swapped out below
+  k.mem_write(p, region + 3 * page + 5, a);
+  k.mem_write(p, region + 4 * page - 20, b);   // straddles pages 3|4
+  const auto& pt = p.page_table();
+  EXPECT_NE(pt.at(region).frame + 1, pt.at(region + page).frame);
+
+  // Fork shares every frame, a write gives p a private page 2 again, and
+  // only unshared pages swap: page 2 leaves and splits p's image in two.
+  auto& child = k.fork(p, "child");
+  k.mem_write(p, region + 2 * page + 100, b);
+  ASSERT_EQ(k.swap_out_pages(p, 1), 1u);
+  ASSERT_TRUE(pt.at(region + 2 * page).swapped);
+
+  KeyScanner scanner(pats);
+  for (const sim::Process* proc : {&p, &child}) {
+    const auto got = scanner.scan_process(k, *proc);
+    const auto want = process_oracle(k, *proc, pats);
+    ASSERT_EQ(got.size(), want.size()) << proc->name();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].vaddr, want[i].vaddr) << proc->name() << " " << i;
+      EXPECT_EQ(got[i].part, want[i].part) << proc->name() << " " << i;
+    }
+  }
+  const auto got = scanner.scan_process(k, p);
+  ASSERT_EQ(got.size(), 6u);  // A+A16 twice, B twice: page 2 is on swap
+  EXPECT_EQ(got[0].vaddr, region + page - 13);
+  EXPECT_EQ(got[0].part, "A");
+  EXPECT_EQ(got[1].vaddr, region + page - 13);
+  EXPECT_EQ(got[1].part, "A16");
+  EXPECT_EQ(scanner.scan_process(k, child).size(), 7u);
 }
 
 // -- public-key-only hunting -----------------------------------------------------
