@@ -486,25 +486,6 @@ BudgetOutcome run_budget_scenario(bool defended, const Scale& sc) {
 
 // ---- overhead: engine + bus live vs passive shadow-only -------------------
 
-struct Overhead {
-  int pairs = 0;
-  double off_ms = 0.0;  ///< median passive churn time
-  double on_ms = 0.0;   ///< median churn time with engine + bus
-  double pct = 0.0;     ///< median of the per-pair overheads
-  double p25_pct = 0.0;
-  double p75_pct = 0.0;
-  bool within_5pct = false;
-};
-
-/// Linear-interpolated quantile q of `v` (sorts it).
-double quantile(std::vector<double>& v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
-}
-
 double churn_ms(bool with_engine, int connections, std::uint64_t seed) {
   core::ScenarioConfig cfg;
   cfg.level = core::ProtectionLevel::kNone;
@@ -539,36 +520,16 @@ double churn_ms(bool with_engine, int connections, std::uint64_t seed) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-Overhead run_overhead(bool smoke, const Scale& sc) {
+/// Ssh churn with the engine + bus live (arm a) vs passive (arm b), one
+/// seed per pair. Each churn run is a few ms, so a single run's ratio
+/// swings by tens of percent on a shared host.
+Paired run_overhead(bool smoke, const Scale& sc) {
   const int connections = smoke ? 8 : (sc.full ? 40 : 20);
-  // Each churn run is a few ms, so single runs swing by tens of percent
-  // on a shared host. Time many same-seed pairs, alternate which arm goes
-  // first (the second run of a pair finds warmer caches), and gate on
-  // the median of the per-pair ratios.
-  Overhead o;
-  o.pairs = smoke ? 31 : 61;
-  std::vector<double> off, on, pct;
-  for (int i = 0; i < o.pairs; ++i) {
-    const std::uint64_t seed = 91 + static_cast<std::uint64_t>(i);
-    double off_ms = 0.0, on_ms = 0.0;
-    if (i % 2 == 0) {
-      off_ms = churn_ms(false, connections, seed);
-      on_ms = churn_ms(true, connections, seed);
-    } else {
-      on_ms = churn_ms(true, connections, seed);
-      off_ms = churn_ms(false, connections, seed);
-    }
-    off.push_back(off_ms);
-    on.push_back(on_ms);
-    pct.push_back(off_ms > 0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0);
-  }
-  o.off_ms = quantile(off, 0.5);
-  o.on_ms = quantile(on, 0.5);
-  o.pct = quantile(pct, 0.5);
-  o.p25_pct = quantile(pct, 0.25);
-  o.p75_pct = quantile(pct, 0.75);
-  o.within_5pct = o.pct <= 5.0;
-  return o;
+  const auto seed = [](int pair) { return 91 + static_cast<std::uint64_t>(pair); };
+  return paired_trials(
+      smoke ? 31 : 61,
+      [&](int i) { return churn_ms(true, connections, seed(i)); },
+      [&](int i) { return churn_ms(false, connections, seed(i)); });
 }
 
 void print_result(const ScenarioResult& r) {
@@ -649,11 +610,12 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   obs::host_clock_install();
-  const Overhead oh = run_overhead(smoke, sc);
+  const Paired oh = run_overhead(smoke, sc);
+  const auto pct = [](double ratio) { return (ratio - 1.0) * 100.0; };
   std::printf("[overhead] ssh churn, %d alternating pairs: median %.2f ms "
               "passive, %.2f ms with engine+bus; per-pair overhead median "
               "%.2f%% (p25 %.2f%%, p75 %.2f%%)\n\n",
-              oh.pairs, oh.off_ms, oh.on_ms, oh.pct, oh.p25_pct, oh.p75_pct);
+              oh.pairs, oh.b, oh.a, pct(oh.p50), pct(oh.p25), pct(oh.p75));
 
   bool ok = true;
   for (const auto& r : results) {
@@ -681,7 +643,7 @@ int main(int argc, char** argv) {
                     "bundle trigger replays the exact breach instant");
   ok &= shape_check(budget.bundle_redacted,
                     "bundle contains no key bytes (raw or hex)");
-  ok &= shape_check(oh.within_5pct,
+  ok &= shape_check(oh.p50 <= 1.05,
                     "engine+bus overhead within 5% (median of pairs)");
 
   util::JsonWriter json;
@@ -704,14 +666,14 @@ int main(int argc, char** argv) {
       .end_object();
   json.key("overhead")
       .begin_object()
-      .field("pairs", static_cast<std::uint64_t>(oh.pairs))
-      .field("churn_ms_passive", oh.off_ms)
-      .field("churn_ms_with_engine", oh.on_ms)
-      .field("overhead_pct", oh.pct)
-      .field("overhead_pct_p25", oh.p25_pct)
-      .field("overhead_pct_p75", oh.p75_pct)
-      .field("within_5pct", oh.within_5pct)
-      .end_object();
+      .field("churn_ms_passive", oh.b)
+      .field("churn_ms_with_engine", oh.a)
+      .field("overhead_pct", pct(oh.p50))
+      .field("overhead_pct_p25", pct(oh.p25))
+      .field("overhead_pct_p75", pct(oh.p75))
+      .field("within_5pct", oh.p50 <= 1.05);
+  oh.to_json(json);
+  json.end_object();
   json.field("shape_checks_ok", ok);
   obs::write_metrics_field(json, obs::MetricsRegistry::global());
   json.end_object();

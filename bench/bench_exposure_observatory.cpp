@@ -9,8 +9,9 @@
 //            monitor, diffed against a full sweep
 //   phase 2  multi-key eviction storm (Fig. 6 regime): an SNI frontend
 //            with more vhost keys than pool slots, same per-slot diff
-//   phase 3  instrumentation overhead: scan throughput with metrics +
-//            tracing disabled vs enabled; must stay within 5%
+//   phase 3  instrumentation overhead: scan time with metrics + tracing
+//            enabled vs disabled, median of interleaved pairs; must stay
+//            within 5%
 //
 // Runs argument-free (--smoke shrinks it for CI); KEYGUARD_BENCH_FULL=1
 // uses the paper's 256 MB machine. Writes BENCH_exposure_observatory.json
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
   const std::size_t ssh_slots = smoke ? 6 : (sc.full ? 24 : 12);
   const std::size_t storm_slots = smoke ? 4 : (sc.full ? 12 : 8);
   const std::size_t storm_reqs_per_slot = smoke ? 3 : 6;
-  const int overhead_reps = smoke ? 3 : (sc.full ? 9 : 5);
+  const int overhead_pairs = smoke ? 31 : 61;
 
   banner("exposure observatory: Fig. 5/6 timelines from taint hooks alone",
          "key copies over time, measured continuously instead of by "
@@ -214,11 +215,11 @@ int main(int argc, char** argv) {
   print_slots("phase 2: eviction storm", storm_series);
 
   // ---- phase 3: instrumentation overhead ----------------------------------
-  // Same scan, metrics + tracing off vs on; best-of-N throughput on each
-  // side so scheduler noise doesn't masquerade as overhead. Host clock:
-  // the overhead number must reflect what real deployments pay.
+  // Same scan, metrics + tracing on vs off, in interleaved pairs; the gate
+  // reads the median per-pair time ratio. Host clock: the overhead number
+  // must reflect what real deployments pay.
   obs::host_clock_install();
-  double mb_off = 0.0, mb_on = 0.0;
+  Paired overhead;
   {
     core::ScenarioConfig cfg;
     cfg.mem_bytes = mem_bytes;
@@ -228,27 +229,25 @@ int main(int argc, char** argv) {
     server.start();
     ssh_churn(server, smoke ? 4 : 8);
 
-    for (int pass = 0; pass < 2; ++pass) {
-      const bool enabled = pass == 1;
+    const auto scan_ms = [&](bool enabled) {
       obs::MetricsRegistry::global().set_enabled(enabled);
       obs::Tracer::global().set_enabled(enabled);
-      double best = 0.0;
-      for (int r = 0; r < overhead_reps; ++r) {
-        scan::ScanStats stats;
-        (void)s.scanner().scan_kernel(s.kernel(), &stats);
-        best = std::max(best, stats.mb_per_sec());
-      }
-      (enabled ? mb_on : mb_off) = best;
-    }
+      scan::ScanStats stats;
+      (void)s.scanner().scan_kernel(s.kernel(), &stats);
+      return stats.wall_millis;
+    };
+    overhead = paired_trials(
+        overhead_pairs, [&](int) { return scan_ms(true); },
+        [&](int) { return scan_ms(false); });
     obs::MetricsRegistry::global().set_enabled(true);
     obs::Tracer::global().set_enabled(true);
   }
-  const double overhead_pct = mb_off > 0 ? (mb_off - mb_on) / mb_off * 100.0 : 0.0;
-  const bool within_5pct = mb_on >= 0.95 * mb_off;
-  std::printf("[phase 3] scan throughput: %s MB/s metrics off, %s MB/s on "
-              "-> %s%% overhead\n\n",
-              util::fmt(mb_off, 1).c_str(), util::fmt(mb_on, 1).c_str(),
-              util::fmt(overhead_pct, 2).c_str());
+  const double overhead_pct = (overhead.p50 - 1.0) * 100.0;
+  const bool within_5pct = overhead.p50 <= 1.05;
+  std::printf("[phase 3] scan: %s ms metrics off, %s ms on (medians) -> "
+              "%s%% overhead, on/off %s\n\n",
+              util::fmt(overhead.b, 2).c_str(), util::fmt(overhead.a, 2).c_str(),
+              util::fmt(overhead_pct, 2).c_str(), overhead.ratio().c_str());
 
   // ---- verdicts -----------------------------------------------------------
   const auto all_agree = [](const std::vector<Slot>& v) {
@@ -272,7 +271,7 @@ int main(int argc, char** argv) {
   ok &= shape_check(ssh_final_byte_seconds > 0,
                     "exposure integral accrued byte*seconds");
   ok &= shape_check(within_5pct,
-                    "instrumentation overhead within 5% on scan throughput");
+                    "instrumentation overhead within 5% on scan time (median of pairs)");
 
   // ---- reports ------------------------------------------------------------
   util::JsonWriter json;
@@ -287,12 +286,12 @@ int main(int argc, char** argv) {
   json.field("storm_evictions", storm_evictions);
   json.key("overhead")
       .begin_object()
-      .field("reps", static_cast<std::int64_t>(overhead_reps))
-      .field("mb_per_sec_metrics_off", mb_off)
-      .field("mb_per_sec_metrics_on", mb_on)
+      .field("scan_ms_metrics_off", overhead.b)
+      .field("scan_ms_metrics_on", overhead.a)
       .field("overhead_pct", overhead_pct)
-      .field("within_5pct", within_5pct)
-      .end_object();
+      .field("within_5pct", within_5pct);
+  overhead.to_json(json);
+  json.end_object();
   json.field("shape_checks_ok", ok);
   obs::write_metrics_field(json, obs::MetricsRegistry::global());
   json.end_object();

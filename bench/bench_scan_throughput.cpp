@@ -1,37 +1,43 @@
-// Scan-throughput bench: serial scanmemory walk vs the parallel sharded
-// engine, the legacy per-needle oracle vs the MultiMatcher's scalar walk,
-// that scalar walk vs the production path (the SIMD candidate skim where
-// the CPU has it), full sweeps vs journal-driven incremental sweeps, and
-// in-memory vs streamed captures.
+// Scan-throughput bench and the scan gate: the serial scanmemory walk vs
+// the parallel sharded engine, the legacy per-needle oracle vs the
+// MultiMatcher's scalar walk, that scalar walk vs the production path (the
+// SIMD candidate skim where the CPU has it), full sweeps vs journal-driven
+// incremental sweeps, and in-memory vs streamed captures.
 //
 // The paper's LKM took "about 5 seconds for 256 MB" — a serial linear
 // walk over four needles. This bench measures five axes over the same
 // machine state:
-//   1. shard sweep (1/2/4/8/auto): parallel speedup, byte-identity vs
-//      the serial walk;
+//   1. shard sweep (1/2/4/8/auto): MB/s and pool width, byte-identity vs
+//      the serial walk, and 4 shards vs the serial walk;
 //   2. needle-count sweep (1/8/64/512): the legacy oracle's
-//      O(needles x bytes) vs the MultiMatcher scalar walk's ~one pass,
-//      byte-identity between the two;
+//      O(needles x bytes) vs the MultiMatcher scalar walk's ~one pass;
 //   2b. SIMD sweep (same counts): the scalar walk vs the production
-//      sharded_scan, which runs the AVX2/AVX-512BW candidate skim — the
-//      ratio gate runs only when the hardware has the instructions, the
-//      identity gate always does (on scalar machines production IS the
-//      scalar walk);
-//   3. incremental: full sweeps vs delta sweeps rescanning only the
-//      ~0.5% of frames the DirtyFrameJournal recorded;
+//      sharded_scan, which runs the AVX2/AVX-512BW candidate skim, plus a
+//      dense needle set on which the matcher must fall back to the scalar
+//      walk rather than regress;
+//   3. incremental: full sweeps vs delta sweeps rescanning only the ~0.5%
+//      of frames the DirtyFrameJournal recorded, and the byte bound that
+//      settle()'s window rule implies;
 //   4. streaming: a sparse capture several times the simulated RAM size
 //      scanned through CaptureStream in bounded windows — MB/s, a peak-
 //      RSS bound of O(window), and byte-identity vs the one-shot scan.
 //
+// The exit status is the scan gate. Every timed check reads the median
+// per-pair ratio of interleaved trials (paired_trials, common.hpp) against
+// one floor per property (kFloor* below); identity, byte-bound and
+// streaming checks are exact. The SIMD floors apply only where the CPU has
+// the vector instructions (elsewhere production IS the scalar walk), the
+// 4-shard floor only with >= 4 hardware threads.
+//
 // Runs argument-free at 64 MB; --smoke shrinks it for CI,
 // KEYGUARD_BENCH_FULL=1 uses the paper's 256 MB, KEYGUARD_BENCH_MEM_MB
-// overrides directly. Writes a schema v2 JSON report to BENCH_scan.json
-// (--json PATH overrides); tools/check_scan_baseline.py gates CI on the
-// machine-independent speedup ratios in it.
+// overrides directly. Writes a JSON report to BENCH_scan.json (--json PATH
+// overrides).
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -51,6 +57,18 @@
 using namespace kgbench;
 
 namespace {
+
+// Floors on the median per-pair ratio, one per property. Each sits 12-32%
+// below the lowest median the parent commit read over 24 --smoke runs (12
+// for the incremental arm) on a 4-vCPU AVX-512 VM; the comments give that
+// lowest / median, and EXPERIMENTS.md ("One timing gate") the rest.
+constexpr double kFloorShards4 = 0.80;       // serial / 4 shards: 0.92 / 0.99
+constexpr double kFloorNeedles64 = 4.0;      // legacy / scalar: 4.78 / 5.77
+constexpr double kFloorNeedles512 = 28.0;    // legacy / scalar: 35.2 / 36.2
+constexpr double kFloorSimd64 = 3.0;         // scalar / production: 4.09 / 5.42
+constexpr double kFloorSimd512 = 1.25;       // scalar / production: 1.46 / 1.79
+constexpr double kFloorDense = 0.85;         // scalar / production: 0.97 / 1.00
+constexpr double kFloorIncremental = 60.0;   // full / delta sweep: 87.7 / 159
 
 /// Process high-water resident set in bytes (Linux ru_maxrss is KB).
 std::size_t peak_rss_bytes() {
@@ -83,25 +101,160 @@ bool same_raw(const std::vector<scan::RawMatch>& a,
   return true;
 }
 
+using Needles = std::span<const std::span<const std::byte>>;
+
+/// The legacy per-needle oracle over the whole buffer.
+std::vector<scan::RawMatch> legacy_scan(std::span<const std::byte> buffer,
+                                        Needles needles) {
+  return scan::legacy_scan(buffer, needles);
+}
+
 /// The MultiMatcher's scalar walk over the whole buffer, compile included
-/// (sharded_scan compiles per call too, so the columns compare alike).
-std::vector<scan::RawMatch> scalar_scan(
-    std::span<const std::byte> buffer,
-    std::span<const std::span<const std::byte>> needles) {
+/// (sharded_scan compiles per call too, so the arms compare alike).
+std::vector<scan::RawMatch> scalar_scan(std::span<const std::byte> buffer,
+                                        Needles needles) {
   std::vector<scan::RawMatch> out;
   scan::MultiMatcher(needles).scan_scalar(buffer, 0, buffer.size(),
                                           buffer.size(), out);
   return out;
 }
 
-/// Wall time of fn() in ms; fn's result lands in `out`.
-template <class Fn>
-double timed_ms(std::vector<scan::RawMatch>& out, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  out = fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+/// The production path, serial: the vector skim where it is available
+/// and profitable, else the scalar walk.
+std::vector<scan::RawMatch> production_scan(std::span<const std::byte> buffer,
+                                            Needles needles) {
+  return scan::sharded_scan(buffer, needles, 1);
+}
+
+/// Needle first bytes drawn from the way real key patterns cluster (DER
+/// tag bytes, PEM armor dashes, shared headers): the regime the shufti
+/// classifier targets.
+constexpr unsigned char kAlphabet[8] = {0x02, 0x30, 0x82, 0x81,
+                                        '-',  'M',  'I',  0x04};
+
+/// `count` random 32-byte needles; with `clustered`, needle i starts with
+/// kAlphabet[i % 8].
+struct NeedleSet {
+  std::vector<std::vector<std::byte>> bytes;
+  std::vector<std::span<const std::byte>> views;
+
+  NeedleSet(util::Rng& rng, std::size_t count, bool clustered)
+      : bytes(count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      bytes[i].resize(32);
+      rng.fill_bytes(bytes[i]);
+      if (clustered) bytes[i][0] = static_cast<std::byte>(kAlphabet[i & 7]);
+    }
+    views.assign(bytes.begin(), bytes.end());
+  }
+
+  /// Plants `copies` randomly chosen needles at random offsets.
+  void plant(util::Rng& rng, std::vector<std::byte>& buffer,
+             std::size_t copies) const {
+    for (std::size_t p = 0; p < copies; ++p) {
+      const auto& n = bytes[rng.next_below(bytes.size())];
+      const std::size_t off = rng.next_below(buffer.size() - n.size());
+      std::copy(n.begin(), n.end(), buffer.begin() + off);
+    }
+  }
+};
+
+/// One paired matcher comparison: `slow` vs `fast` over `buffer`.
+struct MatcherRow {
+  std::size_t needles = 0;
+  Paired t;
+  std::size_t matches = 0;
+  bool identical = false;
+};
+
+using ScanFn = std::vector<scan::RawMatch> (*)(std::span<const std::byte>,
+                                               Needles);
+
+MatcherRow compare_matchers(std::span<const std::byte> buffer, Needles needles,
+                            int pairs, ScanFn slow, ScanFn fast) {
+  std::vector<scan::RawMatch> a;
+  std::vector<scan::RawMatch> b;
+  const auto timed = [&](std::vector<scan::RawMatch>& out, ScanFn fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    out = fn(buffer, needles);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  MatcherRow row;
+  row.needles = needles.size();
+  row.t = paired_trials(
+      pairs, [&](int) { return timed(a, slow); },
+      [&](int) { return timed(b, fast); });
+  row.matches = a.size();
+  row.identical = same_raw(a, b);
+  return row;
+}
+
+/// Times `slow` vs `fast` at 1/8/64/512 needles over one random buffer
+/// (~4 planted copies of a sample of the needles, so matches exist).
+std::vector<MatcherRow> matcher_sweep(std::uint64_t seed, std::size_t buf_bytes,
+                                      bool clustered, int pairs, ScanFn slow,
+                                      ScanFn fast) {
+  util::Rng rng(seed);
+  std::vector<std::byte> buffer(buf_bytes);
+  rng.fill_bytes(buffer);
+  std::vector<MatcherRow> rows;
+  for (const std::size_t count : {1u, 8u, 64u, 512u}) {
+    const NeedleSet set(rng, count, clustered);
+    set.plant(rng, buffer, 4 * std::min<std::size_t>(count, 32));
+    rows.push_back(compare_matchers(buffer, set.views, pairs, slow, fast));
+  }
+  return rows;
+}
+
+void row_to_json(util::JsonWriter& json, const MatcherRow& r) {
+  json.field("needles", static_cast<std::uint64_t>(r.needles));
+  json.field("slow_ms", r.t.a);
+  json.field("fast_ms", r.t.b);
+  r.t.to_json(json);
+  json.field("matches", static_cast<std::uint64_t>(r.matches));
+  json.field("identical", r.identical);
+}
+
+/// Prints a matcher sweep as a table and writes it as a JSON array.
+void report_sweep(util::JsonWriter& json, const char* key, const char* title,
+                  const char* slow_col, const char* fast_col,
+                  const std::vector<MatcherRow>& rows) {
+  util::Table table({"needles", slow_col, fast_col, "speedup p50",
+                     "p25-p75", "matches", "identical"});
+  json.key(key);
+  json.begin_array();
+  for (const auto& r : rows) {
+    table.add_row({std::to_string(r.needles), util::fmt(r.t.a, 2),
+                   util::fmt(r.t.b, 2), util::fmt(r.t.p50),
+                   util::fmt(r.t.p25) + "-" + util::fmt(r.t.p75),
+                   std::to_string(r.matches), r.identical ? "yes" : "NO"});
+    json.begin_object();
+    row_to_json(json, r);
+    json.end_object();
+  }
+  json.end_array();
+  std::printf("%s:\n%s\n%s\n", title, table.render().c_str(),
+              table.render_tsv().c_str());
+}
+
+const MatcherRow& row_at(const std::vector<MatcherRow>& rows,
+                         std::size_t needles) {
+  return *std::find_if(rows.begin(), rows.end(), [&](const MatcherRow& r) {
+    return r.needles == needles;
+  });
+}
+
+bool all_identical(const std::vector<MatcherRow>& rows) {
+  return std::all_of(rows.begin(), rows.end(),
+                     [](const MatcherRow& r) { return r.identical; });
+}
+
+/// SHAPE CHECK of a paired ratio against its floor.
+bool floor_check(const Paired& p, double floor, const std::string& what) {
+  return shape_check(p.p50 >= floor, what + " >= " + util::fmt(floor) +
+                                         "x (got " + p.ratio() + ")");
 }
 
 }  // namespace
@@ -115,6 +268,7 @@ int main(int argc, char** argv) {
     s.key_bits = 512;
   }
   const std::string json_path = flags.get("json", "BENCH_scan.json");
+  const int pairs = 15;
 
   banner("scan throughput: shards x matcher x incremental",
          "scanning the full 256 MB took about 5 seconds (serial LKM walk)", s);
@@ -142,42 +296,44 @@ int main(int argc, char** argv) {
   scanner.set_shards(1);
   const auto serial_matches = scanner.scan_kernel(scenario.kernel());
 
-  const std::size_t auto_shards = util::ThreadPool::shared().size() + 1;
+  // Any shard count above 1 runs ~1 MiB chunks on the whole shared pool,
+  // so the pool width, not the shard count, bounds the parallelism.
+  const std::size_t pool_width = util::ThreadPool::shared().size() + 1;
   std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
-  if (auto_shards > 8) shard_counts.push_back(auto_shards);
+  if (pool_width > 8) shard_counts.push_back(pool_width);
 
-  const int reps = smoke ? 2 : std::max(3, s.perf_reps / 4);
-  util::Table table({"shards", "MB/s mean", "MB/s max", "stddev", "speedup",
+  util::Table table({"shards", "pool width", "MB/s p50", "MB/s p25-p75",
                      "matches", "identical"});
-  double serial_mean = 0.0;
-  bool all_identical = true;
+  bool shards_identical = true;
+  json.field("pool_width", static_cast<std::uint64_t>(pool_width));
   json.key("shard_sweep");
   json.begin_array();
   for (const std::size_t shards : shard_counts) {
     scanner.set_shards(shards);
-    util::RunningStats mbps;
-    bool identical = true;
-    std::size_t match_count = 0;
+    std::vector<double> mbps;
+    std::vector<scan::MemoryMatch> matches;
     scan::ScanStats stats;
-    for (int r = 0; r < reps; ++r) {
-      const auto matches = scanner.scan_kernel(scenario.kernel(), &stats);
-      mbps.add(stats.mb_per_sec());
-      match_count = matches.size();
-      identical = identical && same_matches(serial_matches, matches);
+    for (int r = 0; r < pairs; ++r) {
+      matches = scanner.scan_kernel(scenario.kernel(), &stats);
+      mbps.push_back(stats.mb_per_sec());
     }
-    if (shards == 1) serial_mean = mbps.mean();
-    all_identical = all_identical && identical;
-    const double speedup = serial_mean > 0 ? mbps.mean() / serial_mean : 0.0;
+    const bool identical = same_matches(serial_matches, matches);
+    shards_identical = shards_identical && identical;
+    const std::size_t width = shards == 1 ? 1 : pool_width;
+    const double p25 = util::quantile(mbps, 0.25);
+    const double p50 = util::quantile(mbps, 0.5);
+    const double p75 = util::quantile(mbps, 0.75);
     print_scan_stats(("shards=" + std::to_string(shards)).c_str(), stats);
-    table.add_row({std::to_string(shards), util::fmt(mbps.mean(), 1),
-                   util::fmt(mbps.max(), 1), util::fmt(mbps.stddev(), 1),
-                   util::fmt(speedup), std::to_string(match_count),
-                   identical ? "yes" : "NO"});
+    table.add_row({std::to_string(shards), std::to_string(width),
+                   util::fmt(p50, 1), util::fmt(p25, 1) + "-" + util::fmt(p75, 1),
+                   std::to_string(matches.size()), identical ? "yes" : "NO"});
     json.begin_object();
     json.field("shards", static_cast<std::uint64_t>(shards));
-    json.field("mb_per_sec", mbps.mean());
-    json.field("speedup", speedup);
-    json.field("matches", static_cast<std::uint64_t>(match_count));
+    json.field("pool_width", static_cast<std::uint64_t>(width));
+    json.field("mb_per_sec_p25", p25);
+    json.field("mb_per_sec", p50);
+    json.field("mb_per_sec_p75", p75);
+    json.field("matches", static_cast<std::uint64_t>(matches.size()));
     json.field("identical", identical);
     json.end_object();
   }
@@ -189,191 +345,83 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency(),
               util::ThreadPool::shared().size());
 
-  ok &= shape_check(all_identical,
+  ok &= shape_check(shards_identical,
                     "parallel match lists byte-identical to the serial walk "
                     "at every shard count");
   ok &= shape_check(!serial_matches.empty(),
                     "workload left key copies for the scan to find");
-  // Parallel speedup is hardware-dependent (a 1-core container cannot beat
-  // the serial walk), so it is reported but only checked with the cores
-  // to parallelize. Matcher and incremental speedups below are algorithmic
-  // ratios and are checked everywhere.
+  // Parallel speedup depends on the host (a 1-core container cannot beat
+  // the serial walk), so it is checked only with the cores to parallelize,
+  // and even then the scheduler decides whether a burst of ~1 MiB chunks
+  // spreads over the cores: on the reference VM the median reads 0.92-1.01
+  // in most runs and 2.8-3.4 in the rest. The floor therefore asserts that
+  // sharding costs at most ~20% over the serial walk, not that it wins.
+  // The matcher and incremental ratios below are algorithmic and are
+  // checked everywhere.
   if (std::thread::hardware_concurrency() >= 4) {
-    scanner.set_shards(4);
-    scan::ScanStats stats;
-    (void)scanner.scan_kernel(scenario.kernel(), &stats);
-    ok &= shape_check(stats.mb_per_sec() > serial_mean,
-                      "4-shard scan beats the serial walk on this hardware");
+    const auto scan_ms = [&](std::size_t shards) {
+      scanner.set_shards(shards);
+      scan::ScanStats stats;
+      (void)scanner.scan_kernel(scenario.kernel(), &stats);
+      return stats.wall_millis;
+    };
+    const Paired par = paired_trials(
+        pairs, [&](int) { return scan_ms(1); }, [&](int) { return scan_ms(4); });
+    json.key("shards4_vs_serial").begin_object();
+    par.to_json(json);
+    json.end_object();
+    ok &= floor_check(par, kFloorShards4, "4-shard scan vs the serial walk");
   }
 
   // ---- phase 2: needle-count sweep ----------------------------------------
-  // Synthetic buffer + synthetic 32-byte needles so the needle count is a
-  // free axis. Serial on both sides: the legacy oracle against the scalar
-  // walk, so the ratio is a property of the matchers, not of the
-  // machine's core count or vector unit.
+  // Serial on both sides, the legacy oracle against the scalar walk, so
+  // the ratio is a property of the matchers, not of the machine's core
+  // count or vector unit.
+  const std::size_t buf_bytes = smoke ? (4ull << 20) : (8ull << 20);
   {
-    const std::size_t buf_bytes = smoke ? (4ull << 20) : (8ull << 20);
-    util::Rng rng(9001);
-    std::vector<std::byte> buffer(buf_bytes);
-    rng.fill_bytes(buffer);
-
-    const int nreps = smoke ? 2 : 3;
-    util::Table ntable({"needles", "legacy ms", "multi ms", "speedup",
-                        "matches", "identical"});
-    double speedup_at_64 = 0.0;
-    bool needle_identical = true;
-    json.key("needle_sweep");
-    json.begin_array();
-    for (const std::size_t count : {1u, 8u, 64u, 512u}) {
-      std::vector<std::vector<std::byte>> needles(count);
-      std::vector<std::span<const std::byte>> views;
-      views.reserve(count);
-      for (auto& n : needles) {
-        n.resize(32);
-        rng.fill_bytes(n);
-      }
-      for (const auto& n : needles) views.emplace_back(n);
-      // Plant ~4 copies of a sample of needles so matches exist.
-      for (std::size_t p = 0; p < 4 * std::min<std::size_t>(count, 32); ++p) {
-        const auto& n = needles[rng.next_below(count)];
-        const std::size_t off = rng.next_below(buffer.size() - n.size());
-        std::copy(n.begin(), n.end(), buffer.begin() + off);
-      }
-      util::RunningStats legacy_ms;
-      util::RunningStats multi_ms;
-      std::vector<scan::RawMatch> legacy;
-      std::vector<scan::RawMatch> multi;
-      bool identical = true;
-      for (int r = 0; r < nreps; ++r) {
-        legacy_ms.add(timed_ms(legacy, [&] { return scan::legacy_scan(buffer, views); }));
-        multi_ms.add(timed_ms(multi, [&] { return scalar_scan(buffer, views); }));
-        identical = identical && same_raw(legacy, multi);
-      }
-      needle_identical = needle_identical && identical;
-      const double speedup =
-          multi_ms.mean() > 0 ? legacy_ms.mean() / multi_ms.mean() : 0.0;
-      if (count == 64) speedup_at_64 = speedup;
-      ntable.add_row({std::to_string(count), util::fmt(legacy_ms.mean(), 2),
-                      util::fmt(multi_ms.mean(), 2), util::fmt(speedup),
-                      std::to_string(legacy.size()),
-                      identical ? "yes" : "NO"});
-      json.begin_object();
-      json.field("needles", static_cast<std::uint64_t>(count));
-      json.field("legacy_ms", legacy_ms.mean());
-      json.field("multi_ms", multi_ms.mean());
-      json.field("speedup", speedup);
-      json.field("matches", static_cast<std::uint64_t>(legacy.size()));
-      json.field("identical", identical);
-      json.end_object();
-    }
-    json.end_array();
-    std::printf("needle-count sweep (serial, %zu MB, 32-byte needles):\n%s\n%s\n",
-                buf_bytes >> 20, ntable.render().c_str(),
-                ntable.render_tsv().c_str());
-    ok &= shape_check(needle_identical,
+    const auto rows = matcher_sweep(9001, buf_bytes, false, pairs,
+                                    &legacy_scan, &scalar_scan);
+    report_sweep(json, "needle_sweep",
+                 ("needle-count sweep (serial, " +
+                  std::to_string(buf_bytes >> 20) +
+                  " MB, 32-byte needles, medians of pairs)").c_str(),
+                 "legacy ms", "multi ms", rows);
+    ok &= shape_check(all_identical(rows),
                       "MultiMatcher results byte-identical to the legacy loop "
                       "at every needle count");
-    ok &= shape_check(speedup_at_64 >= 4.0,
-                      "single-pass matcher >= 4x the legacy loop at 64 needles "
-                      "(got " + util::fmt(speedup_at_64) + "x)");
+    ok &= floor_check(row_at(rows, 64).t, kFloorNeedles64,
+                      "single-pass matcher vs the legacy loop at 64 needles");
+    ok &= floor_check(row_at(rows, 512).t, kFloorNeedles512,
+                      "single-pass matcher vs the legacy loop at 512 needles");
   }
 
   // ---- phase 2b: SIMD sweep ------------------------------------------------
-  // The scalar walk vs the production path (serial sharded_scan, which
-  // runs the vector candidate skim), same serial protocol as phase 2 so
-  // the ratio is a matcher property. Needle first bytes are drawn from
-  // an 8-value alphabet the way real key patterns cluster (DER tag
-  // bytes, PEM armor dashes, shared headers) —
-  // the regime the shufti classifier targets; the fully random regime that
-  // saturates its nibble tables is covered by the dense-guard row below,
-  // where the matcher must FALL BACK rather than regress. The identity
-  // gate is unconditional; the speedup gate only applies when the hardware
-  // has the vector instructions — on scalar machines production IS the
-  // scalar walk, so the checker sees simd_kind == "none" and skips the
-  // floor.
+  // The scalar walk vs the production path (serial sharded_scan), same
+  // protocol as phase 2, needles clustered on kAlphabet. The identity
+  // gate is unconditional; the speedup floors apply only when the
+  // hardware has the vector instructions.
   {
     const scan::SimdKind hw = scan::simd_available();
     const char* hw_name = scan::simd_kind_name(hw);
-    const std::size_t buf_bytes = smoke ? (4ull << 20) : (8ull << 20);
-    util::Rng rng(9002);
-    std::vector<std::byte> buffer(buf_bytes);
-    rng.fill_bytes(buffer);
-    const unsigned char alphabet[8] = {0x02, 0x30, 0x82, 0x81,
-                                       '-',  'M',  'I',  0x04};
-
-    const int nreps = smoke ? 2 : 3;
-    util::Table stable({"needles", "multi ms", "simd ms", "speedup",
-                        "matches", "identical"});
-    double simd_at_64 = 0.0;
-    double simd_at_512 = 0.0;
-    bool simd_identical = true;
     json.field("simd_kind", hw_name);
-    json.key("simd_sweep");
-    json.begin_array();
-    for (const std::size_t count : {1u, 8u, 64u, 512u}) {
-      std::vector<std::vector<std::byte>> needles(count);
-      std::vector<std::span<const std::byte>> views;
-      views.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        auto& n = needles[i];
-        n.resize(32);
-        rng.fill_bytes(n);
-        n[0] = static_cast<std::byte>(alphabet[i & 7]);
-      }
-      for (const auto& n : needles) views.emplace_back(n);
-      for (std::size_t p = 0; p < 4 * std::min<std::size_t>(count, 32); ++p) {
-        const auto& n = needles[rng.next_below(count)];
-        const std::size_t off = rng.next_below(buffer.size() - n.size());
-        std::copy(n.begin(), n.end(), buffer.begin() + off);
-      }
-      util::RunningStats multi_ms;
-      util::RunningStats simd_ms;
-      std::vector<scan::RawMatch> multi;
-      std::vector<scan::RawMatch> simd;
-      bool identical = true;
-      for (int r = 0; r < nreps; ++r) {
-        multi_ms.add(timed_ms(multi, [&] { return scalar_scan(buffer, views); }));
-        simd_ms.add(timed_ms(simd, [&] { return scan::sharded_scan(buffer, views, 1); }));
-        identical = identical && same_raw(multi, simd);
-      }
-      simd_identical = simd_identical && identical;
-      const double speedup =
-          simd_ms.mean() > 0 ? multi_ms.mean() / simd_ms.mean() : 0.0;
-      if (count == 64) simd_at_64 = speedup;
-      if (count == 512) simd_at_512 = speedup;
-      stable.add_row({std::to_string(count), util::fmt(multi_ms.mean(), 2),
-                      util::fmt(simd_ms.mean(), 2), util::fmt(speedup),
-                      std::to_string(multi.size()),
-                      identical ? "yes" : "NO"});
-      json.begin_object();
-      json.field("needles", static_cast<std::uint64_t>(count));
-      json.field("multi_ms", multi_ms.mean());
-      json.field("simd_ms", simd_ms.mean());
-      json.field("speedup", speedup);
-      json.field("simd_kind", hw_name);
-      json.field("matches", static_cast<std::uint64_t>(multi.size()));
-      json.field("identical", identical);
-      json.end_object();
-    }
-    json.end_array();
-    std::printf("SIMD sweep (serial, %zu MB, 32-byte needles, hw=%s):\n%s\n%s\n",
-                buf_bytes >> 20, hw_name, stable.render().c_str(),
-                stable.render_tsv().c_str());
-    ok &= shape_check(simd_identical,
+    const auto rows = matcher_sweep(9002, buf_bytes, true, pairs,
+                                    &scalar_scan, &production_scan);
+    report_sweep(json, "simd_sweep",
+                 ("SIMD sweep (serial, " + std::to_string(buf_bytes >> 20) +
+                  " MB, 32-byte needles, hw=" + hw_name + ")").c_str(),
+                 "multi ms", "simd ms", rows);
+    ok &= shape_check(all_identical(rows),
                       "production results byte-identical to the scalar walk "
                       "at every needle count");
     if (hw != scan::SimdKind::kNone) {
-      ok &= shape_check(simd_at_64 >= 2.0,
-                        "vector stage >= 2x the scalar multi walk at 64 "
-                        "needles (got " + util::fmt(simd_at_64) + "x)");
+      ok &= floor_check(row_at(rows, 64).t, kFloorSimd64,
+                        "vector stage vs the scalar multi walk at 64 needles");
       // At 512 needles the shared verify stage (real two-byte collisions,
-      // ~needles/65536 of all positions) dominates BOTH columns; the skim
-      // can only delete the per-byte pair loop, so the achievable ratio
-      // shrinks as the needle count grows. The floor asserts the skim
-      // still pays, not the 64-needle ratio.
-      ok &= shape_check(simd_at_512 >= 1.25,
-                        "vector stage >= 1.25x the scalar multi walk at 512 "
-                        "needles (got " + util::fmt(simd_at_512) + "x)");
+      // ~needles/65536 of all positions) dominates BOTH arms; the skim can
+      // only delete the per-byte pair loop, so the achievable ratio
+      // shrinks as the needle count grows.
+      ok &= floor_check(row_at(rows, 512).t, kFloorSimd512,
+                        "vector stage vs the scalar multi walk at 512 needles");
     } else {
       std::printf("[skip] no vector unit on this machine: simd speedup "
                   "floors not applied (fallback path verified identical)\n");
@@ -384,71 +432,49 @@ int main(int argc, char** argv) {
     // matcher's build-time density check must disable the skim — the
     // production run then takes the scalar walk (simd_kind "none"),
     // stays bit-identical, and costs ~the same as the scalar walk called
-    // directly. The floor protects against re-introducing the regression
-    // this check fixed.
-    {
-      std::vector<std::vector<std::byte>> dense(512);
-      std::vector<std::span<const std::byte>> dviews;
-      dviews.reserve(dense.size());
-      for (auto& n : dense) {
-        n.resize(32);
-        rng.fill_bytes(n);
-      }
-      for (const auto& n : dense) dviews.emplace_back(n);
-      for (std::size_t p = 0; p < 128; ++p) {
-        const auto& n = dense[rng.next_below(dense.size())];
-        const std::size_t off = rng.next_below(buffer.size() - n.size());
-        std::copy(n.begin(), n.end(), buffer.begin() + off);
-      }
-      util::RunningStats multi_ms;
-      util::RunningStats simd_ms;
-      std::vector<scan::RawMatch> multi;
-      std::vector<scan::RawMatch> simd;
-      scan::ScanStats vs;
-      for (int r = 0; r < nreps; ++r) {
-        multi_ms.add(timed_ms(multi, [&] { return scalar_scan(buffer, dviews); }));
-        simd_ms.add(timed_ms(simd, [&] {
-          return scan::sharded_scan(buffer, dviews, 1, 0, &vs);
-        }));
-      }
-      const bool identical = same_raw(multi, simd);
-      const double speedup =
-          simd_ms.mean() > 0 ? multi_ms.mean() / simd_ms.mean() : 0.0;
-      std::printf("dense guard (512 random needles): scalar %.2f ms vs "
-                  "production %.2f ms (%.2fx), simd_kind=%s, %s\n\n",
-                  multi_ms.mean(), simd_ms.mean(), speedup,
-                  scan::simd_kind_name(vs.simd_kind),
-                  identical ? "identical" : "DIVERGED");
-      json.key("simd_dense_guard");
-      json.begin_object();
-      json.field("needles", std::uint64_t{512});
-      json.field("multi_ms", multi_ms.mean());
-      json.field("simd_ms", simd_ms.mean());
-      json.field("speedup", speedup);
-      json.field("simd_kind", scan::simd_kind_name(vs.simd_kind));
-      json.field("identical", identical);
-      json.end_object();
-      ok &= shape_check(identical,
-                        "dense-set production run byte-identical to the "
-                        "scalar walk");
-      ok &= shape_check(vs.simd_kind == scan::SimdKind::kNone,
-                        "dense needle set visibly downgraded to the scalar "
-                        "walk (simd_kind none)");
-      ok &= shape_check(speedup >= 0.75,
-                        "dense-set fallback costs ~nothing vs the scalar walk (got " +
-                            util::fmt(speedup) + "x)");
-    }
+    // directly. The floor stops the skim from running on a saturated set.
+    util::Rng rng(9003);
+    std::vector<std::byte> buffer(buf_bytes);
+    rng.fill_bytes(buffer);
+    const NeedleSet dense(rng, 512, false);
+    dense.plant(rng, buffer, 128);
+    const MatcherRow row =
+        compare_matchers(buffer, dense.views, pairs, &scalar_scan, &production_scan);
+    scan::ScanStats vs;
+    (void)scan::sharded_scan(buffer, dense.views, 1, 0, &vs);
+    std::printf("dense guard (512 random needles): scalar %.2f ms vs "
+                "production %.2f ms, %s, simd_kind=%s, %s\n\n",
+                row.t.a, row.t.b, row.t.ratio().c_str(),
+                scan::simd_kind_name(vs.simd_kind),
+                row.identical ? "identical" : "DIVERGED");
+    json.key("simd_dense_guard").begin_object();
+    row_to_json(json, row);
+    json.field("simd_kind", scan::simd_kind_name(vs.simd_kind));
+    json.end_object();
+    ok &= shape_check(row.identical,
+                      "dense-set production run byte-identical to the "
+                      "scalar walk");
+    ok &= shape_check(vs.simd_kind == scan::SimdKind::kNone,
+                      "dense needle set visibly downgraded to the scalar "
+                      "walk (simd_kind none)");
+    ok &= floor_check(row.t, kFloorDense,
+                      "dense-set production run vs the scalar walk");
   }
 
   // ---- phase 3: incremental sweeps ----------------------------------------
-  // Journal-driven delta sweeps against full sweeps of the same kernel:
-  // each round dirties ~0.5% of frames through ordinary kernel writes,
-  // then both sweep flavours run and must agree exactly.
+  // Journal-driven delta sweeps against full sweeps of the same kernel.
+  // Before every delta sweep, ordinary kernel writes dirty ~0.5% of the
+  // frames. Both arms time the byte scan with the library's own timer
+  // (ScanStats::wall_millis; metadata resolution is outside it on both),
+  // and both run serial — settle() rescans on the calling thread — so the
+  // ratio is one of rescanned bytes, not of the pool's width. One delta
+  // sweep settles ~0.04 ms of work, too little to time alone, so an
+  // incremental sample sums `batch` sweeps, enough for >= 1 ms.
   {
     auto& kernel = scenario.kernel();
     scan::DirtyFrameJournal journal(kernel.memory().all().size());
     kernel.attach_taint(&journal);
-    scanner.set_shards(0);  // auto: the production configuration
+    scanner.set_shards(1);
 
     scan::SweepCache cache;
     scanner.scan_kernel_incremental(kernel, journal, cache);  // prime
@@ -460,88 +486,102 @@ int main(int argc, char** argv) {
         kernel.mmap_anon(churner, dirty_target * sim::kPageSize, false);
 
     util::Rng rng(1234);
-    util::RunningStats full_ms;
-    util::RunningStats incr_ms;
-    util::RunningStats dirty_frames;
-    bool incr_identical = true;
-    const int irounds = smoke ? 3 : 5;
-    for (int round = 0; round < irounds; ++round) {
-      std::vector<std::byte> noise(64);
+    std::vector<std::byte> noise(64);
+    std::vector<scan::MemoryMatch> last;
+    scan::ScanStats last_stats;
+    std::size_t sweeps = 0;
+    std::size_t dirty_frames = 0;
+    std::size_t bytes_rescanned = 0;
+    std::size_t bytes_bound = 0;
+    bool within_bound = true;
+    // Dirties ~0.5% of frames, runs one delta sweep, and returns its ms.
+    const auto delta_sweep = [&] {
       for (std::size_t f = 0; f < dirty_target; ++f) {
         rng.fill_bytes(noise);
         kernel.mem_write(churner, span_addr + f * sim::kPageSize +
                                       rng.next_below(sim::kPageSize - noise.size()),
                          noise);
       }
-      scan::ScanStats istats;
-      const auto incr =
-          scanner.scan_kernel_incremental(kernel, journal, cache, &istats);
-      incr_ms.add(istats.wall_millis);
-      dirty_frames.add(static_cast<double>(istats.dirty_frames));
+      last = scanner.scan_kernel_incremental(kernel, journal, cache, &last_stats);
+      // settle() rescans each dirty frame widened by reach = L - 1 bytes
+      // to the left (the seam on the right is not counted as scanned).
+      const std::size_t bound =
+          last_stats.dirty_frames * (journal.frame_bytes() + last_stats.overlap_bytes);
+      within_bound = within_bound && last_stats.bytes_scanned <= bound;
+      bytes_rescanned += last_stats.bytes_scanned;
+      bytes_bound += bound;
+      dirty_frames += last_stats.dirty_frames;
+      ++sweeps;
+      return last_stats.wall_millis;
+    };
+    std::vector<double> warm;
+    for (int i = 0; i < 5; ++i) warm.push_back(delta_sweep());
+    const int batch = static_cast<int>(std::clamp(
+        std::ceil(1.0 / std::max(util::quantile(warm, 0.5), 1e-4)), 1.0, 1000.0));
+
+    bool identical = true;
+    const auto full_ms = [&](int) {
       scan::ScanStats fstats;
-      const auto full = scanner.scan_kernel(kernel, &fstats);
-      full_ms.add(fstats.wall_millis);
-      incr_identical = incr_identical && same_matches(incr, full);
-      print_scan_stats(("incremental round " + std::to_string(round)).c_str(),
-                       istats);
-    }
-    const double incr_speedup =
-        incr_ms.mean() > 0 ? full_ms.mean() / incr_ms.mean() : 0.0;
-    const double dirty_fraction =
-        dirty_frames.mean() / static_cast<double>(total_frames);
-    std::printf("\nincremental: full %.2f ms vs delta %.2f ms (%.1fx) at "
-                "%.2f%% dirty frames\n\n",
-                full_ms.mean(), incr_ms.mean(), incr_speedup,
-                100.0 * dirty_fraction);
-    json.key("incremental");
-    json.begin_object();
-    json.field("full_ms", full_ms.mean());
-    json.field("incremental_ms", incr_ms.mean());
-    json.field("speedup", incr_speedup);
-    json.field("dirty_frames", dirty_frames.mean());
+      (void)scanner.scan_kernel(kernel, &fstats);
+      return fstats.wall_millis;
+    };
+    const auto delta_ms = [&](int) {
+      double sum = 0.0;
+      for (int i = 0; i < batch; ++i) sum += delta_sweep();
+      identical = identical && same_matches(last, scanner.scan_kernel(kernel));
+      return sum / batch;
+    };
+    const Paired inc = paired_trials(pairs, full_ms, delta_ms);
+    const double dirty_fraction = static_cast<double>(dirty_frames) /
+                                  static_cast<double>(sweeps * total_frames);
+    print_scan_stats("incremental", last_stats);
+    std::printf("\nincremental: full %.2f ms vs delta %.3f ms per sweep "
+                "(%d sweeps per sample), %s at %.2f%% dirty frames; "
+                "%zu bytes rescanned vs bound %zu\n\n",
+                inc.a, inc.b, batch, inc.ratio().c_str(), 100.0 * dirty_fraction,
+                bytes_rescanned, bytes_bound);
+    json.key("incremental").begin_object();
+    json.field("full_ms", inc.a);
+    json.field("incremental_ms", inc.b);
+    json.field("sweeps_per_sample", static_cast<std::uint64_t>(batch));
+    inc.to_json(json);
     json.field("dirty_fraction", dirty_fraction);
-    json.field("identical", incr_identical);
+    json.field("bytes_rescanned", static_cast<std::uint64_t>(bytes_rescanned));
+    json.field("bytes_bound", static_cast<std::uint64_t>(bytes_bound));
+    json.field("within_bound", within_bound);
+    json.field("identical", identical);
     json.end_object();
-    ok &= shape_check(incr_identical,
+    ok &= shape_check(identical,
                       "incremental sweeps byte-identical to fresh full sweeps "
-                      "every round");
-    ok &= shape_check(incr_speedup >= 10.0,
-                      "delta sweep >= 10x a full sweep at <= 1% dirty frames "
-                      "(got " + util::fmt(incr_speedup) + "x)");
+                      "every sample");
+    ok &= shape_check(within_bound,
+                      "every delta sweep rescans <= dirty frames x (frame + "
+                      "L - 1) bytes (" + std::to_string(bytes_rescanned) +
+                          " vs " + std::to_string(bytes_bound) + ")");
+    ok &= floor_check(inc, kFloorIncremental,
+                      "delta sweep vs a full sweep at <= 1% dirty frames");
     kernel.attach_taint(nullptr);
   }
 
   // ---- phase 4: streaming capture ------------------------------------------
   // A capture 4x the simulated RAM, scanned through CaptureStream in
-  // bounded windows by the production matcher. Three gates: the
-  // streamed match list is byte-identical to a one-shot scan of the whole
-  // file, the capture really is >= 4x the RAM the shard sweep ran over,
-  // and the streaming walk's peak-RSS delta stays O(window) — measured
-  // BEFORE the one-shot oracle loads the file whole, so the oracle's
-  // allocation cannot mask an RSS leak in the stream. The capture file is
-  // written sparse (plants + one tail byte), so disk use stays small even
-  // when the logical size is multi-GB.
+  // bounded windows by the production matcher. The gates: the streamed
+  // match list is byte-identical to a one-shot scan of the whole file,
+  // every capture byte was streamed, the capture really is >= 4x the RAM
+  // the shard sweep ran over, and the streaming walk's peak-RSS delta
+  // stays O(window) — measured BEFORE the one-shot oracle loads the file
+  // whole, so the oracle's allocation cannot mask an RSS leak in the
+  // stream. The capture file is written sparse (plants + one tail byte),
+  // so disk use stays small even when the logical size is multi-GB.
   {
     const std::size_t window_bytes = smoke ? (16ull << 20) : (64ull << 20);
     const std::size_t capture_bytes = 4 * s.mem_bytes;
     const std::size_t seams = capture_bytes / window_bytes;
 
-    // 64 synthetic 32-byte needles with the structured first-byte alphabet
-    // from the SIMD sweep, so the vector candidate stage is actually
+    // 64 clustered needles, so the vector candidate stage is actually
     // engaged while streaming.
     util::Rng rng(4242);
-    const unsigned char alphabet[8] = {0x02, 0x30, 0x82, 0x81,
-                                       '-',  'M',  'I',  0x04};
-    std::vector<std::vector<std::byte>> needles(64);
-    std::vector<std::span<const std::byte>> views;
-    views.reserve(needles.size());
-    for (std::size_t i = 0; i < needles.size(); ++i) {
-      auto& n = needles[i];
-      n.resize(32);
-      rng.fill_bytes(n);
-      n[0] = static_cast<std::byte>(alphabet[i & 7]);
-    }
-    for (const auto& n : needles) views.emplace_back(n);
+    const NeedleSet needles(rng, 64, true);
     const std::size_t max_len = 32;
 
     const std::string cap_path = json_path + ".capture.tmp";
@@ -549,7 +589,7 @@ int main(int argc, char** argv) {
     if (std::FILE* f = std::fopen(cap_path.c_str(), "wb")) {
       wrote = true;
       const auto plant = [&](std::size_t off) {
-        const auto& n = needles[rng.next_below(needles.size())];
+        const auto& n = needles.bytes[rng.next_below(needles.bytes.size())];
         if (off + n.size() > capture_bytes) return;
         std::fseek(f, static_cast<long>(off), SEEK_SET);
         std::fwrite(n.data(), 1, n.size(), f);
@@ -584,7 +624,7 @@ int main(int argc, char** argv) {
       stream.rewind(max_len - 1);
       const auto t0 = std::chrono::steady_clock::now();
       while (auto w = stream.next()) {
-        auto part = scan::sharded_scan_window(w->bytes, w->payload, views, 1);
+        auto part = scan::sharded_scan_window(w->bytes, w->payload, needles.views, 1);
         for (auto& r : part) r.offset += w->offset;
         streamed.insert(streamed.end(), part.begin(), part.end());
         bytes_streamed += w->payload;
@@ -613,7 +653,7 @@ int main(int argc, char** argv) {
           std::fread(whole.data(), 1, whole.size(), f) == whole.size();
       std::fclose(f);
     }
-    const auto oneshot = scalar_scan(whole, views);
+    const auto oneshot = scalar_scan(whole, needles.views);
     const bool identical = read_back && same_raw(oneshot, streamed);
     std::remove(cap_path.c_str());
 
@@ -647,6 +687,10 @@ int main(int argc, char** argv) {
     ok &= shape_check(identical,
                       "streamed windows byte-identical to the one-shot scan "
                       "of the whole capture");
+    ok &= shape_check(bytes_streamed == capture_bytes,
+                      "every capture byte streamed exactly once (" +
+                          std::to_string(bytes_streamed) + " of " +
+                          std::to_string(capture_bytes) + ")");
     ok &= shape_check(capture_ratio >= 4.0,
                       "capture >= 4x the simulated RAM size (got " +
                           util::fmt(capture_ratio) + "x)");

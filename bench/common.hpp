@@ -7,11 +7,14 @@
 //   * the series as both an aligned table and TSV rows (machine readable),
 //   * SHAPE CHECK verdict lines comparing the measured shape against the
 //     paper's qualitative result.
+// Every timed SHAPE CHECK reads one estimator, paired_trials() below: the
+// median of per-pair ratios over interleaved runs of the two arms.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "attack/leaks.hpp"
 #include "core/scenario.hpp"
@@ -21,6 +24,7 @@
 #include "servers/ssh_server.hpp"
 #include "servers/timeline.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -45,7 +49,7 @@ struct Scale {
 
   // Performance benches.
   int perf_transfers = 400;    // paper: 4000
-  int perf_reps = 3;           // paper: 16 (ssh)
+  int perf_pairs = 11;         // paper: 16 (ssh)
   int perf_concurrency = 20;   // paper: 20
 
   // Timelines.
@@ -65,7 +69,7 @@ inline Scale scale_from_env() {
     s.dir_step = 1000;
     s.ntty_conn_step = 10;
     s.perf_transfers = 4000;
-    s.perf_reps = 16;
+    s.perf_pairs = 16;
   }
   s.mem_bytes = static_cast<std::size_t>(
                     util::env_int("KEYGUARD_BENCH_MEM_MB",
@@ -87,6 +91,60 @@ inline void banner(const char* figure, const char* paper_claim, const Scale& s) 
 inline bool shape_check(bool ok, const std::string& what) {
   std::printf("SHAPE CHECK [%s] %s\n", ok ? "OK" : "FAIL", what.c_str());
   return ok;
+}
+
+/// One timed comparison: each arm's median sample and the quartiles of the
+/// per-pair ratio a / b.
+struct Paired {
+  int pairs = 0;
+  double a = 0.0;  ///< median sample of arm a
+  double b = 0.0;  ///< median sample of arm b
+  double p25 = 0.0;
+  double p50 = 0.0;  ///< the gate reads this: median of the per-pair a / b
+  double p75 = 0.0;
+
+  /// "6.21x (p25-p75 6.02-6.40, 11 pairs)".
+  std::string ratio() const {
+    return util::fmt(p50) + "x (p25-p75 " + util::fmt(p25) + "-" +
+           util::fmt(p75) + ", " + std::to_string(pairs) + " pairs)";
+  }
+
+  void to_json(util::JsonWriter& json) const {
+    json.field("pairs", static_cast<std::uint64_t>(pairs))
+        .field("ratio_p25", p25)
+        .field("ratio_p50", p50)
+        .field("ratio_p75", p75);
+  }
+};
+
+/// Runs `pairs` pairs of two arms back to back, swapping which arm goes
+/// first every pair (the second run of a pair finds warmer caches). Each
+/// arm is called with the pair index and returns one sample (a time or a
+/// rate). Single runs swing by tens of percent on a shared host; the
+/// median of the per-pair ratios does not.
+template <class ArmA, class ArmB>
+Paired paired_trials(int pairs, ArmA&& arm_a, ArmB&& arm_b) {
+  std::vector<double> a, b, ratio;
+  for (int i = 0; i < pairs; ++i) {
+    double x = 0.0;
+    double y = 0.0;
+    if (i % 2 == 0) {
+      x = arm_a(i);
+      y = arm_b(i);
+    } else {
+      y = arm_b(i);
+      x = arm_a(i);
+    }
+    a.push_back(x);
+    b.push_back(y);
+    ratio.push_back(y > 0 ? x / y : 0.0);
+  }
+  return {pairs,
+          util::quantile(a, 0.5),
+          util::quantile(b, 0.5),
+          util::quantile(ratio, 0.25),
+          util::quantile(ratio, 0.5),
+          util::quantile(ratio, 0.75)};
 }
 
 /// Writes a bench's JSON (or JSONL) artifact to `path`. False, with a

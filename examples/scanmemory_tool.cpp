@@ -21,8 +21,7 @@
 //                     [--level none|application|library|kernel|integrated]
 //                                             protection profile (default none)
 //                     [--threads N]           scan shard count; 1 reproduces the
-//                                             LKM's serial walk, 0 = auto; also
-//                                             via KEYGUARD_SCAN_THREADS
+//                                             LKM's serial walk, 0 = auto
 //                     [--capture-file FILE]   stream-scan a disclosure dump
 //                                             (cold-boot image, hibernation
 //                                             file, exploit capture) for the
@@ -378,8 +377,7 @@ int main(int argc, char** argv) {
   }
   const int connections = static_cast<int>(flags.get_int("connections", 16));
   const std::string level_name = flags.get("level", "none");
-  const auto threads =
-      flags.get_int("threads", 0, "KEYGUARD_SCAN_THREADS");  // 0 = auto
+  const auto threads = flags.get_int("threads", 0);  // 0 = auto
   const std::string capture_path = flags.get("capture-file", "");
   const auto window_mb = flags.get_int("window-mb", 64);
   if (window_mb <= 0) {

@@ -10,7 +10,6 @@
 #include "scan/settle.hpp"
 #include "sslsim/ssl_library.hpp"
 #include "util/bytes.hpp"
-#include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 
 namespace keyguard::scan {
@@ -28,14 +27,14 @@ std::string describe_match(const sim::Kernel& kernel, const MemoryMatch& m) {
     case sim::FrameState::kUserAnon:
       break;
   }
-  // Resolve through the first owning process's address space.
-  for (const auto pid : m.owners) {
-    const auto* proc = kernel.find_process(pid);
+  // Resolve through the first owning process's address space, at that
+  // process's lowest virtual page for the frame (page tables are ordered,
+  // and mappings come in (process-table, vaddr) order).
+  for (const auto& mapping : m.mappings) {
+    const auto* proc = kernel.find_process(mapping.pid);
     if (proc == nullptr) continue;
-    const auto vpage = kernel.virt_of_frame(*proc, m.frame);
-    if (!vpage) continue;
-    const auto desc =
-        kernel.describe_address(*proc, *vpage + m.phys_offset % sim::kPageSize);
+    const auto desc = kernel.describe_address(
+        *proc, mapping.vaddr + m.phys_offset % sim::kPageSize);
     if (desc) return *desc;
   }
   return "user memory";
@@ -75,8 +74,6 @@ std::vector<std::span<const std::byte>> KeyPatterns::needles() const {
 
 std::size_t KeyScanner::effective_shards() const {
   if (shards_ != 0) return shards_;
-  const auto env = util::env_int("KEYGUARD_SCAN_THREADS", 0);
-  if (env > 0) return static_cast<std::size_t>(env);
   return util::ThreadPool::shared().size() + 1;  // workers + calling thread
 }
 
@@ -96,8 +93,19 @@ std::vector<MemoryMatch> KeyScanner::resolve_raw(
     m.part = patterns_.patterns[r.pattern_index].name;
     m.frame = static_cast<sim::FrameNumber>(r.offset / sim::kPageSize);
     m.state = frame_states[m.frame];
-    m.owners = kernel.frame_owners(m.frame);
-    m.mappings = kernel.frame_mappings(m.frame);
+    // Matches come in offset order, so the matches of one frame are
+    // adjacent: walk the page tables once per frame, not once per match.
+    if (!matches.empty() && matches.back().frame == m.frame) {
+      m.owners = matches.back().owners;
+      m.mappings = matches.back().mappings;
+    } else {
+      m.mappings = kernel.frame_mappings(m.frame);
+      for (const auto& mapping : m.mappings) {
+        if (m.owners.empty() || m.owners.back() != mapping.pid) {
+          m.owners.push_back(mapping.pid);
+        }
+      }
+    }
     m.provenance = describe_match(kernel, m);
     matches.push_back(std::move(m));
   }

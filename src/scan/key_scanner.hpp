@@ -134,9 +134,9 @@ class KeyScanner {
       : KeyScanner(KeyPatterns::from_key(key)) {}
 
   /// Shard count for the parallel walk. 0 (the default) auto-sizes to the
-  /// machine (KEYGUARD_SCAN_THREADS env overrides); 1 forces the serial
-  /// walk. Results are byte-for-byte identical at every setting — only
-  /// ScanStats timing differs.
+  /// shared thread pool (workers + the calling thread); 1 forces the
+  /// serial walk. Results are byte-for-byte identical at every setting —
+  /// only ScanStats timing differs.
   void set_shards(std::size_t shards) noexcept { shards_ = shards; }
   std::size_t shards() const noexcept { return shards_; }
 

@@ -1,10 +1,13 @@
 // Running statistics for benchmark series (mean / stddev / min / max),
-// matching the paper's N-trial averaging.
+// matching the paper's N-trial averaging, and sample quantiles for the
+// benches' paired trials.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 namespace keyguard::util {
 
@@ -34,5 +37,16 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Quantile q (in [0, 1]) of the samples, linearly interpolated between
+/// the order statistics around position q * (n - 1). 0 for no samples.
+inline double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
 
 }  // namespace keyguard::util

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/stats.hpp"
 
 namespace keyguard::util {
@@ -67,6 +70,48 @@ TEST(RunningStats, SingleValue) {
   s.add(3.5);
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
   EXPECT_EQ(s.variance(), 0.0);
+}
+
+TEST(Quantile, SingleSampleIsEveryQuantile) {
+  for (const double q : {0.0, 0.25, 0.5, 1.0}) {
+    EXPECT_DOUBLE_EQ(quantile({7.5}, q), 7.5);
+  }
+}
+
+TEST(Quantile, OddCountHitsOrderStatistics) {
+  const std::vector<double> v = {5.0, 1.0, 4.0, 2.0, 3.0};  // unsorted
+  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.0);
+  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 5.0);
+  EXPECT_EQ(v.front(), 5.0);  // taken by value: the caller's order stays
+}
+
+TEST(Quantile, EvenCountInterpolates) {
+  const std::vector<double> v = {40.0, 10.0, 30.0, 20.0};
+  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 17.5);  // position 0.75
+  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 25.0);   // midway between 20 and 30
+  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 40.0);
+}
+
+TEST(Quantile, EmptyIsZero) { EXPECT_EQ(quantile({}, 0.5), 0.0); }
+
+TEST(Quantile, MatchesSortedLinearInterpolation) {
+  // The estimator the alert-latency bench computed by hand before the
+  // paired-trial helper: sort, then interpolate at q * (n - 1).
+  const auto reference = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  std::vector<double> v;
+  for (int i = 0; i < 31; ++i) v.push_back(static_cast<double>((i * 37) % 31) * 1.5 - 4.0);
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+    EXPECT_DOUBLE_EQ(quantile(v, q), reference(v, q)) << "q=" << q;
+  }
 }
 
 }  // namespace
