@@ -24,10 +24,11 @@
 //
 // The exit status is the scan gate. Every timed check reads the median
 // per-pair ratio of interleaved trials (paired_trials, common.hpp) against
-// one floor per property (kFloor* below); identity, byte-bound and
-// streaming checks are exact. The SIMD floors apply only where the CPU has
-// the vector instructions (elsewhere production IS the scalar walk), the
-// 4-shard floor only with >= 4 hardware threads.
+// one floor per property (kFloor* below); identity (on every scan),
+// shard-count, byte-bound and streaming checks are exact. The SIMD floors
+// apply only where the CPU has the vector instructions (elsewhere
+// production IS the scalar walk), the 4-shard floor only with >= 4
+// hardware threads.
 //
 // Runs argument-free at 64 MB; --smoke shrinks it for CI,
 // KEYGUARD_BENCH_FULL=1 uses the paper's 256 MB, KEYGUARD_BENCH_MEM_MB
@@ -39,6 +40,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -61,12 +63,14 @@ namespace {
 // Floors on the median per-pair ratio, one per property. Each sits 12-32%
 // below the lowest median the parent commit read over 24 --smoke runs (12
 // for the incremental arm) on a 4-vCPU AVX-512 VM; the comments give that
-// lowest / median, and EXPERIMENTS.md ("One timing gate") the rest.
+// lowest / median, and EXPERIMENTS.md ("One timing gate") the rest. The
+// SIMD floors also cover AVX2-only hosts: they sit under the lower of the
+// AVX-512 runs and 12 runs capped with KEYGUARD_SCAN_SIMD=avx2 (avx2 shown).
 constexpr double kFloorShards4 = 0.80;       // serial / 4 shards: 0.92 / 0.99
 constexpr double kFloorNeedles64 = 4.0;      // legacy / scalar: 4.78 / 5.77
 constexpr double kFloorNeedles512 = 28.0;    // legacy / scalar: 35.2 / 36.2
-constexpr double kFloorSimd64 = 3.0;         // scalar / production: 4.09 / 5.42
-constexpr double kFloorSimd512 = 1.25;       // scalar / production: 1.46 / 1.79
+constexpr double kFloorSimd64 = 3.0;         // scalar / production: 3.69 / 4.77
+constexpr double kFloorSimd512 = 1.20;       // scalar / production: 1.36 / 1.53
 constexpr double kFloorDense = 0.85;         // scalar / production: 0.97 / 1.00
 constexpr double kFloorIncremental = 60.0;   // full / delta sweep: 87.7 / 159
 
@@ -170,24 +174,29 @@ struct MatcherRow {
 using ScanFn = std::vector<scan::RawMatch> (*)(std::span<const std::byte>,
                                                Needles);
 
+/// Every scan of either arm must equal the first one (the slow arm's).
 MatcherRow compare_matchers(std::span<const std::byte> buffer, Needles needles,
                             int pairs, ScanFn slow, ScanFn fast) {
-  std::vector<scan::RawMatch> a;
-  std::vector<scan::RawMatch> b;
-  const auto timed = [&](std::vector<scan::RawMatch>& out, ScanFn fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    out = fn(buffer, needles);
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
+  std::optional<std::vector<scan::RawMatch>> first;
   MatcherRow row;
   row.needles = needles.size();
+  row.identical = true;
+  const auto timed = [&](ScanFn fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = fn(buffer, needles);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    if (!first) {
+      first = std::move(out);
+    } else {
+      row.identical = row.identical && same_raw(*first, out);
+    }
+    return ms;
+  };
   row.t = paired_trials(
-      pairs, [&](int) { return timed(a, slow); },
-      [&](int) { return timed(b, fast); });
-  row.matches = a.size();
-  row.identical = same_raw(a, b);
+      pairs, [&](int) { return timed(slow); }, [&](int) { return timed(fast); });
+  row.matches = first->size();
   return row;
 }
 
@@ -269,6 +278,7 @@ int main(int argc, char** argv) {
   }
   const std::string json_path = flags.get("json", "BENCH_scan.json");
   const int pairs = 15;
+  const int sweep_reps = 3;  // the shard sweep is reported, not gated
 
   banner("scan throughput: shards x matcher x incremental",
          "scanning the full 256 MB took about 5 seconds (serial LKM walk)", s);
@@ -305,19 +315,22 @@ int main(int argc, char** argv) {
   util::Table table({"shards", "pool width", "MB/s p50", "MB/s p25-p75",
                      "matches", "identical"});
   bool shards_identical = true;
-  json.field("pool_width", static_cast<std::uint64_t>(pool_width));
+  bool shards4_planned = true;
   json.key("shard_sweep");
   json.begin_array();
   for (const std::size_t shards : shard_counts) {
     scanner.set_shards(shards);
     std::vector<double> mbps;
-    std::vector<scan::MemoryMatch> matches;
+    std::size_t match_count = 0;
+    bool identical = true;
     scan::ScanStats stats;
-    for (int r = 0; r < pairs; ++r) {
-      matches = scanner.scan_kernel(scenario.kernel(), &stats);
+    for (int r = 0; r < sweep_reps; ++r) {
+      const auto matches = scanner.scan_kernel(scenario.kernel(), &stats);
       mbps.push_back(stats.mb_per_sec());
+      match_count = matches.size();
+      identical = identical && same_matches(serial_matches, matches);
+      if (shards == 4) shards4_planned = shards4_planned && stats.shard_count == 4;
     }
-    const bool identical = same_matches(serial_matches, matches);
     shards_identical = shards_identical && identical;
     const std::size_t width = shards == 1 ? 1 : pool_width;
     const double p25 = util::quantile(mbps, 0.25);
@@ -326,14 +339,14 @@ int main(int argc, char** argv) {
     print_scan_stats(("shards=" + std::to_string(shards)).c_str(), stats);
     table.add_row({std::to_string(shards), std::to_string(width),
                    util::fmt(p50, 1), util::fmt(p25, 1) + "-" + util::fmt(p75, 1),
-                   std::to_string(matches.size()), identical ? "yes" : "NO"});
+                   std::to_string(match_count), identical ? "yes" : "NO"});
     json.begin_object();
     json.field("shards", static_cast<std::uint64_t>(shards));
     json.field("pool_width", static_cast<std::uint64_t>(width));
     json.field("mb_per_sec_p25", p25);
     json.field("mb_per_sec", p50);
     json.field("mb_per_sec_p75", p75);
-    json.field("matches", static_cast<std::uint64_t>(matches.size()));
+    json.field("matches", static_cast<std::uint64_t>(match_count));
     json.field("identical", identical);
     json.end_object();
   }
@@ -345,24 +358,26 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency(),
               util::ThreadPool::shared().size());
 
-  ok &= shape_check(shards_identical,
-                    "parallel match lists byte-identical to the serial walk "
-                    "at every shard count");
+  ok &= shape_check(shards4_planned,
+                    "every scan at 4 shards planned 4 chunks (ScanStats::"
+                    "shard_count)");
   ok &= shape_check(!serial_matches.empty(),
                     "workload left key copies for the scan to find");
   // Parallel speedup depends on the host (a 1-core container cannot beat
-  // the serial walk), so it is checked only with the cores to parallelize,
+  // the serial walk), so it is timed only with the cores to parallelize,
   // and even then the scheduler decides whether a burst of ~1 MiB chunks
   // spreads over the cores: on the reference VM the median reads 0.92-1.01
-  // in most runs and 2.8-3.4 in the rest. The floor therefore asserts that
-  // sharding costs at most ~20% over the serial walk, not that it wins.
-  // The matcher and incremental ratios below are algorithmic and are
-  // checked everywhere.
+  // in most runs and 2.8-3.4 in the rest. The floor is therefore a no-loss
+  // bound (sharding costs at most ~20% over the serial walk), not a
+  // speedup claim; the exact shard_count check above is what fails when
+  // set_shards(4) stops splitting the scan. The matcher and incremental
+  // ratios below are algorithmic and are checked everywhere.
   if (std::thread::hardware_concurrency() >= 4) {
     const auto scan_ms = [&](std::size_t shards) {
       scanner.set_shards(shards);
       scan::ScanStats stats;
-      (void)scanner.scan_kernel(scenario.kernel(), &stats);
+      const auto matches = scanner.scan_kernel(scenario.kernel(), &stats);
+      shards_identical = shards_identical && same_matches(serial_matches, matches);
       return stats.wall_millis;
     };
     const Paired par = paired_trials(
@@ -370,8 +385,12 @@ int main(int argc, char** argv) {
     json.key("shards4_vs_serial").begin_object();
     par.to_json(json);
     json.end_object();
-    ok &= floor_check(par, kFloorShards4, "4-shard scan vs the serial walk");
+    ok &= floor_check(par, kFloorShards4,
+                      "no-loss bound: 4-shard scan vs the serial walk");
   }
+  ok &= shape_check(shards_identical,
+                    "parallel match lists byte-identical to the serial walk "
+                    "in every scan at every shard count");
 
   // ---- phase 2: needle-count sweep ----------------------------------------
   // Serial on both sides, the legacy oracle against the scalar walk, so
