@@ -306,8 +306,9 @@ int main(int argc, char** argv) {
   scanner.set_shards(1);
   const auto serial_matches = scanner.scan_kernel(scenario.kernel());
 
-  // Any shard count above 1 runs ~1 MiB chunks on the whole shared pool,
-  // so the pool width, not the shard count, bounds the parallelism.
+  // Any shard count above 1 runs frame-aligned pieces of at most 1 MiB on
+  // the whole shared pool (scan::plan_shards), so the pool width, not the
+  // shard count, bounds the parallelism.
   const std::size_t pool_width = util::ThreadPool::shared().size() + 1;
   std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
   if (pool_width > 8) shard_counts.push_back(pool_width);
@@ -329,7 +330,11 @@ int main(int argc, char** argv) {
       mbps.push_back(stats.mb_per_sec());
       match_count = matches.size();
       identical = identical && same_matches(serial_matches, matches);
-      if (shards == 4) shards4_planned = shards4_planned && stats.shard_count == 4;
+      if (shards == 4) {
+        const std::size_t pieces =
+            (stats.bytes_scanned + scan::kMaxShardBytes - 1) / scan::kMaxShardBytes;
+        shards4_planned = shards4_planned && stats.shard_count == pieces;
+      }
     }
     shards_identical = shards_identical && identical;
     const std::size_t width = shards == 1 ? 1 : pool_width;
@@ -359,13 +364,13 @@ int main(int argc, char** argv) {
               util::ThreadPool::shared().size());
 
   ok &= shape_check(shards4_planned,
-                    "every scan at 4 shards planned 4 chunks (ScanStats::"
-                    "shard_count)");
+                    "every scan at 4 shards planned ceil(bytes / 1 MiB) pieces "
+                    "(ScanStats::shard_count)");
   ok &= shape_check(!serial_matches.empty(),
                     "workload left key copies for the scan to find");
   // Parallel speedup depends on the host (a 1-core container cannot beat
   // the serial walk), so it is timed only with the cores to parallelize,
-  // and even then the scheduler decides whether a burst of ~1 MiB chunks
+  // and even then the scheduler decides whether a burst of 1 MiB pieces
   // spreads over the cores: on the reference VM the median reads 0.92-1.01
   // in most runs and 2.8-3.4 in the rest. The floor is therefore a no-loss
   // bound (sharding costs at most ~20% over the serial walk), not a

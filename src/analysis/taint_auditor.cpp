@@ -5,33 +5,6 @@
 
 namespace keyguard::analysis {
 
-namespace {
-
-std::string describe_region(const sim::Kernel& kernel, const TaintedRegion& r) {
-  switch (r.state) {
-    case sim::FrameState::kFree:
-      return "unallocated residue";
-    case sim::FrameState::kPageCache:
-      return "page cache";
-    case sim::FrameState::kKernel:
-      return "kernel buffer";
-    case sim::FrameState::kUserAnon:
-      break;
-  }
-  for (const auto pid : r.owners) {
-    const auto* proc = kernel.find_process(pid);
-    if (proc == nullptr) continue;
-    const auto vpage = kernel.virt_of_frame(*proc, r.frame);
-    if (!vpage) continue;
-    const auto desc =
-        kernel.describe_address(*proc, *vpage + r.offset % sim::kPageSize);
-    if (desc) return *desc;
-  }
-  return "user memory";
-}
-
-}  // namespace
-
 AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
   AuditReport report;
   const auto frame_states = kernel.allocator().states_snapshot();
@@ -45,6 +18,7 @@ AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
   bool cur_mlocked = false;
   bool cur_secret = false;
   bool cur_nonmaster_secret = false;
+  std::vector<sim::Kernel::FrameMapping> cur_mappings;
   const auto flush_frame = [&] {
     if (!frame_open) return;
     ++report.tainted_frames;
@@ -76,9 +50,14 @@ AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
     r.tag = tag;
     r.frame = static_cast<sim::FrameNumber>(pos / sim::kPageSize);
     r.state = frame_states[r.frame];
-    r.owners = kernel.frame_owners(r.frame);
-    r.mlocked = kernel.frame_mlocked(r.frame);
-    r.provenance = describe_region(kernel, r);
+    // Regions ascend, so a frame's regions are adjacent: walk its reverse
+    // map once, at its first region.
+    const bool new_frame = !frame_open || r.frame != cur_frame;
+    if (new_frame) cur_mappings = kernel.frame_mappings(r.frame);
+    r.owners = scan::mapping_owners(cur_mappings);
+    r.mlocked = std::any_of(cur_mappings.begin(), cur_mappings.end(),
+                            [](const auto& m) { return m.mlocked; });
+    r.provenance = scan::describe_copy(kernel, r.state, cur_mappings, r.offset);
     r.age = map_.epoch() - map_.frame_last_tainted(r.frame);
 
     const bool secret = sim::taint_tag_secret(tag);
@@ -106,7 +85,7 @@ AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
         klass.kernel += r.length;
         break;
     }
-    if (!frame_open || r.frame != cur_frame) {
+    if (new_frame) {
       flush_frame();
       frame_open = true;
       cur_frame = r.frame;

@@ -38,10 +38,6 @@ Bignum RsaPrivateKey::decrypt_crt(const Bignum& c) const {
   return crt_private_op(c, p, q, dmp1, dmq1, iqmp).m;
 }
 
-Bignum RsaPrivateKey::decrypt_plain(const Bignum& c) const {
-  return Bignum::mod_exp(c, d, n);
-}
-
 bool RsaPrivateKey::validate() const {
   const Bignum one(Limb{1});
   if (p.is_zero() || q.is_zero() || n != p * q) return false;

@@ -49,9 +49,6 @@ struct RsaPrivateKey {
   /// server memory at all.
   bn::Bignum decrypt_crt(const bn::Bignum& c) const;
 
-  /// m = c^d mod N without CRT (reference path for tests).
-  bn::Bignum decrypt_plain(const bn::Bignum& c) const;
-
   /// Consistency check: N == P*Q, e*d == 1 mod lcm(P-1, Q-1), CRT parts
   /// match. Used by tests and by the PEM decoder.
   bool validate() const;

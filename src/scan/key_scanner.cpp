@@ -14,10 +14,19 @@
 
 namespace keyguard::scan {
 
-namespace {
+std::vector<sim::Pid> mapping_owners(
+    std::span<const sim::Kernel::FrameMapping> mappings) {
+  std::vector<sim::Pid> owners;
+  for (const auto& mapping : mappings) {
+    if (owners.empty() || owners.back() != mapping.pid) owners.push_back(mapping.pid);
+  }
+  return owners;
+}
 
-std::string describe_match(const sim::Kernel& kernel, const MemoryMatch& m) {
-  switch (m.state) {
+std::string describe_copy(const sim::Kernel& kernel, sim::FrameState state,
+                          std::span<const sim::Kernel::FrameMapping> mappings,
+                          std::size_t phys_offset) {
+  switch (state) {
     case sim::FrameState::kFree:
       return "unallocated residue";
     case sim::FrameState::kPageCache:
@@ -30,17 +39,15 @@ std::string describe_match(const sim::Kernel& kernel, const MemoryMatch& m) {
   // Resolve through the first owning process's address space, at that
   // process's lowest virtual page for the frame (page tables are ordered,
   // and mappings come in (process-table, vaddr) order).
-  for (const auto& mapping : m.mappings) {
+  for (const auto& mapping : mappings) {
     const auto* proc = kernel.find_process(mapping.pid);
     if (proc == nullptr) continue;
-    const auto desc = kernel.describe_address(
-        *proc, mapping.vaddr + m.phys_offset % sim::kPageSize);
+    const auto desc =
+        kernel.describe_address(*proc, mapping.vaddr + phys_offset % sim::kPageSize);
     if (desc) return *desc;
   }
   return "user memory";
 }
-
-}  // namespace
 
 KeyPatterns KeyPatterns::from_key(const crypto::RsaPrivateKey& key) {
   KeyPatterns out;
@@ -100,13 +107,9 @@ std::vector<MemoryMatch> KeyScanner::resolve_raw(
       m.mappings = matches.back().mappings;
     } else {
       m.mappings = kernel.frame_mappings(m.frame);
-      for (const auto& mapping : m.mappings) {
-        if (m.owners.empty() || m.owners.back() != mapping.pid) {
-          m.owners.push_back(mapping.pid);
-        }
-      }
+      m.owners = mapping_owners(m.mappings);
     }
-    m.provenance = describe_match(kernel, m);
+    m.provenance = describe_copy(kernel, m.state, m.mappings, m.phys_offset);
     matches.push_back(std::move(m));
   }
   // Already in (phys_offset, pattern) order — the engine's merge contract.

@@ -57,6 +57,20 @@ struct KeyPatterns {
   static KeyPatterns from_keys(std::span<const crypto::RsaPrivateKey> keys);
 };
 
+/// The pids of a frame_mappings() list, in order, each once (a
+/// process's mappings are adjacent in that list).
+std::vector<sim::Pid> mapping_owners(std::span<const sim::Kernel::FrameMapping> mappings);
+
+/// Provenance of the byte at `phys_offset` on a frame of class `state`
+/// whose reverse map is `mappings`: the class name for non-user frames,
+/// else what the first mapping's process keeps at that address ("RSA
+/// bignum p (live)", "rsa_aligned mapping [mlocked]"), else "user
+/// memory". The scanner's matches and the taint auditor's regions both
+/// read it.
+std::string describe_copy(const sim::Kernel& kernel, sim::FrameState state,
+                          std::span<const sim::Kernel::FrameMapping> mappings,
+                          std::size_t phys_offset);
+
 /// A hit in simulated physical memory.
 struct MemoryMatch {
   std::size_t phys_offset = 0;   ///< byte address in physical memory
@@ -135,8 +149,10 @@ class KeyScanner {
 
   /// Shard count for the parallel walk. 0 (the default) auto-sizes to the
   /// shared thread pool (workers + the calling thread); 1 forces the
-  /// serial walk. Results are byte-for-byte identical at every setting —
-  /// only ScanStats timing differs.
+  /// serial walk. Any count above 1 cuts the scan into frame-aligned
+  /// pieces of at most 1 MiB (scan::plan_shards) that the whole pool
+  /// claims, so the count sets piece edges, not the thread count. Results
+  /// are byte-for-byte identical at every setting — only ScanStats differs.
   void set_shards(std::size_t shards) noexcept { shards_ = shards; }
   std::size_t shards() const noexcept { return shards_; }
 

@@ -70,7 +70,7 @@ class MultiMatcher {
   /// same bucket walk, and the scalar loop finishes the sub-vector tail.
   /// With simd_kind() == kNone it is exactly scan_scalar(). Thread-safe:
   /// const over immutable tables, so sharded_scan shares one instance
-  /// across all chunks.
+  /// across all pieces.
   void scan(std::span<const std::byte> buffer, std::size_t begin,
             std::size_t end, std::size_t window_end,
             std::vector<RawMatch>& out) const;

@@ -104,13 +104,14 @@ ShardPlan plan_shards(std::size_t total_bytes, std::size_t max_needle_len,
     plan.shard_bytes = total_bytes;
     return plan;
   }
-  // Whole-frame shards: ceil-divide into `requested_shards`, then round the
-  // shard size up to frame granularity so frames never straddle a seam.
-  const std::size_t raw = (total_bytes + requested_shards - 1) / requested_shards;
+  // Whole-frame pieces: ceil-divide into `requested_shards`, cap at
+  // kMaxShardBytes, then round up to frame granularity so frames never
+  // straddle a seam.
+  const std::size_t raw = std::min(
+      kMaxShardBytes, (total_bytes + requested_shards - 1) / requested_shards);
   plan.shard_bytes = ((raw + frame_bytes - 1) / frame_bytes) * frame_bytes;
-  if (plan.shard_bytes == 0) plan.shard_bytes = frame_bytes;
-  // Rounding up can leave trailing shards empty; clamp the count so every
-  // shard owns at least one payload byte.
+  // Rounding up can leave trailing pieces empty; clamp the count so every
+  // piece owns at least one payload byte.
   plan.shard_count = (total_bytes + plan.shard_bytes - 1) / plan.shard_bytes;
   return plan;
 }
@@ -143,82 +144,36 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
   }
 
   const auto t0 = Clock::now();
-  // One dispatch table shared by every chunk: MultiMatcher::scan is const
-  // over immutable state, so concurrent chunks read it without locking.
+  // One dispatch table shared by every piece: MultiMatcher::scan is const
+  // over immutable state, so concurrent pieces read it without locking.
   const MultiMatcher mm(needles, min_prefix_bytes);
 
   const ShardPlan plan = plan_shards(payload, mm.max_needle_len(), requested_shards);
   std::vector<std::vector<RawMatch>> per_shard(plan.shard_count);
   std::vector<double> shard_millis(plan.shard_count, 0.0);
-
-  if (plan.shard_count == 1) {
-    // Serial oracle: one thread, one window, no chunking — the reference
-    // both the equivalence tests and the bench speedup columns compare to.
-    // The window extends past the payload into the stream-overlap view
-    // (when the caller supplied one) so boundary-straddling matches
-    // complete, clamped at the true end of the buffer.
+  // One loop for every count: a one-piece plan runs inline on this thread
+  // (the serial walk), more pieces are claimed by the pool. Each piece
+  // scans `overlap` bytes past its end, clamped at the end of the buffer
+  // (which may reach into a stream window's overlap view), and keeps only
+  // the hits whose first byte it owns.
+  util::ThreadPool::shared().parallel_for(plan.shard_count, [&](std::size_t i) {
     obs::Tracer::Span span(tracer, "scan.shard");  // inert when disabled
     const auto ts = Clock::now();
-    mm.scan(buffer, 0, payload, std::min(buffer.size(), payload + plan.overlap),
-            per_shard[0]);
-    shard_millis[0] = millis_since(ts);
+    const std::size_t begin = plan.shard_begin(i);
+    const std::size_t end = plan.shard_end(i, payload);
+    mm.scan(buffer, begin, end, std::min(buffer.size(), end + plan.overlap),
+            per_shard[i]);
+    shard_millis[i] = millis_since(ts);
     if (span.live()) {
-      span.add(obs::TraceAttr::n("shard", 0.0));
-      span.add(obs::TraceAttr::n("bytes", static_cast<double>(payload)));
-      span.add(obs::TraceAttr::n("matches",
-                                 static_cast<double>(per_shard[0].size())));
+      span.add(obs::TraceAttr::n("shard", static_cast<double>(i)));
+      span.add(obs::TraceAttr::n("bytes", static_cast<double>(end - begin)));
+      span.add(obs::TraceAttr::n("matches", static_cast<double>(per_shard[i].size())));
     }
-  } else {
-    // Work-stealing chunks: split every shard's payload into ~1 MiB runs of
-    // whole frames and let pool workers claim them from a shared counter,
-    // so one match-dense shard is spread across idle threads instead of
-    // bounding wall time. Chunks inherit the shard seam rule — each scans
-    // `overlap` bytes past its end and keeps only first-byte-inside hits —
-    // so the reduction below is byte-identical to unchunked shards.
-    constexpr std::size_t kChunkBytes = 1u << 20;
-    struct Chunk {
-      std::size_t shard;
-      std::size_t begin;
-      std::size_t end;
-    };
-    std::vector<Chunk> chunks;
-    for (std::size_t i = 0; i < plan.shard_count; ++i) {
-      const std::size_t begin = plan.shard_begin(i);
-      const std::size_t end = std::min(payload, begin + plan.shard_bytes);
-      for (std::size_t cb = begin; cb < end; cb += kChunkBytes) {
-        chunks.push_back({i, cb, std::min(end, cb + kChunkBytes)});
-      }
-    }
-    std::vector<std::vector<RawMatch>> per_chunk(chunks.size());
-    std::vector<double> chunk_millis(chunks.size(), 0.0);
-    util::ThreadPool::shared().parallel_for(chunks.size(), [&](std::size_t ci) {
-      obs::Tracer::Span span(tracer, "scan.chunk");  // inert when disabled
-      const auto ts = Clock::now();
-      const Chunk& c = chunks[ci];
-      const std::size_t window_end = std::min(buffer.size(), c.end + plan.overlap);
-      mm.scan(buffer, c.begin, c.end, window_end, per_chunk[ci]);
-      chunk_millis[ci] = millis_since(ts);
-      if (span.live()) {
-        span.add(obs::TraceAttr::n("shard", static_cast<double>(c.shard)));
-        span.add(obs::TraceAttr::n("bytes", static_cast<double>(c.end - c.begin)));
-        span.add(obs::TraceAttr::n("matches",
-                                   static_cast<double>(per_chunk[ci].size())));
-      }
-    });
-    // Reduce chunks into shards after the join (single-threaded, no races).
-    // Chunks were emitted shard-by-shard in ascending offset order and each
-    // chunk's list is already sorted, so appending in index order rebuilds
-    // exactly the per-shard lists the unchunked scan would produce.
-    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
-      auto& dst = per_shard[chunks[ci].shard];
-      dst.insert(dst.end(), per_chunk[ci].begin(), per_chunk[ci].end());
-      shard_millis[chunks[ci].shard] += chunk_millis[ci];
-    }
-  }
+  });
 
-  // Deterministic merge: shards are disjoint ascending offset ranges and
-  // each shard's list is already (offset, pattern_index)-sorted, so plain
-  // concatenation preserves the serial walk's order.
+  // Deterministic merge: pieces are disjoint ascending offset ranges and
+  // each piece's list is already (offset, pattern_index)-sorted, so plain
+  // concatenation in index order preserves the serial walk's order.
   std::vector<RawMatch> merged;
   std::size_t total = 0;
   for (const auto& s : per_shard) total += s.size();
@@ -241,11 +196,8 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
     stats->shards.reserve(plan.shard_count);
     for (std::size_t i = 0; i < plan.shard_count; ++i) {
       const std::size_t begin = plan.shard_begin(i);
-      const std::size_t end =
-          std::min(payload,
-                   begin + (plan.shard_count == 1 ? payload : plan.shard_bytes));
-      stats->shards.push_back(
-          {i, begin, end - begin, per_shard[i].size(), shard_millis[i]});
+      stats->shards.push_back({i, begin, plan.shard_end(i, payload) - begin,
+                               per_shard[i].size(), shard_millis[i]});
     }
     stats->wall_millis = millis_since(t0);
     if (metrics_on) {

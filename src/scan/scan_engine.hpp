@@ -3,21 +3,23 @@
 // The paper's scanmemory LKM walks physical memory linearly ("about 5
 // seconds for 256 MB"). This engine runs one inner loop, the single-pass
 // MultiMatcher (scan/multi_matcher.hpp), in place of the LKM's per-needle
-// memchr-then-compare walk, splits the buffer into per-thread shards of
-// whole 4 KB frames, scans the shards concurrently over util::ThreadPool,
-// and merges per-shard results into the exact byte order the serial walk
-// produces.
+// memchr-then-compare walk. One plan (plan_shards) cuts the buffer into
+// pieces of whole 4 KB frames: a single piece for a serial scan, pieces
+// of at most 1 MiB otherwise. One util::ThreadPool::parallel_for runs
+// them, and their results concatenate into the exact byte order the
+// serial walk produces.
 //
-// Correctness at shard seams: a needle that starts in shard i may continue
-// into shard i+1, so every shard scans an overlap window of
+// Correctness at seams: a needle that starts in piece i may continue into
+// piece i+1, so every piece scans an overlap window of
 // `max_needle_len - 1` extra bytes past its end, and a hit is attributed
-// to the shard that contains its FIRST byte. Each offset is therefore
+// to the piece that contains its FIRST byte. Each offset is therefore
 // found exactly once, and the merged result is byte-for-byte identical to
-// a single-shard scan — the equivalence and boundary test batteries in
+// a single-piece scan — the equivalence and boundary test batteries in
 // tests/scan_parallel_test.cpp and tests/scan_boundary_test.cpp enforce
 // this for every shard count.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -50,16 +52,16 @@ const char* simd_kind_name(SimdKind k) noexcept;
 /// cap), computed once and cached.
 SimdKind simd_available() noexcept;
 
-/// Per-shard accounting for one scan. With the chunked scheduler a
-/// shard's frames may be scanned by several threads; `millis` is the sum
-/// of its chunks' wall times (CPU-time-like), so mb_per_sec() reports
-/// per-shard scan cost rather than elapsed wall time.
+/// Per-piece accounting for one scan: one entry per planned piece (a
+/// stream's windows and a delta sweep's rescan windows reuse it).
+/// `millis` is the piece's own wall time, so mb_per_sec() reports the
+/// piece's scan rate, not the whole scan's elapsed time.
 struct ShardStats {
-  std::size_t index = 0;    ///< shard number, 0-based
+  std::size_t index = 0;    ///< piece number, 0-based
   std::size_t offset = 0;   ///< first payload byte
   std::size_t bytes = 0;    ///< payload bytes (overlap window excluded)
-  std::size_t matches = 0;  ///< hits attributed to this shard
-  double millis = 0.0;      ///< summed chunk wall time of this shard
+  std::size_t matches = 0;  ///< hits attributed to this piece
+  double millis = 0.0;      ///< wall time of this piece
 
   /// Guarded against zero/sub-tick timings: returns 0 instead of inf/nan
   /// when the clock was too coarse to time the shard.
@@ -71,8 +73,8 @@ struct ShardStats {
 struct ScanStats {
   std::size_t bytes_scanned = 0;  ///< payload bytes == buffer size
   std::size_t match_count = 0;
-  std::size_t shard_count = 0;
-  std::size_t overlap_bytes = 0;  ///< per-shard seam window
+  std::size_t shard_count = 0;    ///< pieces planned (== shards.size())
+  std::size_t overlap_bytes = 0;  ///< per-piece seam window
   std::size_t pattern_count = 0;  ///< needles actually searched
   double wall_millis = 0.0;       ///< end-to-end, including the merge
   /// Vector ISA the scan ran on: kNone means the bytes went through the
@@ -120,21 +122,31 @@ struct RawMatch {
   bool full = true;
 };
 
-/// How a buffer is split: `shard_count` shards of `shard_bytes` payload
-/// (whole frames, last shard takes the remainder) with `overlap` extra
-/// bytes scanned past each seam.
+/// Largest piece a multi-shard plan hands to one claim of the pool.
+inline constexpr std::size_t kMaxShardBytes = std::size_t{1} << 20;
+
+/// How a buffer is split: `shard_count` pieces of `shard_bytes` payload
+/// (whole frames, the last piece takes the remainder) with `overlap`
+/// extra bytes scanned past each seam.
 struct ShardPlan {
   std::size_t shard_count = 1;
   std::size_t shard_bytes = 0;
   std::size_t overlap = 0;
 
   std::size_t shard_begin(std::size_t i) const { return i * shard_bytes; }
+  /// One past piece i's last payload byte, for a plan over `total` bytes.
+  std::size_t shard_end(std::size_t i, std::size_t total) const {
+    return std::min(total, shard_begin(i) + shard_bytes);
+  }
 };
 
-/// Computes the plan for `total_bytes` split `requested_shards` ways.
-/// Shard payloads are rounded up to whole frames (frame_bytes granularity)
-/// so frames never straddle a seam; the count is clamped so every shard
-/// has at least one payload byte. requested_shards == 0 means one shard.
+/// The one scan plan. requested_shards <= 1 gives one piece, the whole
+/// buffer: the serial walk. n >= 2 gives pieces of
+/// min(kMaxShardBytes, ceil(total_bytes / n)) rounded up to whole frames
+/// (frame_bytes granularity), so frames never straddle a seam; buffers of
+/// up to n MiB get about n pieces, larger ones 1 MiB pieces that the pool
+/// balances dynamically. The count is clamped so every piece has at least
+/// one payload byte.
 ShardPlan plan_shards(std::size_t total_bytes, std::size_t max_needle_len,
                       std::size_t requested_shards,
                       std::size_t frame_bytes = 4096);
@@ -149,14 +161,13 @@ ShardPlan plan_shards(std::size_t total_bytes, std::size_t max_needle_len,
 /// first min_prefix_bytes is extended while bytes keep agreeing, and
 /// `full` flags complete matches.
 ///
-/// `stats`, when non-null, receives per-shard and aggregate metrics.
+/// `stats`, when non-null, receives per-piece and aggregate metrics.
 ///
-/// Scheduling: when more than one shard is requested, each shard's frames
-/// are split into ~1 MiB chunks claimed dynamically from the thread
-/// pool's shared counter, so one match-dense shard no longer bounds wall
-/// time (the chunks of a slow shard are stolen by idle workers). A
-/// single-shard request stays a true serial walk — the timing oracle the
-/// benches compare against.
+/// Scheduling: the pieces of plan_shards run in one
+/// util::ThreadPool::parallel_for. A one-piece plan runs inline on the
+/// caller, a true serial walk and the timing oracle the benches compare
+/// against; more pieces are claimed one at a time from the pool's shared
+/// counter, so one match-dense piece never bounds wall time.
 std::vector<RawMatch> sharded_scan(std::span<const std::byte> buffer,
                                    std::span<const std::span<const std::byte>> needles,
                                    std::size_t requested_shards,

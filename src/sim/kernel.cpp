@@ -473,20 +473,6 @@ std::optional<std::vector<std::byte>> Kernel::read_file(Process& p, const std::s
   return out;
 }
 
-std::vector<Pid> Kernel::frame_owners(FrameNumber frame) const {
-  std::vector<Pid> owners;
-  for (const auto& p : procs_) {
-    if (!p->alive()) continue;
-    for (const auto& [addr, pte] : p->page_table()) {
-      if (!pte.swapped && pte.frame == frame) {
-        owners.push_back(p->pid());
-        break;
-      }
-    }
-  }
-  return owners;
-}
-
 bool Kernel::merge_page(Process& p, VirtAddr vaddr, FrameNumber canonical) {
   if (!p.alive_) return false;
   const auto it = p.pages_.find(vaddr);
@@ -522,7 +508,9 @@ std::vector<Kernel::FrameMapping> Kernel::frame_mappings(FrameNumber frame) cons
   for (const auto& p : procs_) {
     if (!p->alive()) continue;
     for (const auto& [addr, pte] : p->page_table()) {
-      if (!pte.swapped && pte.frame == frame) out.push_back({p->pid(), addr});
+      if (!pte.swapped && pte.frame == frame) {
+        out.push_back({p->pid(), addr, pte.mlocked});
+      }
     }
   }
   return out;
@@ -542,13 +530,6 @@ std::optional<FrameNumber> Kernel::translate(const Process& p, VirtAddr addr) co
   const auto it = p.page_table().find(page_floor(addr));
   if (it == p.page_table().end() || it->second.swapped) return std::nullopt;
   return it->second.frame;
-}
-
-std::optional<VirtAddr> Kernel::virt_of_frame(const Process& p, FrameNumber frame) const {
-  for (const auto& [addr, pte] : p.page_table()) {
-    if (!pte.swapped && pte.frame == frame) return addr;
-  }
-  return std::nullopt;
 }
 
 std::optional<std::string> Kernel::describe_address(const Process& p,

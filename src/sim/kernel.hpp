@@ -229,19 +229,18 @@ class Kernel {
   const PageAllocator& allocator() const noexcept { return alloc_; }
   const KernelConfig& config() const noexcept { return cfg_; }
 
-  /// Reverse mapping: pids of live processes that map `frame` (the paper's
-  /// printOwningProcesses walks anon VMAs the same way).
-  std::vector<Pid> frame_owners(FrameNumber frame) const;
-
   /// One (process, virtual page) pair mapping a frame. After dedup a
   /// frame can be mapped by several processes — or several pages of the
   /// SAME process — so attribution needs the full rmap, not just pids.
   struct FrameMapping {
     Pid pid = 0;
     VirtAddr vaddr = 0;
+    bool mlocked = false;  ///< this PTE is mlocked
   };
 
-  /// Every live mapping of `frame`, in (process-table, vaddr) order.
+  /// Reverse mapping: every live mapping of `frame`, in (process-table,
+  /// vaddr) order (the paper's printOwningProcesses walks anon VMAs the
+  /// same way).
   std::vector<FrameMapping> frame_mappings(FrameNumber frame) const;
 
   // -- dedup (KSM) support ---------------------------------------------------
@@ -270,9 +269,6 @@ class Kernel {
 
   /// Physical frame backing a virtual address (nullopt when unmapped).
   std::optional<FrameNumber> translate(const Process& p, VirtAddr addr) const;
-
-  /// Reverse translation: the virtual page (in `p`) mapped to `frame`.
-  std::optional<VirtAddr> virt_of_frame(const Process& p, FrameNumber frame) const;
 
   /// Human-readable description of what lives at (p, addr): a labelled VMA
   /// ("rsa_aligned mapping"), a heap chunk ("mont:p (freed)"), or "anon".

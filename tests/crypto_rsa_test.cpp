@@ -60,7 +60,7 @@ TEST_F(RsaTest, CrtMatchesPlainDecryption) {
   util::Rng rng(2);
   for (int i = 0; i < 5; ++i) {
     const Bignum c = bn::random_below(rng, key512_->n);
-    EXPECT_EQ(key512_->decrypt_crt(c), key512_->decrypt_plain(c));
+    EXPECT_EQ(key512_->decrypt_crt(c), Bignum::mod_exp(c, key512_->d, key512_->n));
   }
 }
 

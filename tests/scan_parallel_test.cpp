@@ -228,7 +228,7 @@ TEST(ScanStatsReporting, KernelAndPrefixScansReportStats) {
   ScanStats stats;
   (void)scanner.scan_kernel(k, &stats);
   EXPECT_EQ(stats.bytes_scanned, k.memory().size_bytes());
-  EXPECT_EQ(stats.shard_count, 2u);
+  EXPECT_EQ(stats.shard_count, 4u);  // 4 MiB at 2 shards: 1 MiB pieces
   EXPECT_EQ(stats.match_count, 0u);
 
   std::vector<std::byte> capture(sim::kPageSize, std::byte{0});

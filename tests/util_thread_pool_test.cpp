@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
+#include <thread>
 #include <vector>
 
 namespace keyguard::util {
@@ -31,15 +34,17 @@ TEST(ThreadPool, ParallelForZeroAndOne) {
 }
 
 TEST(ThreadPool, ZeroWorkerPoolRunsSerially) {
-  // hardware_concurrency == 1 machines get a workerless pool; everything
-  // must still run (inline, on the caller).
+  // A workerless pool runs every loop inline, on the caller, in order.
   ThreadPool pool(0);
-  std::atomic<int> sum{0};
-  pool.parallel_for(64, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });
-  EXPECT_EQ(sum.load(), 64 * 63 / 2);
-  pool.submit([&] { sum.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 64 * 63 / 2 + 1);
+  EXPECT_EQ(pool.size(), 0u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(64, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << i;
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPool, MoreIterationsThanThreadsSelfBalance) {
@@ -48,14 +53,6 @@ TEST(ThreadPool, MoreIterationsThanThreadsSelfBalance) {
   std::atomic<std::size_t> done{0};
   pool.parallel_for(kN, [&](std::size_t) { done.fetch_add(1); });
   EXPECT_EQ(done.load(), kN);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdleDrains) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(ThreadPool, ReusableAcrossManyParallelFors) {
@@ -71,46 +68,63 @@ TEST(ThreadPool, SharedPoolSingleton) {
   EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
 }
 
-TEST(ThreadPool, ParallelForBlocksCoversEveryIndexExactlyOnce) {
+TEST(ThreadPool, WorkersStartWithTheFirstLoopThatCanUseThem) {
+  // One-item loops never start a thread, so a process whose scans are all
+  // serial stays single-threaded.
+  const auto threads = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  const auto before = threads();
   ThreadPool pool(3);
-  constexpr std::size_t kN = 1003;  // not a multiple of any block size below
-  for (const std::size_t block : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{64}, std::size_t{5000}}) {
-    std::vector<std::atomic<int>> hits(kN);
-    pool.parallel_for_blocks(kN, block, [&](std::size_t begin, std::size_t end) {
-      ASSERT_LE(end, kN);
-      ASSERT_LT(begin, end);
-      ASSERT_LE(end - begin, block);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  int ran = 0;
+  pool.parallel_for(1, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(threads(), before);
+  std::atomic<int> hits{0};
+  pool.parallel_for(4, [&](std::size_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 4);
+  EXPECT_EQ(threads(), before + 3);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverEveryIndexOnce) {
+  // One loop is published at a time; the other callers run theirs inline.
+  // Either way each caller's loop covers its own indices exactly once.
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 500;
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 200;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        pool.parallel_for(kN, [&](std::size_t i) { hits[c][i].fetch_add(1); });
+      }
     });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
     for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "block " << block << ", index " << i;
+      ASSERT_EQ(hits[c][i].load(), kRounds) << "caller " << c << ", index " << i;
     }
   }
 }
 
-TEST(ThreadPool, ParallelForBlocksZeroWorkersRunsInline) {
-  // ThreadPool(0) is the default sizing, hardware_concurrency - 1 workers:
-  // inline only on a 1-core host. Elsewhere helpers add to the sum too, so
-  // it is atomic (a plain sum raced and lost blocks on multi-core hosts).
-  ThreadPool pool(0);
-  std::atomic<std::size_t> sum{0};
-  pool.parallel_for_blocks(100, 9, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) sum.fetch_add(i);
+TEST(ThreadPool, NestedParallelForCompletes) {
+  // A body that calls back into the pool runs the inner loop inline on
+  // whichever thread is executing it, so nesting cannot deadlock.
+  ThreadPool pool(3);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 50;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.parallel_for(kOuter, [&](std::size_t o) {
+    pool.parallel_for(kInner, [&](std::size_t i) { hits[o * kInner + i].fetch_add(1); });
   });
-  EXPECT_EQ(sum.load(), 100u * 99u / 2u);
-  pool.parallel_for_blocks(0, 4, [&](std::size_t, std::size_t) { sum = 0; });
-  EXPECT_EQ(sum.load(), 100u * 99u / 2u);  // n == 0: body never runs
-}
-
-TEST(ThreadPool, ParallelForBlocksZeroBlockTreatedAsOne) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> n{0};
-  pool.parallel_for_blocks(25, 0, [&](std::size_t begin, std::size_t end) {
-    EXPECT_EQ(end, begin + 1);
-    n.fetch_add(end - begin);
-  });
-  EXPECT_EQ(n.load(), 25u);
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    ASSERT_EQ(hits[k].load(), 1) << "index " << k;
+  }
 }
 
 TEST(ThreadPool, TinyParallelForStressReturnsOnlyAfterHelpersLetGo) {
