@@ -299,7 +299,9 @@ BENCHMARK(BM_MontExp2)->ArgsProduct({{8, 16}, {0, 1}})->UseRealTime();
 
 // Arg 0: memory MB. Arg 1: shard count (1 = the serial LKM walk). The
 // label carries the scanner's own ScanStats MB/s so the sharded engine's
-// throughput is visible next to google-benchmark's bytes/s.
+// throughput is visible next to google-benchmark's bytes/s. Both count
+// the RAM a sweep covers; the sweep reads only the windows around the
+// frames written (the label's "KB read").
 void BM_ScanMemory(benchmark::State& state) {
   core::ScenarioConfig cfg;
   cfg.mem_bytes = static_cast<std::size_t>(state.range(0)) << 20;
@@ -318,6 +320,7 @@ void BM_ScanMemory(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           (state.range(0) << 20));
   state.SetLabel(std::to_string(stats.shard_count) + " shards, " +
+                 std::to_string(stats.bytes_read >> 10) + " KB read, " +
                  std::to_string(static_cast<long long>(stats.mb_per_sec())) +
                  " MB/s");
 }

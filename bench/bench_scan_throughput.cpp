@@ -1,21 +1,24 @@
 // Scan-throughput bench and the scan gate: the serial scanmemory walk vs
-// the parallel sharded engine, the legacy per-needle oracle vs the
-// MultiMatcher's scalar walk, that scalar walk vs the production path (the
-// SIMD candidate skim where the CPU has it), full sweeps vs journal-driven
-// incremental sweeps, and in-memory vs streamed captures.
+// the parallel sharded engine, the sparse kernel sweep (written frames
+// only) vs the dense walk of all of RAM, the legacy per-needle oracle vs
+// the MultiMatcher's scalar walk, that scalar walk vs the production path
+// (the SIMD candidate skim where the CPU has it), dense walks vs
+// journal-driven incremental sweeps, and in-memory vs streamed captures.
 //
 // The paper's LKM took "about 5 seconds for 256 MB" — a serial linear
 // walk over four needles. This bench measures five axes over the same
 // machine state:
-//   1. shard sweep (1/2/4/8/auto): MB/s and pool width, byte-identity vs
-//      the serial walk, and 4 shards vs the serial walk;
+//   1. shard sweep (1/2/4/8/auto): MB/s and pool width of scan_kernel,
+//      byte-identity vs the serial sweep, the sparse sweep's byte bound
+//      and its speed vs the dense walk, and the dense walk at 4 shards vs
+//      serial;
 //   2. needle-count sweep (1/8/64/512): the legacy oracle's
 //      O(needles x bytes) vs the MultiMatcher scalar walk's ~one pass;
 //   2b. SIMD sweep (same counts): the scalar walk vs the production
 //      sharded_scan, which runs the AVX2/AVX-512BW candidate skim, plus a
 //      dense needle set on which the matcher must fall back to the scalar
 //      walk rather than regress;
-//   3. incremental: full sweeps vs delta sweeps rescanning only the ~0.5%
+//   3. incremental: dense walks vs delta sweeps rescanning only the ~0.5%
 //      of frames the DirtyFrameJournal recorded, and the byte bound that
 //      settle()'s window rule implies;
 //   4. streaming: a sparse capture several times the simulated RAM size
@@ -66,13 +69,17 @@ namespace {
 // lowest / median, and EXPERIMENTS.md ("One timing gate") the rest. The
 // SIMD floors also cover AVX2-only hosts: they sit under the lower of the
 // AVX-512 runs and 12 runs capped with KEYGUARD_SCAN_SIMD=avx2 (avx2 shown).
+// The sparse floor sits half below the lowest of 10 --smoke runs (its
+// per-pair ratios spread from ~115 to ~380 within a run, and a sweep that
+// read all of RAM again would read ~1); EXPERIMENTS.md "Sparse full sweeps".
 constexpr double kFloorShards4 = 0.80;       // serial / 4 shards: 0.92 / 0.99
+constexpr double kFloorSparse = 60.0;        // dense walk / sparse sweep: 121 / 162
 constexpr double kFloorNeedles64 = 4.0;      // legacy / scalar: 4.78 / 5.77
 constexpr double kFloorNeedles512 = 28.0;    // legacy / scalar: 35.2 / 36.2
 constexpr double kFloorSimd64 = 3.0;         // scalar / production: 3.69 / 4.77
 constexpr double kFloorSimd512 = 1.20;       // scalar / production: 1.36 / 1.53
 constexpr double kFloorDense = 0.85;         // scalar / production: 0.97 / 1.00
-constexpr double kFloorIncremental = 60.0;   // full / delta sweep: 87.7 / 159
+constexpr double kFloorIncremental = 60.0;   // dense walk / delta sweep: 87.7 / 159
 
 /// Process high-water resident set in bytes (Linux ru_maxrss is KB).
 std::size_t peak_rss_bytes() {
@@ -305,18 +312,39 @@ int main(int argc, char** argv) {
   auto& scanner = scenario.scanner();
   scanner.set_shards(1);
   const auto serial_matches = scanner.scan_kernel(scenario.kernel());
+  const auto& memory = scenario.kernel().memory();
+  const auto needles = scanner.patterns().needles();
+  // The dense engine walk of all of RAM: what scan_kernel did before it
+  // read only the written frames, and the reference its speed is held to.
+  const auto dense_ms = [&](std::size_t shards, std::vector<scan::RawMatch>* out) {
+    scan::ScanStats stats;
+    auto raw = scan::sharded_scan(memory.all(), needles, shards, 0, &stats);
+    if (out != nullptr) *out = std::move(raw);
+    return stats.wall_millis;
+  };
+  std::vector<scan::RawMatch> dense_matches;
+  (void)dense_ms(1, &dense_matches);
+  bool dense_identical = dense_matches.size() == serial_matches.size();
+  for (std::size_t i = 0; dense_identical && i < dense_matches.size(); ++i) {
+    dense_identical = dense_matches[i].offset == serial_matches[i].phys_offset;
+  }
 
-  // Any shard count above 1 runs frame-aligned pieces of at most 1 MiB on
-  // the whole shared pool (scan::plan_shards), so the pool width, not the
-  // shard count, bounds the parallelism.
+  // Any shard count above 1 cuts the window payloads into frame-aligned
+  // pieces of at most min(1 MiB, payload / shards) (scan::plan_shards) that
+  // run on the whole shared pool, so the pool width, not the shard count,
+  // bounds the parallelism; a sweep reading under scan::kMinPoolBytes runs
+  // its pieces on the caller.
   const std::size_t pool_width = util::ThreadPool::shared().size() + 1;
   std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
   if (pool_width > 8) shard_counts.push_back(pool_width);
 
   util::Table table({"shards", "pool width", "MB/s p50", "MB/s p25-p75",
-                     "matches", "identical"});
+                     "MB read", "matches", "identical"});
   bool shards_identical = true;
   bool shards4_planned = true;
+  bool read_bounded = true;
+  std::size_t bytes_read = 0;
+  const std::size_t written_frames = memory.written_frames();
   json.key("shard_sweep");
   json.begin_array();
   for (const std::size_t shards : shard_counts) {
@@ -330,10 +358,19 @@ int main(int argc, char** argv) {
       mbps.push_back(stats.mb_per_sec());
       match_count = matches.size();
       identical = identical && same_matches(serial_matches, matches);
+      bytes_read = stats.bytes_read;
+      read_bounded = read_bounded &&
+                     stats.bytes_read <= written_frames * (sim::kPageSize + stats.overlap_bytes);
       if (shards == 4) {
-        const std::size_t pieces =
-            (stats.bytes_scanned + scan::kMaxShardBytes - 1) / scan::kMaxShardBytes;
-        shards4_planned = shards4_planned && stats.shard_count == pieces;
+        // The plan over the bytes read: min(1 MiB, read / 4) per piece,
+        // rounded up to whole frames.
+        const std::size_t quarter = (stats.bytes_read + 3) / 4;
+        const std::size_t piece =
+            (std::min(scan::kMaxShardBytes, quarter) + sim::kPageSize - 1) /
+            sim::kPageSize * sim::kPageSize;
+        const std::size_t pieces = piece > 0 ? (stats.bytes_read + piece - 1) / piece : 1;
+        shards4_planned = shards4_planned && stats.shard_count == pieces &&
+                          (stats.bytes_read <= sim::kPageSize || pieces > 1);
       }
     }
     shards_identical = shards_identical && identical;
@@ -344,6 +381,7 @@ int main(int argc, char** argv) {
     print_scan_stats(("shards=" + std::to_string(shards)).c_str(), stats);
     table.add_row({std::to_string(shards), std::to_string(width),
                    util::fmt(p50, 1), util::fmt(p25, 1) + "-" + util::fmt(p75, 1),
+                   util::fmt(static_cast<double>(stats.bytes_read) / (1 << 20), 2),
                    std::to_string(match_count), identical ? "yes" : "NO"});
     json.begin_object();
     json.field("shards", static_cast<std::uint64_t>(shards));
@@ -351,6 +389,7 @@ int main(int argc, char** argv) {
     json.field("mb_per_sec_p25", p25);
     json.field("mb_per_sec", p50);
     json.field("mb_per_sec_p75", p75);
+    json.field("bytes_read", static_cast<std::uint64_t>(stats.bytes_read));
     json.field("matches", static_cast<std::uint64_t>(match_count));
     json.field("identical", identical);
     json.end_object();
@@ -359,39 +398,79 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", table.render().c_str());
   std::printf("%s\n", table.render_tsv().c_str());
-  std::printf("hardware: %u cores, shared pool %zu workers (+1 caller)\n\n",
+  std::printf("hardware: %u cores, shared pool %zu workers (+1 caller); "
+              "%zu of %zu frames written\n\n",
               std::thread::hardware_concurrency(),
-              util::ThreadPool::shared().size());
+              util::ThreadPool::shared().size(), written_frames,
+              memory.page_count());
 
   ok &= shape_check(shards4_planned,
-                    "every scan at 4 shards planned ceil(bytes / 1 MiB) pieces "
-                    "(ScanStats::shard_count)");
+                    "every sweep at 4 shards planned ceil(read / min(1 MiB, "
+                    "read / 4)) pieces over its bytes read (ScanStats::shard_count)");
   ok &= shape_check(!serial_matches.empty(),
                     "workload left key copies for the scan to find");
+  ok &= shape_check(dense_identical,
+                    "sparse sweep offset-for-offset equal to the dense walk of all of RAM");
+  ok &= shape_check(read_bounded,
+                    "every sweep reads <= written frames x (frame + L - 1) bytes (" +
+                        std::to_string(bytes_read) + " vs " +
+                        std::to_string(written_frames) + " frames)");
+
+  // The sparse sweep against the dense walk it replaces, both serial. The
+  // sparse arm is timed around the whole scan_kernel call (matcher compile,
+  // run extraction, walk and frame resolution); the dense arm is the
+  // engine's own walk-and-merge time, so the ratio understates the gain.
+  {
+    const auto sparse_ms = [&] {
+      scanner.set_shards(1);
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto matches = scanner.scan_kernel(scenario.kernel());
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      shards_identical = shards_identical && same_matches(serial_matches, matches);
+      return ms;
+    };
+    const Paired sparse = paired_trials(
+        pairs, [&](int) { return dense_ms(1, nullptr); }, [&](int) { return sparse_ms(); });
+    std::printf("sparse sweep: dense walk %.3f ms vs sparse sweep %.3f ms, %s\n\n",
+                sparse.a, sparse.b, sparse.ratio().c_str());
+    json.key("sparse_vs_dense").begin_object();
+    json.field("dense_ms", sparse.a);
+    json.field("sparse_ms", sparse.b);
+    json.field("bytes_read", static_cast<std::uint64_t>(bytes_read));
+    json.field("written_frames", static_cast<std::uint64_t>(written_frames));
+    sparse.to_json(json);
+    json.end_object();
+    ok &= floor_check(sparse, kFloorSparse,
+                      "sparse kernel sweep vs the dense walk of all of RAM");
+  }
+
   // Parallel speedup depends on the host (a 1-core container cannot beat
   // the serial walk), so it is timed only with the cores to parallelize,
   // and even then the scheduler decides whether a burst of 1 MiB pieces
   // spreads over the cores: on the reference VM the median reads 0.92-1.01
   // in most runs and 2.8-3.4 in the rest. The floor is therefore a no-loss
   // bound (sharding costs at most ~20% over the serial walk), not a
-  // speedup claim; the exact shard_count check above is what fails when
-  // set_shards(4) stops splitting the scan. The matcher and incremental
-  // ratios below are algorithmic and are checked everywhere.
+  // speedup claim; the exact piece-count check above is what fails when
+  // set_shards(4) stops splitting the scan. It times the dense walk of all
+  // of RAM: a sparse sweep reads too little to be worth spreading. The
+  // matcher and incremental ratios below are algorithmic and are checked
+  // everywhere.
   if (std::thread::hardware_concurrency() >= 4) {
-    const auto scan_ms = [&](std::size_t shards) {
-      scanner.set_shards(shards);
-      scan::ScanStats stats;
-      const auto matches = scanner.scan_kernel(scenario.kernel(), &stats);
-      shards_identical = shards_identical && same_matches(serial_matches, matches);
-      return stats.wall_millis;
+    const auto walk_ms = [&](std::size_t shards) {
+      std::vector<scan::RawMatch> raw;
+      const double ms = dense_ms(shards, &raw);
+      shards_identical = shards_identical && same_raw(dense_matches, raw);
+      return ms;
     };
     const Paired par = paired_trials(
-        pairs, [&](int) { return scan_ms(1); }, [&](int) { return scan_ms(4); });
+        pairs, [&](int) { return walk_ms(1); }, [&](int) { return walk_ms(4); });
     json.key("shards4_vs_serial").begin_object();
     par.to_json(json);
     json.end_object();
     ok &= floor_check(par, kFloorShards4,
-                      "no-loss bound: 4-shard scan vs the serial walk");
+                      "no-loss bound: 4-shard dense walk vs the serial walk");
   }
   ok &= shape_check(shards_identical,
                     "parallel match lists byte-identical to the serial walk "
@@ -486,14 +565,16 @@ int main(int argc, char** argv) {
   }
 
   // ---- phase 3: incremental sweeps ----------------------------------------
-  // Journal-driven delta sweeps against full sweeps of the same kernel.
+  // Journal-driven delta sweeps against dense walks of the same RAM.
   // Before every delta sweep, ordinary kernel writes dirty ~0.5% of the
   // frames. Both arms time the byte scan with the library's own timer
   // (ScanStats::wall_millis; metadata resolution is outside it on both),
   // and both run serial — settle() rescans on the calling thread — so the
-  // ratio is one of rescanned bytes, not of the pool's width. One delta
-  // sweep settles ~0.04 ms of work, too little to time alone, so an
-  // incremental sample sums `batch` sweeps, enough for >= 1 ms.
+  // ratio is one of rescanned bytes, not of the pool's width. A full
+  // sweep reads only the written frames now, about as few bytes as a
+  // delta sweep, so the dense walk is the reference. One delta sweep
+  // settles ~0.04 ms of work, too little to time alone, so an incremental
+  // sample sums `batch` sweeps, enough for >= 1 ms.
   {
     auto& kernel = scenario.kernel();
     scan::DirtyFrameJournal journal(kernel.memory().all().size());
@@ -544,11 +625,7 @@ int main(int argc, char** argv) {
         std::ceil(1.0 / std::max(util::quantile(warm, 0.5), 1e-4)), 1.0, 1000.0));
 
     bool identical = true;
-    const auto full_ms = [&](int) {
-      scan::ScanStats fstats;
-      (void)scanner.scan_kernel(kernel, &fstats);
-      return fstats.wall_millis;
-    };
+    const auto full_ms = [&](int) { return dense_ms(1, nullptr); };
     const auto delta_ms = [&](int) {
       double sum = 0.0;
       for (int i = 0; i < batch; ++i) sum += delta_sweep();
@@ -559,7 +636,7 @@ int main(int argc, char** argv) {
     const double dirty_fraction = static_cast<double>(dirty_frames) /
                                   static_cast<double>(sweeps * total_frames);
     print_scan_stats("incremental", last_stats);
-    std::printf("\nincremental: full %.2f ms vs delta %.3f ms per sweep "
+    std::printf("\nincremental: dense walk %.2f ms vs delta %.3f ms per sweep "
                 "(%d sweeps per sample), %s at %.2f%% dirty frames; "
                 "%zu bytes rescanned vs bound %zu\n\n",
                 inc.a, inc.b, batch, inc.ratio().c_str(), 100.0 * dirty_fraction,
@@ -583,7 +660,7 @@ int main(int argc, char** argv) {
                       "L - 1) bytes (" + std::to_string(bytes_rescanned) +
                           " vs " + std::to_string(bytes_bound) + ")");
     ok &= floor_check(inc, kFloorIncremental,
-                      "delta sweep vs a full sweep at <= 1% dirty frames");
+                      "delta sweep vs the dense walk at <= 1% dirty frames");
     kernel.attach_taint(nullptr);
   }
 

@@ -1,6 +1,7 @@
 #include "attack/leaks.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace keyguard::attack {
 namespace {
@@ -17,7 +18,7 @@ bool Ext2DirectoryLeak::create_directory() {
   // freed page held.
   const auto frame = kernel_.allocator().alloc(sim::FrameState::kKernel);
   if (!frame) return false;
-  const auto page = kernel_.memory().page(*frame);
+  const auto page = std::as_const(kernel_).memory().page(*frame);
 
   // Everything after the initialised header reaches the attacker's disk.
   capture_.insert(capture_.end(), page.begin() + kInitializedHeader, page.end());

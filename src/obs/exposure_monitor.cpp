@@ -39,16 +39,19 @@ void ExposureMonitor::accrue() {
 }
 
 void ExposureMonitor::touch(std::size_t off, std::size_t len) {
-  if (patterns_.patterns.empty() || len == 0) {
-    return;
-  }
+  if (len == 0) return;
+  const scan::ByteRun run{off, off + len};
+  settle_runs({&run, 1});
+}
+
+void ExposureMonitor::settle_runs(std::span<const scan::ByteRun> runs) {
+  if (patterns_.patterns.empty()) return;
   // The integral must be split at the mutation: time before it runs at
   // the old byte counts, time after at the new ones.
   accrue();
   gone_.clear();
   born_.clear();
-  const scan::ByteRun run{off, off + len};
-  scan::settle(mem_.all(), matcher_, {&run, 1}, live_, &gone_, &born_);
+  scan::settle(mem_.all(), matcher_, runs, live_, &gone_, &born_);
   for (const auto& m : gone_) {
     auto& k = keys_[pattern_key(m.pattern_index)];
     k.live_copies -= 1;
@@ -103,7 +106,18 @@ void ExposureMonitor::on_swap_clear(std::uint32_t /*slot*/) {
   ++swap_clears_;
 }
 
-void ExposureMonitor::resync() { touch(0, mem_.all().size()); }
+void ExposureMonitor::resync() {
+  // The written frames are the full sweep's changed runs; the frames of
+  // the live copies join them, so a copy whose frame was cleared since
+  // the last settle is rescanned and leaves.
+  std::vector<std::uint64_t> frames(mem_.written_bitmap().begin(),
+                                    mem_.written_bitmap().end());
+  for (const auto& m : live_) {
+    const std::size_t f = m.offset / sim::kPageSize;
+    frames[f / 64] |= std::uint64_t{1} << (f % 64);
+  }
+  settle_runs(scan::written_runs(frames, sim::kPageSize, mem_.size_bytes(), matcher_));
+}
 
 std::size_t ExposureMonitor::copy_count(std::size_t key) const {
   return key < keys_.size() ? keys_[key].live_copies : 0;

@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "scan/key_scanner.hpp"
@@ -77,8 +78,11 @@ class ExposureMonitor final : public sim::TaintTracker {
   void on_swap_load(std::size_t phys_dst, std::uint32_t slot) override;
   void on_swap_clear(std::uint32_t slot) override;
 
-  /// One matcher pass over all of RAM settles the live set (integrals
-  /// are preserved; copies that were already recorded stay as they are).
+  /// One settle over every frame the memory marked written and every
+  /// frame holding a live copy's first byte brings the live set to a full
+  /// sweep (integrals are preserved; copies that were already recorded
+  /// stay as they are). Unwritten frames are all zero, so only a needle
+  /// with all-zero required bytes makes it settle all of RAM.
   void resync();
 
   // ---- queries (all O(live set) or better, no memory walk) ----
@@ -114,6 +118,9 @@ class ExposureMonitor final : public sim::TaintTracker {
 
  private:
   void touch(std::size_t off, std::size_t len);
+  /// Settles `runs` (ascending) and moves the per-key counts by the
+  /// copies that left and joined.
+  void settle_runs(std::span<const scan::ByteRun> runs);
   void accrue();
 
   const sim::PhysicalMemory& mem_;

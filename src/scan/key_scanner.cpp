@@ -116,14 +116,25 @@ std::vector<MemoryMatch> KeyScanner::resolve_raw(
   return matches;
 }
 
+std::vector<RawMatch> KeyScanner::sweep_raw(const sim::Kernel& kernel,
+                                            ScanStats* stats) const {
+  // A full sweep is a delta sweep against the all-zero machine the
+  // simulator boots with: the frames ever written are the changed runs,
+  // settle's rule widens them into windows, and only those are read
+  // (DESIGN.md §8). The engine shards the windows across the pool.
+  const auto& mem = kernel.memory();
+  const MultiMatcher mm(patterns_.needles());
+  const auto written =
+      written_runs(mem.written_bitmap(), sim::kPageSize, mem.size_bytes(), mm);
+  std::vector<ByteRun> windows;
+  widen_runs(written, mm.reach(), mem.size_bytes(), windows);
+  return sharded_scan_runs(mem.all(), mem.size_bytes(), windows, mm,
+                           effective_shards(), stats);
+}
+
 std::vector<MemoryMatch> KeyScanner::scan_kernel(const sim::Kernel& kernel,
                                                  ScanStats* stats) const {
-  // Byte scan first — the O(memory) part, sharded across the pool over
-  // an immutable byte span.
-  const auto raw =
-      sharded_scan(kernel.memory().all(), patterns_.needles(), effective_shards(),
-                   /*min_prefix_bytes=*/0, stats);
-  return resolve_raw(kernel, raw);
+  return resolve_raw(kernel, sweep_raw(kernel, stats));
 }
 
 std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
@@ -133,8 +144,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
   if (!cache.primed || cache.phys_bytes != buffer.size()) {
     // Prime: one full sweep populates the cache; everything the journal
     // accumulated so far is covered by it, so the backlog is discarded.
-    cache.raw = sharded_scan(buffer, patterns_.needles(), effective_shards(),
-                             /*min_prefix_bytes=*/0, stats);
+    cache.raw = sweep_raw(kernel, stats);
     cache.phys_bytes = buffer.size();
     cache.primed = true;
     journal.drain();
@@ -159,9 +169,10 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
 
   if (stats != nullptr) {
     stats->bytes_scanned = rescanned;
+    stats->bytes_read = rescanned;
     stats->match_count = cache.raw.size();
     stats->shard_count = stats->shards.size();
-    stats->overlap_bytes = mm.max_needle_len() > 0 ? mm.max_needle_len() - 1 : 0;
+    stats->overlap_bytes = mm.reach();
     stats->pattern_count = mm.active_needles();
     stats->simd_kind = mm.simd_kind();
     stats->incremental = true;
@@ -243,6 +254,7 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
   }
   if (stats != nullptr) {
     stats->bytes_scanned = payload_total;
+    stats->bytes_read = payload_total;
     stats->match_count = all.size();
     stats->shard_count = windows;
     stats->overlap_bytes = reach;

@@ -12,10 +12,11 @@
 // filters candidates before the full compare; the filter is the
 // single-pass MultiMatcher's two-byte-prefix bitmap (vector-skimmed where
 // the CPU allows) rather than one memchr pass per needle. Unlike the LKM's
-// single linear walk ("about 5 seconds for 256 MB"), the walk is sharded
-// across a thread pool (scan/scan_engine.hpp): whole-frame shards with
-// seam-overlap windows make the parallel result byte-for-byte identical
-// to the serial one. Match order is the documented contract: ascending
+// single linear walk ("about 5 seconds for 256 MB"), a sweep reads only
+// the frames ever written (every other frame is still all zero, so no
+// match lies there; scan/settle.hpp) and shards them across a thread pool
+// (scan/scan_engine.hpp): whole-frame shards with seam-overlap windows
+// make the parallel result byte-for-byte identical to the serial one. Match order is the documented contract: ascending
 // phys_offset, with the pattern list order (d, P, Q, PEM) breaking ties.
 #pragma once
 
@@ -158,8 +159,11 @@ class KeyScanner {
 
   /// Full physical-memory scan with frame classification and reverse-map
   /// owner attribution (scanmemory's procfile_read). Matches are in
-  /// ascending (phys_offset, pattern) order. `stats`, when non-null,
-  /// receives shard/throughput metrics for the byte-scan portion.
+  /// ascending (phys_offset, pattern) order and equal a dense walk of all
+  /// of RAM, but only the windows around the frames the memory marked
+  /// written are read: every other byte is zero (DESIGN.md §8). `stats`,
+  /// when non-null, receives shard/throughput metrics for the byte-scan
+  /// portion: bytes_scanned is the RAM size, bytes_read the windows.
   std::vector<MemoryMatch> scan_kernel(const sim::Kernel& kernel,
                                        ScanStats* stats = nullptr) const;
 
@@ -168,7 +172,7 @@ class KeyScanner {
   /// (each extended by a max_needle_len-1 seam window on the left and
   /// rescanned with the same window on the right), splicing fresh hits
   /// into `cache`. An unprimed or size-mismatched cache triggers a full
-  /// priming sweep. Frame metadata (state, owners, provenance) is
+  /// priming sweep (scan_kernel's sparse sweep). Frame metadata (state, owners, provenance) is
   /// re-resolved for EVERY match each call — it can change without a byte
   /// changing (fork, exit, free). For incremental sweeps `stats` reports
   /// the delta cost: bytes_scanned is rescanned window bytes, shards are
@@ -225,6 +229,9 @@ class KeyScanner {
  private:
   /// shards_ resolved against the machine/env for an actual scan.
   std::size_t effective_shards() const;
+  /// The raw hits of a full sweep: the engine over the windows around the
+  /// frames kernel.memory() marked written.
+  std::vector<RawMatch> sweep_raw(const sim::Kernel& kernel, ScanStats* stats) const;
   /// Layers frame state / owners / provenance onto raw engine hits.
   std::vector<MemoryMatch> resolve_raw(const sim::Kernel& kernel,
                                        std::span<const RawMatch> raw) const;

@@ -42,6 +42,9 @@ MultiMatcher::MultiMatcher(std::span<const std::span<const std::byte>> needles,
     if (e.match_len >= 2) {
       e.second = static_cast<std::uint8_t>(std::to_integer<unsigned>(needle[1]));
     }
+    matches_zeros_ = matches_zeros_ ||
+                     std::all_of(needle.begin(), needle.begin() + e.match_len,
+                                 [](std::byte b) { return b == std::byte{0}; });
     entries_.push_back(e);
   }
   // Group by first byte. Inside a bucket, needles that require only one

@@ -61,6 +61,13 @@ class MultiMatcher {
   /// Longest active needle (0 when none): a seam window reaches this - 1
   /// bytes past its payload.
   std::size_t max_needle_len() const noexcept { return max_len_; }
+  /// max_needle_len() - 1 (0 when none): how far a match reaches past its
+  /// first byte, so the seam every window and piece scans past its end.
+  std::size_t reach() const noexcept { return max_len_ > 0 ? max_len_ - 1 : 0; }
+  /// True when some active needle's required bytes (all of it, or the
+  /// first min_prefix_bytes in prefix mode) are all zero: it can match in
+  /// memory nothing ever wrote, so no sweep may skip such memory.
+  bool matches_zeros() const noexcept { return matches_zeros_; }
 
   /// Scans buffer bytes [begin, window_end) and appends every match whose
   /// FIRST byte lies in [begin, end), in (offset, pattern_index) order.
@@ -143,6 +150,7 @@ class MultiMatcher {
   /// filter over pair_bits_, built alongside it (see simd_match.hpp).
   simd_detail::ShuftiTables shufti_{};
   bool simd_profitable_ = false;  ///< shufti density below the skim cutoff
+  bool matches_zeros_ = false;
 };
 
 }  // namespace keyguard::scan

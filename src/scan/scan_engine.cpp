@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scan/multi_matcher.hpp"
@@ -37,11 +39,17 @@ double ScanStats::mb_per_sec() const {
 }
 
 std::string ScanStats::summary() const {
-  char buf[224];
+  constexpr double kMb = 1024.0 * 1024.0;
+  char read[48] = "";
+  if (bytes_read != bytes_scanned) {
+    std::snprintf(read, sizeof(read), " (%.2f MB read)",
+                  static_cast<double>(bytes_read) / kMb);
+  }
+  char buf[272];
   std::snprintf(buf, sizeof(buf),
-                "%.1f MB in %zu shard%s, %zu patterns, %.2f ms, %.1f MB/s "
+                "%.1f MB%s in %zu shard%s, %zu patterns, %.2f ms, %.1f MB/s "
                 "[%s%s%s]",
-                static_cast<double>(bytes_scanned) / (1024.0 * 1024.0),
+                static_cast<double>(bytes_scanned) / kMb, read,
                 shard_count, shard_count == 1 ? "" : "s", pattern_count,
                 wall_millis, mb_per_sec(), simd_kind_name(simd_kind),
                 incremental ? ", incremental" : "",
@@ -52,6 +60,7 @@ std::string ScanStats::summary() const {
 void ScanStats::write_json(util::JsonWriter& w) const {
   w.begin_object();
   w.field("bytes_scanned", static_cast<std::uint64_t>(bytes_scanned));
+  w.field("bytes_read", static_cast<std::uint64_t>(bytes_read));
   w.field("match_count", static_cast<std::uint64_t>(match_count));
   w.field("shards", static_cast<std::uint64_t>(shard_count));
   w.field("patterns", static_cast<std::uint64_t>(pattern_count));
@@ -81,6 +90,7 @@ void ScanStats::write_json(util::JsonWriter& w) const {
 void ScanStats::publish(obs::MetricsRegistry& reg) const {
   reg.counter("scan.scans").add(1);
   reg.counter("scan.bytes").add(bytes_scanned);
+  reg.counter("scan.bytes_read").add(bytes_read);
   reg.counter("scan.matches").add(match_count);
   reg.gauge("scan.mb_per_sec").set(mb_per_sec());
   reg.gauge("scan.shards").set(static_cast<double>(shard_count));
@@ -132,44 +142,73 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
                                           std::size_t min_prefix_bytes,
                                           ScanStats* stats) {
   const std::size_t payload = std::min(payload_bytes, buffer.size());
-  // Observability gate: when both sinks are off this whole scan pays two
-  // relaxed atomic loads — the ≤5% budget bench_exposure_observatory
-  // enforces against bench_scan_throughput rides on this being cheap.
+  const MultiMatcher mm(needles, min_prefix_bytes);
+  const ByteRun all{0, payload};
+  return sharded_scan_runs(buffer, payload, {&all, 1}, mm, requested_shards, stats);
+}
+
+std::vector<RawMatch> sharded_scan_runs(std::span<const std::byte> buffer,
+                                        std::size_t covered_bytes,
+                                        std::span<const ByteRun> runs,
+                                        const MultiMatcher& mm,
+                                        std::size_t requested_shards,
+                                        ScanStats* stats) {
+  // Observability gate: the timed walk costs the same with the sinks on
+  // or off. Each piece reads the clock twice either way (its ShardStats
+  // time); the spans are built from those reads and emitted, and the
+  // metrics published, after wall_millis is taken. The ≤5% budget
+  // bench_exposure_observatory enforces on a sweep of a few dozen written
+  // frames rides on this.
   auto& reg = obs::MetricsRegistry::global();
   auto& tracer = obs::Tracer::global();
   const bool metrics_on = reg.enabled();
+  const bool tracing = tracer.enabled();
   ScanStats local_stats;
   if (stats == nullptr && metrics_on) {
     stats = &local_stats;
   }
 
   const auto t0 = Clock::now();
-  // One dispatch table shared by every piece: MultiMatcher::scan is const
-  // over immutable state, so concurrent pieces read it without locking.
-  const MultiMatcher mm(needles, min_prefix_bytes);
-
+  // The plan works in payload coordinates: the windows laid end to end,
+  // starts[j] being window j's first payload byte.
+  std::vector<std::size_t> starts(runs.size() + 1, 0);
+  for (std::size_t j = 0; j < runs.size(); ++j) {
+    starts[j + 1] = starts[j] + (runs[j].hi - runs[j].lo);
+  }
+  const std::size_t payload = starts.back();
   const ShardPlan plan = plan_shards(payload, mm.max_needle_len(), requested_shards);
   std::vector<std::vector<RawMatch>> per_shard(plan.shard_count);
-  std::vector<double> shard_millis(plan.shard_count, 0.0);
-  // One loop for every count: a one-piece plan runs inline on this thread
-  // (the serial walk), more pieces are claimed by the pool. Each piece
-  // scans `overlap` bytes past its end, clamped at the end of the buffer
-  // (which may reach into a stream window's overlap view), and keeps only
-  // the hits whose first byte it owns.
-  util::ThreadPool::shared().parallel_for(plan.shard_count, [&](std::size_t i) {
-    obs::Tracer::Span span(tracer, "scan.shard");  // inert when disabled
-    const auto ts = Clock::now();
+  std::vector<Clock::time_point> shard_time(2 * plan.shard_count);  // start, end
+  std::vector<std::size_t> shard_offset(plan.shard_count, 0);
+  // One body for every count: a one-piece plan or a payload under
+  // kMinPoolBytes runs inline on this thread, more pieces of a larger
+  // payload are claimed by the pool. A piece scans its part of each window
+  // it overlaps, `overlap` bytes past each part's end, clamped at the end
+  // of the buffer (which may reach into a stream window's overlap view),
+  // and keeps only the hits whose first byte it owns. One MultiMatcher
+  // serves every piece: scan() is const over immutable tables, so
+  // concurrent pieces read it without locking.
+  const auto piece = [&](std::size_t i) {
+    shard_time[2 * i] = Clock::now();
     const std::size_t begin = plan.shard_begin(i);
     const std::size_t end = plan.shard_end(i, payload);
-    mm.scan(buffer, begin, end, std::min(buffer.size(), end + plan.overlap),
-            per_shard[i]);
-    shard_millis[i] = millis_since(ts);
-    if (span.live()) {
-      span.add(obs::TraceAttr::n("shard", static_cast<double>(i)));
-      span.add(obs::TraceAttr::n("bytes", static_cast<double>(end - begin)));
-      span.add(obs::TraceAttr::n("matches", static_cast<double>(per_shard[i].size())));
+    std::size_t j = static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end() - 1, begin) - starts.begin());
+    j = j > 0 ? j - 1 : 0;
+    if (j < runs.size()) shard_offset[i] = runs[j].lo + (begin - starts[j]);
+    for (std::size_t at = begin; at < end; ++j) {
+      const std::size_t lo = runs[j].lo + (at - starts[j]);
+      const std::size_t hi = runs[j].lo + (std::min(end, starts[j + 1]) - starts[j]);
+      mm.scan(buffer, lo, hi, std::min(buffer.size(), hi + plan.overlap), per_shard[i]);
+      at = starts[j + 1];
     }
-  });
+    shard_time[2 * i + 1] = Clock::now();
+  };
+  if (payload < kMinPoolBytes) {
+    for (std::size_t i = 0; i < plan.shard_count; ++i) piece(i);
+  } else {
+    util::ThreadPool::shared().parallel_for(plan.shard_count, piece);
+  }
 
   // Deterministic merge: pieces are disjoint ascending offset ranges and
   // each piece's list is already (offset, pattern_index)-sorted, so plain
@@ -181,9 +220,16 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
   for (auto& s : per_shard) {
     merged.insert(merged.end(), s.begin(), s.end());
   }
+  const double wall_millis = millis_since(t0);
+  const auto shard_millis = [&](std::size_t i) {
+    return std::max(0.0, std::chrono::duration<double, std::milli>(
+                             shard_time[2 * i + 1] - shard_time[2 * i])
+                             .count());
+  };
 
   if (stats != nullptr) {
-    stats->bytes_scanned = payload;
+    stats->bytes_scanned = covered_bytes;
+    stats->bytes_read = payload;
     stats->match_count = merged.size();
     stats->shard_count = plan.shard_count;
     stats->overlap_bytes = plan.overlap;
@@ -195,14 +241,35 @@ std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
     stats->shards.clear();
     stats->shards.reserve(plan.shard_count);
     for (std::size_t i = 0; i < plan.shard_count; ++i) {
-      const std::size_t begin = plan.shard_begin(i);
-      stats->shards.push_back({i, begin, plan.shard_end(i, payload) - begin,
-                               per_shard[i].size(), shard_millis[i]});
+      stats->shards.push_back({i, shard_offset[i],
+                               plan.shard_end(i, payload) - plan.shard_begin(i),
+                               per_shard[i].size(), shard_millis(i)});
     }
-    stats->wall_millis = millis_since(t0);
+    stats->wall_millis = wall_millis;
     if (metrics_on) {
       stats->publish(reg);
     }
+  }
+  // One complete "scan.shard" span per piece, emitted by the caller. The
+  // host obs clock is steady_clock, so the piece's own clock reads serve;
+  // under the manual clock a span sits at the current instant with no
+  // width, as one timed in place would.
+  const bool manual = obs::manual_clock_active();
+  for (std::size_t i = 0; tracing && i < plan.shard_count; ++i) {
+    const auto ns = [](Clock::duration d) {
+      return static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+    };
+    obs::TraceEvent ev;
+    ev.name = "scan.shard";
+    ev.phase = 'X';
+    ev.ts_ns = manual ? obs::now_ns() : ns(shard_time[2 * i].time_since_epoch());
+    ev.dur_ns = manual ? 0 : ns(shard_time[2 * i + 1] - shard_time[2 * i]);
+    ev.args = {obs::TraceAttr::n("shard", static_cast<double>(i)),
+               obs::TraceAttr::n("bytes", static_cast<double>(plan.shard_end(i, payload) -
+                                                              plan.shard_begin(i))),
+               obs::TraceAttr::n("matches", static_cast<double>(per_shard[i].size()))};
+    tracer.emit(std::move(ev));
   }
   return merged;
 }

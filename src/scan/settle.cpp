@@ -1,6 +1,7 @@
 #include "scan/settle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <iterator>
 
@@ -19,13 +20,59 @@ bool same(const RawMatch& a, const RawMatch& b) {
 
 }  // namespace
 
+void widen_runs(std::span<const ByteRun> changed, std::size_t reach,
+                std::size_t size, std::vector<ByteRun>& windows) {
+  windows.clear();
+  for (const ByteRun& run : changed) {
+    const std::size_t run_hi = std::min(run.hi, size);
+    if (run.lo >= run_hi) continue;
+    const std::size_t run_lo = run.lo > reach ? run.lo - reach : 0;
+    if (!windows.empty() && run_lo <= windows.back().hi) {
+      windows.back().hi = std::max(windows.back().hi, run_hi);
+    } else {
+      windows.push_back({run_lo, run_hi});
+    }
+  }
+}
+
+std::vector<ByteRun> written_runs(std::span<const std::uint64_t> frames,
+                                  std::size_t frame_bytes, std::size_t size,
+                                  const MultiMatcher& mm) {
+  if (mm.matches_zeros()) return {{0, size}};
+  std::vector<ByteRun> runs;
+  // A word at a time: countr_zero finds where a run of set bits starts,
+  // countr_zero of the complement where it stops. A run still open at
+  // bit 63 continues into the next word.
+  bool open = false;
+  std::size_t start = 0;
+  for (std::size_t w = 0; w < frames.size(); ++w) {
+    std::uint64_t bits = frames[w];
+    std::size_t at = 0;
+    while (true) {
+      if (!open) {
+        if (bits == 0) break;
+        at = static_cast<std::size_t>(std::countr_zero(bits));
+        start = w * 64 + at;
+        open = true;
+      }
+      const std::uint64_t clear_above = ~bits >> at;  // at < 64 here
+      if (clear_above == 0) break;  // set through bit 63
+      at += static_cast<std::size_t>(std::countr_zero(clear_above));
+      runs.push_back({start * frame_bytes, std::min(size, (w * 64 + at) * frame_bytes)});
+      open = false;
+      bits &= ~std::uint64_t{0} << at;  // at <= 63: a clear bit was found
+    }
+  }
+  if (open) runs.push_back({start * frame_bytes, size});
+  return runs;
+}
+
 std::size_t settle(std::span<const std::byte> buffer, const MultiMatcher& mm,
                    std::span<const ByteRun> changed,
                    std::vector<RawMatch>& live, std::vector<RawMatch>* gone,
                    std::vector<RawMatch>* born,
                    std::vector<ShardStats>* windows) {
-  const std::size_t reach =
-      mm.max_needle_len() > 0 ? mm.max_needle_len() - 1 : 0;
+  const std::size_t reach = mm.reach();
   // Reused across calls so a window that changes nothing allocates nothing.
   static thread_local std::vector<RawMatch> fresh;
   std::vector<RawMatch> next;  // started by the first window that differs
@@ -70,26 +117,11 @@ std::size_t settle(std::span<const std::byte> buffer, const MultiMatcher& mm,
     kept = static_cast<std::size_t>(last - live.begin());
   };
 
-  // Widen each run by reach to the left; a run whose widened start falls
-  // inside (or right at the end of) the open window extends it. Runs
-  // ascend, so windows come out disjoint and ascending.
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  bool open = false;
-  for (const ByteRun& run : changed) {
-    const std::size_t run_hi = std::min(run.hi, buffer.size());
-    if (run.lo >= run_hi) continue;
-    const std::size_t run_lo = run.lo > reach ? run.lo - reach : 0;
-    if (open && run_lo <= hi) {
-      hi = std::max(hi, run_hi);
-      continue;
-    }
-    if (open) rescan(lo, hi);
-    lo = run_lo;
-    hi = run_hi;
-    open = true;
-  }
-  if (open) rescan(lo, hi);
+  // Windows come out disjoint and ascending; the list is reused across
+  // calls like `fresh`.
+  static thread_local std::vector<ByteRun> windows_of_change;
+  widen_runs(changed, reach, buffer.size(), windows_of_change);
+  for (const ByteRun& w : windows_of_change) rescan(w.lo, w.hi);
 
   if (rebuilding) {
     next.insert(next.end(), live.begin() + kept, live.end());

@@ -9,9 +9,15 @@
 // drivers: obs::ExposureMonitor settles eagerly, one run per taint hook;
 // KeyScanner::scan_kernel_incremental settles lazily, one run per frame
 // the DirtyFrameJournal recorded since the last sweep.
+//
+// A full sweep is the same rule measured against the all-zero machine the
+// simulator boots with: the changed runs are the frames
+// sim::PhysicalMemory marked written (written_runs), widen_runs turns
+// them into windows, and the engine scans those (sharded_scan_runs).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -20,11 +26,22 @@
 
 namespace keyguard::scan {
 
-/// Changed bytes [lo, hi) of the settled buffer.
-struct ByteRun {
-  std::size_t lo = 0;
-  std::size_t hi = 0;  ///< exclusive
-};
+/// settle's window rule: each run of `changed` (ascending) widened by
+/// `reach` to the left and clamped to [0, size); a run whose widened
+/// start falls inside or right at the end of the previous window extends
+/// it. Replaces `windows` with the disjoint, ascending result.
+void widen_runs(std::span<const ByteRun> changed, std::size_t reach,
+                std::size_t size, std::vector<ByteRun>& windows);
+
+/// The maximal runs of frames whose bit is set in `frames` (bit f % 64 of
+/// word f / 64, one frame per `frame_bytes` of a `size`-byte buffer), as
+/// ascending byte runs, extracted a word at a time. Every byte outside
+/// them is zero, so only matches that reach into them can exist — unless
+/// some needle's required bytes are all zero (mm.matches_zeros()); then
+/// the one run is the whole buffer.
+std::vector<ByteRun> written_runs(std::span<const std::uint64_t> frames,
+                                  std::size_t frame_bytes, std::size_t size,
+                                  const MultiMatcher& mm);
 
 /// Brings `live` (exact matches of `mm` over `buffer`, (offset, pattern)
 /// sorted) up to date after the bytes in `changed` (ascending runs)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
@@ -76,7 +77,7 @@ std::size_t DedupEngine::scan() {
       if (pte.swapped) continue;
       if (kernel_.allocator().state(pte.frame) != FrameState::kUserAnon) continue;
       if (!cfg_.merge_mlocked && pte.mlocked) continue;
-      const auto page = kernel_.memory().page(pte.frame);
+      const auto page = std::as_const(kernel_).memory().page(pte.frame);
       if (!cfg_.merge_zero_pages && page_zero(page)) continue;
       cands.push_back({up.get(), vaddr, pte.frame, page_hash(page)});
     }
@@ -115,8 +116,9 @@ std::size_t DedupEngine::scan() {
       for (auto& g : groups) {
         const FrameNumber rep = cands[g.front()].frame;
         if (rep == c.frame ||
-            std::memcmp(kernel_.memory().page(rep).data(),
-                        kernel_.memory().page(c.frame).data(), kPageSize) == 0) {
+            std::memcmp(std::as_const(kernel_).memory().page(rep).data(),
+                        std::as_const(kernel_).memory().page(c.frame).data(),
+                        kPageSize) == 0) {
           g.push_back(ci);
           placed = true;
           break;

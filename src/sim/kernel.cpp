@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
@@ -240,7 +241,8 @@ std::size_t Kernel::swap_out_pages(Process& p, std::size_t n) {
     const auto slot = swap_->alloc_slot();
     if (!slot) break;
     KEYGUARD_KERNEL_COUNT("kernel.swap_out_pages");
-    std::memcpy(swap_->slot(*slot).data(), mem_.page(pte.frame).data(), kPageSize);
+    std::memcpy(swap_->slot(*slot).data(), std::as_const(mem_).page(pte.frame).data(),
+                kPageSize);
     if (taint_) {
       taint_->on_swap_store(*slot, static_cast<std::size_t>(pte.frame) * kPageSize);
     }
@@ -285,7 +287,7 @@ FrameNumber Kernel::frame_for_write(Process& p, VirtAddr page_addr) {
       ++cow_breaks_;
       const auto fresh = alloc_.alloc(FrameState::kUserAnon);
       assert(fresh && "simulated physical memory exhausted");
-      const auto src = mem_.page(pte.frame);
+      const auto src = std::as_const(mem_).page(pte.frame);
       auto dst = mem_.page(*fresh);
       std::memcpy(dst.data(), src.data(), kPageSize);
       if (taint_) {
@@ -362,7 +364,8 @@ void Kernel::mem_read(Process& p, VirtAddr addr, std::span<std::byte> out) {
     const auto it = p.pages_.find(page_addr);
     assert(it != p.pages_.end() && "read from unmapped page");
     if (it->second.swapped) swap_in(p, page_addr, it->second);
-    std::memcpy(out.data() + done, mem_.page(it->second.frame).data() + off, n);
+    std::memcpy(out.data() + done, std::as_const(mem_).page(it->second.frame).data() + off,
+                n);
     done += n;
   }
 }
@@ -479,8 +482,8 @@ bool Kernel::merge_page(Process& p, VirtAddr vaddr, FrameNumber canonical) {
   if (it == p.pages_.end()) return false;
   Pte& pte = it->second;
   if (pte.swapped || pte.frame == canonical) return false;
-  assert(std::memcmp(mem_.page(pte.frame).data(), mem_.page(canonical).data(),
-                     kPageSize) == 0 &&
+  assert(std::memcmp(std::as_const(mem_).page(pte.frame).data(),
+                     std::as_const(mem_).page(canonical).data(), kPageSize) == 0 &&
          "merge_page over non-identical pages");
   KEYGUARD_KERNEL_COUNT("kernel.dedup.pages_merged");
   alloc_.ref(canonical);

@@ -1,6 +1,7 @@
 #include "sim/physmem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -17,10 +18,12 @@ const char* frame_state_name(FrameState s) noexcept {
 }
 
 PhysicalMemory::PhysicalMemory(std::size_t bytes)
-    : bytes_(std::max<std::size_t>(bytes / kPageSize, 1) * kPageSize, std::byte{0}) {}
+    : bytes_(std::max<std::size_t>(bytes / kPageSize, 1) * kPageSize, std::byte{0}),
+      written_((page_count() + 63) / 64, 0) {}
 
 std::span<std::byte> PhysicalMemory::page(FrameNumber frame) noexcept {
   assert(frame < page_count());
+  written_[frame / 64] |= std::uint64_t{1} << (frame % 64);
   return {bytes_.data() + static_cast<std::size_t>(frame) * kPageSize, kPageSize};
 }
 
@@ -37,9 +40,16 @@ std::span<const std::byte> PhysicalMemory::range(std::size_t offset,
   return {bytes_.data() + offset, std::min(len, bytes_.size() - offset)};
 }
 
+std::size_t PhysicalMemory::written_frames() const noexcept {
+  std::size_t n = 0;
+  for (const std::uint64_t w : written_) n += static_cast<std::size_t>(std::popcount(w));
+  return n;
+}
+
 void PhysicalMemory::clear_page(FrameNumber frame) noexcept {
   auto p = page(frame);
   std::memset(p.data(), 0, p.size());
+  written_[frame / 64] &= ~(std::uint64_t{1} << (frame % 64));
   if (taint_) taint_->on_phys_clear(static_cast<std::size_t>(frame) * kPageSize, kPageSize);
 }
 

@@ -5,6 +5,12 @@
 // cache, and kernel buffers live in here, so a linear scan of this array is
 // exactly what the paper's scanmemory LKM performed, and the two disclosure
 // attacks read byte ranges straight out of it.
+//
+// It also keeps one bit per frame, set by every access that can write the
+// frame (the mutable page() and fill()) and cleared by clear_page(). A
+// frame whose bit is clear is all zero — the state every frame boots in —
+// so a full scan reads only the written frames (scan/settle.hpp,
+// written_runs). Reads go through the const overloads and mark nothing.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +51,9 @@ class PhysicalMemory {
   std::size_t size_bytes() const noexcept { return bytes_.size(); }
   std::size_t page_count() const noexcept { return bytes_.size() / kPageSize; }
 
-  /// Mutable view of one frame.
+  /// Mutable view of one frame, for writing: marks the frame written.
+  /// Readers go through the const overload (std::as_const on a mutable
+  /// memory), which marks nothing.
   std::span<std::byte> page(FrameNumber frame) noexcept;
   std::span<const std::byte> page(FrameNumber frame) const noexcept;
 
@@ -55,14 +63,22 @@ class PhysicalMemory {
   /// Byte range [offset, offset+len); clamped to the end of memory.
   std::span<const std::byte> range(std::size_t offset, std::size_t len) const noexcept;
 
-  /// Zero-fills one frame (clear_highpage in the paper's patches) and
-  /// clears its shadow taint when a tracker is attached.
+  /// Zero-fills one frame (clear_highpage in the paper's patches), clears
+  /// its written bit, and clears its shadow taint when a tracker is
+  /// attached.
   void clear_page(FrameNumber frame) noexcept;
 
   /// memset over part of a frame through the taint hook (kernel code that
   /// initialises buffers in place, e.g. ext2_make_empty's "."/".." header,
   /// goes through here so the overwritten shadow bytes are cleared too).
   void fill(FrameNumber frame, std::size_t offset, std::size_t len, std::byte value);
+
+  /// One bit per frame (bit f % 64 of word f / 64), set once the frame may
+  /// hold a non-zero byte. Clear bits are exact: that frame is all zero.
+  /// Set bits are conservative (a write of zeros still marks).
+  std::span<const std::uint64_t> written_bitmap() const noexcept { return written_; }
+  /// Frames whose written bit is set.
+  std::size_t written_frames() const noexcept;
 
   /// Shadow-taint observer for every clear/fill on this memory. Null (the
   /// default) disables tracking; the Kernel fans the tracker out to the
@@ -72,6 +88,7 @@ class PhysicalMemory {
 
  private:
   std::vector<std::byte> bytes_;
+  std::vector<std::uint64_t> written_;  // 1 bit per frame, 8 KB per 256 MB
   TaintTracker* taint_ = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace keyguard::sim {
 
@@ -73,7 +74,7 @@ std::vector<std::byte> PageCache::read_cached(const std::string& path) const {
   std::vector<std::byte> out;
   out.reserve(size);
   for (std::size_t i = 0; i < it->second.size(); ++i) {
-    const auto src = mem_.page(it->second[i]);
+    const auto src = std::as_const(mem_).page(it->second[i]);
     const std::size_t off = i * kPageSize;
     const std::size_t n = std::min(kPageSize, size - off);
     out.insert(out.end(), src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n));

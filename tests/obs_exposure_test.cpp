@@ -159,6 +159,40 @@ TEST_F(ExposureTest, ResyncPicksUpPreAttachCopies) {
   kernel.attach_taint(nullptr);
 }
 
+// resync settles the written frames and the frames of the live copies: a
+// copy whose frame was cleared while the monitor was detached (its bit is
+// clear again) leaves, a copy written meanwhile joins.
+TEST_F(ExposureTest, ResyncDropsCopiesInFramesClearedWhileDetached) {
+  sim::Kernel kernel({.mem_bytes = 4ull << 20, .zero_on_free = true});
+  util::Rng rng(14);
+  const auto patterns = make_patterns(rng);
+  ExposureMonitor monitor(kernel.memory(), patterns);
+  kernel.attach_taint(&monitor);
+  auto& doomed = kernel.spawn("doomed");
+  const auto gone_at = kernel.mmap_anon(doomed, sim::kPageSize, false);
+  kernel.mem_write(doomed, gone_at, patterns.patterns[0].bytes);
+  ASSERT_EQ(monitor.total_copies(), 1u);
+  const std::size_t stale = monitor.copies()[0].offset;
+
+  kernel.attach_taint(nullptr);
+  auto& late = kernel.spawn("late");
+  const auto addr = kernel.heap_alloc(late, 4096, "buf");
+  kernel.mem_write(late, addr, patterns.patterns[0].bytes);
+  kernel.exit_process(doomed);  // zero_on_free clears the frame
+  const auto frames = kernel.memory().written_bitmap();
+  const std::size_t f = stale / sim::kPageSize;
+  ASSERT_EQ((frames[f / 64] >> (f % 64)) & 1u, 0u);  // cleared, not written
+  EXPECT_EQ(monitor.total_copies(), 1u);              // still the stale one
+
+  kernel.attach_taint(&monitor);
+  monitor.resync();
+  ASSERT_EQ(monitor.total_copies(), 1u);
+  EXPECT_NE(monitor.copies()[0].offset, stale);
+  EXPECT_TRUE(monitor_equals_sweep(monitor, kernel));
+  EXPECT_EQ(monitor.exposure(0).copies_destroyed, 1u);
+  kernel.attach_taint(nullptr);
+}
+
 TEST_F(ExposureTest, MultiKeyPatternNamesMapToKeyIndices) {
   sim::Kernel kernel({.mem_bytes = 4ull << 20});
   util::Rng rng(13);
