@@ -10,7 +10,6 @@
 
 #include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
-#include "core/key_vault.hpp"
 #include "attack/leaks.hpp"
 #include "core/scenario.hpp"
 #include "core/secure_buffer.hpp"
@@ -70,16 +69,6 @@ void BM_SecureBufferRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SecureBufferRoundTrip)->Range(256, 64 << 10);
-
-void BM_KeyVaultStoreErase(benchmark::State& state) {
-  secure::KeyVault vault;
-  std::vector<std::byte> material(1024, std::byte{0x5a});
-  for (auto _ : state) {
-    const auto id = vault.store(material);
-    vault.erase(id);
-  }
-}
-BENCHMARK(BM_KeyVaultStoreErase);
 
 // --- crypto -------------------------------------------------------------------
 

@@ -724,8 +724,10 @@ int main(int argc, char** argv) {
       mapped = stream.mapped();
       stream.rewind(max_len - 1);
       const auto t0 = std::chrono::steady_clock::now();
+      const scan::MultiMatcher mm(needles.views);
       while (auto w = stream.next()) {
-        auto part = scan::sharded_scan_window(w->bytes, w->payload, needles.views, 1);
+        const scan::ByteRun payload{0, w->payload};
+        auto part = scan::sharded_scan_runs(w->bytes, w->payload, {&payload, 1}, mm, 1);
         for (auto& r : part) r.offset += w->offset;
         streamed.insert(streamed.end(), part.begin(), part.end());
         bytes_streamed += w->payload;

@@ -1,20 +1,21 @@
 // Quickstart: protecting a private key with keyguard's host-side library.
 //
-// Generates an RSA key, shows the WRONG way (key bytes scattered through
-// ordinary heap memory) and the RIGHT way (one SecureBuffer-backed copy in
-// a KeyVault, source scrubbed, temporaries cleared), then signs a message
-// using only vault-resident material.
+// Generates an RSA key, shows the WRONG way (the PEM text in an ordinary
+// std::string) and the RIGHT way (a Keystore seals the key under a master
+// key on an mlocked page, the caller scrubs every copy it still holds),
+// then signs a message through the store and verifies it with the public
+// half.
 //
 //   ./quickstart
 #include <cstdio>
-#include <cstring>
+#include <span>
+#include <string>
 
 #include "bignum/prime.hpp"
-#include "core/key_vault.hpp"
-#include "core/secure_allocator.hpp"
 #include "core/secure_zero.hpp"
 #include "crypto/pem.hpp"
 #include "crypto/rsa.hpp"
+#include "keystore/keystore.hpp"
 #include "util/bytes.hpp"
 
 using namespace keyguard;
@@ -25,7 +26,7 @@ int main() {
 
   // 1. Generate a key (deterministic here for a reproducible demo).
   util::Rng rng(2007);
-  const auto key = crypto::generate_rsa_key(rng, 1024);
+  auto key = crypto::generate_rsa_key(rng, 1024);
   std::printf("generated 1024-bit RSA key, fingerprint %s\n",
               crypto::key_fingerprint(key.public_key()).c_str());
 
@@ -35,43 +36,37 @@ int main() {
   std::printf("PEM container is %zu bytes (this copy is UNPROTECTED)\n",
               careless_pem.size());
 
-  // 3. The RIGHT way: move the material into a KeyVault. The vault copy is
-  //    page-aligned, mlock()ed when permitted, and zeroed on destruction;
-  //    store_and_scrub wipes our source copy so exactly one instance
-  //    remains — the paper's RSA_memory_align discipline.
-  secure::KeyVault vault;
-  const auto pem_span = std::span<std::byte>(
-      reinterpret_cast<std::byte*>(careless_pem.data()), careless_pem.size());
-  const secure::KeyId id = vault.store_and_scrub(pem_span);
-  std::printf("stored in vault: key id %llu, mlocked=%s, source scrubbed=%s\n",
-              static_cast<unsigned long long>(id),
-              vault.locked(id) ? "yes" : "no (RLIMIT_MEMLOCK)",
-              util::all_zero(util::as_bytes(careless_pem)) ? "yes" : "NO");
+  // 3. The RIGHT way: hand the PEM to a Keystore. add_pem parses it, seals
+  //    the key under the store's master key (one mlocked page when
+  //    RLIMIT_MEMLOCK permits) and wipes its parse temporaries. Then scrub
+  //    every copy we still hold, so the store keeps the only one — the
+  //    paper's RSA_memory_align discipline.
+  keystore::Keystore ks({.pool_keys = 1});
+  const auto id = ks.add_pem(careless_pem);
+  if (!id) {
+    std::printf("add_pem refused the PEM\n");
+    return 1;
+  }
+  secure::secure_zero(std::as_writable_bytes(std::span(careless_pem)));
+  key.scrub_private_parts();
+  const bool scrubbed = util::all_zero(util::as_bytes(careless_pem));
+  std::printf("sealed as key id %llu, master key mlocked=%s, PEM source scrubbed=%s\n",
+              static_cast<unsigned long long>(*id),
+              ks.master_locked() ? "yes" : "no (RLIMIT_MEMLOCK)", scrubbed ? "yes" : "NO");
 
-  // 4. Use the key without copying it out: scoped access hands the raw
-  //    bytes to the closure; nothing escapes.
-  bn::Bignum signature;
+  // 4. Sign through the store. The key is unsealed into the pool's locked
+  //    working copy and the CRT math runs in a locked arena; nothing
+  //    private reaches an ordinary allocation.
   const bn::Bignum message(0x48656c6c6fULL);  // "Hello"
-  vault.with_key(id, [&](std::span<const std::byte> pem_bytes) {
-    const std::string text(reinterpret_cast<const char*>(pem_bytes.data()),
-                           pem_bytes.size());
-    const auto parsed = crypto::pem_decode_private_key(text);
-    if (!parsed) return;
-    signature = parsed->decrypt_crt(message);  // raw RSA signature
-    // `parsed` (stack copy) dies here; in production keep the parsed key
-    // itself in SecureBuffers — see keyguard::secure::SecureBytes.
-  });
+  const bn::Bignum signature = ks.sign(*id, message);
+  std::printf("pooled working copies after sign: %zu of %zu\n", ks.pooled_count(),
+              ks.pool_keys());
 
   // 5. Verify with the public half.
-  const bool ok = key.public_key().encrypt_raw(signature) == message;
+  const bool ok = ks.public_key(*id).encrypt_raw(signature) == message;
   std::printf("signed demo message, verification: %s\n", ok ? "OK" : "FAILED");
 
-  // 6. Session secrets belong in scrub-on-free containers.
-  secure::SecureBytes session_key(32, std::byte{0x42});
-  std::printf("session key in SecureBytes (%zu bytes) — zeroed on destruction\n",
-              session_key.size());
-
-  vault.erase(id);  // scrub + release
-  std::printf("\nvault drained; no key bytes remain in our allocations.\n");
-  return ok ? 0 : 1;
+  ks.evict_all();  // scrub the working copy; the sealed blob stays
+  std::printf("\npool drained; no key bytes remain in our allocations.\n");
+  return ok && scrubbed ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "core/secure_zero.hpp"
 #include "util/bytes.hpp"
 #include "util/encoding.hpp"
 
@@ -117,9 +118,13 @@ std::optional<RsaPrivateKey> pem_decode_private_key(std::string_view pem) {
   const auto end = pem.find(kPemFooter, body_start);
   if (end == std::string_view::npos) return std::nullopt;
   const auto body = pem.substr(body_start, end - body_start);
-  const auto der = util::base64_decode(body);
+  auto der = util::base64_decode(body);
   if (!der) return std::nullopt;
-  return der_decode_private_key(*der);
+  auto key = der_decode_private_key(*der);
+  // The DER holds every private part big-endian: wiped before it is
+  // freed, whether the walk accepted it or not.
+  secure::secure_zero(*der);
+  return key;
 }
 
 }  // namespace keyguard::crypto

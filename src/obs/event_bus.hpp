@@ -4,11 +4,11 @@
 // to keep a shadow map exact — but several state changes that decide
 // whether an invariant holds move no bytes at all: a frame returning to
 // the free lists, an mlock flip, a dedup merge raising a share count, a
-// coprocessor refusing service. The kernel's single-slot observers
-// (CowObserver, FrameFreeObserver) are already taken by the DedupEngine,
-// so those remaining signals cross here: low layers publish typed,
-// NUMERIC-ONLY events; high layers (obs::AlertEngine, obs::FlightRecorder
-// in keyguard_obs_alert) subscribe.
+// coprocessor refusing service. The kernel has no observer slots: the
+// one piece of state a layer above used to need hooks for, dedup's
+// merged-frame marks, lives in its page allocator. So these signals cross
+// here: low layers publish typed, NUMERIC-ONLY events; high layers
+// (obs::AlertEngine, obs::FlightRecorder in keyguard_obs_alert) subscribe.
 //
 // Numeric-only payloads are a redaction property, not a convenience: an
 // event carries frame numbers, slot indices, byte counts and ids — never

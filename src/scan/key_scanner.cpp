@@ -217,28 +217,21 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
                                              std::size_t min_prefix_bytes,
                                              ScanStats* stats) const {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto needle_views = patterns_.needles();
-  // Reach covers the longest needle that can actually match (prefix mode
-  // skips needles shorter than the minimum, exactly as the matcher does).
-  std::size_t max_len = 0;
-  std::size_t active = 0;
-  for (const auto n : needle_views) {
-    if (n.empty()) continue;
-    if (min_prefix_bytes > 0 && n.size() < min_prefix_bytes) continue;
-    ++active;
-    max_len = std::max(max_len, n.size());
-  }
-  const std::size_t reach = max_len > 0 ? max_len - 1 : 0;
-  stream.rewind(reach);
+  // One matcher serves every window. Its reach covers the longest needle
+  // that can match (prefix mode skips needles shorter than the minimum),
+  // and that is every window's seam.
+  const MultiMatcher mm(patterns_.needles(), min_prefix_bytes);
+  stream.rewind(mm.reach());
   std::vector<RawMatch> all;
   std::size_t windows = 0;
   std::size_t payload_total = 0;
-  SimdKind used = SimdKind::kNone;
   while (auto w = stream.next()) {
+    // The payload is the one run; the bytes past it are the seam view into
+    // the next window, read only to finish a match that starts inside.
     ScanStats ws;
-    auto raw = sharded_scan_window(w->bytes, w->payload, needle_views,
-                                   effective_shards(), min_prefix_bytes,
-                                   stats != nullptr ? &ws : nullptr);
+    const ByteRun payload{0, w->payload};
+    auto raw = sharded_scan_runs(w->bytes, w->payload, {&payload, 1}, mm,
+                                 effective_shards(), stats != nullptr ? &ws : nullptr);
     // Windows ascend and each window's hits are (offset, pattern)-sorted,
     // so rebasing to file offsets keeps the concatenation globally sorted
     // — the one-shot scan's order.
@@ -246,7 +239,6 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
     if (stats != nullptr) {
       stats->shards.push_back(
           {windows, w->offset, w->payload, raw.size(), ws.wall_millis});
-      used = ws.simd_kind;  // per-window stats carry the density fallback
     }
     all.insert(all.end(), raw.begin(), raw.end());
     payload_total += w->payload;
@@ -257,9 +249,9 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
     stats->bytes_read = payload_total;
     stats->match_count = all.size();
     stats->shard_count = windows;
-    stats->overlap_bytes = reach;
-    stats->pattern_count = active;
-    stats->simd_kind = used;
+    stats->overlap_bytes = mm.reach();
+    stats->pattern_count = mm.active_needles();
+    stats->simd_kind = mm.simd_kind();
     stats->bytes_streamed = stream.size();
     stats->incremental = false;
     stats->dirty_frames = 0;

@@ -131,20 +131,9 @@ std::vector<RawMatch> sharded_scan(std::span<const std::byte> buffer,
                                    std::size_t requested_shards,
                                    std::size_t min_prefix_bytes,
                                    ScanStats* stats) {
-  return sharded_scan_window(buffer, buffer.size(), needles, requested_shards,
-                             min_prefix_bytes, stats);
-}
-
-std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
-                                          std::size_t payload_bytes,
-                                          std::span<const std::span<const std::byte>> needles,
-                                          std::size_t requested_shards,
-                                          std::size_t min_prefix_bytes,
-                                          ScanStats* stats) {
-  const std::size_t payload = std::min(payload_bytes, buffer.size());
   const MultiMatcher mm(needles, min_prefix_bytes);
-  const ByteRun all{0, payload};
-  return sharded_scan_runs(buffer, payload, {&all, 1}, mm, requested_shards, stats);
+  const ByteRun all{0, buffer.size()};
+  return sharded_scan_runs(buffer, buffer.size(), {&all, 1}, mm, requested_shards, stats);
 }
 
 std::vector<RawMatch> sharded_scan_runs(std::span<const std::byte> buffer,

@@ -200,7 +200,8 @@ ShardPlan plan_shards(std::size_t total_bytes, std::size_t max_needle_len,
 /// caller, a true serial walk and the timing oracle the benches compare
 /// against; more pieces are claimed one at a time from the pool's shared
 /// counter, so one match-dense piece never bounds wall time. A payload
-/// under kMinPoolBytes runs its pieces on the caller.
+/// under kMinPoolBytes runs its pieces on the caller. This is
+/// sharded_scan_runs over the one run [0, buffer.size()).
 std::vector<RawMatch> sharded_scan(std::span<const std::byte> buffer,
                                    std::span<const std::span<const std::byte>> needles,
                                    std::size_t requested_shards,
@@ -218,29 +219,17 @@ std::vector<RawMatch> sharded_scan(std::span<const std::byte> buffer,
 /// per piece, bytes_read = the window payloads, bytes_scanned =
 /// `covered_bytes` (the extent the runs stand for). wall_millis times the
 /// walk and merge; the caller's matcher compile is outside it.
+///
+/// A capture-stream window is the one run [0, payload) of a buffer whose
+/// bytes past the payload view the NEXT window: a match that starts in
+/// the payload and crosses the boundary is found whole, the same rule a
+/// piece seam follows, so concatenated window results equal a one-shot
+/// scan of the stream (KeyScanner::stream_raw, tests/scan_stream_test.cpp).
 std::vector<RawMatch> sharded_scan_runs(std::span<const std::byte> buffer,
                                         std::size_t covered_bytes,
                                         std::span<const ByteRun> runs,
                                         const MultiMatcher& mm,
                                         std::size_t requested_shards,
                                         ScanStats* stats = nullptr);
-
-/// sharded_scan over a window of a larger stream: only the first
-/// `payload_bytes` of `buffer` are payload (shards are planned over them
-/// and every reported first byte lies inside them); the bytes past the
-/// payload are the seam-overlap view into the NEXT window, scanned so a
-/// match that starts in this payload and continues across the boundary is
-/// still found whole — the same rule a shard seam follows, which is what
-/// makes concatenated window results bit-identical to a one-shot scan of
-/// the stream (tests/scan_stream_test.cpp). Offsets are buffer-local; the
-/// caller rebases them. payload_bytes is clamped to buffer.size(), and
-/// sharded_scan is exactly this call with payload_bytes == buffer.size().
-/// Both are sharded_scan_runs over the one run [0, payload).
-std::vector<RawMatch> sharded_scan_window(std::span<const std::byte> buffer,
-                                          std::size_t payload_bytes,
-                                          std::span<const std::span<const std::byte>> needles,
-                                          std::size_t requested_shards,
-                                          std::size_t min_prefix_bytes = 0,
-                                          ScanStats* stats = nullptr);
 
 }  // namespace keyguard::scan

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
@@ -42,15 +43,7 @@ bool page_zero(std::span<const std::byte> page) {
 }  // namespace
 
 DedupEngine::DedupEngine(Kernel& kernel, DedupConfig cfg)
-    : kernel_(kernel), cfg_(cfg), merged_(kernel.allocator().page_count(), 0) {
-  kernel_.set_cow_observer(this);
-  kernel_.allocator().set_free_observer(this);
-}
-
-DedupEngine::~DedupEngine() {
-  kernel_.set_cow_observer(nullptr);
-  kernel_.allocator().set_free_observer(nullptr);
-}
+    : kernel_(kernel), cfg_(cfg), unmerges_at_start_(kernel.unmerge_count()) {}
 
 void DedupEngine::set_secret_predicate(std::function<bool(FrameNumber)> pred) {
   secret_ = std::move(pred);
@@ -172,7 +165,6 @@ std::size_t DedupEngine::scan() {
             kernel_.set_page_cow(*cands[ci].proc, cands[ci].vaddr);
           }
         }
-        merged_[canon_frame] = 1;
       }
     }
   }
@@ -190,7 +182,7 @@ std::size_t DedupEngine::scan() {
 
 std::size_t DedupEngine::shared_frame_count() const {
   std::size_t n = 0;
-  for (FrameNumber f = 0; f < merged_.size(); ++f) {
+  for (FrameNumber f = 0; f < kernel_.allocator().page_count(); ++f) {
     n += is_merged_frame(f) ? 1 : 0;
   }
   return n;
@@ -202,33 +194,25 @@ std::size_t DedupEngine::saved_pages() const {
   // way they would have shared the unmerged originals, so the figure is a
   // slight over-count under heavy post-merge forking — documented, and
   // the benches read it right after a scan where it is exact.
+  const PageAllocator& alloc = kernel_.allocator();
   std::size_t n = 0;
-  for (FrameNumber f = 0; f < merged_.size(); ++f) {
-    if (merged_[f] == 0) continue;
-    const auto refs = kernel_.allocator().refcount(f);
+  for (FrameNumber f = 0; f < alloc.page_count(); ++f) {
+    if (!alloc.merged(f)) continue;
+    const auto refs = alloc.refcount(f);
     if (refs > 1) n += refs - 1;
   }
   return n;
 }
 
 bool DedupEngine::is_merged_frame(FrameNumber frame) const {
-  return frame < merged_.size() && merged_[frame] != 0 &&
-         kernel_.allocator().refcount(frame) > 1;
+  const PageAllocator& alloc = kernel_.allocator();
+  return frame < alloc.page_count() && alloc.merged(frame) && alloc.refcount(frame) > 1;
 }
 
-void DedupEngine::on_cow_break(FrameNumber shared, FrameNumber fresh) {
-  (void)fresh;
-  if (shared >= merged_.size() || merged_[shared] == 0) return;
-  // A write fault split a merged page back out — the unmerge the attack's
-  // stopwatch observes. Fired pre-unref, so refcount 2 means this break
-  // leaves a sole mapper: the frame stops being "merged" then.
-  ++stats_.unmerges;
-  KEYGUARD_DEDUP_COUNT("kernel.dedup.unmerges", 1);
-  if (kernel_.allocator().refcount(shared) <= 2) merged_[shared] = 0;
-}
-
-void DedupEngine::on_frame_freed(FrameNumber frame) {
-  if (frame < merged_.size()) merged_[frame] = 0;
+DedupStats DedupEngine::stats() const noexcept {
+  DedupStats s = stats_;
+  s.unmerges = kernel_.unmerge_count() - unmerges_at_start_;
+  return s;
 }
 
 void DedupEngine::publish_metrics() {

@@ -19,11 +19,11 @@
 //            duplicate PTE is repointed (ref canonical, unref duplicate)
 //            and every mapping of the canonical frame is marked COW.
 //   unmerge  is the kernel's existing COW-break path — any write to a
-//            merged page copies it back out. The engine registers as the
-//            kernel's CowObserver to count merge-induced breaks
-//            separately from fork-induced ones, and as the allocator's
-//            FrameFreeObserver so its merged-frame marks can never go
-//            stale across frame reuse.
+//            merged page copies it back out. The kernel marks each
+//            canonical frame merged in its page allocator, counts a break
+//            on a marked frame as an unmerge (apart from fork-induced
+//            breaks) and drops the mark when the frame is freed, so the
+//            engine keeps no per-frame state of its own.
 //
 // Two behaviors are deliberate, and load-bearing for the experiments:
 //
@@ -51,7 +51,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/kernel.hpp"
 
@@ -82,10 +81,9 @@ struct DedupStats {
   std::uint64_t unmerges = 0;          ///< COW breaks on merged frames
 };
 
-class DedupEngine final : public CowObserver, public FrameFreeObserver {
+class DedupEngine {
  public:
   explicit DedupEngine(Kernel& kernel, DedupConfig cfg = {});
-  ~DedupEngine() override;
 
   DedupEngine(const DedupEngine&) = delete;
   DedupEngine& operator=(const DedupEngine&) = delete;
@@ -100,25 +98,20 @@ class DedupEngine final : public CowObserver, public FrameFreeObserver {
   /// "dedup.scan" tracer span and refreshes the kernel.dedup.* metrics.
   std::size_t scan();
 
-  /// Frames this engine merged that are still shared right now.
+  /// Merged frames that are still shared right now.
   std::size_t shared_frame_count() const;
 
   /// Pages of RAM currently saved by merging: for every live merged
   /// frame, mappings beyond the first are free wins.
   std::size_t saved_pages() const;
 
-  /// True when the engine merged `frame` and it is still shared.
+  /// True when `frame` was merged and is still shared.
   bool is_merged_frame(FrameNumber frame) const;
 
-  const DedupStats& stats() const noexcept { return stats_; }
+  /// Scan counters, plus the kernel's unmerge count (Kernel::unmerge_count)
+  /// since this engine was built.
+  DedupStats stats() const noexcept;
   const DedupConfig& config() const noexcept { return cfg_; }
-
-  // CowObserver: a write fault broke `shared` apart — if it was one of
-  // ours, that's an unmerge (the attack's timing signal firing).
-  void on_cow_break(FrameNumber shared, FrameNumber fresh) override;
-
-  // FrameFreeObserver: the frame left allocation entirely; forget it.
-  void on_frame_freed(FrameNumber frame) override;
 
  private:
   void publish_metrics();
@@ -126,8 +119,8 @@ class DedupEngine final : public CowObserver, public FrameFreeObserver {
   Kernel& kernel_;
   DedupConfig cfg_;
   std::function<bool(FrameNumber)> secret_;
-  std::vector<std::uint8_t> merged_;  ///< per-frame: merged by this engine
   DedupStats stats_;
+  std::uint64_t unmerges_at_start_;
 };
 
 }  // namespace keyguard::sim

@@ -296,7 +296,14 @@ FrameNumber Kernel::frame_for_write(Process& p, VirtAddr page_addr) {
         taint_->on_phys_copy(static_cast<std::size_t>(*fresh) * kPageSize,
                              static_cast<std::size_t>(pte.frame) * kPageSize, kPageSize);
       }
-      if (cow_obs_ != nullptr) cow_obs_->on_cow_break(pte.frame, *fresh);
+      if (alloc_.merged(pte.frame)) {
+        // A write split a merged page back out. Counted before the unref:
+        // a share count of 2 means this break leaves a sole mapper, and
+        // the frame stops being merged.
+        KEYGUARD_KERNEL_COUNT("kernel.dedup.unmerges");
+        ++unmerges_;
+        if (alloc_.refcount(pte.frame) <= 2) alloc_.clear_merged(pte.frame);
+      }
       if (auto& bus = obs::EventBus::global(); bus.enabled()) {
         bus.publish(obs::ObsEventKind::kCowBreak, pte.frame, *fresh);
       }
@@ -496,6 +503,7 @@ bool Kernel::merge_page(Process& p, VirtAddr vaddr, FrameNumber canonical) {
   pte.frame = canonical;
   pte.cow = true;
   alloc_.unref(dup, FreeKind::kHot);
+  alloc_.mark_merged(canonical);
   return true;
 }
 

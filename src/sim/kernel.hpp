@@ -71,18 +71,6 @@ inline constexpr std::uint64_t kWriteCostMinorNs = 120;
 inline constexpr std::uint64_t kWriteCostCowBreakNs = 3'200;
 inline constexpr std::uint64_t kWriteCostSwapInNs = 9'000;
 
-/// Observer for COW breaks (write faults on shared frames). The dedup
-/// engine registers one to tell merge-induced unmerges apart from
-/// fork-induced copies — the kernel itself cannot know which shared
-/// frames the engine created.
-class CowObserver {
- public:
-  virtual ~CowObserver() = default;
-  /// `shared` is the frame whose COW broke; `fresh` the private copy the
-  /// writer received. Fired after the copy, before the unref.
-  virtual void on_cow_break(FrameNumber shared, FrameNumber fresh) = 0;
-};
-
 class Kernel {
  public:
   explicit Kernel(KernelConfig cfg, std::uint64_t seed = 1);
@@ -247,22 +235,24 @@ class Kernel {
 
   /// Repoints `p`'s PTE at `vaddr` onto `canonical` (contents must already
   /// be byte-identical — sim::DedupEngine byte-verifies first), marking
-  /// the mapping COW. Refs canonical; unrefs (possibly frees, WITHOUT
-  /// moving bytes) the duplicate frame. False when the page is unmapped,
-  /// swapped, or already maps canonical.
+  /// the mapping COW and `canonical` merged (PageAllocator::merged). Refs
+  /// canonical; unrefs (possibly frees, WITHOUT moving bytes) the
+  /// duplicate frame. False when the page is unmapped, swapped, or already
+  /// maps canonical.
   bool merge_page(Process& p, VirtAddr vaddr, FrameNumber canonical);
 
   /// Marks an existing resident mapping COW without moving it — the
   /// canonical side of a merge must fault on its next write too.
   bool set_page_cow(Process& p, VirtAddr vaddr);
 
-  /// At most one COW observer; nullptr detaches.
-  void set_cow_observer(CowObserver* obs) noexcept { cow_obs_ = obs; }
-
   /// Cumulative COW breaks / swap-ins (the fault counters the timed write
   /// path snapshots; monotone for the life of the kernel).
   std::uint64_t cow_break_count() const noexcept { return cow_breaks_; }
   std::uint64_t swap_in_count() const noexcept { return swap_ins_; }
+  /// Cumulative COW breaks on merged frames: a merge undone by a write,
+  /// the event the dedup attack times (a fork-shared frame's break is not
+  /// one).
+  std::uint64_t unmerge_count() const noexcept { return unmerges_; }
 
   /// True when any live process maps the frame with mlock.
   bool frame_mlocked(FrameNumber frame) const;
@@ -295,8 +285,8 @@ class Kernel {
   std::optional<SwapDevice> swap_;
   std::uint64_t swap_secret_ = 0;
   TaintTracker* taint_ = nullptr;
-  CowObserver* cow_obs_ = nullptr;
   std::uint64_t cow_breaks_ = 0;
+  std::uint64_t unmerges_ = 0;
   std::uint64_t swap_ins_ = 0;
   std::vector<std::unique_ptr<Process>> procs_;
   Pid next_pid_ = 1;

@@ -11,7 +11,8 @@ PageAllocator::PageAllocator(PhysicalMemory& mem, PageAllocPolicy policy, util::
       policy_(policy),
       rng_(rng),
       states_(mem.page_count(), FrameState::kFree),
-      refcounts_(mem.page_count(), 0) {
+      refcounts_(mem.page_count(), 0),
+      merged_(mem.page_count(), 0) {
   // Fresh boot: every frame free, sitting in the buddy pool.
   pool_.reserve(mem.page_count());
   for (FrameNumber f = 0; f < mem.page_count(); ++f) pool_.push_back(f);
@@ -51,9 +52,9 @@ std::optional<FrameNumber> PageAllocator::alloc(FrameState state) {
 void PageAllocator::free(FrameNumber frame, FreeKind kind) {
   assert(frame < states_.size());
   assert(states_[frame] != FrameState::kFree && "double free");
-  if (free_obs_ != nullptr) free_obs_->on_frame_freed(frame);
   states_[frame] = FrameState::kFree;
   refcounts_[frame] = 0;
+  merged_[frame] = 0;
   if (policy_.zero_on_free) {
     mem_.clear_page(frame);
     ++stats_.pages_zeroed_on_free;

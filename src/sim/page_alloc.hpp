@@ -48,15 +48,6 @@ enum class FreeKind : std::uint8_t {
   kBulk,  // process-exit teardown: scatters into the buddy pool
 };
 
-/// Observer for frame release. The dedup engine registers one so its
-/// per-frame merge bookkeeping never goes stale when a frame it marked
-/// returns to the free lists and is later reused for something unrelated.
-class FrameFreeObserver {
- public:
-  virtual ~FrameFreeObserver() = default;
-  virtual void on_frame_freed(FrameNumber frame) = 0;
-};
-
 class PageAllocator {
  public:
   PageAllocator(PhysicalMemory& mem, PageAllocPolicy policy, util::Rng rng);
@@ -71,8 +62,9 @@ class PageAllocator {
   /// the disclosure channel. Returns nullopt when memory is exhausted.
   std::optional<FrameNumber> alloc(FrameState state);
 
-  /// Returns a frame to the free lists. With zero_on_free the page is
-  /// cleared first (the paper's patch); otherwise its content survives.
+  /// Returns a frame to the free lists and clears its merge mark. With
+  /// zero_on_free the page is cleared first (the paper's patch); otherwise
+  /// its content survives.
   void free(FrameNumber frame, FreeKind kind = FreeKind::kHot);
 
   // -- COW reference counts ------------------------------------------------
@@ -82,6 +74,14 @@ class PageAllocator {
   /// Returns the remaining count.
   std::uint32_t unref(FrameNumber frame, FreeKind kind = FreeKind::kBulk);
   std::uint32_t refcount(FrameNumber frame) const;
+
+  // -- dedup merge marks ---------------------------------------------------
+  /// Set by Kernel::merge_page on the canonical frame; cleared by free()
+  /// and by a COW break that leaves at most one mapper, so a mark never
+  /// outlives the merge or survives the frame's reuse.
+  void mark_merged(FrameNumber frame) { merged_[frame] = 1; }
+  void clear_merged(FrameNumber frame) { merged_[frame] = 0; }
+  bool merged(FrameNumber frame) const { return merged_[frame] != 0; }
 
   // -- inspection -----------------------------------------------------------
   FrameState state(FrameNumber frame) const;
@@ -107,20 +107,16 @@ class PageAllocator {
   void set_policy(PageAllocPolicy policy) noexcept { policy_ = policy; }
   const PageAllocPolicy& policy() const noexcept { return policy_; }
 
-  /// At most one observer; nullptr detaches. Fired on every free, before
-  /// the zero-on-free policy runs.
-  void set_free_observer(FrameFreeObserver* obs) noexcept { free_obs_ = obs; }
-
  private:
   PhysicalMemory& mem_;
   PageAllocPolicy policy_;
   util::Rng rng_;
   std::vector<FrameState> states_;
   std::vector<std::uint32_t> refcounts_;
+  std::vector<std::uint8_t> merged_;
   std::vector<FrameNumber> hot_;   // LIFO stack
   std::vector<FrameNumber> pool_;  // uniform-random draws (swap-remove)
   Stats stats_;
-  FrameFreeObserver* free_obs_ = nullptr;
 };
 
 }  // namespace keyguard::sim

@@ -15,7 +15,6 @@ const char* taint_tag_name(TaintTag t) noexcept {
     case TaintTag::kKeyIqmp: return "iqmp";
     case TaintTag::kMont: return "mont";
     case TaintTag::kCrt: return "crt";
-    case TaintTag::kVault: return "vault";
     case TaintTag::kSealed: return "sealed";
     case TaintTag::kPoolKey: return "pool";
     case TaintTag::kMasterKey: return "master";

@@ -52,7 +52,6 @@ enum class TaintTag : std::uint8_t {
   kKeyIqmp,  ///< limb image of q^-1 mod p
   kMont,     ///< BN_MONT_CTX contents (modulus copy, R^2)
   kCrt,      ///< CRT intermediates (m1, m2)
-  kVault,    ///< vault/custody page material (KeyVault-style storage)
 
   // Multi-tenant keystore (src/keystore). kSealed is CIPHERTEXT — key
   // material encrypted under the master key. It is tracked so audits can
@@ -60,10 +59,10 @@ enum class TaintTag : std::uint8_t {
   // auditor's bounded_locked_pages_only predicate excludes it.
   kSealed,     ///< sealed key blob (master-key-encrypted DER, safe at rest)
   kPoolKey,    ///< plaintext key material materialized into a pool page
-  kMasterKey,  ///< the keystore master key (pinned like the vault page)
+  kMasterKey,  ///< the keystore master key (pinned on one mlocked page)
 };
 
-inline constexpr std::size_t kTaintTagCount = 15;
+inline constexpr std::size_t kTaintTagCount = 14;
 
 const char* taint_tag_name(TaintTag t) noexcept;
 

@@ -3,6 +3,8 @@
 #include <array>
 #include <cctype>
 
+#include "core/secure_zero.hpp"
+
 namespace keyguard::util {
 namespace {
 
@@ -84,8 +86,16 @@ std::string base64_encode(std::span<const std::byte> data) {
 }
 
 std::optional<std::vector<std::byte>> base64_decode(std::string_view text) {
+  // Sized once for the most n characters can decode to (3n/4, rounded
+  // up: an unpadded body need not be whole quads), so growth never frees
+  // a partial decode; a refusal wipes what it decoded (the text may be a
+  // private key's PEM body).
   std::vector<std::byte> out;
-  out.reserve(text.size() / 4 * 3);
+  out.reserve((text.size() * 3 + 3) / 4);
+  const auto refuse = [&out]() -> std::optional<std::vector<std::byte>> {
+    secure::secure_zero(out);
+    return std::nullopt;
+  };
   unsigned acc = 0;
   int bits = 0;
   int pad = 0;
@@ -95,9 +105,9 @@ std::optional<std::vector<std::byte>> base64_decode(std::string_view text) {
       ++pad;
       continue;
     }
-    if (pad > 0) return std::nullopt;  // data after padding
+    if (pad > 0) return refuse();  // data after padding
     const int v = b64_value(c);
-    if (v < 0) return std::nullopt;
+    if (v < 0) return refuse();
     acc = (acc << 6) | static_cast<unsigned>(v);
     bits += 6;
     if (bits >= 8) {
@@ -105,7 +115,7 @@ std::optional<std::vector<std::byte>> base64_decode(std::string_view text) {
       out.push_back(static_cast<std::byte>((acc >> bits) & 0xFF));
     }
   }
-  if (pad > 2) return std::nullopt;
+  if (pad > 2) return refuse();
   return out;
 }
 

@@ -26,7 +26,7 @@ std::string base64_encode(std::span<const std::byte> data);
 
 /// Decodes base64; whitespace (including newlines, as found inside PEM
 /// bodies) is skipped. Returns nullopt on any other invalid character or
-/// bad padding.
+/// bad padding, after zeroing the bytes decoded so far.
 std::optional<std::vector<std::byte>> base64_decode(std::string_view text);
 
 /// Wraps text at `width` columns with '\n' (PEM bodies use width 64).

@@ -307,7 +307,7 @@ TEST(TaintAuditor, SingleLockedPageInvariant) {
   auto& p = k.spawn("sshd");
   const VirtAddr vault = k.mmap_anon(p, kPageSize, /*mlocked=*/true, "rsa_aligned");
   const auto parts = util::to_bytes(std::string(192, 'd'));
-  k.mem_write(p, vault, parts, TaintTag::kVault);
+  k.mem_write(p, vault, parts, TaintTag::kKeyD);
 
   TaintAuditor auditor(map);
   auto report = auditor.audit(k);
@@ -328,11 +328,11 @@ TEST(TaintAuditor, FormatMentionsInvariantAndTags) {
   k.attach_taint(&map);
   auto& p = k.spawn("p");
   const VirtAddr a = k.mmap_anon(p, kPageSize, true, "rsa_aligned");
-  k.mem_write(p, a, util::to_bytes("secret"), TaintTag::kVault);
+  k.mem_write(p, a, util::to_bytes("secret"), TaintTag::kPem);
 
   const auto text = TaintAuditor::format(TaintAuditor(map).audit(k));
   EXPECT_NE(text.find("single-locked-page invariant: HOLDS"), std::string::npos);
-  EXPECT_NE(text.find("vault=6"), std::string::npos);
+  EXPECT_NE(text.find("PEM=6"), std::string::npos);
   k.attach_taint(nullptr);
 }
 

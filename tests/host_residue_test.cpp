@@ -7,8 +7,8 @@
 // images (what the paper's scanner looks for) and byte-reversed (the
 // big-endian form a DER encoding holds). A freed block that still holds
 // one is residue the allocator can hand to anyone. SecureRsaKey custody,
-// key ingest (add_key) and Keystore and EncryptedHostKeystore signs at
-// 1024 bits must leave none.
+// key ingest (add_key, and add_pem whether it accepts or refuses) and
+// Keystore and EncryptedHostKeystore signs at 1024 bits must leave none.
 //
 // The stack probe runs private ops on a thread whose stack is a zeroed
 // mapping the test owns, then searches the whole mapping after join for
@@ -37,11 +37,13 @@
 #include "bignum/prime.hpp"
 #include "core/secure_buffer.hpp"
 #include "core/secure_rsa.hpp"
+#include "core/secure_zero.hpp"
 #include "crypto/pem.hpp"
 #include "keystore/encrypted_keystore_host.hpp"
 #include "keystore/keystore.hpp"
 #include "keystore/sealed_blob.hpp"
 #include "sim/coprocessor.hpp"
+#include "util/encoding.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -244,6 +246,65 @@ TEST_F(HostResidue, EncryptedHostKeystoreAddKeyLeavesNoFreedPrivateBytes) {
   const auto sig = ks.sign(*b, m);
   ASSERT_TRUE(sig.has_value());
   EXPECT_EQ(keys()[1].public_key().encrypt_raw(*sig), m);
+}
+
+std::string armored(std::span<const std::byte> der) {
+  return std::string(crypto::kPemHeader) + "\n" +
+         util::wrap_lines(util::base64_encode(der), 64) + std::string(crypto::kPemFooter) +
+         "\n";
+}
+
+// Ingests four PEM texts of keys()[0] under the probe and returns the id
+// of the one it accepts, the whole key. The store refuses the other
+// three after base64 has decoded private parts:
+//  - the DER cut to 60% (d, p and part of q decode before the TLV walk
+//    refuses it);
+//  - the whole body with an invalid character at 60% (the decoder stops
+//    with d and p decoded);
+//  - the DER padded with junk to 1 mod 3 bytes, on one line with the
+//    base64 padding stripped (the body is 2 mod 4 characters long, so a
+//    decode reserved in whole quads would outgrow its buffer at the last
+//    byte; the TLV walk then refuses the junk).
+template <class Store>
+keystore::KeyId add_pems_under_probe(Store& ks) {
+  auto der = crypto::der_encode_private_key(keys()[0]);
+  const std::string whole = armored(der);
+  std::string corrupt = whole;
+  corrupt[corrupt.size() * 6 / 10] = '!';
+  std::vector<std::byte> junk(der.size() + 1 + (3 - der.size() % 3) % 3, std::byte{0});
+  std::copy(der.begin(), der.end(), junk.begin());
+  std::string body = util::base64_encode(junk);
+  body.erase(body.find('='));
+  const std::string refused[] = {
+      armored(std::span(der).first(der.size() * 6 / 10)), corrupt,
+      std::string(crypto::kPemHeader) + body + std::string(crypto::kPemFooter)};
+  secure::secure_zero(der);
+  secure::secure_zero(junk);
+  std::optional<keystore::KeyId> id;
+  {
+    Probe probe;
+    id = ks.add_pem(whole);
+    for (const std::string& pem : refused) EXPECT_FALSE(ks.add_pem(pem).has_value());
+    EXPECT_EQ(probe.tainted(), 0) << "over " << probe.frees() << " frees";
+  }
+  return id.value();
+}
+
+TEST_F(HostResidue, KeystoreAddPemLeavesNoFreedPrivateBytes) {
+  keystore::Keystore ks({.pool_keys = 1});
+  const auto id = add_pems_under_probe(ks);
+  const Bignum m(0x5eed);
+  EXPECT_EQ(keys()[0].public_key().encrypt_raw(ks.sign(id, m)), m);
+}
+
+TEST_F(HostResidue, EncryptedHostKeystoreAddPemLeavesNoFreedPrivateBytes) {
+  sim::CoprocessorDomain domain(0x5d);
+  keystore::EncryptedHostKeystore ks(domain, {.working_set = 1});
+  const auto id = add_pems_under_probe(ks);
+  const Bignum m(0x5eed);
+  const auto sig = ks.sign(id, m);
+  ASSERT_TRUE(sig.has_value());
+  EXPECT_EQ(keys()[0].public_key().encrypt_raw(*sig), m);
 }
 
 TEST_F(HostResidue, SecureRsaKeyDecryptsLeaveNoFreedPrivateLimbs) {

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "core/key_vault.hpp"
-#include "core/secure_allocator.hpp"
 #include "core/secure_buffer.hpp"
 #include "core/secure_zero.hpp"
 #include "util/bytes.hpp"
@@ -153,92 +151,6 @@ TEST(SecureBuffer, ZeroSizeWorks) {
   SecureBuffer buf(0);
   EXPECT_TRUE(buf.empty());
   EXPECT_TRUE(buf.canary_intact());
-}
-
-TEST(SecureAllocator, VectorRoundTrip) {
-  SecureBytes v;
-  for (int i = 0; i < 1000; ++i) v.push_back(std::byte{0x42});
-  EXPECT_EQ(v.size(), 1000u);
-  EXPECT_EQ(v[999], std::byte{0x42});
-}
-
-TEST(SecureAllocator, StringRoundTrip) {
-  SecureString s = "a moderately long secret passphrase exceeding SSO";
-  EXPECT_GT(s.size(), 40u);  // long enough to defeat SSO
-  s += " and more";
-  EXPECT_NE(s.find("more"), SecureString::npos);
-}
-
-TEST(SecureAllocator, EqualityForRebinding) {
-  SecureAllocator<std::byte> a;
-  SecureAllocator<int> b;
-  EXPECT_TRUE(a == b);
-}
-
-TEST(KeyVault, StoreAndView) {
-  KeyVault vault;
-  const auto material = util::to_bytes("rsa-private-key-material");
-  const KeyId id = vault.store(material);
-  EXPECT_TRUE(vault.contains(id));
-  EXPECT_EQ(vault.size(), 1u);
-  const auto view = vault.view(id);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_TRUE(std::equal(view->begin(), view->end(), material.begin()));
-}
-
-TEST(KeyVault, StoreAndScrubWipesSource) {
-  KeyVault vault;
-  auto material = util::to_bytes("wipe-after-store");
-  const KeyId id = vault.store_and_scrub(material);
-  EXPECT_TRUE(util::all_zero(material));  // source gone
-  const auto view = vault.view(id);
-  ASSERT_TRUE(view);
-  EXPECT_EQ((*view)[0], std::byte{'w'});  // vault copy intact
-}
-
-TEST(KeyVault, WithKeyScopedAccess) {
-  KeyVault vault;
-  const KeyId id = vault.store(util::to_bytes("scoped"));
-  bool ran = false;
-  EXPECT_TRUE(vault.with_key(id, [&](std::span<const std::byte> key) {
-    ran = true;
-    EXPECT_EQ(key.size(), 6u);
-  }));
-  EXPECT_TRUE(ran);
-  EXPECT_FALSE(vault.with_key(9999, [](auto) {}));
-}
-
-TEST(KeyVault, EraseRemoves) {
-  KeyVault vault;
-  const KeyId id = vault.store(util::to_bytes("gone"));
-  vault.erase(id);
-  EXPECT_FALSE(vault.contains(id));
-  EXPECT_FALSE(vault.view(id).has_value());
-  EXPECT_EQ(vault.size(), 0u);
-}
-
-TEST(KeyVault, ClearRemovesAll) {
-  KeyVault vault;
-  vault.store(util::to_bytes("a"));
-  vault.store(util::to_bytes("b"));
-  vault.clear();
-  EXPECT_EQ(vault.size(), 0u);
-}
-
-TEST(KeyVault, DistinctIdsForDistinctKeys) {
-  KeyVault vault;
-  const KeyId a = vault.store(util::to_bytes("one"));
-  const KeyId b = vault.store(util::to_bytes("two"));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(vault.view(a)->size(), 3u);
-}
-
-TEST(KeyVault, LockedQueryDoesNotCrash) {
-  KeyVault vault;
-  const KeyId id = vault.store(util::to_bytes("k"));
-  // mlock may fail under RLIMIT_MEMLOCK in containers; either answer is valid.
-  (void)vault.locked(id);
-  EXPECT_FALSE(vault.locked(424242));
 }
 
 }  // namespace
