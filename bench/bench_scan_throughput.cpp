@@ -316,9 +316,16 @@ int main(int argc, char** argv) {
   const auto needles = scanner.patterns().needles();
   // The dense engine walk of all of RAM: what scan_kernel did before it
   // read only the written frames, and the reference its speed is held to.
+  // It walks a resident copy of the same bytes. Simulated RAM is committed
+  // lazily, so a walk of its unwritten frames reads the host's one shared
+  // zero page from cache, not the memory a dense walk of a real machine
+  // reads. The copy is a snapshot: its match list is checked against the
+  // kernel sweep taken at the same moment, and after it only its timing is
+  // used (the incremental phase's identity checks use fresh kernel sweeps).
+  const std::vector<std::byte> resident(memory.all().begin(), memory.all().end());
   const auto dense_ms = [&](std::size_t shards, std::vector<scan::RawMatch>* out) {
     scan::ScanStats stats;
-    auto raw = scan::sharded_scan(memory.all(), needles, shards, 0, &stats);
+    auto raw = scan::sharded_scan(resident, needles, shards, 0, &stats);
     if (out != nullptr) *out = std::move(raw);
     return stats.wall_millis;
   };

@@ -192,7 +192,7 @@ std::size_t part_bytes(const scan::KeyPatterns& patterns, const std::string& par
 
 void print_text(const scan::KeyPatterns& patterns,
                 const std::vector<scan::MemoryMatch>& matches,
-                const scan::ScanStats& stats) {
+                const scan::ScanStats& stats, const sim::PhysicalMemory& memory) {
   std::printf("Request recieved\n");  // the LKM's greeting, typo and all
   for (const auto& m : matches) {
     std::printf(
@@ -214,13 +214,18 @@ void print_text(const scan::KeyPatterns& patterns,
   std::printf("\n%zu matches total: %zu allocated, %zu unallocated\n",
               census.total(), census.allocated, census.unallocated);
   std::printf("scan: %s\n", stats.summary().c_str());
+  // Simulated RAM is committed lazily: only written frames cost memory.
+  std::printf("memory: %zu of %zu frames written (%.2f of %.1f MB resident at most)\n",
+              memory.written_frames(), memory.page_count(),
+              static_cast<double>(memory.written_frames() * sim::kPageSize) / (1 << 20),
+              static_cast<double>(memory.size_bytes()) / (1 << 20));
 }
 
 void write_json(util::JsonWriter& w, const scan::KeyPatterns& patterns,
                 const std::string& which, const std::string& backend,
                 int connections, const std::string& level_name,
                 const std::vector<scan::MemoryMatch>& matches,
-                const scan::ScanStats& stats,
+                const scan::ScanStats& stats, const sim::PhysicalMemory& memory,
                 const analysis::AuditReport* report,
                 const analysis::CrossCheck* cross,
                 const sim::DedupEngine* dedup, bool metrics) {
@@ -266,6 +271,11 @@ void write_json(util::JsonWriter& w, const scan::KeyPatterns& patterns,
 
   w.key("scan");
   stats.write_json(w);
+  w.key("memory")
+      .begin_object()
+      .field("frames", static_cast<std::uint64_t>(memory.page_count()))
+      .field("written_frames", static_cast<std::uint64_t>(memory.written_frames()))
+      .end_object();
 
   if (report) {
     w.key("taint").begin_object();
@@ -684,7 +694,8 @@ int main(int argc, char** argv) {
     util::JsonWriter w;
     write_json(w, scanner.patterns(), which,
                sni ? backend_name : std::string("n/a"), connections,
-               level_name, matches, stats, auditor ? &report : nullptr,
+               level_name, matches, stats, s.kernel().memory(),
+               auditor ? &report : nullptr,
                auditor ? &cross : nullptr, dedup.get(), metrics);
     if (json_path.empty()) {
       std::printf("%s\n", w.str().c_str());
@@ -693,7 +704,7 @@ int main(int argc, char** argv) {
     }
   } else {
     std::printf("%s\n", obs::build_info::one_line().c_str());
-    print_text(scanner.patterns(), matches, stats);
+    print_text(scanner.patterns(), matches, stats, s.kernel().memory());
     if (auditor) {
       std::printf("\n%s", analysis::TaintAuditor::format(report).c_str());
       std::printf(

@@ -1,6 +1,7 @@
 #include "analysis/taint_map.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace keyguard::analysis {
 
@@ -23,7 +24,7 @@ void count_secret(PageSecrets& page, sim::TaintTag t, int sign) noexcept {
 ShadowTaintMap::Shadow::Shadow(std::size_t bytes,
                                std::array<std::size_t, sim::kTaintTagCount>& by_tag_,
                                std::size_t& total_)
-    : tags(bytes, sim::TaintTag::kClean),
+    : tags(bytes),
       pages((bytes + sim::kPageSize - 1) / sim::kPageSize),
       by_tag(by_tag_),
       total(total_) {}
@@ -53,9 +54,12 @@ void ShadowTaintMap::Shadow::set_range(std::size_t off, std::size_t len,
 
 void ShadowTaintMap::Shadow::copy_range(std::size_t dst, const sim::TaintTag* src,
                                         std::size_t len) {
-  const std::size_t end = std::min(dst + len, tags.size());
-  for (std::size_t i = std::min(dst, tags.size()); i < end; ++i) {
-    retag(i, src[i - dst]);
+  if (dst >= tags.size()) return;
+  const std::size_t n = std::min(len, tags.size() - dst);
+  if (std::less<>()(tags.data() + dst, src)) {
+    for (std::size_t k = 0; k < n; ++k) retag(dst + k, src[k]);
+  } else {
+    for (std::size_t k = n; k-- > 0;) retag(dst + k, src[k]);
   }
 }
 
@@ -88,17 +92,16 @@ void ShadowTaintMap::on_phys_store(std::size_t off, std::size_t len,
 void ShadowTaintMap::on_phys_copy(std::size_t dst, std::size_t src, std::size_t len) {
   ++epoch_;
   ++stats_.copies;
-  // Snapshot the source shadow first: physical copies (COW break, realloc
-  // move) never overlap, but the snapshot makes this safe regardless.
-  const std::size_t src_end = std::min(src + len, phys_.tags.size());
-  std::vector<sim::TaintTag> tags(phys_.tags.begin() + std::min(src, phys_.tags.size()),
-                                  phys_.tags.begin() + src_end);
-  tags.resize(len, sim::TaintTag::kClean);
-  phys_.copy_range(dst, tags.data(), len);
-  if (std::any_of(tags.begin(), tags.end(),
-                  [](sim::TaintTag t) { return t != sim::TaintTag::kClean; })) {
-    note_frame_taint(dst, len);
-  }
+  // The source is tested before the copy, which overwrites it where the
+  // ranges overlap. Source bytes past the end of RAM read as clean.
+  const std::size_t lo = std::min(src, phys_.tags.size());
+  const std::size_t avail = std::min(len, phys_.tags.size() - lo);
+  const sim::TaintTag* from = phys_.tags.data() + lo;
+  const bool tainted = std::any_of(
+      from, from + avail, [](sim::TaintTag t) { return t != sim::TaintTag::kClean; });
+  phys_.copy_range(dst, from, avail);
+  phys_.set_range(dst + avail, len - avail, sim::TaintTag::kClean);
+  if (tainted) note_frame_taint(dst, len);
 }
 
 void ShadowTaintMap::on_phys_clear(std::size_t off, std::size_t len) {

@@ -21,6 +21,12 @@
 // as obs::AlertEngine answer "which frames hold plaintext key material"
 // in O(frames) without a second per-byte array.
 //
+// The per-byte tags are as large as the devices they shadow, so they boot
+// clean the way RAM and swap boot zero: lazily committed (kClean is 0,
+// util::ZeroedArray). Retagging writes only a tag that changes, so the
+// shadow commits memory only where taint has been, and a map over a
+// machine without swap holds a 0-slot swap shadow that maps nothing.
+//
 // The map is a passive sim::TaintTracker: attach it with
 // Kernel::attach_taint BEFORE the workload so no key flow predates the
 // shadow. It never mutates the machine, draws no randomness, and keeps
@@ -35,6 +41,7 @@
 
 #include "sim/kernel.hpp"
 #include "sim/taint.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace keyguard::analysis {
 
@@ -137,8 +144,8 @@ class ShadowTaintMap final : public sim::TaintTracker {
   sim::TaintTag swap_tag(std::uint32_t slot, std::size_t off) const {
     return swap_.tags[static_cast<std::size_t>(slot) * sim::kPageSize + off];
   }
-  std::span<const sim::TaintTag> phys_shadow() const noexcept { return phys_.tags; }
-  std::span<const sim::TaintTag> swap_shadow() const noexcept { return swap_.tags; }
+  std::span<const sim::TaintTag> phys_shadow() const noexcept { return phys_.tags.span(); }
+  std::span<const sim::TaintTag> swap_shadow() const noexcept { return swap_.tags.span(); }
 
   /// Secret-byte counts of RAM frame `frame` / swap slot `slot`.
   const PageSecrets& frame_secrets(sim::FrameNumber frame) const {
@@ -173,9 +180,11 @@ class ShadowTaintMap final : public sim::TaintTracker {
     /// Retags byte `i` as `neu`, moving every count with it.
     void retag(std::size_t i, sim::TaintTag neu);
     void set_range(std::size_t off, std::size_t len, sim::TaintTag tag);
+    /// Copies `len` tags to [dst, dst+len) in memmove order, so `src` may
+    /// overlap the destination.
     void copy_range(std::size_t dst, const sim::TaintTag* src, std::size_t len);
 
-    std::vector<sim::TaintTag> tags;
+    util::ZeroedArray<sim::TaintTag> tags;
     std::vector<PageSecrets> pages;
     std::array<std::size_t, sim::kTaintTagCount>& by_tag;
     std::size_t& total;

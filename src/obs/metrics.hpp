@@ -146,3 +146,16 @@ class MetricsRegistry {
 };
 
 }  // namespace keyguard::obs
+
+/// Adds `n` to the global registry's counter `name` from a hot path. A
+/// disabled registry costs one relaxed load; an enabled one a relaxed add
+/// through a per-call-site cached reference (counter() references stay
+/// valid for the registry's lifetime). `name` must be a constant.
+#define KEYGUARD_COUNT(name, n)                                        \
+  do {                                                                 \
+    auto& kg_reg = ::keyguard::obs::MetricsRegistry::global();         \
+    if (kg_reg.enabled()) {                                            \
+      static ::keyguard::obs::Counter& kg_c = kg_reg.counter(name);    \
+      kg_c.add(n);                                                     \
+    }                                                                  \
+  } while (false)

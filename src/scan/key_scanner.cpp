@@ -123,6 +123,11 @@ std::vector<RawMatch> KeyScanner::sweep_raw(const sim::Kernel& kernel,
   // settle's rule widens them into windows, and only those are read
   // (DESIGN.md §8). The engine shards the windows across the pool.
   const auto& mem = kernel.memory();
+  // The written frames are also what the simulated machine has committed
+  // (sim/physmem.hpp), so a sweep is where its resident cost is published.
+  if (auto& reg = obs::MetricsRegistry::global(); reg.enabled()) {
+    reg.gauge("sim.written_frames").set(static_cast<double>(mem.written_frames()));
+  }
   const MultiMatcher mm(patterns_.needles());
   const auto written =
       written_runs(mem.written_bitmap(), sim::kPageSize, mem.size_bytes(), mm);

@@ -29,17 +29,6 @@ bool page_zero(std::span<const std::byte> page) {
                      [](std::byte b) { return b == std::byte{0}; });
 }
 
-/// Same shape as kernel.cpp's KEYGUARD_KERNEL_COUNT: disabled registry is
-/// one relaxed load, enabled is one relaxed add via a cached reference.
-#define KEYGUARD_DEDUP_COUNT(name, n)                                  \
-  do {                                                                 \
-    auto& kg_reg = ::keyguard::obs::MetricsRegistry::global();         \
-    if (kg_reg.enabled()) {                                            \
-      static ::keyguard::obs::Counter& kg_c = kg_reg.counter(name);    \
-      kg_c.add(n);                                                     \
-    }                                                                  \
-  } while (false)
-
 }  // namespace
 
 DedupEngine::DedupEngine(Kernel& kernel, DedupConfig cfg)
@@ -51,7 +40,7 @@ void DedupEngine::set_secret_predicate(std::function<bool(FrameNumber)> pred) {
 
 std::size_t DedupEngine::scan() {
   ++stats_.scans;
-  KEYGUARD_DEDUP_COUNT("kernel.dedup.scans", 1);
+  KEYGUARD_COUNT("kernel.dedup.scans", 1);
   obs::Tracer::Span span(obs::Tracer::global(), "dedup.scan");
 
   // Candidate table: every resident anonymous page of every live process,
@@ -169,8 +158,8 @@ std::size_t DedupEngine::scan() {
     }
   }
 
-  KEYGUARD_DEDUP_COUNT("kernel.dedup.pages_considered", cands.size());
-  if (vetoed_now > 0) KEYGUARD_DEDUP_COUNT("kernel.dedup.vetoed_secret", vetoed_now);
+  KEYGUARD_COUNT("kernel.dedup.pages_considered", cands.size());
+  if (vetoed_now > 0) KEYGUARD_COUNT("kernel.dedup.vetoed_secret", vetoed_now);
   publish_metrics();
   if (span.live()) {
     span.add(obs::TraceAttr::n("candidates", static_cast<double>(cands.size())));

@@ -14,19 +14,6 @@ namespace {
 VirtAddr page_floor(VirtAddr a) { return a & ~static_cast<VirtAddr>(kPageSize - 1); }
 std::size_t page_round(std::size_t n) { return (n + kPageSize - 1) / kPageSize * kPageSize; }
 
-/// One kernel-event tick into the global registry. Disabled registry =
-/// one relaxed load; enabled = one relaxed add via a static-cached
-/// instrument reference (counter() references are stable for the
-/// registry's lifetime, so caching per call site is sound).
-#define KEYGUARD_KERNEL_COUNT(name)                                   \
-  do {                                                                \
-    auto& kg_reg = ::keyguard::obs::MetricsRegistry::global();        \
-    if (kg_reg.enabled()) {                                           \
-      static ::keyguard::obs::Counter& kg_c = kg_reg.counter(name);   \
-      kg_c.add(1);                                                    \
-    }                                                                 \
-  } while (false)
-
 }  // namespace
 
 Kernel::Kernel(KernelConfig cfg, std::uint64_t seed)
@@ -49,7 +36,7 @@ Process& Kernel::spawn(std::string name) {
 
 Process& Kernel::fork(Process& parent, std::string name) {
   assert(parent.alive_);
-  KEYGUARD_KERNEL_COUNT("kernel.forks");
+  KEYGUARD_COUNT("kernel.forks", 1);
   // Swapped pages fault back in before the fork duplicates the page
   // tables (real kernels share swap entries; one slot per PTE keeps this
   // model simple and changes nothing the experiments measure).
@@ -97,7 +84,7 @@ void Kernel::release_address_space(Process& p) {
 
 void Kernel::exec(Process& p) {
   assert(p.alive_);
-  KEYGUARD_KERNEL_COUNT("kernel.execs");
+  KEYGUARD_COUNT("kernel.execs", 1);
   release_address_space(p);
 }
 
@@ -200,7 +187,7 @@ void Kernel::crypt_slot(std::uint32_t slot) {
 
 void Kernel::swap_in(Process& p, VirtAddr page_addr, Pte& pte) {
   assert(pte.swapped && swap_.has_value());
-  KEYGUARD_KERNEL_COUNT("kernel.swap_in_pages");
+  KEYGUARD_COUNT("kernel.swap_in_pages", 1);
   ++swap_ins_;
   (void)p;
   (void)page_addr;
@@ -235,12 +222,12 @@ std::size_t Kernel::swap_out_pages(Process& p, std::size_t n) {
     // simple: merged frames never reach the swap device.
     if (pte.swapped || pte.mlocked) continue;
     if (alloc_.refcount(pte.frame) > 1) {
-      KEYGUARD_KERNEL_COUNT("kernel.swap_skip_shared");
+      KEYGUARD_COUNT("kernel.swap_skip_shared", 1);
       continue;
     }
     const auto slot = swap_->alloc_slot();
     if (!slot) break;
-    KEYGUARD_KERNEL_COUNT("kernel.swap_out_pages");
+    KEYGUARD_COUNT("kernel.swap_out_pages", 1);
     std::memcpy(swap_->slot(*slot).data(), std::as_const(mem_).page(pte.frame).data(),
                 kPageSize);
     if (taint_) {
@@ -283,7 +270,7 @@ FrameNumber Kernel::frame_for_write(Process& p, VirtAddr page_addr) {
     if (alloc_.refcount(pte.frame) > 1) {
       // Write fault on a shared page: copy it. This duplication is exactly
       // how key bytes multiply across forked servers.
-      KEYGUARD_KERNEL_COUNT("kernel.cow_breaks");
+      KEYGUARD_COUNT("kernel.cow_breaks", 1);
       ++cow_breaks_;
       const auto fresh = alloc_.alloc(FrameState::kUserAnon);
       assert(fresh && "simulated physical memory exhausted");
@@ -300,7 +287,7 @@ FrameNumber Kernel::frame_for_write(Process& p, VirtAddr page_addr) {
         // A write split a merged page back out. Counted before the unref:
         // a share count of 2 means this break leaves a sole mapper, and
         // the frame stops being merged.
-        KEYGUARD_KERNEL_COUNT("kernel.dedup.unmerges");
+        KEYGUARD_COUNT("kernel.dedup.unmerges", 1);
         ++unmerges_;
         if (alloc_.refcount(pte.frame) <= 2) alloc_.clear_merged(pte.frame);
       }
@@ -492,7 +479,7 @@ bool Kernel::merge_page(Process& p, VirtAddr vaddr, FrameNumber canonical) {
   assert(std::memcmp(std::as_const(mem_).page(pte.frame).data(),
                      std::as_const(mem_).page(canonical).data(), kPageSize) == 0 &&
          "merge_page over non-identical pages");
-  KEYGUARD_KERNEL_COUNT("kernel.dedup.pages_merged");
+  KEYGUARD_COUNT("kernel.dedup.pages_merged", 1);
   alloc_.ref(canonical);
   // The duplicate frame is released WITHOUT its bytes moving: on a stock
   // kernel (zero_on_free off) dedup itself seeds residue in unallocated

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "obs/metrics.hpp"
+
 namespace keyguard::sim {
 
 const char* frame_state_name(FrameState s) noexcept {
@@ -18,7 +20,7 @@ const char* frame_state_name(FrameState s) noexcept {
 }
 
 PhysicalMemory::PhysicalMemory(std::size_t bytes)
-    : bytes_(std::max<std::size_t>(bytes / kPageSize, 1) * kPageSize, std::byte{0}),
+    : bytes_(std::max<std::size_t>(bytes / kPageSize, 1) * kPageSize),
       written_((page_count() + 63) / 64, 0) {}
 
 std::span<std::byte> PhysicalMemory::page(FrameNumber frame) noexcept {
@@ -47,9 +49,18 @@ std::size_t PhysicalMemory::written_frames() const noexcept {
 }
 
 void PhysicalMemory::clear_page(FrameNumber frame) noexcept {
-  auto p = page(frame);
-  std::memset(p.data(), 0, p.size());
-  written_[frame / 64] &= ~(std::uint64_t{1} << (frame % 64));
+  assert(frame < page_count());
+  std::uint64_t& word = written_[frame / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (frame % 64);
+  if ((word & bit) != 0) {
+    std::memset(bytes_.data() + static_cast<std::size_t>(frame) * kPageSize, 0, kPageSize);
+    word &= ~bit;
+    KEYGUARD_COUNT("kernel.pages_cleared", 1);
+  } else {
+    KEYGUARD_COUNT("kernel.pages_clear_skipped", 1);
+  }
+  // The shadow is told either way: it may carry tags the bytes never did
+  // (ShadowTaintMap::mark_phys), and retagging clean bytes writes nothing.
   if (taint_) taint_->on_phys_clear(static_cast<std::size_t>(frame) * kPageSize, kPageSize);
 }
 

@@ -11,6 +11,13 @@
 // frame whose bit is clear is all zero — the state every frame boots in —
 // so a full scan reads only the written frames (scan/settle.hpp,
 // written_runs). Reads go through the const overloads and mark nothing.
+//
+// The byte array boots zero-filled in the lazy sense (util::ZeroedArray):
+// like a real kernel's, a frame costs resident memory only once something
+// writes it, so a machine's resident cost is the frames it has ever
+// written, not its configured size. Reading an unwritten frame reads the host's shared zero
+// page and commits nothing, and clear_page() of a frame whose bit is clear
+// skips the memset, so clearing a zero frame never commits it either.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +26,7 @@
 #include <vector>
 
 #include "sim/taint.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace keyguard::sim {
 
@@ -58,14 +66,16 @@ class PhysicalMemory {
   std::span<const std::byte> page(FrameNumber frame) const noexcept;
 
   /// The whole physical address space (what the scanner walks).
-  std::span<const std::byte> all() const noexcept { return bytes_; }
+  std::span<const std::byte> all() const noexcept { return bytes_.span(); }
 
   /// Byte range [offset, offset+len); clamped to the end of memory.
   std::span<const std::byte> range(std::size_t offset, std::size_t len) const noexcept;
 
   /// Zero-fills one frame (clear_highpage in the paper's patches), clears
   /// its written bit, and clears its shadow taint when a tracker is
-  /// attached.
+  /// attached. A frame whose written bit is already clear is all zero, so
+  /// its memset is skipped (counted as kernel.pages_clear_skipped beside
+  /// kernel.pages_cleared) and the frame stays uncommitted.
   void clear_page(FrameNumber frame) noexcept;
 
   /// memset over part of a frame through the taint hook (kernel code that
@@ -77,7 +87,10 @@ class PhysicalMemory {
   /// hold a non-zero byte. Clear bits are exact: that frame is all zero.
   /// Set bits are conservative (a write of zeros still marks).
   std::span<const std::uint64_t> written_bitmap() const noexcept { return written_; }
-  /// Frames whose written bit is set.
+  /// Frames whose written bit is set, published as the sim.written_frames
+  /// gauge by every kernel sweep. Each is resident; so is a frame zeroed
+  /// by clear_page after a write, so this counts resident frames from
+  /// below.
   std::size_t written_frames() const noexcept;
 
   /// Shadow-taint observer for every clear/fill on this memory. Null (the
@@ -87,7 +100,7 @@ class PhysicalMemory {
   TaintTracker* taint() const noexcept { return taint_; }
 
  private:
-  std::vector<std::byte> bytes_;
+  util::ZeroedArray<std::byte> bytes_;
   std::vector<std::uint64_t> written_;  // 1 bit per frame, 8 KB per 256 MB
   TaintTracker* taint_ = nullptr;
 };

@@ -6,7 +6,7 @@
 namespace keyguard::sim {
 
 SwapDevice::SwapDevice(std::size_t pages)
-    : bytes_(pages * kPageSize, std::byte{0}), slots_used_(pages, false) {}
+    : bytes_(pages * kPageSize), slots_used_(pages, false) {}
 
 std::optional<std::uint32_t> SwapDevice::alloc_slot() {
   for (std::uint32_t i = 0; i < slots_used_.size(); ++i) {

@@ -22,12 +22,15 @@
 
 #include "sim/physmem.hpp"
 #include "sim/taint.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace keyguard::sim {
 
 class SwapDevice {
  public:
   /// A device of `pages` page-sized slots, zero-filled like a fresh mkswap.
+  /// The fill is lazy (util::ZeroedArray): a slot costs resident memory
+  /// only once a swap-out writes it, and a 0-slot device maps nothing.
   explicit SwapDevice(std::size_t pages);
 
   std::size_t capacity() const noexcept { return slots_used_.size(); }
@@ -57,10 +60,10 @@ class SwapDevice {
 
   /// The whole device image — what an attacker with the disk (or a raw
   /// /dev/sda read) sees.
-  std::span<const std::byte> raw() const noexcept { return bytes_; }
+  std::span<const std::byte> raw() const noexcept { return bytes_.span(); }
 
  private:
-  std::vector<std::byte> bytes_;
+  util::ZeroedArray<std::byte> bytes_;
   std::vector<bool> slots_used_;
   std::size_t used_count_ = 0;
   TaintTracker* taint_ = nullptr;

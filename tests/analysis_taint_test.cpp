@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "analysis/taint_auditor.hpp"
 #include "sim/kernel.hpp"
 #include "util/bytes.hpp"
@@ -149,6 +152,40 @@ TEST(ShadowTaintMap, ReallocMoveDuplicatesTaint) {
             2 * secret.size());
   EXPECT_GT(map.stats().copies, 0u);
   k.attach_taint(nullptr);
+}
+
+// Direct shadow pokes: the kernel never copies overlapping ranges, but
+// on_phys_copy keeps memmove order so it would be exact if it did.
+TEST(ShadowTaintMap, OverlappingCopyKeepsMemmoveOrder) {
+  const auto tags_at = [](const ShadowTaintMap& m, std::size_t off, std::size_t len) {
+    std::vector<TaintTag> t;
+    for (std::size_t i = off; i < off + len; ++i) t.push_back(m.phys_tag(i));
+    return t;
+  };
+  const auto seeded = [] {
+    auto m = std::make_unique<ShadowTaintMap>(kPageSize, 0);
+    m->mark_phys(0, 8, TaintTag::kKeyD);
+    m->mark_phys(8, 8, TaintTag::kKeyP);
+    return m;
+  };
+  const std::vector<TaintTag> d4(4, TaintTag::kKeyD), d8(8, TaintTag::kKeyD),
+      p8(8, TaintTag::kKeyP), clean4(4, TaintTag::kClean);
+
+  auto up = seeded();  // dst above src: copied from the top down
+  up->on_phys_copy(4, 0, 16);
+  EXPECT_EQ(tags_at(*up, 0, 4), d4);
+  EXPECT_EQ(tags_at(*up, 4, 8), d8);
+  EXPECT_EQ(tags_at(*up, 12, 8), p8);
+  EXPECT_EQ(up->tainted_bytes_in(0, kPageSize), 20u);
+  EXPECT_EQ(up->stats().phys_tainted, 20u);
+
+  auto down = seeded();  // dst below src: copied from the bottom up
+  down->on_phys_copy(0, 4, 16);
+  EXPECT_EQ(tags_at(*down, 0, 4), d4);
+  EXPECT_EQ(tags_at(*down, 4, 8), p8);
+  EXPECT_EQ(tags_at(*down, 12, 4), clean4);
+  EXPECT_EQ(down->stats().phys_tainted, 12u);
+  EXPECT_EQ(down->frame_secrets(0).secret, 12u);
 }
 
 TEST(ShadowTaintMap, CowBreakMintsSecondTaintedFrame) {
