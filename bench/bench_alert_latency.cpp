@@ -394,8 +394,7 @@ BudgetOutcome run_budget_scenario(bool defended, const Scale& sc) {
   obs::ExposureMonitor monitor(s.kernel().memory(), s.scanner().patterns());
   EngineRig rig(s.kernel(), &monitor);
   rig.fanout.add(&monitor);
-  obs::FlightRecorder recorder(obs::FlightRecorder::Config{}, &s.kernel(),
-                               &rig.shadow, &monitor);
+  obs::FlightRecorder recorder(&s.kernel(), &rig.shadow, &monitor);
   BusSubscription sub(&recorder);  // before the engine subscribes in go()
   rig.engine.add_sink(&recorder);
   rig.go();

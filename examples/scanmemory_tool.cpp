@@ -592,9 +592,8 @@ int main(int argc, char** argv) {
       jsonl_sink =
           std::make_unique<obs::JsonlAlertSink>(flight_dir + "/alerts.jsonl");
       engine->add_sink(jsonl_sink.get());
-      recorder = std::make_unique<obs::FlightRecorder>(
-          obs::FlightRecorder::Config{}, &s.kernel(), taint_map.get(),
-          monitor.get());
+      recorder = std::make_unique<obs::FlightRecorder>(&s.kernel(), taint_map.get(),
+                                                       monitor.get());
       // Recorder subscribes first so the breaching event reaches the
       // ring before the engine's alert freezes it.
       obs::EventBus::global().subscribe(recorder.get());

@@ -18,13 +18,14 @@
 //   ingest     PEM -> DER -> authenticated KSB2 blob ("KSB2" || nonce ||
 //              ciphertext || tag) in ordinary heap, tagged kSealed.
 //   miss       blob unsealed via the domain (tag verified BEFORE any
-//              decryption — fail-closed), limb images placed on a pool
-//              page (mlocked, kPoolKey), page joins the working set.
+//              decryption — fail-closed; two round trips, mac then
+//              keystream), limb images placed on a pool page (mlocked,
+//              kPoolKey), page joins the working set.
 //   squeeze    when the working set is full, the LRU plaintext page is
-//              RE-ENCRYPTED in place (fresh epoch nonce), retagged
-//              kSealed, and munlocked — it may swap, it may be imaged,
-//              it is ciphertext.
-//   re-entry   ciphertext page decrypted in place (one CTR request),
+//              RE-ENCRYPTED in place (fresh epoch nonce, one round trip),
+//              retagged kSealed, and munlocked — it may swap, it may be
+//              imaged, it is ciphertext.
+//   re-entry   ciphertext page decrypted in place (one round trip),
 //              re-mlocked, back in the working set — no blob parse.
 //   evict      slot scrubbed (bytes + taint) and recycled.
 //
@@ -33,19 +34,9 @@
 // pool is not touched. A re-encrypt that cannot reach the domain falls
 // back to scrubbing the slot — the amnesiac direction, never the leaky
 // one.
-//
-// Batching: private_op_batch prefetches every CTR keystream the queued
-// misses will need in ONE domain round trip (keystream_batch), so unseal
-// cost amortizes under load. Batching is a pure optimization — results
-// and final pool state are bit-identical to one-at-a-time ops (oracle-
-// checked by tests/keystore_batch_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <span>
-#include <vector>
 
 #include "keystore/sim_pool.hpp"
 #include "sim/coprocessor.hpp"
@@ -73,8 +64,6 @@ struct EncryptedKeystoreStats {
   std::uint64_t blob_unseals = 0;   ///< KSB2 blob -> fresh pool slot
   std::uint64_t evictions = 0;      ///< pool slots recycled (scrubbed)
   std::uint64_t refusals = 0;       ///< fail-closed denials
-  std::uint64_t batches = 0;        ///< private_op_batch calls
-  std::uint64_t prefetch_hits = 0;  ///< keystreams served from a batch fetch
 };
 
 class EncryptedPoolKeystore final : public SimKeyPool {
@@ -85,15 +74,6 @@ class EncryptedPoolKeystore final : public SimKeyPool {
   EncryptedPoolKeystore(sim::Kernel& kernel, sim::Process& proc,
                         sim::CoprocessorDomain& domain,
                         EncryptedKeystoreConfig cfg);
-
-  /// Batched ops: all CTR keystreams the queued misses need are fetched
-  /// in ONE domain round trip, then the ops run in order. Element i of
-  /// the result corresponds to (ids[i], cs[i]); per-op failures are
-  /// nullopt, exactly as try_private_op would return. ids and cs must be
-  /// the same length; an unknown id throws std::out_of_range before any
-  /// op runs.
-  std::vector<std::optional<bn::Bignum>> private_op_batch(
-      std::span<const KeyId> ids, std::span<const bn::Bignum> cs);
 
   /// Re-encrypts every plaintext page (empties the working set without
   /// evicting anyone). The quiesce step before fork: a COW child of a
@@ -115,21 +95,8 @@ class EncryptedPoolKeystore final : public SimKeyPool {
   const EncryptedKeystoreConfig& config() const noexcept { return cfg_; }
 
  private:
-  /// Prefetched CTR keystreams for a batch, keyed by nonce.
-  using KeystreamCache = std::map<std::uint64_t, std::vector<std::byte>>;
-
-  /// KSB2 blob -> DER through the domain, its keystream from the batch
-  /// cache when prefetched.
-  std::optional<std::vector<std::byte>> unseal_blob(std::span<const std::byte> blob,
-                                                    KeyId id);
-  /// Page keystream: batch cache first, else one round trip.
-  bool page_keystream(std::uint64_t nonce, std::span<std::byte> out);
-
   sim::CoprocessorDomain& domain_;
   EncryptedKeystoreConfig cfg_;
-  KeystreamCache batch_;  ///< a batch's prefetched keystreams, empty between batches
-  std::uint64_t batches_ = 0;
-  std::uint64_t prefetch_hits_ = 0;
 };
 
 }  // namespace keyguard::keystore

@@ -137,7 +137,7 @@ std::optional<std::uint64_t> authenticated_nonce(std::span<const std::byte> blob
 
 std::optional<std::size_t> unseal_authenticated_into(
     std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
-    std::span<std::byte> out, std::span<const std::byte> keystream) {
+    std::span<std::byte> out) {
   // Verify EVERYTHING before touching the keystream: fail-closed means no
   // partial plaintext exists on any rejection path.
   const auto nonce = authenticated_nonce(blob);
@@ -152,9 +152,7 @@ std::optional<std::size_t> unseal_authenticated_into(
 
   const auto plain = out.first(ct.size());
   std::memcpy(plain.data(), ct.data(), ct.size());
-  if (keystream.size() >= ct.size()) {
-    for (std::size_t i = 0; i < plain.size(); ++i) plain[i] ^= keystream[i];
-  } else if (!domain.keystream_xor(*nonce, plain)) {
+  if (!domain.keystream_xor(*nonce, plain)) {
     secure::secure_zero(plain);
     return std::nullopt;
   }
@@ -162,11 +160,10 @@ std::optional<std::size_t> unseal_authenticated_into(
 }
 
 std::optional<std::vector<std::byte>> unseal_authenticated(
-    std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
-    std::span<const std::byte> keystream) {
+    std::span<const std::byte> blob, sim::CoprocessorDomain& domain) {
   const std::size_t overhead = kSealedHeaderBytes + kAuthTagBytes;
   std::vector<std::byte> plain(blob.size() - std::min(blob.size(), overhead));
-  if (!unseal_authenticated_into(blob, domain, plain, keystream)) return std::nullopt;
+  if (!unseal_authenticated_into(blob, domain, plain)) return std::nullopt;
   return plain;
 }
 

@@ -99,14 +99,10 @@ std::optional<std::vector<std::byte>> seal_authenticated(
 /// Authenticated unseal: magic, length, and tag are checked (constant-time
 /// compare) BEFORE any keystream is applied; every failure — truncation,
 /// bad magic, any flipped bit, powered-off domain — returns nullopt
-/// without materializing a byte of plaintext. When `keystream` is
-/// non-empty it must be (at least) the ciphertext-length prefix of the
-/// domain's CTR stream for the blob's nonce; the decrypt then skips its
-/// own domain round trip — the batched-unseal fast path. Tag verification
-/// ALWAYS goes to the domain.
+/// without materializing a byte of plaintext. Two domain round trips:
+/// the tag, then the decrypt.
 std::optional<std::vector<std::byte>> unseal_authenticated(
-    std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
-    std::span<const std::byte> keystream = {});
+    std::span<const std::byte> blob, sim::CoprocessorDomain& domain);
 
 /// The same, into a caller-owned `out` (at least the ciphertext length):
 /// the ciphertext is copied there only once the tag verifies, and the
@@ -115,7 +111,7 @@ std::optional<std::vector<std::byte>> unseal_authenticated(
 /// on every failure above or a short `out`, leaving no plaintext there.
 std::optional<std::size_t> unseal_authenticated_into(
     std::span<const std::byte> blob, sim::CoprocessorDomain& domain,
-    std::span<std::byte> out, std::span<const std::byte> keystream = {});
+    std::span<std::byte> out);
 
 /// Nonce stored in an authenticated blob header (nullopt when the blob is
 /// too short or mis-tagged as KSB1/garbage). Format inspection only — no

@@ -338,14 +338,6 @@ void SimKeyPool::reencrypt_all() {
   }
 }
 
-std::optional<SimKeyPool::KeystreamNeed> SimKeyPool::page_reentry(KeyId id) const {
-  const Entry& e = keys_.at(id);
-  if (e.slot < 0) return std::nullopt;
-  const Slot& s = slots_[static_cast<std::size_t>(e.slot)];
-  if (s.is_plaintext) return std::nullopt;
-  return KeystreamNeed{page_nonce(id, s.epoch), s.used_bytes};
-}
-
 void SimKeyPool::evict_slot(std::size_t si) {
   Slot& slot = slots_[si];
   if (!slot.occupant) return;

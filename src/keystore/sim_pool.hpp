@@ -164,14 +164,6 @@ class SimKeyPool {
   /// evicting anyone).
   void reencrypt_all();
 
-  struct KeystreamNeed {
-    std::uint64_t nonce;
-    std::size_t len;
-  };
-  /// The keystream a re-entry of `id`'s page needs; nullopt unless the
-  /// page is pooled ciphertext.
-  std::optional<KeystreamNeed> page_reentry(KeyId id) const;
-
   const SimPoolStats& counts() const noexcept { return stats_; }
 
   sim::Kernel& kernel_;

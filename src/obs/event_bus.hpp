@@ -45,7 +45,7 @@ enum class ObsEventKind : std::uint8_t {
   kKeystoreSeal,     ///< a=key id (re-encrypt / working-set squeeze)
   kKeystoreEvict,    ///< a=key id
   kKeystoreRefusal,  ///< a=key id (fail-closed denial)
-  kDomainRefusal,    ///< a=request kind (0 keystream, 1 batch, 2 mac)
+  kDomainRefusal,    ///< a=request kind (0 keystream, 2 mac)
   kServerRequest,    ///< a=server kind (0 ssh, 1 apache, 2 sni), b=ok
 };
 

@@ -13,35 +13,34 @@
 
 namespace keyguard::obs {
 
-FlightRecorder::FlightRecorder(Config cfg, const sim::Kernel* kernel,
+FlightRecorder::FlightRecorder(const sim::Kernel* kernel,
                                const analysis::ShadowTaintMap* shadow,
                                ExposureMonitor* monitor)
-    : cfg_(cfg), kernel_(kernel), shadow_(shadow), monitor_(monitor) {
-  if (cfg_.capacity == 0) cfg_.capacity = 1;
-  ring_.reserve(cfg_.capacity);
+    : kernel_(kernel), shadow_(shadow), monitor_(monitor) {
+  ring_.reserve(kCapacity);
 }
 
 void FlightRecorder::on_obs_event(const ObsEvent& ev) {
   if (frozen_) return;
   ++seen_;
-  if (ring_.size() < cfg_.capacity) {
+  if (ring_.size() < kCapacity) {
     ring_.push_back(ev);
     return;
   }
   // Ring full: overwrite the oldest and say so — the bundle's "last K of
   // N events, D overwritten" is exact, never "some were probably lost".
   ring_[head_] = ev;
-  head_ = (head_ + 1) % cfg_.capacity;
+  head_ = (head_ + 1) % kCapacity;
   ++overwritten_;
 }
 
 void FlightRecorder::on_alert(const Alert& alert) {
-  if (alerts_.size() < cfg_.max_alerts) {
+  if (alerts_.size() < kMaxAlerts) {
     alerts_.push_back(alert);
   } else {
     ++alerts_dropped_;
   }
-  if (!frozen_ && alert.severity >= cfg_.trigger) {
+  if (!frozen_ && alert.severity >= kTrigger) {
     frozen_ = true;
     frozen_at_ns_ = now_ns();
     trigger_ = alert;
@@ -51,11 +50,11 @@ void FlightRecorder::on_alert(const Alert& alert) {
 std::vector<ObsEvent> FlightRecorder::ring() const {
   std::vector<ObsEvent> out;
   out.reserve(ring_.size());
-  if (ring_.size() < cfg_.capacity) {
+  if (ring_.size() < kCapacity) {
     out = ring_;  // never wrapped: insertion order is chronological
   } else {
     for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(head_ + i) % cfg_.capacity]);
+      out.push_back(ring_[(head_ + i) % kCapacity]);
     }
   }
   return out;
@@ -119,7 +118,7 @@ std::string FlightRecorder::bundle_json() {
   }
 
   w.key("events").begin_object();
-  w.field("capacity", static_cast<std::uint64_t>(cfg_.capacity));
+  w.field("capacity", static_cast<std::uint64_t>(kCapacity));
   w.field("seen", seen_);
   w.field("overwritten", overwritten_);
   w.key("ring").begin_array();
@@ -184,7 +183,7 @@ std::string FlightRecorder::bundle_json() {
     w.key("regions").begin_array();
     std::size_t emitted = 0;
     for (const analysis::TaintedRegion& r : report.regions) {
-      if (emitted >= cfg_.max_residue_regions) break;
+      if (emitted >= kMaxResidueRegions) break;
       ++emitted;
       // Locations, sizes and tag/state names only — never region bytes.
       w.begin_object()
@@ -212,11 +211,11 @@ std::string FlightRecorder::bundle_json() {
         trigger_ ? trigger_->breach_ts_ns
                  : (frozen_ ? frozen_at_ns_ : now_ns());
     const std::uint64_t lo =
-        center > cfg_.trace_window_ns ? center - cfg_.trace_window_ns : 0;
-    const std::uint64_t hi = center + cfg_.trace_window_ns;
+        center > kTraceWindowNs ? center - kTraceWindowNs : 0;
+    const std::uint64_t hi = center + kTraceWindowNs;
     w.key("trace").begin_object();
     w.field("center_ns", center);
-    w.field("window_ns", cfg_.trace_window_ns);
+    w.field("window_ns", kTraceWindowNs);
     w.key("events").begin_array();
     for (const TraceEvent& ev : Tracer::global().snapshot()) {
       if (ev.ts_ns < lo || ev.ts_ns > hi) continue;

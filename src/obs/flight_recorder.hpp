@@ -6,12 +6,12 @@
 // the machine doing in the run-up to the breach?" It subscribes to the
 // EventBus (BEFORE the AlertEngine, so the breaching event itself lands
 // in the ring before the alert freezes it) and keeps the last
-// `capacity` events with EXACT drop accounting — the Tracer's idiom:
+// kCapacity events with EXACT drop accounting — the Tracer's idiom:
 // when full, the oldest event is overwritten and a counter says
 // precisely how many were lost, so "the window holds the last K of N"
 // is a statement, not a guess.
 //
-// On the first alert at or above the trigger severity the ring freezes:
+// On the first alert at or above kTrigger severity the ring freezes:
 // recording stops, preserving the breach window verbatim, and
 // bundle_json() assembles the forensic bundle — the trigger alert, the
 // frozen ring, every earlier alert, a metrics snapshot, the live
@@ -48,19 +48,17 @@ class ExposureMonitor;
 
 class FlightRecorder final : public ObsEventSink, public AlertSink {
  public:
-  struct Config {
-    std::size_t capacity = 4096;  ///< ring size in events
-    Severity trigger = Severity::kCritical;  ///< freeze at >= this severity
-    std::uint64_t trace_window_ns = 5'000'000'000ull;  ///< slice half-width
-    std::size_t max_residue_regions = 64;  ///< census detail cap
-    std::size_t max_alerts = 256;          ///< pre-freeze alert history cap
-  };
+  static constexpr std::size_t kCapacity = 4096;  ///< ring size in events
+  static constexpr Severity kTrigger = Severity::kCritical;  ///< freeze at >= this
+  static constexpr std::uint64_t kTraceWindowNs = 5'000'000'000ull;  ///< slice half-width
+  static constexpr std::size_t kMaxResidueRegions = 64;  ///< census detail cap
+  static constexpr std::size_t kMaxAlerts = 256;  ///< pre-freeze alert history cap
 
   /// All referents are borrowed and optional: a null kernel/shadow skips
   /// the residue census, a null monitor skips the exposure section. The
   /// recorder attaches nothing itself — subscribe it to the bus and add
   /// it as a sink on the engine.
-  explicit FlightRecorder(Config cfg, const sim::Kernel* kernel = nullptr,
+  explicit FlightRecorder(const sim::Kernel* kernel = nullptr,
                           const analysis::ShadowTaintMap* shadow = nullptr,
                           ExposureMonitor* monitor = nullptr);
 
@@ -93,7 +91,6 @@ class FlightRecorder final : public ObsEventSink, public AlertSink {
   bool write_bundle(const std::string& path);
 
  private:
-  Config cfg_;
   const sim::Kernel* kernel_;
   const analysis::ShadowTaintMap* shadow_;
   ExposureMonitor* monitor_;

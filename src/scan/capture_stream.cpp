@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "util/flags.hpp"
 
@@ -112,6 +113,20 @@ std::optional<CaptureWindow> CaptureStream::next() {
   w.payload = payload;
   w.offset = offset_;
   if (map_ != nullptr) {
+    // A mapped page past the file's current end raises SIGBUS on touch:
+    // refuse a window the file no longer covers, as the pread path does.
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) {
+      error_ = errno_message("stat", "capture");
+      ok_ = false;
+      return std::nullopt;
+    }
+    if (static_cast<std::size_t>(st.st_size) < offset_ + view) {
+      error_ = "read capture: file shrank to " + std::to_string(st.st_size) + " of " +
+               std::to_string(size_) + " bytes";
+      ok_ = false;
+      return std::nullopt;
+    }
     w.bytes = {map_ + offset_, view};
   } else {
     buffer_.resize(std::max(buffer_.size(), view));
@@ -126,8 +141,9 @@ std::optional<CaptureWindow> CaptureStream::next() {
         ok_ = false;
         return std::nullopt;
       }
-      if (n == 0) {  // file shrank underneath us
-        error_ = "read capture: unexpected end of file";
+      if (n == 0) {
+        error_ = "read capture: unexpected end of file (file shrank below " +
+                 std::to_string(size_) + " bytes)";
         ok_ = false;
         return std::nullopt;
       }

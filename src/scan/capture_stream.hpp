@@ -18,7 +18,12 @@
 // MAP_PRIVATE, MADV_SEQUENTIAL) and fully-consumed pages are released
 // with MADV_DONTNEED as the walk advances; where mmap is unavailable (or
 // KEYGUARD_CAPTURE_MMAP=0 forces it) a pread loop into one reused
-// window+overlap buffer does the same job. bench_scan_throughput's
+// window+overlap buffer does the same job. The walk covers the size seen
+// at open: a file that grows later is read only that far, and one that
+// shrinks below the next window refuses it (ok() false, error() names
+// the shrink) rather than handing out mapped pages past the end. A
+// truncation that lands while the caller is still reading a window it
+// already holds is not caught. bench_scan_throughput's
 // streaming phase gates the RSS bound against a capture several times the
 // simulated RAM size.
 #pragma once

@@ -115,12 +115,17 @@ double estimate_decay(std::span<const std::byte> image, std::size_t expected_bit
   return std::clamp(1.0 - 2.0 * density, 0.01, 1.0);
 }
 
+// Hard statistical cutoff in standard deviations: a candidate dies
+// outright when its count of (candidate-1, observed-0) positions exceeds
+// decay_estimate * ones_set + kSlackSigmas * stddev + 2.
+constexpr double kSlackSigmas = 5.0;
+
 // Mismatch budget after setting `ones` 1-bits under decay rate `delta`.
-std::uint32_t mismatch_budget(std::uint32_t ones, double delta, double slack) {
+std::uint32_t mismatch_budget(std::uint32_t ones, double delta) {
   const double n = static_cast<double>(ones);
   const double mean = delta * n;
   const double sd = std::sqrt(std::max(delta * (1.0 - delta) * n, 1.0));
-  return static_cast<std::uint32_t>(mean + slack * sd + 2.0);
+  return static_cast<std::uint32_t>(mean + kSlackSigmas * sd + 2.0);
 }
 
 }  // namespace
@@ -182,8 +187,8 @@ std::optional<crypto::RsaPrivateKey> ColdBootReconstructor::reconstruct(
         if (pi && qi) add_bit(child.prod, 2 * i);
         // Soft statistical pruning: far too many "decayed" bits for the
         // estimated rate means this candidate cannot be the true value.
-        if (child.mism_p > mismatch_budget(child.ones_p, delta_p, cfg_.slack_sigmas) ||
-            child.mism_q > mismatch_budget(child.ones_q, delta_q, cfg_.slack_sigmas)) {
+        if (child.mism_p > mismatch_budget(child.ones_p, delta_p) ||
+            child.mism_q > mismatch_budget(child.ones_q, delta_q)) {
           continue;
         }
         next.push_back(std::move(child));

@@ -32,10 +32,6 @@ struct ColdBootConfig {
   /// mismatch candidates after every bit. Wider beams tolerate heavier
   /// decay at linear cost.
   std::size_t max_candidates = 1u << 13;
-  /// Hard statistical cutoff in standard deviations: a candidate dies
-  /// outright when its count of (candidate-1, observed-0) positions
-  /// exceeds decay_estimate * ones_set + slack_sigmas * stddev + 2.
-  double slack_sigmas = 5.0;
 };
 
 class ColdBootReconstructor {

@@ -10,6 +10,13 @@ namespace keyguard::servers {
 
 using bn::Bignum;
 
+namespace {
+
+constexpr std::size_t kResponseBytes = 8ull << 10;  ///< per-request heap churn
+constexpr std::uint64_t kDomainSeed = 0x636f70726f63ULL;
+
+}  // namespace
+
 SniFrontend::SniFrontend(sim::Kernel& kernel, SniConfig cfg, util::Rng rng)
     : kernel_(kernel), cfg_(std::move(cfg)), rng_(rng) {}
 
@@ -17,7 +24,7 @@ bool SniFrontend::start(std::span<const crypto::RsaPrivateKey> vhost_keys) {
   if (proc_ != nullptr) return true;
   proc_ = &kernel_.spawn("sni_frontend");
   if (cfg_.backend == keystore::PoolBackend::kEncrypted) {
-    domain_.emplace(cfg_.domain_seed);
+    domain_.emplace(kDomainSeed);
     enc_keystore_.emplace(kernel_, *proc_, *domain_, cfg_.encrypted);
     pool_ = &*enc_keystore_;
   } else {
@@ -98,16 +105,13 @@ bool SniFrontend::handle_request(std::size_t vhost) {
   }
 
   // Response body churn through the worker heap.
-  if (cfg_.response_bytes > 0) {
-    const sim::VirtAddr buf =
-        kernel_.heap_alloc(*proc_, cfg_.response_bytes, "response buffer");
-    if (buf != 0) {
-      std::vector<std::byte> body(cfg_.response_bytes);
-      rng_.fill_bytes(body);
-      kernel_.mem_write(*proc_, buf, body);
-      // keylint: allow(raw-free) — response body is public bytes
-      kernel_.heap_free(*proc_, buf);
-    }
+  if (const sim::VirtAddr buf = kernel_.heap_alloc(*proc_, kResponseBytes, "response buffer");
+      buf != 0) {
+    std::vector<std::byte> body(kResponseBytes);
+    rng_.fill_bytes(body);
+    kernel_.mem_write(*proc_, buf, body);
+    // keylint: allow(raw-free) — response body is public bytes
+    kernel_.heap_free(*proc_, buf);
   }
 
   const auto block = plain.to_bytes_be(pub.modulus_bytes());

@@ -31,15 +31,13 @@ namespace keyguard::servers {
 
 struct SniConfig {
   std::string key_dir = "/etc/sni";        ///< one PEM file per vhost
-  std::size_t response_bytes = 8ull << 10; ///< per-request heap churn
   double hot_fraction = 0.8;               ///< share of traffic on the hot set
   /// Pool discipline: kMlocked routes through SimKeystore (`keystore`),
   /// kEncrypted through EncryptedPoolKeystore (`encrypted` + a private
-  /// CoprocessorDomain seeded with `domain_seed`).
+  /// CoprocessorDomain with a fixed seed).
   keystore::PoolBackend backend = keystore::PoolBackend::kMlocked;
   keystore::SimKeystoreConfig keystore;
   keystore::EncryptedKeystoreConfig encrypted;
-  std::uint64_t domain_seed = 0x636f70726f63ULL;
   /// Protection level this config encodes; set by core::sni_config and
   /// stamped onto per-request trace spans.
   std::string protection_label = "none";

@@ -8,6 +8,13 @@
 
 namespace keyguard::servers {
 
+namespace {
+
+/// scp copy-buffer size allocated per transfer in the child.
+constexpr std::size_t kTransferBufferBytes = 32ull << 10;
+
+}  // namespace
+
 using bn::Bignum;
 
 SshServer::SshServer(sim::Kernel& kernel, SshConfig cfg, util::Rng rng)
@@ -157,7 +164,7 @@ void SshServer::transfer(ConnectionId id, std::size_t bytes) {
     kernel_.read_file(*child, path);
   }
   // scp pumps the file through a copy buffer in the child.
-  const std::size_t buf_bytes = std::min(bytes, cfg_.transfer_buffer_bytes);
+  const std::size_t buf_bytes = std::min(bytes, kTransferBufferBytes);
   if (buf_bytes == 0) return;
   const sim::VirtAddr buf = kernel_.heap_alloc(*child, buf_bytes, "scp copy buffer");
   if (buf == 0) return;

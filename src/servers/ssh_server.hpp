@@ -33,8 +33,6 @@ struct SshConfig {
   /// sshd -r: handle connections in forked children WITHOUT re-exec, so
   /// children share the master's (single, COW-protected) key image.
   bool no_reexec = false;
-  /// scp copy-buffer size allocated per transfer in the child.
-  std::size_t transfer_buffer_bytes = 32ull << 10;
   /// Serve transfers from files read through the page cache (realistic
   /// scp: the served file is cached and churns the cache). Off by default
   /// to keep the calibrated attack workloads unchanged; the ablation and

@@ -37,12 +37,14 @@ void CoprocessorDomain::power_off() {
   powered_ = false;
 }
 
-void CoprocessorDomain::fill_locked(const KeystreamRequest& req, bool xor_in) {
+bool CoprocessorDomain::crypt(std::uint64_t nonce, std::span<std::byte> out,
+                              bool xor_in) {
+  std::lock_guard lk(mu_);
+  if (!begin_locked(0)) return false;
   std::byte trailer[17];
   trailer[0] = std::byte{'C'};
-  put_le64(trailer + 1, req.nonce);
-  std::span<std::byte> out = req.out;
-  for (std::uint64_t block = req.first_block; !out.empty(); ++block) {
+  put_le64(trailer + 1, nonce);
+  for (std::uint64_t block = 0; !out.empty(); ++block) {
     put_le64(trailer + 9, block);
     crypto::Sha256 h;
     h.update(secret_);
@@ -53,53 +55,32 @@ void CoprocessorDomain::fill_locked(const KeystreamRequest& req, bool xor_in) {
     secure::secure_zero(ks);
     out = out.subspan(n);
   }
-  keystream_requests_ += 1;
-  keystream_bytes_ += req.out.size();
+  return true;
 }
 
-bool CoprocessorDomain::keystream(std::uint64_t nonce, std::span<std::byte> out,
-                                  std::uint64_t first_block) {
-  KeystreamRequest req{nonce, first_block, out};
-  return keystream_batch({&req, 1});
+bool CoprocessorDomain::keystream(std::uint64_t nonce, std::span<std::byte> out) {
+  return crypt(nonce, out, /*xor_in=*/false);
 }
 
 bool CoprocessorDomain::keystream_xor(std::uint64_t nonce, std::span<std::byte> data) {
-  std::lock_guard lk(mu_);
-  if (!begin_keystream_locked(0)) return false;
-  fill_locked({nonce, 0, data}, /*xor_in=*/true);
-  return true;
+  return crypt(nonce, data, /*xor_in=*/true);
 }
 
-bool CoprocessorDomain::keystream_batch(std::span<KeystreamRequest> requests) {
-  std::lock_guard lk(mu_);
-  if (!begin_keystream_locked(requests.size() == 1 ? 0 : 1)) return false;
-  for (const auto& req : requests) fill_locked(req);
-  return true;
-}
-
-bool CoprocessorDomain::begin_keystream_locked(std::uint64_t refusal_code) {
+bool CoprocessorDomain::begin_locked(std::uint64_t code) {
   if (!powered_) {
     if (auto& bus = obs::EventBus::global(); bus.enabled()) {
-      bus.publish(obs::ObsEventKind::kDomainRefusal, refusal_code);
+      bus.publish(obs::ObsEventKind::kDomainRefusal, code);
     }
     return false;
   }
   ++round_trips_;
-  ++keystream_round_trips_;
   return true;
 }
 
 std::optional<std::array<std::byte, CoprocessorDomain::kTagBytes>>
 CoprocessorDomain::mac(std::uint64_t nonce, std::span<const std::byte> data) {
   std::lock_guard lk(mu_);
-  if (!powered_) {
-    if (auto& bus = obs::EventBus::global(); bus.enabled()) {
-      bus.publish(obs::ObsEventKind::kDomainRefusal, 2);
-    }
-    return std::nullopt;
-  }
-  ++round_trips_;
-  ++mac_round_trips_;
+  if (!begin_locked(2)) return std::nullopt;
   std::byte trailer[17];
   trailer[0] = std::byte{'M'};
   put_le64(trailer + 1, nonce);
@@ -114,26 +95,6 @@ CoprocessorDomain::mac(std::uint64_t nonce, std::span<const std::byte> data) {
 std::uint64_t CoprocessorDomain::round_trips() const {
   std::lock_guard lk(mu_);
   return round_trips_;
-}
-
-std::uint64_t CoprocessorDomain::keystream_round_trips() const {
-  std::lock_guard lk(mu_);
-  return keystream_round_trips_;
-}
-
-std::uint64_t CoprocessorDomain::keystream_requests() const {
-  std::lock_guard lk(mu_);
-  return keystream_requests_;
-}
-
-std::uint64_t CoprocessorDomain::keystream_bytes() const {
-  std::lock_guard lk(mu_);
-  return keystream_bytes_;
-}
-
-std::uint64_t CoprocessorDomain::mac_round_trips() const {
-  std::lock_guard lk(mu_);
-  return mac_round_trips_;
 }
 
 }  // namespace keyguard::sim

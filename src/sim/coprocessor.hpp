@@ -23,17 +23,16 @@
 //              attacker-extendable messages; the lifecycle, not the
 //              primitive, is what this repo measures.
 //
-// keystream_batch() serves many CTR requests in ONE call. Every public
-// call counts as one bus round trip (round_trips()), so the keystore's
-// batching claim — unseal cost amortizes under load — is measurable:
-// k queued unseals cost 1 keystream round trip instead of k.
+// Every public call counts as one bus round trip (round_trips()): a cold
+// blob unseal costs two (mac, then keystream), a page re-entry or
+// re-encrypt one.
 //
 // power_off() models "Security Through Amnesia": the secret is wiped and
 // every subsequent request refuses. Anything still ciphertext at that
 // point is unrecoverable — which is the fail-closed direction.
 //
 // Thread-safe: the host keystore shares one domain across signing
-// threads, so all state (secret, counters) is mutex-guarded.
+// threads, so all state (secret, counter) is mutex-guarded.
 #pragma once
 
 #include <array>
@@ -67,59 +66,36 @@ class CoprocessorDomain {
   /// under this domain can never be opened again.
   void power_off();
 
-  /// One queued CTR request: fill `out` with keystream blocks of stream
-  /// `nonce`, starting at block `first_block`.
-  struct KeystreamRequest {
-    std::uint64_t nonce = 0;
-    std::uint64_t first_block = 0;
-    std::span<std::byte> out;
-  };
-
-  /// Single CTR request (one round trip). False when powered off.
-  bool keystream(std::uint64_t nonce, std::span<std::byte> out,
-                 std::uint64_t first_block = 0);
+  /// Fills `out` with stream `nonce` from block 0 (one round trip).
+  /// False when powered off.
+  bool keystream(std::uint64_t nonce, std::span<std::byte> out);
 
   /// XORs stream `nonce` into `data` in place, one block at a time, so
-  /// no keystream buffer exists outside the domain (one round trip,
-  /// counted as one CTR request). False, `data` untouched, when powered
-  /// off.
+  /// no keystream buffer exists outside the domain (one round trip).
+  /// False, `data` untouched, when powered off.
   bool keystream_xor(std::uint64_t nonce, std::span<std::byte> data);
-
-  /// Many CTR requests in ONE round trip — the amortization primitive.
-  /// All-or-nothing: false (and no output) when powered off.
-  bool keystream_batch(std::span<KeystreamRequest> requests);
 
   /// Authenticity tag over `data` (one round trip). nullopt when powered
   /// off.
   std::optional<std::array<std::byte, kTagBytes>> mac(
       std::uint64_t nonce, std::span<const std::byte> data);
 
-  // -- amortization accounting ------------------------------------------------
-  /// Bus crossings: every keystream / keystream_batch / mac call is one.
+  /// Bus crossings: every keystream / keystream_xor / mac call is one.
   std::uint64_t round_trips() const;
-  /// Subset of round_trips that were CTR calls (batch counts once).
-  std::uint64_t keystream_round_trips() const;
-  /// Individual CTR requests served (a batch of k adds k).
-  std::uint64_t keystream_requests() const;
-  std::uint64_t keystream_bytes() const;
-  std::uint64_t mac_round_trips() const;
 
  private:
-  /// Fills `out` for one request, or XORs the stream into it. Caller
-  /// holds mu_.
-  void fill_locked(const KeystreamRequest& req, bool xor_in = false);
-  /// Counts one round trip, or publishes a refusal and returns false
-  /// when powered off. Caller holds mu_.
-  bool begin_keystream_locked(std::uint64_t refusal_code);
+  /// Writes stream `nonce` into `out`, or XORs it in. Counts one round
+  /// trip, or publishes a keystream refusal and returns false when
+  /// powered off.
+  bool crypt(std::uint64_t nonce, std::span<std::byte> out, bool xor_in);
+  /// Counts one round trip, or publishes refusal `code` (0 keystream,
+  /// 2 mac) and returns false when powered off. Caller holds mu_.
+  bool begin_locked(std::uint64_t code);
 
   mutable std::mutex mu_;
   std::array<std::byte, 32> secret_{};
   bool powered_ = true;
   std::uint64_t round_trips_ = 0;
-  std::uint64_t keystream_round_trips_ = 0;
-  std::uint64_t keystream_requests_ = 0;
-  std::uint64_t keystream_bytes_ = 0;
-  std::uint64_t mac_round_trips_ = 0;
 };
 
 }  // namespace keyguard::sim

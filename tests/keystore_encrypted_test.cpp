@@ -9,7 +9,10 @@
 //     the taint map shows zero secret bytes afterward;
 //   * a powered-off domain refuses unseals and ingest rather than falling
 //     back to plaintext; re-encryption without a domain fails AMNESIAC
-//     (scrub) rather than leaky.
+//     (scrub) rather than leaky;
+//   * a cold unseal costs two domain round trips, a page re-entry or a
+//     re-encrypt one, and the domain's MAC is deterministic and separated
+//     from its keystream.
 //
 // The host-side EncryptedHostKeystore gets the same battery on real
 // memory, plus a refusal-on-a-full-pool check and three concurrency checks
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -42,6 +46,7 @@ namespace {
 
 using analysis::ShadowTaintMap;
 using analysis::TaintAuditor;
+using sim::CoprocessorDomain;
 using sim::TaintTag;
 
 struct Rig {
@@ -130,6 +135,65 @@ TEST(EncryptedKeystore, RoundTripAndWorkingSetBound) {
   EXPECT_GT(ks.stats().reencrypts, 0u);   // the squeeze actually happened
   EXPECT_GT(ks.stats().evictions, 0u);    // 5 keys through 4 slots
   EXPECT_EQ(ks.stats().refusals, 0u);
+}
+
+// The domain round trips each pool transition costs: a cold unseal is
+// two (the tag, then the decrypt), a page re-entry and a re-encrypt one
+// each, a working-set hit none.
+TEST(EncryptedKeystore, RoundTripsPerUnsealReentryAndReencrypt) {
+  Rig rig;
+  sim::CoprocessorDomain domain(0xd0);
+  EncryptedPoolKeystore ks(rig.kernel, *rig.proc, domain,
+                           {.pool_pages = 2, .working_set = 1});
+  const auto keys = make_keys(1);
+  const auto ids = ingest_all(rig, ks, keys);
+  util::Rng rng(6);
+
+  auto before = domain.round_trips();
+  roundtrip(ks, ids, 0, rng);
+  EXPECT_EQ(ks.stats().blob_unseals, 1u);
+  EXPECT_EQ(domain.round_trips() - before, 2u);  // cold: mac + keystream
+
+  before = domain.round_trips();
+  roundtrip(ks, ids, 0, rng);
+  EXPECT_EQ(ks.stats().working_hits, 1u);
+  EXPECT_EQ(domain.round_trips() - before, 0u);  // hit: the page is already plaintext
+
+  before = domain.round_trips();
+  ks.reencrypt_all();
+  EXPECT_EQ(ks.stats().reencrypts, 1u);
+  EXPECT_EQ(domain.round_trips() - before, 1u);  // re-encrypt: one keystream
+
+  before = domain.round_trips();
+  roundtrip(ks, ids, 0, rng);
+  EXPECT_EQ(ks.stats().page_decrypts, 1u);
+  EXPECT_EQ(domain.round_trips() - before, 1u);  // re-entry: one keystream
+  EXPECT_EQ(ks.stats().blob_unseals, 1u);
+  ks.shutdown();
+}
+
+TEST(CoprocessorBatch, MacIsDeterministicAndDomainSeparated) {
+  CoprocessorDomain a(0xb1);
+  CoprocessorDomain b(0xb1);
+  CoprocessorDomain other(0xb2);
+  std::vector<std::byte> msg(40);
+  util::Rng rng(32);
+  rng.fill_bytes(msg);
+  const auto t1 = a.mac(7, msg);
+  const auto t2 = b.mac(7, msg);
+  ASSERT_TRUE(t1 && t2);
+  EXPECT_EQ(*t1, *t2);
+  // Different nonce, different seed, different data: all distinct tags.
+  EXPECT_NE(*a.mac(8, msg), *t1);
+  EXPECT_NE(*other.mac(7, msg), *t1);
+  auto msg2 = msg;
+  msg2[0] ^= std::byte{1};
+  EXPECT_NE(*a.mac(7, msg2), *t1);
+  // MAC bytes are not CTR keystream bytes for the same nonce (the 'M'/'C'
+  // tag in the domain's derivation separates them).
+  std::vector<std::byte> ks(CoprocessorDomain::kTagBytes);
+  ASSERT_TRUE(a.keystream(7, ks));
+  EXPECT_FALSE(std::equal(ks.begin(), ks.end(), t1->begin()));
 }
 
 TEST(EncryptedKeystore, ReencryptAllLeavesMachineAmnesiacAndReversible) {
@@ -259,15 +323,14 @@ TEST(EncryptedKeystore, SealedBlobAuthenticatedFormatRejects) {
   ASSERT_EQ(blob->size(), kSealedHeaderBytes + pt.size() + kAuthTagBytes);
   EXPECT_EQ(authenticated_nonce(*blob), 42u);
 
-  // Round trip, both with and without a prefetched keystream.
+  // Round trip; the body is the plaintext XOR the domain's stream 42.
   const auto open1 = unseal_authenticated(*blob, domain);
   ASSERT_TRUE(open1.has_value());
   EXPECT_EQ(*open1, pt);
   std::vector<std::byte> ks(pt.size());
   ASSERT_TRUE(domain.keystream(42, ks));
-  const auto open2 = unseal_authenticated(*blob, domain, ks);
-  ASSERT_TRUE(open2.has_value());
-  EXPECT_EQ(*open2, pt);
+  for (std::size_t i = 0; i < ks.size(); ++i) ks[i] ^= (*blob)[kSealedHeaderBytes + i];
+  EXPECT_EQ(ks, pt);
 
   // Truncations reject (header-only, missing tag, empty).
   EXPECT_FALSE(unseal_authenticated({}, domain).has_value());

@@ -242,12 +242,6 @@ void unknown_key_id_throws_before_anything_moves() {
   const KeyId unknown = ids.back() + 1000;
   EXPECT_THROW((void)ks->try_private_op(unknown, bn::Bignum(42)), std::out_of_range);
   EXPECT_THROW((void)ks->public_key(unknown), std::out_of_range);
-  if constexpr (std::is_same_v<Store, EncryptedPoolKeystore>) {
-    const KeyId batch_ids[] = {ids[1], unknown};
-    const bn::Bignum cs[] = {bn::Bignum(42), bn::Bignum(42)};
-    EXPECT_THROW((void)ks->private_op_batch(batch_ids, cs), std::out_of_range);
-    EXPECT_EQ(ks->stats().batches, 0u);
-  }
   EXPECT_EQ(counts(*ks), before);
   EXPECT_EQ(metrics_snapshot(), metrics_before);
   EXPECT_EQ(bus.published(), events_before);

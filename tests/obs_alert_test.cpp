@@ -532,23 +532,24 @@ TEST_F(AlertTest, MetricsSinkCountsBySeverityAndRule) {
 // --------------------------------------------------------- flight recorder --
 
 TEST_F(AlertTest, RingAccountsDropsExactly) {
-  FlightRecorder rec({.capacity = 8});
+  FlightRecorder rec;
   EventBus::global().subscribe(&rec);
   EventBus::global().set_enabled(true);
-  for (std::uint64_t i = 0; i < 20; ++i) {
+  constexpr std::uint64_t kPublished = FlightRecorder::kCapacity + 12;
+  for (std::uint64_t i = 0; i < kPublished; ++i) {
     EventBus::global().publish(ObsEventKind::kFrameAllocated, i);
   }
-  EXPECT_EQ(rec.events_seen(), 20u);
+  EXPECT_EQ(rec.events_seen(), kPublished);
   EXPECT_EQ(rec.events_overwritten(), 12u);  // exact, not "some"
   const auto ring = rec.ring();
-  ASSERT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.front().a, 12u);  // oldest survivor
-  EXPECT_EQ(ring.back().a, 19u);   // newest, in order
+  ASSERT_EQ(ring.size(), FlightRecorder::kCapacity);
+  EXPECT_EQ(ring.front().a, 12u);              // oldest survivor
+  EXPECT_EQ(ring.back().a, kPublished - 1);    // newest, in order
   EventBus::global().unsubscribe(&rec);
 }
 
 TEST_F(AlertTest, FreezesOnlyAtTriggerSeverity) {
-  FlightRecorder rec({.capacity = 8, .trigger = Severity::kCritical});
+  FlightRecorder rec;
   EventBus::global().subscribe(&rec);
   EventBus::global().set_enabled(true);
 
@@ -598,7 +599,7 @@ TEST_F(AlertTest, BundleIsParseableAndRedacted) {
   kernel.mem_write(p, addr, key, sim::TaintTag::kKeyD);
   kernel.munmap(p, addr, sim::kPageSize);  // residue for the census
 
-  FlightRecorder rec({.capacity = 16}, &kernel, &shadow);
+  FlightRecorder rec(&kernel, &shadow);
   Alert crit;
   crit.rule = "residue";
   crit.severity = Severity::kCritical;

@@ -57,7 +57,6 @@ TARGETS=(
   keystore_sim_test
   keystore_equivalence_test
   keystore_encrypted_test
-  keystore_batch_test
   keystore_salt_test
   keystore_adversary_test
   obs_metrics_test

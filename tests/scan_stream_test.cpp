@@ -11,6 +11,7 @@
 #include "scan/capture_stream.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -241,6 +242,86 @@ TEST(CaptureStreamSeams, WindowSizeSweepIsInvariant) {
                              "window " + std::to_string(window));
   }
   std::remove(path.c_str());
+}
+
+// A capture that shrinks mid-walk must refuse the next window in both
+// access modes. On the mmap path a window past the new end of file would
+// raise SIGBUS when read, so the walk runs in a death-test child: a
+// crash fails the check instead of killing the test binary.
+std::string shrink_name(bool use_mmap) {
+  return use_mmap ? "stream_shrink_mmap.bin" : "stream_shrink_read.bin";
+}
+
+void walk_shrinking_capture(bool use_mmap) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  std::vector<std::byte> bytes(8 * kMiB);
+  util::Rng rng(44);
+  rng.fill_bytes(bytes);
+  const auto path = write_temp(bytes, shrink_name(use_mmap));
+  ::setenv("KEYGUARD_CAPTURE_MMAP", use_mmap ? "1" : "0", 1);
+  CaptureStream stream(path, kMiB);
+  ::unsetenv("KEYGUARD_CAPTURE_MMAP");
+  if (!stream.ok() || stream.mapped() != use_mmap) std::_Exit(2);
+  stream.rewind(64);
+  std::size_t covered = 0;
+  unsigned sum = 0;
+  const auto touch = [&](const CaptureWindow& w) {
+    for (const std::byte b : w.bytes) sum += static_cast<unsigned>(b);
+    covered += w.payload;
+  };
+  const auto first = stream.next();
+  if (!first) std::_Exit(3);
+  touch(*first);
+  if (::truncate(path.c_str(), static_cast<off_t>(2 * kMiB)) != 0) std::_Exit(4);
+  while (const auto w = stream.next()) touch(*w);
+  const bool refused = !stream.ok() &&
+                       stream.error().find("shrank") != std::string::npos &&
+                       covered < 2 * kMiB;
+  std::_Exit(refused && sum != 0 ? 0 : 1);
+}
+
+TEST(CaptureStreamResize, ShrinkMidWalkRefusesInBothModes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(walk_shrinking_capture(true), ::testing::ExitedWithCode(0), "")
+      << "mmap";
+  EXPECT_EXIT(walk_shrinking_capture(false), ::testing::ExitedWithCode(0), "")
+      << "pread";
+  for (const bool use_mmap : {true, false}) {
+    std::remove((::testing::TempDir() + shrink_name(use_mmap)).c_str());
+  }
+}
+
+TEST(CaptureStreamResize, GrowthMidWalkIsNotRead) {
+  constexpr std::size_t kKiB = 1024;
+  std::vector<std::byte> bytes(64 * kKiB);
+  util::Rng rng(45);
+  rng.fill_bytes(bytes);
+  for (const bool use_mmap : {true, false}) {
+    const std::string label = use_mmap ? "mmap" : "pread";
+    const auto path = write_temp(bytes, "stream_grow.bin");
+    ::setenv("KEYGUARD_CAPTURE_MMAP", use_mmap ? "1" : "0", 1);
+    CaptureStream stream(path, 16 * kKiB);
+    ::unsetenv("KEYGUARD_CAPTURE_MMAP");
+    ASSERT_TRUE(stream.ok()) << label << ": " << stream.error();
+    EXPECT_EQ(stream.mapped(), use_mmap) << label;
+    stream.rewind(32);
+    std::vector<std::byte> seen;
+    bool grown = false;
+    while (const auto w = stream.next()) {
+      seen.insert(seen.end(), w->bytes.begin(),
+                  w->bytes.begin() + static_cast<std::ptrdiff_t>(w->payload));
+      if (!grown) {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        const std::vector<char> extra(32 * kKiB, 'g');
+        out.write(extra.data(), static_cast<std::streamsize>(extra.size()));
+        grown = true;
+      }
+    }
+    EXPECT_TRUE(stream.ok()) << label << ": " << stream.error();
+    EXPECT_EQ(stream.size(), bytes.size()) << label;
+    EXPECT_EQ(seen, bytes) << label;  // the size seen at open, nothing more
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

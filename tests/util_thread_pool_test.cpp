@@ -4,7 +4,8 @@
 
 #include <atomic>
 #include <filesystem>
-#include <iterator>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,21 +71,32 @@ TEST(ThreadPool, SharedPoolSingleton) {
 
 TEST(ThreadPool, WorkersStartWithTheFirstLoopThatCanUseThem) {
   // One-item loops never start a thread, so a process whose scans are all
-  // serial stays single-threaded.
-  const auto threads = [] {
-    const std::filesystem::directory_iterator tasks("/proc/self/task");
-    return std::distance(begin(tasks), end(tasks));
+  // serial stays single-threaded. Threads are counted by task id: a
+  // joined worker of an earlier pool may still be listed in
+  // /proc/self/task while it exits, so only ids absent at the start are
+  // this pool's workers.
+  const auto tasks = [] {
+    std::set<std::string> ids;
+    for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+      ids.insert(task.path().filename().string());
+    }
+    return ids;
   };
-  const auto before = threads();
+  const auto before = tasks();
+  const auto started = [&] {
+    std::size_t n = 0;
+    for (const auto& id : tasks()) n += before.count(id) == 0 ? 1 : 0;
+    return n;
+  };
   ThreadPool pool(3);
   int ran = 0;
   pool.parallel_for(1, [&](std::size_t) { ++ran; });
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(threads(), before);
+  EXPECT_EQ(started(), 0u);
   std::atomic<int> hits{0};
   pool.parallel_for(4, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 4);
-  EXPECT_EQ(threads(), before + 3);
+  EXPECT_EQ(started(), 3u);
 }
 
 TEST(ThreadPool, ConcurrentCallersEachCoverEveryIndexOnce) {
