@@ -18,7 +18,6 @@ AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
   bool cur_mlocked = false;
   bool cur_secret = false;
   bool cur_nonmaster_secret = false;
-  std::vector<sim::Kernel::FrameMapping> cur_mappings;
   const auto flush_frame = [&] {
     if (!frame_open) return;
     ++report.tainted_frames;
@@ -32,8 +31,11 @@ AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
     cur_secret = cur_nonmaster_secret = false;
   };
 
-  // RAM: maximal same-tag runs, split at frame boundaries.
+  // RAM: maximal same-tag runs, split at frame boundaries. The runs are
+  // cut first, so one pass over the page tables resolves the reverse map
+  // of every tainted frame (they ascend with the runs).
   std::size_t pos = 0;
+  std::vector<sim::FrameNumber> frames;
   while (pos < shadow.size()) {
     if (shadow[pos] == sim::TaintTag::kClean) {
       ++pos;
@@ -49,20 +51,27 @@ AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
     r.length = end - pos;
     r.tag = tag;
     r.frame = static_cast<sim::FrameNumber>(pos / sim::kPageSize);
+    if (frames.empty() || frames.back() != r.frame) frames.push_back(r.frame);
+    report.regions.push_back(std::move(r));
+    pos = end;
+  }
+  const auto frame_maps = kernel.frame_mappings(frames);
+
+  std::size_t frame_index = 0;
+  for (TaintedRegion& r : report.regions) {
     r.state = frame_states[r.frame];
-    // Regions ascend, so a frame's regions are adjacent: walk its reverse
-    // map once, at its first region.
     const bool new_frame = !frame_open || r.frame != cur_frame;
-    if (new_frame) cur_mappings = kernel.frame_mappings(r.frame);
+    if (frames[frame_index] != r.frame) ++frame_index;
+    const auto& cur_mappings = frame_maps[frame_index];
     r.owners = scan::mapping_owners(cur_mappings);
     r.mlocked = std::any_of(cur_mappings.begin(), cur_mappings.end(),
                             [](const auto& m) { return m.mlocked; });
     r.provenance = scan::describe_copy(kernel, r.state, cur_mappings, r.offset);
     r.age = map_.epoch() - map_.frame_last_tainted(r.frame);
 
-    const bool secret = sim::taint_tag_secret(tag);
+    const bool secret = sim::taint_tag_secret(r.tag);
     LocationTotals& klass = secret ? report.secret : report.sealed;
-    report.bytes_by_tag[static_cast<std::size_t>(tag)] += r.length;
+    report.bytes_by_tag[static_cast<std::size_t>(r.tag)] += r.length;
     switch (r.state) {
       case sim::FrameState::kUserAnon:
         report.bytes_allocated += r.length;
@@ -93,10 +102,8 @@ AuditReport TaintAuditor::audit(const sim::Kernel& kernel) const {
     }
     if (secret) {
       cur_secret = true;
-      if (tag != sim::TaintTag::kMasterKey) cur_nonmaster_secret = true;
+      if (r.tag != sim::TaintTag::kMasterKey) cur_nonmaster_secret = true;
     }
-    report.regions.push_back(std::move(r));
-    pos = end;
   }
   flush_frame();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "crypto/pem.hpp"
 #include "obs/metrics.hpp"
@@ -79,34 +80,62 @@ std::vector<std::span<const std::byte>> KeyPatterns::needles() const {
   return out;
 }
 
+struct KeyScanner::Compiled {
+  explicit Compiled(KeyPatterns p) : patterns(std::move(p)), exact(patterns.needles()) {}
+
+  KeyPatterns patterns;
+  MultiMatcher exact;  ///< points into `patterns`' bytes
+};
+
+KeyScanner::KeyScanner(KeyPatterns patterns)
+    : compiled_(std::make_shared<const Compiled>(std::move(patterns))) {}
+
+const KeyPatterns& KeyScanner::patterns() const noexcept { return compiled_->patterns; }
+
 std::size_t KeyScanner::effective_shards() const {
   if (shards_ != 0) return shards_;
   return util::ThreadPool::shared().size() + 1;  // workers + calling thread
 }
 
+namespace {
+
+/// The distinct frames `raw`'s hits start on, ascending: hits come in
+/// offset order, so the hits of one frame are adjacent.
+std::vector<sim::FrameNumber> hit_frames(std::span<const RawMatch> raw) {
+  std::vector<sim::FrameNumber> frames;
+  for (const auto& r : raw) {
+    const auto frame = static_cast<sim::FrameNumber>(r.offset / sim::kPageSize);
+    if (frames.empty() || frames.back() != frame) frames.push_back(frame);
+  }
+  return frames;
+}
+
+}  // namespace
+
 std::vector<MemoryMatch> KeyScanner::resolve_raw(
-    const sim::Kernel& kernel, std::span<const RawMatch> raw) const {
+    const sim::Kernel& kernel, std::span<const RawMatch> raw,
+    std::vector<std::vector<sim::Kernel::FrameMapping>> frame_maps) const {
   // Metadata is resolved on the calling thread from a single-pass
   // snapshot, so the allocator is never read concurrently — and it is
   // resolved EVERY sweep, because frame state and owners change without
   // any byte changing (fork shares a frame, exit orphans it, free
   // reclassifies it).
   const auto frame_states = kernel.allocator().states_snapshot();
+  const auto& pats = patterns().patterns;
   std::vector<MemoryMatch> matches;
   matches.reserve(raw.size());
+  std::size_t next_frame = 0;
   for (const auto& r : raw) {
     MemoryMatch m;
     m.phys_offset = r.offset;
-    m.part = patterns_.patterns[r.pattern_index].name;
+    m.part = pats[r.pattern_index].name;
     m.frame = static_cast<sim::FrameNumber>(r.offset / sim::kPageSize);
     m.state = frame_states[m.frame];
-    // Matches come in offset order, so the matches of one frame are
-    // adjacent: walk the page tables once per frame, not once per match.
     if (!matches.empty() && matches.back().frame == m.frame) {
       m.owners = matches.back().owners;
       m.mappings = matches.back().mappings;
     } else {
-      m.mappings = kernel.frame_mappings(m.frame);
+      m.mappings = std::move(frame_maps[next_frame++]);
       m.owners = mapping_owners(m.mappings);
     }
     m.provenance = describe_copy(kernel, m.state, m.mappings, m.phys_offset);
@@ -128,7 +157,7 @@ std::vector<RawMatch> KeyScanner::sweep_raw(const sim::Kernel& kernel,
   if (auto& reg = obs::MetricsRegistry::global(); reg.enabled()) {
     reg.gauge("sim.written_frames").set(static_cast<double>(mem.written_frames()));
   }
-  const MultiMatcher mm(patterns_.needles());
+  const MultiMatcher& mm = compiled_->exact;
   const auto written =
       written_runs(mem.written_bitmap(), sim::kPageSize, mem.size_bytes(), mm);
   std::vector<ByteRun> windows;
@@ -139,13 +168,23 @@ std::vector<RawMatch> KeyScanner::sweep_raw(const sim::Kernel& kernel,
 
 std::vector<MemoryMatch> KeyScanner::scan_kernel(const sim::Kernel& kernel,
                                                  ScanStats* stats) const {
-  return resolve_raw(kernel, sweep_raw(kernel, stats));
+  const auto raw = sweep_raw(kernel, stats);
+  // One pass over the page tables resolves every hit frame.
+  return resolve_raw(kernel, raw, kernel.frame_mappings(hit_frames(raw)));
 }
 
 std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
     const sim::Kernel& kernel, DirtyFrameJournal& journal, SweepCache& cache,
     ScanStats* stats) const {
   const auto buffer = kernel.memory().all();
+  // Incremental sweeps still walk the page tables once per hit frame, not
+  // in scan_kernel's one pass: ROADMAP direction 2 has why (ssh_scp's
+  // peak RSS counts the connections its monitored arm completes).
+  const auto walk_each_frame = [&kernel](std::span<const RawMatch> raw) {
+    std::vector<std::vector<sim::Kernel::FrameMapping>> maps;
+    for (const sim::FrameNumber f : hit_frames(raw)) maps.push_back(kernel.frame_mappings(f));
+    return maps;
+  };
   if (!cache.primed || cache.phys_bytes != buffer.size()) {
     // Prime: one full sweep populates the cache; everything the journal
     // accumulated so far is covered by it, so the backlog is discarded.
@@ -153,14 +192,14 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
     cache.phys_bytes = buffer.size();
     cache.primed = true;
     journal.drain();
-    return resolve_raw(kernel, cache.raw);
+    return resolve_raw(kernel, cache.raw, walk_each_frame(cache.raw));
   }
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto dirty = journal.drain();
   // Every dirty frame is a changed byte run; settle() widens, merges,
   // rescans and splices them into the cache (DESIGN.md §8).
-  const MultiMatcher mm(patterns_.needles());
+  const MultiMatcher& mm = compiled_->exact;
   const std::size_t frame_bytes = journal.frame_bytes();
   std::vector<ByteRun> runs;
   runs.reserve(dirty.size());
@@ -180,6 +219,7 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
     stats->overlap_bytes = mm.reach();
     stats->pattern_count = mm.active_needles();
     stats->simd_kind = mm.simd_kind();
+    stats->skim_depth = mm.skim_depth();
     stats->incremental = true;
     stats->dirty_frames = dirty.size();
     stats->wall_millis = std::max(
@@ -189,17 +229,18 @@ std::vector<MemoryMatch> KeyScanner::scan_kernel_incremental(
     auto& reg = obs::MetricsRegistry::global();
     if (reg.enabled()) stats->publish(reg);
   }
-  return resolve_raw(kernel, cache.raw);
+  return resolve_raw(kernel, cache.raw, walk_each_frame(cache.raw));
 }
 
 std::vector<CaptureMatch> KeyScanner::scan_capture(
     std::span<const std::byte> capture, ScanStats* stats) const {
-  const auto raw = sharded_scan(capture, patterns_.needles(), effective_shards(),
-                                /*min_prefix_bytes=*/0, stats);
+  const ByteRun all{0, capture.size()};
+  const auto raw = sharded_scan_runs(capture, capture.size(), {&all, 1},
+                                     compiled_->exact, effective_shards(), stats);
   std::vector<CaptureMatch> matches;
   matches.reserve(raw.size());
   for (const auto& r : raw) {
-    matches.push_back({r.offset, patterns_.patterns[r.pattern_index].name});
+    matches.push_back({r.offset, patterns().patterns[r.pattern_index].name});
   }
   return matches;
 }
@@ -207,12 +248,12 @@ std::vector<CaptureMatch> KeyScanner::scan_capture(
 std::vector<PartialMatch> KeyScanner::scan_capture_prefix(
     std::span<const std::byte> capture, std::size_t min_bytes,
     ScanStats* stats) const {
-  const auto raw = sharded_scan(capture, patterns_.needles(), effective_shards(),
+  const auto raw = sharded_scan(capture, patterns().needles(), effective_shards(),
                                 min_bytes, stats);
   std::vector<PartialMatch> matches;
   matches.reserve(raw.size());
   for (const auto& r : raw) {
-    matches.push_back({r.offset, patterns_.patterns[r.pattern_index].name,
+    matches.push_back({r.offset, patterns().patterns[r.pattern_index].name,
                        r.matched_bytes, r.full});
   }
   return matches;
@@ -222,10 +263,14 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
                                              std::size_t min_prefix_bytes,
                                              ScanStats* stats) const {
   const auto t0 = std::chrono::steady_clock::now();
-  // One matcher serves every window. Its reach covers the longest needle
-  // that can match (prefix mode skips needles shorter than the minimum),
-  // and that is every window's seam.
-  const MultiMatcher mm(patterns_.needles(), min_prefix_bytes);
+  // One matcher serves every window: the scanner's own in exact mode, a
+  // prefix-mode one compiled here otherwise. Its reach covers the longest
+  // needle that can match (prefix mode skips needles shorter than the
+  // minimum), and that is every window's seam.
+  std::optional<MultiMatcher> prefix;
+  const MultiMatcher& mm = min_prefix_bytes == 0
+                               ? compiled_->exact
+                               : prefix.emplace(patterns().needles(), min_prefix_bytes);
   stream.rewind(mm.reach());
   std::vector<RawMatch> all;
   std::size_t windows = 0;
@@ -257,6 +302,7 @@ std::vector<RawMatch> KeyScanner::stream_raw(CaptureStream& stream,
     stats->overlap_bytes = mm.reach();
     stats->pattern_count = mm.active_needles();
     stats->simd_kind = mm.simd_kind();
+    stats->skim_depth = mm.skim_depth();
     stats->bytes_streamed = stream.size();
     stats->incremental = false;
     stats->dirty_frames = 0;
@@ -280,7 +326,7 @@ std::vector<CaptureMatch> KeyScanner::scan_capture_stream(
   std::vector<CaptureMatch> matches;
   matches.reserve(raw.size());
   for (const auto& r : raw) {
-    matches.push_back({r.offset, patterns_.patterns[r.pattern_index].name});
+    matches.push_back({r.offset, patterns().patterns[r.pattern_index].name});
   }
   return matches;
 }
@@ -291,7 +337,7 @@ std::vector<PartialMatch> KeyScanner::scan_capture_prefix_stream(
   std::vector<PartialMatch> matches;
   matches.reserve(raw.size());
   for (const auto& r : raw) {
-    matches.push_back({r.offset, patterns_.patterns[r.pattern_index].name,
+    matches.push_back({r.offset, patterns().patterns[r.pattern_index].name,
                        r.matched_bytes, r.full});
   }
   return matches;
@@ -304,7 +350,7 @@ std::vector<ProcessMatch> KeyScanner::scan_process(const sim::Kernel& kernel,
   // span adjacent virtual pages are found even when their frames are
   // physically scattered. Runs are small (one process), so this path
   // stays serial.
-  const MultiMatcher mm(patterns_.needles());
+  const MultiMatcher& mm = compiled_->exact;
   std::vector<ProcessMatch> matches;
   std::vector<RawMatch> raw;
   const auto& pt = process.page_table();
@@ -326,7 +372,7 @@ std::vector<ProcessMatch> KeyScanner::scan_process(const sim::Kernel& kernel,
     raw.clear();
     mm.scan(run, 0, run.size(), run.size(), raw);
     for (const auto& r : raw) {
-      matches.push_back({start + r.offset, patterns_.patterns[r.pattern_index].name});
+      matches.push_back({start + r.offset, patterns().patterns[r.pattern_index].name});
     }
   }
   return matches;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -142,7 +143,10 @@ struct SweepCache {
 
 class KeyScanner {
  public:
-  explicit KeyScanner(KeyPatterns patterns) : patterns_(std::move(patterns)) {}
+  /// Compiles the exact-mode matcher once; every sweep, capture and
+  /// process scan reuses it. Copies share it (and the patterns it points
+  /// into) read-only.
+  explicit KeyScanner(KeyPatterns patterns);
 
   /// Builds the scanner for a key directly.
   explicit KeyScanner(const crypto::RsaPrivateKey& key)
@@ -224,7 +228,7 @@ class KeyScanner {
 
   static Census census(const std::vector<MemoryMatch>& matches);
 
-  const KeyPatterns& patterns() const noexcept { return patterns_; }
+  const KeyPatterns& patterns() const noexcept;
 
  private:
   /// shards_ resolved against the machine/env for an actual scan.
@@ -233,15 +237,22 @@ class KeyScanner {
   /// frames kernel.memory() marked written.
   std::vector<RawMatch> sweep_raw(const sim::Kernel& kernel, ScanStats* stats) const;
   /// Layers frame state / owners / provenance onto raw engine hits.
-  std::vector<MemoryMatch> resolve_raw(const sim::Kernel& kernel,
-                                       std::span<const RawMatch> raw) const;
+  /// `frame_maps` holds the reverse map of each distinct hit frame, in
+  /// ascending frame order (Kernel::frame_mappings over hit_frames(raw)).
+  std::vector<MemoryMatch> resolve_raw(
+      const sim::Kernel& kernel, std::span<const RawMatch> raw,
+      std::vector<std::vector<sim::Kernel::FrameMapping>> frame_maps) const;
   /// Shared body of the two streaming scans: windowed walk, offsets
   /// rebased to file offsets, per-window stats aggregated.
   std::vector<RawMatch> stream_raw(CaptureStream& stream,
                                    std::size_t min_prefix_bytes,
                                    ScanStats* stats) const;
 
-  KeyPatterns patterns_;
+  /// The patterns and the exact matcher over their bytes, immutable and
+  /// shared by every copy of the scanner: the matcher holds pointers into
+  /// the patterns, so the two live and move together.
+  struct Compiled;
+  std::shared_ptr<const Compiled> compiled_;
   std::size_t shards_ = 0;  // 0 = auto
 };
 

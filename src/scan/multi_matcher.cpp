@@ -1,7 +1,9 @@
 #include "scan/multi_matcher.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <memory>
 
 namespace keyguard::scan {
 
@@ -84,11 +86,11 @@ MultiMatcher::MultiMatcher(std::span<const std::span<const std::byte>> needles,
   // Two-byte-prefix bitmap. A needle whose required length is >= 2 pins
   // its exact (b0, b1) pair; a required length of 1 admits any second
   // byte, so all 256 pairs for b0 are set — no false negatives either way.
-  // The shufti tables are the bitmap's vector-friendly shadow: each
-  // distinct first byte takes a bucket (order of appearance, mod 8 past
-  // eight — collisions only cost false positives), the first-byte nibbles
-  // set the bucket bit in lo0/hi0, and the second byte either pins its
-  // nibbles in lo1/hi1 or (required length 1) admits every second byte.
+  // The shufti tables are the bitmap's vector-friendly shadow, one pair
+  // per depth: each distinct first byte takes a bucket (order of
+  // appearance, mod 8 past eight — collisions only cost false positives),
+  // and at every depth k the needle's byte k sets the bucket bit in
+  // lo[k]/hi[k], or every entry does once k reaches the required length.
   std::array<int, 256> first_bucket;
   first_bucket.fill(-1);
   unsigned next_bucket = 0;
@@ -100,45 +102,69 @@ MultiMatcher::MultiMatcher(std::span<const std::span<const std::byte>> needles,
       first_bucket[b0] = bucket;
     }
     const std::uint8_t bit = static_cast<std::uint8_t>(1u << bucket);
-    shufti_.lo0[b0 & 15] |= bit;
-    shufti_.hi0[b0 >> 4] |= bit;
-    if (e.match_len >= 2) {
-      const unsigned b1 = std::to_integer<unsigned>(e.bytes[1]);
+    for (std::size_t k = 0; k < simd_detail::kMaxSkimDepth; ++k) {
+      if (k < e.match_len) {
+        const unsigned b = std::to_integer<unsigned>(e.bytes[k]);
+        shufti_.lo[k][b & 15] |= bit;
+        shufti_.hi[k][b >> 4] |= bit;
+      } else {
+        for (unsigned n = 0; n < 16; ++n) {
+          shufti_.lo[k][n] |= bit;
+          shufti_.hi[k][n] |= bit;
+        }
+      }
+    }
+    const unsigned b1_first = e.match_len >= 2 ? e.second : 0;
+    const unsigned b1_last = e.match_len >= 2 ? e.second : 255;
+    for (unsigned b1 = b1_first; b1 <= b1_last; ++b1) {
       const unsigned idx = b0 | (b1 << 8);
       pair_bits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-      shufti_.lo1[b1 & 15] |= bit;
-      shufti_.hi1[b1 >> 4] |= bit;
-    } else {
-      for (unsigned b1 = 0; b1 < 256; ++b1) {
-        const unsigned idx = b0 | (b1 << 8);
-        pair_bits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-      }
-      for (unsigned n = 0; n < 16; ++n) {
-        shufti_.lo1[n] |= bit;
-        shufti_.hi1[n] |= bit;
+    }
+  }
+  // Survival of the classifier at each depth, exactly: how many of the
+  // 256^d byte tuples keep a bucket bit through d layers — what the
+  // vector kernel computes per position, counted over every input. By
+  // inclusion-exclusion over the bucket sets S, it is the sum with sign
+  // (-1)^(|S|+1) of the tuples whose every layer's class contains S, and
+  // covers[k][S] counts the bytes whose layer-k class contains S (a
+  // superset sum over the eight bucket bits).
+  std::array<std::array<std::int64_t, 256>, simd_detail::kMaxSkimDepth> covers{};
+  for (std::size_t k = 0; k < simd_detail::kMaxSkimDepth; ++k) {
+    for (unsigned b = 0; b < 256; ++b) {
+      ++covers[k][shufti_.lo[k][b & 15] & shufti_.hi[k][b >> 4]];
+    }
+    for (unsigned bit = 1; bit < 256; bit <<= 1) {
+      for (unsigned base = 0; base < 256; base += 2 * bit) {
+        for (unsigned set = base; set < base + bit; ++set) {
+          covers[k][set] += covers[k][set + bit];
+        }
       }
     }
   }
-  // Profitability: evaluate the nibble classifier over every byte pair —
-  // exactly what the vector kernel computes per position — and count how
-  // many survive. The skim only pays when it rejects most positions; past
-  // ~25% survivors (needle sets with hundreds of unstructured prefixes
-  // saturate the 8 buckets) the candidate handling costs more than the
-  // scalar walk it replaces, so scan() runs the scalar walk instead of
-  // regressing. Real key-pattern sets (DER tags, PEM armor, shared
-  // headers) cluster on few first bytes and land far below the cutoff.
-  std::size_t survivors = 0;
-  for (unsigned b0 = 0; b0 < 256; ++b0) {
-    const std::uint8_t m0 = static_cast<std::uint8_t>(shufti_.lo0[b0 & 15] &
-                                                      shufti_.hi0[b0 >> 4]);
-    if (m0 == 0) continue;
-    for (unsigned b1 = 0; b1 < 256; ++b1) {
-      if ((m0 & shufti_.lo1[b1 & 15] & shufti_.hi1[b1 >> 4]) != 0) {
-        ++survivors;
-      }
+  std::array<std::int64_t, simd_detail::kMaxSkimDepth + 1> survivors{};
+  for (unsigned set = 1; set < 256; ++set) {
+    std::int64_t tuples = covers[0][set];
+    for (std::size_t d = 2; d <= simd_detail::kMaxSkimDepth; ++d) {
+      tuples *= covers[d - 1][set];
+      survivors[d] += std::popcount(set) % 2 == 1 ? tuples : -tuples;
     }
   }
-  simd_profitable_ = survivors <= (256u * 256u) / 4u;
+  // Profitability reads the two-byte classifier: the skim only pays when
+  // it rejects most positions; past ~25% survivors (needle sets with
+  // hundreds of unstructured prefixes saturate the 8 buckets) the
+  // candidate handling costs more than the scalar walk it replaces, so
+  // scan() runs the scalar walk instead of regressing. Real key-pattern
+  // sets (DER tags, PEM armor, shared headers) cluster on few first bytes
+  // and land far below the cutoff.
+  simd_profitable_ = survivors[2] <= 256 * 256 / 4;
+  // Depth: the shallowest whose uniform-byte survival is at most 1/1024,
+  // the deepest when none is. Each layer costs a load and two shuffles per block, so a sparse set
+  // stays at two bytes; a set that saturates the buckets (dozens of
+  // needles) goes deeper until candidates are rare again.
+  for (std::size_t d = 2; d <= simd_detail::kMaxSkimDepth; ++d) {
+    shufti_.depth = d;
+    if (survivors[d] * 1024 <= std::int64_t{1} << (8 * d)) break;
+  }
 }
 
 void MultiMatcher::check_candidate(const unsigned char* base,
@@ -273,21 +299,29 @@ void MultiMatcher::scan(std::span<const std::byte> buffer, std::size_t begin,
   const std::size_t limit = std::min(end, window_end);
   const std::size_t pair_limit =
       std::min(limit, buffer.size() > 0 ? buffer.size() - 1 : 0);
-  // Vector stage over whole 32/64-byte blocks of [begin, pair_limit).
-  // Candidates are collected in 64 KiB stripes (the scratch vector stays
-  // L2-resident even on match-dense inputs) and each survivor re-checks
-  // the exact pair bitmap — the shufti mask is a superset — before the
-  // ordinary bucket/SWAR/tail verify. Ascending stripe + ascending ctz
-  // extraction keeps emit order identical to the scalar walk.
-  static thread_local std::vector<std::size_t> candidates;
+  // The skim classifies bytes p .. p + depth - 1, so it stops where the
+  // last of them would pass the buffer's end; the scalar tail covers the
+  // positions past that with the pair bitmap alone.
+  const std::size_t reach = shufti_.depth - 1;
+  const std::size_t skim_limit =
+      std::min(pair_limit, buffer.size() > reach ? buffer.size() - reach : 0);
+  // Vector stage over whole 32/64-byte blocks of [begin, skim_limit).
+  // Candidates are collected in 64 KiB stripes into a per-thread array
+  // with room for a whole stripe (only the entries written are ever
+  // touched) and each survivor re-checks the exact pair bitmap — the
+  // shufti mask is a superset — before the ordinary bucket/SWAR/tail
+  // verify. Ascending stripe + ascending ctz extraction keeps emit order
+  // identical to the scalar walk.
   constexpr std::size_t kStripe = 64 * 1024;
+  static thread_local const auto candidates =
+      std::make_unique_for_overwrite<std::uint32_t[]>(kStripe);
   std::size_t pos = begin;
-  while (pos < pair_limit) {
-    const std::size_t stripe_end = std::min(pair_limit, pos + kStripe);
-    candidates.clear();
-    const std::size_t resumed = simd_detail::collect_candidates(
-        kind, base, pos, stripe_end, shufti_, candidates);
-    for (const std::size_t p : candidates) {
+  while (pos < skim_limit) {
+    const std::size_t stripe_end = std::min(skim_limit, pos + kStripe);
+    const auto skimmed = simd_detail::collect_candidates(
+        kind, base, pos, stripe_end, shufti_, candidates.get());
+    for (std::size_t i = 0; i < skimmed.candidates; ++i) {
+      const std::size_t p = pos + candidates[i];
       const unsigned idx =
           static_cast<unsigned>(base[p]) |
           (static_cast<unsigned>(base[p + 1]) << 8);
@@ -295,8 +329,8 @@ void MultiMatcher::scan(std::span<const std::byte> buffer, std::size_t begin,
         check_candidate(base, buffer.size(), p, window_end, out);
       }
     }
-    if (resumed == pos) break;  // stripe shorter than one vector
-    pos = resumed;
+    if (skimmed.resume == pos) break;  // stripe shorter than one vector
+    pos = skimmed.resume;
   }
   // Scalar tail: the sub-vector remainder of the pair loop plus the
   // final-byte walk — the same code the pure scalar path runs.

@@ -72,9 +72,10 @@ class MultiMatcher {
   /// Scans buffer bytes [begin, window_end) and appends every match whose
   /// FIRST byte lies in [begin, end), in (offset, pattern_index) order.
   /// Runs the vector skim at the level simd_kind() reports: 32/64
-  /// positions per iteration are classified against the shufti tables,
-  /// survivors re-check the exact pair bitmap and fall through to the
-  /// same bucket walk, and the scalar loop finishes the sub-vector tail.
+  /// positions per iteration are classified skim_depth() bytes deep
+  /// against the shufti tables, survivors re-check the exact pair bitmap
+  /// and fall through to the same bucket walk, and the scalar loop
+  /// finishes the sub-vector tail.
   /// With simd_kind() == kNone it is exactly scan_scalar(). Thread-safe:
   /// const over immutable tables, so sharded_scan shares one instance
   /// across all pieces.
@@ -96,14 +97,23 @@ class MultiMatcher {
   }
 
   /// False when the compiled shufti tables are too dense to pay for the
-  /// vector stage: the ctor evaluates the nibble classifier over all
-  /// 65536 byte pairs and disables the skim if more than a quarter of
+  /// vector stage: the ctor counts the byte pairs the two-byte nibble
+  /// classifier passes and disables the skim if more than a quarter of
   /// them would survive (hundreds of needles with unstructured prefixes
   /// saturate the 8-bucket nibble tables; the candidate stream then
   /// approaches every position and the skim costs more than the scalar
   /// pair-bitmap walk it feeds). scan() runs the scalar walk then, and
   /// ScanStats::simd_kind reports kNone so the downgrade is visible.
   bool simd_profitable() const noexcept { return simd_profitable_; }
+
+  /// Bytes the vector skim classifies per position (2 to 4), or 0 when
+  /// scan() runs the scalar walk (simd_kind() == kNone). The ctor picks
+  /// the shallowest depth whose survival under uniform bytes is at most
+  /// 1/1024, computed exactly from the tables: a key's four needles stay
+  /// at 2, dozens of needles that saturate the buckets go to 3 or 4.
+  std::size_t skim_depth() const noexcept {
+    return simd_kind() == SimdKind::kNone ? 0 : shufti_.depth;
+  }
 
  private:
   /// Scalar hot loop over [pos, pair_limit) plus the final-byte walk up
@@ -147,7 +157,8 @@ class MultiMatcher {
   /// requires only b0 and may be followed by anything). 8 KB, L1-resident.
   std::array<std::uint64_t, 1024> pair_bits_{};
   /// Nibble-classification tables for the vector first stage — a superset
-  /// filter over pair_bits_, built alongside it (see simd_match.hpp).
+  /// filter over pair_bits_ (and, past two bytes, over the needles' next
+  /// bytes), built alongside it with its depth (see simd_match.hpp).
   simd_detail::ShuftiTables shufti_{};
   bool simd_profitable_ = false;  ///< shufti density below the skim cutoff
   bool matches_zeros_ = false;

@@ -45,13 +45,15 @@ std::string ScanStats::summary() const {
     std::snprintf(read, sizeof(read), " (%.2f MB read)",
                   static_cast<double>(bytes_read) / kMb);
   }
-  char buf[272];
+  char depth[32] = "";
+  if (skim_depth > 0) std::snprintf(depth, sizeof(depth), ", depth %zu", skim_depth);
+  char buf[296];
   std::snprintf(buf, sizeof(buf),
                 "%.1f MB%s in %zu shard%s, %zu patterns, %.2f ms, %.1f MB/s "
-                "[%s%s%s]",
+                "[%s%s%s%s]",
                 static_cast<double>(bytes_scanned) / kMb, read,
                 shard_count, shard_count == 1 ? "" : "s", pattern_count,
-                wall_millis, mb_per_sec(), simd_kind_name(simd_kind),
+                wall_millis, mb_per_sec(), simd_kind_name(simd_kind), depth,
                 incremental ? ", incremental" : "",
                 bytes_streamed > 0 ? ", streamed" : "");
   return buf;
@@ -68,6 +70,7 @@ void ScanStats::write_json(util::JsonWriter& w) const {
   w.field("wall_ms", wall_millis);
   w.field("mb_per_sec", mb_per_sec());
   w.field("simd_kind", simd_kind_name(simd_kind));
+  w.field("skim_depth", static_cast<std::uint64_t>(skim_depth));
   w.field("bytes_streamed", static_cast<std::uint64_t>(bytes_streamed));
   w.field("incremental", incremental);
   w.field("dirty_frames", static_cast<std::uint64_t>(dirty_frames));
@@ -96,6 +99,7 @@ void ScanStats::publish(obs::MetricsRegistry& reg) const {
   reg.gauge("scan.shards").set(static_cast<double>(shard_count));
   reg.histogram("scan.wall_ms").record(wall_millis);
   reg.gauge("scan.simd_kind").set(static_cast<double>(simd_kind));
+  reg.gauge("scan.skim_depth").set(static_cast<double>(skim_depth));
   if (bytes_streamed > 0) {
     reg.counter("scan.bytes_streamed").add(bytes_streamed);
   }
@@ -224,6 +228,7 @@ std::vector<RawMatch> sharded_scan_runs(std::span<const std::byte> buffer,
     stats->overlap_bytes = plan.overlap;
     stats->pattern_count = mm.active_needles();
     stats->simd_kind = mm.simd_kind();
+    stats->skim_depth = mm.skim_depth();
     stats->bytes_streamed = 0;
     stats->incremental = false;
     stats->dirty_frames = 0;

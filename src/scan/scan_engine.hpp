@@ -103,6 +103,9 @@ struct ScanStats {
   /// for the skim (MultiMatcher::simd_profitable). CI's schema check
   /// reads this field so the downgrade is visible, not just slow.
   SimdKind simd_kind = SimdKind::kNone;
+  /// Bytes the skim classified per position (MultiMatcher::skim_depth):
+  /// 2 to 4, or 0 on the scalar walk.
+  std::size_t skim_depth = 0;
   /// Capture bytes walked by a streaming scan (CaptureStream): the file
   /// size, while bytes_scanned stays the payload actually matched. 0 for
   /// in-memory scans.
@@ -119,8 +122,9 @@ struct ScanStats {
   /// ShardStats::mb_per_sec — 0 when wall time measured 0.
   double mb_per_sec() const;
   /// One-line human summary, e.g. "64.0 MB (1.70 MB read) in 4 shards,
-  /// 4 patterns, 0.91 ms, 70329.7 MB/s [avx512]"; the "read" part only
-  /// appears when it differs from the covered bytes.
+  /// 4 patterns, 0.91 ms, 70329.7 MB/s [avx512, depth 2]"; the "read"
+  /// part only appears when it differs from the covered bytes, the depth
+  /// only when the skim ran.
   std::string summary() const;
 
   /// Emits the stats as an object *value* (caller supplies the key).
@@ -131,9 +135,9 @@ struct ScanStats {
   void write_json(util::JsonWriter& w) const;
 
   /// Publishes into a registry: scan.scans / scan.bytes / scan.bytes_read
-  /// / scan.matches counters, scan.mb_per_sec / scan.shards gauges,
-  /// scan.wall_ms histogram. The engine calls this automatically when the
-  /// global registry is enabled.
+  /// / scan.matches counters, scan.mb_per_sec / scan.shards /
+  /// scan.simd_kind / scan.skim_depth gauges, scan.wall_ms histogram. The
+  /// engine calls this automatically when the global registry is enabled.
   void publish(obs::MetricsRegistry& reg) const;
 };
 

@@ -60,102 +60,126 @@ namespace simd_detail {
 
 namespace {
 
-__attribute__((target("avx2"))) std::size_t collect_avx2(
+/// One depth's classes for 32 positions: lo[b & 15] & hi[b >> 4].
+__attribute__((target("avx2"))) inline __m256i classify_avx2(
+    const unsigned char* p, __m256i lo, __m256i hi, __m256i nib) {
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  return _mm256_and_si256(
+      _mm256_shuffle_epi8(lo, _mm256_and_si256(v, nib)),
+      _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi16(v, 4), nib)));
+}
+
+template <std::size_t D>
+__attribute__((target("avx2"))) Skimmed collect_avx2(
     const unsigned char* base, std::size_t pos, std::size_t limit,
-    const ShuftiTables& t, std::vector<std::size_t>& out) {
-  const __m256i lo0 = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo0)));
-  const __m256i hi0 = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi0)));
-  const __m256i lo1 = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo1)));
-  const __m256i hi1 = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi1)));
+    const ShuftiTables& t, std::uint32_t* out) {
+  __m256i lo[D];
+  __m256i hi[D];
+#pragma GCC unroll 4
+  for (std::size_t k = 0; k < D; ++k) {
+    lo[k] = _mm256_broadcastsi128_si256(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[k])));
+    hi[k] = _mm256_broadcastsi128_si256(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[k])));
+  }
   const __m256i nib = _mm256_set1_epi8(0x0f);
   const __m256i zero = _mm256_setzero_si256();
+  const std::size_t start = pos;
+  std::size_t n = 0;
   while (pos + 32 <= limit) {
-    // v0 covers positions [pos, pos+32); v1 is the same span shifted one
-    // byte right — the second byte of every position. limit < buf_size, so
-    // the byte at pos+32 (v1's last lane) is in bounds.
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + pos));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + pos + 1));
-    const __m256i c0 = _mm256_and_si256(
-        _mm256_shuffle_epi8(lo0, _mm256_and_si256(v0, nib)),
-        _mm256_shuffle_epi8(
-            hi0, _mm256_and_si256(_mm256_srli_epi16(v0, 4), nib)));
-    const __m256i c1 = _mm256_and_si256(
-        _mm256_shuffle_epi8(lo1, _mm256_and_si256(v1, nib)),
-        _mm256_shuffle_epi8(
-            hi1, _mm256_and_si256(_mm256_srli_epi16(v1, 4), nib)));
-    const __m256i both = _mm256_and_si256(c0, c1);
+    // Layer k classifies the span shifted k bytes right — byte p + k of
+    // every position p in [pos, pos+32). limit + D - 1 <= buffer size, so
+    // the last layer's last lane is in bounds.
+    __m256i both = classify_avx2(base + pos, lo[0], hi[0], nib);
+#pragma GCC unroll 4
+    for (std::size_t k = 1; k < D; ++k) {
+      both = _mm256_and_si256(both, classify_avx2(base + pos + k, lo[k], hi[k], nib));
+    }
     std::uint32_t m = ~static_cast<std::uint32_t>(
         _mm256_movemask_epi8(_mm256_cmpeq_epi8(both, zero)));
     while (m != 0) {
-      out.push_back(pos + static_cast<std::size_t>(__builtin_ctz(m)));
+      out[n++] = static_cast<std::uint32_t>(pos - start) +
+                 static_cast<std::uint32_t>(__builtin_ctz(m));
       m &= m - 1;
     }
     pos += 32;
   }
-  return pos;
+  return {pos, n};
 }
 
-__attribute__((target("avx512f,avx512bw"))) std::size_t collect_avx512(
+/// One depth's classes for 64 positions.
+__attribute__((target("avx512f,avx512bw"))) inline __m512i classify_avx512(
+    const unsigned char* p, __m512i lo, __m512i hi, __m512i nib) {
+  const __m512i v = _mm512_loadu_si512(reinterpret_cast<const void*>(p));
+  return _mm512_and_si512(
+      _mm512_shuffle_epi8(lo, _mm512_and_si512(v, nib)),
+      _mm512_shuffle_epi8(hi, _mm512_and_si512(_mm512_srli_epi16(v, 4), nib)));
+}
+
+template <std::size_t D>
+__attribute__((target("avx512f,avx512bw"))) Skimmed collect_avx512(
     const unsigned char* base, std::size_t pos, std::size_t limit,
-    const ShuftiTables& t, std::vector<std::size_t>& out) {
+    const ShuftiTables& t, std::uint32_t* out) {
   // Zero-masked broadcast with every lane selected: the same result as
   // _mm512_broadcast_i32x4, whose gcc 12 expansion passes an
   // _mm512_undefined_epi32() source that trips -Wuninitialized.
   constexpr __mmask16 kAll = 0xFFFF;
-  const __m512i lo0 = _mm512_maskz_broadcast_i32x4(
-      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo0)));
-  const __m512i hi0 = _mm512_maskz_broadcast_i32x4(
-      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi0)));
-  const __m512i lo1 = _mm512_maskz_broadcast_i32x4(
-      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo1)));
-  const __m512i hi1 = _mm512_maskz_broadcast_i32x4(
-      kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi1)));
+  __m512i lo[D];
+  __m512i hi[D];
+#pragma GCC unroll 4
+  for (std::size_t k = 0; k < D; ++k) {
+    lo[k] = _mm512_maskz_broadcast_i32x4(
+        kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[k])));
+    hi[k] = _mm512_maskz_broadcast_i32x4(
+        kAll, _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[k])));
+  }
   const __m512i nib = _mm512_set1_epi8(0x0f);
+  const std::size_t start = pos;
+  std::size_t n = 0;
   while (pos + 64 <= limit) {
-    const __m512i v0 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(base + pos));
-    const __m512i v1 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(base + pos + 1));
-    const __m512i c0 = _mm512_and_si512(
-        _mm512_shuffle_epi8(lo0, _mm512_and_si512(v0, nib)),
-        _mm512_shuffle_epi8(
-            hi0, _mm512_and_si512(_mm512_srli_epi16(v0, 4), nib)));
-    const __m512i c1 = _mm512_and_si512(
-        _mm512_shuffle_epi8(lo1, _mm512_and_si512(v1, nib)),
-        _mm512_shuffle_epi8(
-            hi1, _mm512_and_si512(_mm512_srli_epi16(v1, 4), nib)));
-    // test_epi8_mask sets a lane's bit iff (c0 & c1) is non-zero there —
-    // the candidate mask in one instruction.
-    std::uint64_t m = _mm512_test_epi8_mask(c0, c1);
+    __m512i acc = classify_avx512(base + pos, lo[0], hi[0], nib);
+#pragma GCC unroll 4
+    for (std::size_t k = 1; k + 1 < D; ++k) {
+      acc = _mm512_and_si512(acc, classify_avx512(base + pos + k, lo[k], hi[k], nib));
+    }
+    // test_epi8_mask sets a lane's bit iff (acc & last layer) is non-zero
+    // there — the candidate mask in one instruction.
+    std::uint64_t m = _mm512_test_epi8_mask(
+        acc, classify_avx512(base + pos + D - 1, lo[D - 1], hi[D - 1], nib));
     while (m != 0) {
-      out.push_back(pos + static_cast<std::size_t>(__builtin_ctzll(m)));
+      out[n++] = static_cast<std::uint32_t>(pos - start) +
+                 static_cast<std::uint32_t>(__builtin_ctzll(m));
       m &= m - 1;
     }
     pos += 64;
   }
-  return pos;
+  return {pos, n};
+}
+
+template <std::size_t D>
+Skimmed collect_at_depth(SimdKind kind, const unsigned char* base,
+                         std::size_t pos, std::size_t limit,
+                         const ShuftiTables& t, std::uint32_t* out) {
+  return kind == SimdKind::kAvx512 ? collect_avx512<D>(base, pos, limit, t, out)
+                                   : collect_avx2<D>(base, pos, limit, t, out);
 }
 
 }  // namespace
 
 #endif  // KEYGUARD_SIMD_X86
 
-std::size_t collect_candidates(SimdKind kind, const unsigned char* base,
-                               std::size_t pos, std::size_t limit,
-                               const ShuftiTables& tables,
-                               std::vector<std::size_t>& out) {
+Skimmed collect_candidates(SimdKind kind, const unsigned char* base,
+                           std::size_t pos, std::size_t limit,
+                           const ShuftiTables& tables, std::uint32_t* out) {
 #if KEYGUARD_SIMD_X86 && defined(__GNUC__)
-  if (kind == SimdKind::kAvx512) {
-    return collect_avx512(base, pos, limit, tables, out);
-  }
-  if (kind == SimdKind::kAvx2) {
-    return collect_avx2(base, pos, limit, tables, out);
+  if (kind == SimdKind::kNone) return {pos, 0};
+  switch (tables.depth) {
+    case 2:
+      return collect_at_depth<2>(kind, base, pos, limit, tables, out);
+    case 3:
+      return collect_at_depth<3>(kind, base, pos, limit, tables, out);
+    default:
+      return collect_at_depth<kMaxSkimDepth>(kind, base, pos, limit, tables, out);
   }
 #else
   (void)base;
@@ -164,7 +188,7 @@ std::size_t collect_candidates(SimdKind kind, const unsigned char* base,
   (void)out;
   (void)kind;
 #endif
-  return pos;  // kNone (or non-x86 build): nothing vectorized
+  return {pos, 0};  // kNone (or non-x86 build): nothing vectorized
 }
 
 }  // namespace simd_detail

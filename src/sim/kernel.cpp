@@ -502,12 +502,27 @@ bool Kernel::set_page_cow(Process& p, VirtAddr vaddr) {
 }
 
 std::vector<Kernel::FrameMapping> Kernel::frame_mappings(FrameNumber frame) const {
-  std::vector<FrameMapping> out;
+  return std::move(frame_mappings(std::span<const FrameNumber>(&frame, 1)).front());
+}
+
+std::vector<std::vector<Kernel::FrameMapping>> Kernel::frame_mappings(
+    std::span<const FrameNumber> frames) const {
+  assert(std::adjacent_find(frames.begin(), frames.end(),
+                            [](FrameNumber a, FrameNumber b) { return a >= b; }) ==
+             frames.end() &&
+         "frame_mappings wants strictly ascending frames");
+  std::vector<std::vector<FrameMapping>> out(frames.size());
+  if (frames.empty()) return out;
+  // Processes in table order, each page table in vaddr order: every
+  // frame's list fills in (process-table, vaddr) order.
   for (const auto& p : procs_) {
     if (!p->alive()) continue;
     for (const auto& [addr, pte] : p->page_table()) {
-      if (!pte.swapped && pte.frame == frame) {
-        out.push_back({p->pid(), addr, pte.mlocked});
+      if (pte.swapped || pte.frame < frames.front() || pte.frame > frames.back()) continue;
+      const auto it = std::lower_bound(frames.begin(), frames.end(), pte.frame);
+      if (*it == pte.frame) {
+        out[static_cast<std::size_t>(it - frames.begin())].push_back(
+            {p->pid(), addr, pte.mlocked});
       }
     }
   }

@@ -228,8 +228,16 @@ class Kernel {
 
   /// Reverse mapping: every live mapping of `frame`, in (process-table,
   /// vaddr) order (the paper's printOwningProcesses walks anon VMAs the
-  /// same way).
+  /// same way). A one-frame call of the batched overload.
   std::vector<FrameMapping> frame_mappings(FrameNumber frame) const;
+
+  /// The reverse maps of many frames from ONE pass over the page tables:
+  /// out[i] is frame_mappings(frames[i]), in the same order. `frames`
+  /// must be strictly ascending. A scan's hit frames and an audit's
+  /// tainted frames ascend already, so resolving them costs one walk of
+  /// every live PTE instead of one per frame.
+  std::vector<std::vector<FrameMapping>> frame_mappings(
+      std::span<const FrameNumber> frames) const;
 
   // -- dedup (KSM) support ---------------------------------------------------
 

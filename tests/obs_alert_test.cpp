@@ -152,6 +152,79 @@ TEST(AlertRules, RejectsMalformedInput) {
       R"({"rules":[{"name":"x","kind":"refusal_burst","bound":3}]})", &err));
 }
 
+TEST(AlertRules, MutatedDocumentsParseOrAreRefusedWithAReason) {
+  // A rule file is operator input. Seeded mutations of a valid one —
+  // every truncation, byte flips, splices of two documents and deep
+  // nesting — must each parse or be refused with a non-empty error, and
+  // none may crash (tests/run_sanitized.sh runs this binary under ASan).
+  const std::string valid = R"({"rules":[
+    {"name":"budget","kind":"exposure_budget","severity":"critical",
+     "budget_byte_seconds":1.5,"key":2},
+    {"name":"wset","kind":"working_set_bound","bound":4,
+     "grace_ns":50000000,"cooldown_ns":1000000000},
+    {"name":"swap","kind":"secret_to_swap","severity":"info"},
+    {"name":"burst","kind":"refusal_burst","bound":8,"window_ns":1000000000}
+  ]})";
+  const std::string other = R"({"rules":[{"name":"free","kind":"residue_on_free"},
+    {"name":"merge","kind":"secret_frame_merged","severity":"warning"}]})";
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  const auto check = [&](const std::string& text, const std::string& label) {
+    std::string err;
+    if (rules_from_json(text, &err)) {
+      ++parsed;
+    } else {
+      ++refused;
+      EXPECT_FALSE(err.empty()) << label << ": refused without a reason";
+    }
+  };
+  ASSERT_TRUE(rules_from_json(valid, nullptr));
+  ASSERT_TRUE(rules_from_json(other, nullptr));
+
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    check(valid.substr(0, n), "truncated to " + std::to_string(n));
+  }
+  util::Rng rng(0x72756c6573ULL);
+  // JSON punctuation, digits, whitespace and a NUL byte.
+  constexpr std::string_view kSyntax{"{}[]\":,0-9.eE\\ \t\0", 17};
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = rng.next_below(2) == 0 ? valid : other;
+    const std::size_t flips = 1 + rng.next_below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      auto& c = text[rng.next_below(text.size())];
+      c = rng.next_below(2) == 0
+              ? static_cast<char>(c ^ (1 << rng.next_below(8)))
+              : kSyntax[rng.next_below(kSyntax.size())];
+    }
+    check(text, "flip round " + std::to_string(i));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const std::string& a = rng.next_below(2) == 0 ? valid : other;
+    const std::string& b = rng.next_below(2) == 0 ? valid : other;
+    check(a.substr(0, rng.next_below(a.size() + 1)) + b.substr(rng.next_below(b.size() + 1)),
+          "splice round " + std::to_string(i));
+  }
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                  std::size_t{65}, std::size_t{1000}, std::size_t{100000}}) {
+    const std::string label = "depth " + std::to_string(depth);
+    check(std::string(depth, '[') + std::string(depth, ']'), label + " arrays");
+    std::string objects;
+    for (std::size_t d = 0; d < depth; ++d) objects += "{\"rules\":";
+    objects += "[]" + std::string(depth, '}');
+    check(objects, label + " objects");
+    check(R"({"rules":[)" + std::string(depth, '[') + std::string(depth, ']') + "]}",
+          label + " inside rules");
+    check(R"({"rules":[{"name":"x","kind":"secret_to_swap","extra":)" +
+              std::string(depth, '[') + std::string(depth, ']') + "}]}",
+          label + " inside a rule");
+    check(std::string(depth, '['), label + " unclosed");
+  }
+  // Both outcomes occur, so the loop reaches the rule checks, not only
+  // the JSON reader.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
 TEST(AlertRules, DefaultRulesCoverTheAnomalies) {
   const auto rules = default_rules();
   ASSERT_EQ(rules.size(), 4u);

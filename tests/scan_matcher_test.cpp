@@ -5,8 +5,9 @@
 // bytes, shared 8-byte SWAR prefixes, needle-is-prefix-of-needle,
 // overlapping self-similar needles, duplicates) and randomized windows.
 // The legacy loop (tests/support/legacy_scan.hpp) is the oracle; any
-// divergence is a MultiMatcher bug. ctest runs this binary twice, once
-// as-is and once (the ".scalar" cases) under KEYGUARD_SCAN_SIMD=none.
+// divergence is a MultiMatcher bug. ctest runs this binary three times:
+// as-is, under KEYGUARD_SCAN_SIMD=avx2 (the ".avx2" cases) and under
+// KEYGUARD_SCAN_SIMD=none (the ".scalar" cases).
 #include "scan/multi_matcher.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "crypto/rsa.hpp"
+#include "scan/key_scanner.hpp"
 #include "scan/scan_engine.hpp"
 #include "support/legacy_scan.hpp"
 #include "util/bytes.hpp"
@@ -401,6 +404,196 @@ TEST(SimdEquivalence, WindowsShorterThanOneVector) {
       check_window(hay, begin, begin + len, wend, n, 0,
                    "short window+overlap [" + std::to_string(begin) + ", +" +
                        std::to_string(len) + ")");
+    }
+  }
+}
+
+/// The depth the skim runs at on this host for a set compiled to
+/// `compiled`: 0 on the scalar walk (KEYGUARD_SCAN_SIMD=none, no vector
+/// ISA).
+std::size_t expected_depth(std::size_t compiled) {
+  return simd_available() == SimdKind::kNone ? 0 : compiled;
+}
+
+/// `count` random needles of 12..43 bytes: distinct-ish first bytes, so
+/// dozens of them saturate the eight shufti buckets.
+Needles random_needles(util::Rng& rng, std::size_t count) {
+  Needles n;
+  for (std::size_t k = 0; k < count; ++k) {
+    std::vector<std::byte> needle(12 + rng.next_below(32));
+    rng.fill_bytes(needle);
+    n.push_back(std::move(needle));
+  }
+  return n;
+}
+
+/// A random haystack with every needle planted a few times, some of the
+/// copies cut short by one corrupted byte past the first so that
+/// near-misses reach the verify stage too.
+std::vector<std::byte> planted_haystack(util::Rng& rng, std::size_t size,
+                                        const Needles& n) {
+  std::vector<std::byte> hay(size);
+  rng.fill_bytes(hay);
+  for (std::size_t p = 0; p < 3 * n.size(); ++p) {
+    const auto& pick = n[rng.next_below(n.size())];
+    if (pick.empty() || pick.size() >= size) continue;
+    const std::size_t off = rng.next_below(size - pick.size());
+    std::copy(pick.begin(), pick.end(), hay.begin() + off);
+    if (pick.size() > 1 && rng.next_below(3) == 0) {
+      hay[off + 1 + rng.next_below(std::min<std::size_t>(pick.size() - 1, 4))] ^=
+          std::byte{0x5a};
+    }
+  }
+  return hay;
+}
+
+TEST(SkimDepth, KeySetsPinTheirDepth) {
+  // One key's four needles (d, P, Q, PEM) fill four buckets with one exact
+  // byte pair each: two bytes already reject all but 4 in 65536 uniform
+  // positions, so the skim stays at the cheapest depth. Sixteen keys' 64
+  // needles spread ~40 first bytes over the eight buckets; only four
+  // bytes bring survival under 1/1024. (The 512-needle set stays
+  // unprofitable: DenseNeedleSetFallsBackToScalarVisibly.)
+  std::vector<crypto::RsaPrivateKey> keys;
+  util::Rng rng(1616);
+  for (int i = 0; i < 16; ++i) keys.push_back(crypto::generate_rsa_key(rng, 512));
+  const auto single = KeyPatterns::from_key(keys.front());
+  const auto tenants = KeyPatterns::from_keys(keys);
+  const MultiMatcher one(single.needles());
+  const MultiMatcher many(tenants.needles());
+  EXPECT_TRUE(one.simd_profitable());
+  EXPECT_TRUE(many.simd_profitable());
+  EXPECT_EQ(one.skim_depth(), expected_depth(2));
+  EXPECT_EQ(many.skim_depth(), expected_depth(4));
+
+  // The depth reaches the stats of a scan, and the bytes still equal the
+  // oracle's.
+  const auto tv = tenants.needles();
+  Needles planted;
+  for (const auto& v : tv) planted.emplace_back(v.begin(), v.end());
+  const auto hay = planted_haystack(rng, 64 * 1024, planted);
+  ScanStats stats;
+  const auto multi = sharded_scan(hay, tv, 1, 0, &stats);
+  expect_same_raw(legacy_scan(hay, tv), multi, "16-key set");
+  EXPECT_EQ(stats.skim_depth, expected_depth(4));
+  EXPECT_EQ(stats.simd_kind, simd_available());
+}
+
+TEST(SkimDepth, EveryDepthIsChosenAndMatchesTheOracle) {
+  // Needle counts from one to dozens walk the depth choice through 2, 3
+  // and 4; every set faces the oracle over the whole buffer and over
+  // random seam windows, exact and prefix mode.
+  util::Rng rng(4242);
+  std::vector<bool> seen(simd_detail::kMaxSkimDepth + 1, false);
+  for (const std::size_t count : {std::size_t{1}, std::size_t{4}, std::size_t{12},
+                                  std::size_t{16}, std::size_t{24}, std::size_t{48},
+                                  std::size_t{64}, std::size_t{96}}) {
+    const Needles n = random_needles(rng, count);
+    const auto nv = views(n);
+    const MultiMatcher mm(nv);
+    seen[mm.skim_depth()] = true;
+    const auto hay = planted_haystack(rng, 16 * 1024 + rng.next_below(200), n);
+    const std::string label = std::to_string(count) + " needles, depth " +
+                              std::to_string(mm.skim_depth());
+    check_full_buffer(hay, n, 0, label);
+    check_full_buffer(hay, n, 6, label + " (prefix)");
+    for (int w = 0; w < 8; ++w) {
+      const std::size_t begin = rng.next_below(hay.size());
+      const std::size_t end = begin + 1 + rng.next_below(hay.size() - begin);
+      const std::size_t window_end = std::min(hay.size(), end + rng.next_below(48));
+      check_window(hay, begin, end, window_end, n, 0, label + " window");
+    }
+  }
+  if (simd_available() != SimdKind::kNone) {
+    for (std::size_t d = 2; d <= simd_detail::kMaxSkimDepth; ++d) {
+      EXPECT_TRUE(seen[d]) << "no needle count chose depth " << d;
+    }
+  }
+}
+
+TEST(SkimDepth, ShortNeedlesMixedIntoADeepSet) {
+  // Needles of one to three bytes are wildcards at the depths past their
+  // length: a deep skim must still pass every position they match at,
+  // including where the wildcard bytes are anything at all.
+  // Each short needle starts like a long one, so it joins that needle's
+  // bucket; a one-byte needle there lets its bucket pass any byte at
+  // every later depth, so no depth reaches 1/1024 and the skim goes as
+  // deep as it can.
+  util::Rng rng(1313);
+  Needles n = random_needles(rng, 64);
+  const std::size_t long_needles = n.size();
+  for (const std::size_t len : {1u, 2u, 3u}) {
+    std::vector<std::byte> needle(len);
+    rng.fill_bytes(needle);
+    needle[0] = n[len][0];
+    n.push_back(std::move(needle));
+  }
+  n.push_back(std::vector<std::byte>(n[0].begin(), n[0].begin() + 2));  // a prefix
+  const MultiMatcher mm(views(n));
+  EXPECT_EQ(mm.skim_depth(), expected_depth(4));
+  auto hay = planted_haystack(rng, 32 * 1024, n);
+  // Short-needle hits followed by every kind of byte, at the very end
+  // of the buffer too.
+  for (std::size_t k = long_needles; k < n.size(); ++k) {
+    const auto& s = n[k];
+    std::copy(s.begin(), s.end(), hay.end() - static_cast<std::ptrdiff_t>(s.size()));
+    check_full_buffer(hay, n, 0, "short needle " + std::to_string(k) + " at the end");
+  }
+  check_full_buffer(hay, n, 0, "short needles in a deep set");
+}
+
+TEST(SkimDepth, PrefixModeWithOneToThreeRequiredBytes) {
+  // min_prefix below the skim depth: the required length, not the needle
+  // length, decides where the wildcards start, and hits extend past it.
+  util::Rng rng(2323);
+  const Needles n = random_needles(rng, 64);
+  std::vector<std::byte> hay = planted_haystack(rng, 32 * 1024, n);
+  for (std::size_t i = 0; i < hay.size(); i += 97) hay[i] = n[i % n.size()][0];
+  for (const std::size_t min_prefix : {1u, 2u, 3u, 4u, 5u}) {
+    const std::string label = "min_prefix " + std::to_string(min_prefix);
+    check_full_buffer(hay, n, min_prefix, label);
+    check_window(hay, 100, hay.size() - 300, hay.size() - 290, n, min_prefix,
+                 label + " window");
+  }
+}
+
+TEST(SkimDepth, BuffersAndWindowsEndingJustPastAVectorBlock) {
+  // The vector loop stops where byte p + depth - 1 would pass the buffer;
+  // buffers and windows that end 0..3 bytes past a 32/64-byte block put
+  // the last needles in that strip, at every depth.
+  util::Rng rng(3434);
+  for (const std::size_t count : {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
+    Needles n = random_needles(rng, count);
+    n.push_back(util::to_bytes("ab"));
+    n.push_back(util::to_bytes("z"));
+    const auto nv = views(n);
+    const std::string set = std::to_string(count) + " needles, depth " +
+                            std::to_string(MultiMatcher(nv).skim_depth());
+    for (const std::size_t blocks : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+      for (std::size_t extra = 0; extra <= 3; ++extra) {
+        const std::size_t size = 64 * blocks + extra;
+        std::vector<std::byte> hay(size, std::byte{'.'});
+        // Short needles in the last four bytes, a long one ending at the
+        // last byte when it fits.
+        hay[size - 1] = std::byte{'z'};
+        if (size >= 3) {
+          hay[size - 3] = std::byte{'a'};
+          hay[size - 2] = std::byte{'b'};
+        }
+        const auto& lng = n[rng.next_below(count)];
+        if (lng.size() + 4 <= size) {
+          std::copy(lng.begin(), lng.end(),
+                    hay.end() - static_cast<std::ptrdiff_t>(lng.size() + 4));
+        }
+        const std::string label =
+            set + ", buffer " + std::to_string(size);
+        check_full_buffer(hay, n, 0, label);
+        // The same end as a window inside a longer buffer.
+        std::vector<std::byte> longer(hay);
+        longer.resize(size + 64, std::byte{'z'});
+        check_window(longer, 0, size, size, n, 0, label + " as a window");
+        check_window(longer, 1, size, size + 2, n, 0, label + " window+seam");
+      }
     }
   }
 }

@@ -37,9 +37,17 @@ const crypto::RsaPrivateKey& test_key() {
   return key;
 }
 
+/// A temp file path private to one run of this binary: ctest runs it
+/// under several registrations at once, and a capture another run
+/// truncates, appends to or removes mid-walk would fail this one. A
+/// death-test child passes its parent's pid, so both name the same file.
+std::string temp_path(const std::string& name, pid_t owner = ::getpid()) {
+  return ::testing::TempDir() + std::to_string(owner) + "_" + name;
+}
+
 std::string write_temp(const std::vector<std::byte>& bytes,
-                       const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
+                       const std::string& name, pid_t owner = ::getpid()) {
+  const std::string path = temp_path(name, owner);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -216,7 +224,7 @@ TEST(CaptureStreamSeams, SmallAndEmptyFiles) {
   std::remove(empty_path.c_str());
 
   // Missing file: constructor reports, never crashes.
-  CaptureStream missing(::testing::TempDir() + "does_not_exist.bin", 1 << 20);
+  CaptureStream missing(temp_path("does_not_exist.bin"), 1 << 20);
   EXPECT_FALSE(missing.ok());
   EXPECT_FALSE(missing.error().empty());
 }
@@ -257,7 +265,7 @@ void walk_shrinking_capture(bool use_mmap) {
   std::vector<std::byte> bytes(8 * kMiB);
   util::Rng rng(44);
   rng.fill_bytes(bytes);
-  const auto path = write_temp(bytes, shrink_name(use_mmap));
+  const auto path = write_temp(bytes, shrink_name(use_mmap), ::getppid());
   ::setenv("KEYGUARD_CAPTURE_MMAP", use_mmap ? "1" : "0", 1);
   CaptureStream stream(path, kMiB);
   ::unsetenv("KEYGUARD_CAPTURE_MMAP");
@@ -287,7 +295,7 @@ TEST(CaptureStreamResize, ShrinkMidWalkRefusesInBothModes) {
   EXPECT_EXIT(walk_shrinking_capture(false), ::testing::ExitedWithCode(0), "")
       << "pread";
   for (const bool use_mmap : {true, false}) {
-    std::remove((::testing::TempDir() + shrink_name(use_mmap)).c_str());
+    std::remove(temp_path(shrink_name(use_mmap)).c_str());
   }
 }
 

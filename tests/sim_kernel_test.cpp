@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace keyguard::sim {
 namespace {
@@ -231,6 +234,128 @@ TEST(Kernel, FrameOwnersReverseMapping) {
   EXPECT_TRUE(maps_pid(child.pid()));
   k.exit_process(child);
   EXPECT_EQ(k.frame_mappings(f).size(), 1u);
+}
+
+// The batched reverse map must equal one page-table walk per frame, list
+// for list and in (process-table, vaddr) order: the scanner reads a
+// match's first mapping as its provenance and the report prints owners
+// in that order.
+std::vector<Kernel::FrameMapping> walk_one_frame(const Kernel& k, FrameNumber f) {
+  std::vector<Kernel::FrameMapping> out;
+  for (const auto& p : k.processes()) {
+    if (!p->alive()) continue;
+    for (const auto& [addr, pte] : p->page_table()) {
+      if (!pte.swapped && pte.frame == f) out.push_back({p->pid(), addr, pte.mlocked});
+    }
+  }
+  return out;
+}
+
+void expect_batch_equals_walks(const Kernel& k, const std::vector<FrameNumber>& frames,
+                               const std::string& label) {
+  const auto batch = k.frame_mappings(frames);
+  ASSERT_EQ(batch.size(), frames.size()) << label;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto want = walk_one_frame(k, frames[i]);
+    const auto one = k.frame_mappings(frames[i]);
+    ASSERT_EQ(batch[i].size(), want.size()) << label << ", frame " << frames[i];
+    ASSERT_EQ(one.size(), want.size()) << label << ", frame " << frames[i];
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(batch[i][j].pid, want[j].pid) << label << ", frame " << frames[i] << " #" << j;
+      EXPECT_EQ(batch[i][j].vaddr, want[j].vaddr) << label << ", frame " << frames[i] << " #" << j;
+      EXPECT_EQ(batch[i][j].mlocked, want[j].mlocked) << label << ", frame " << frames[i];
+      EXPECT_EQ(one[j].pid, want[j].pid) << label << ", frame " << frames[i];
+      EXPECT_EQ(one[j].vaddr, want[j].vaddr) << label << ", frame " << frames[i];
+    }
+  }
+}
+
+/// A machine whose frames carry every kind of sharing the reverse map
+/// reports, plus frames that lost theirs.
+struct SharedMachine {
+  KernelConfig cfg = [] {
+    KernelConfig c = small_config();
+    c.swap_pages = 16;
+    return c;
+  }();
+  Kernel k{cfg};
+  FrameNumber canonical = 0;  ///< dedup-merged: five mappings, one mlocked
+  FrameNumber evicted = 0;    ///< swapped out: no mapping
+  FrameNumber exited = 0;     ///< its process exited: no mapping
+  bool merged = false;        ///< all three merges took
+  std::size_t swapped = 0;    ///< pages the swap-out evicted
+
+  SharedMachine() {
+    const auto fill = [&](Process& p, VirtAddr a, std::size_t pages, char tag) {
+      for (std::size_t i = 0; i < pages; ++i) {
+        k.mem_write(p, a + i * kPageSize,
+                    util::to_bytes(std::string(64, static_cast<char>(tag + i))));
+      }
+    };
+    // Fork/COW: the child shares the parent's frames until it writes.
+    auto& parent = k.spawn("parent");
+    const VirtAddr pa = k.mmap_anon(parent, 4 * kPageSize, false);
+    fill(parent, pa, 4, 'a');
+    auto& child = k.fork(parent, "child");
+    fill(child, pa + kPageSize, 1, 'x');  // one COW break
+    // Dedup: two pages of one process and an mlocked page of another
+    // merge onto the parent's first frame.
+    auto& tenant = k.spawn("tenant");
+    const VirtAddr ta = k.mmap_anon(tenant, 2 * kPageSize, false);
+    fill(tenant, ta, 1, 'a');
+    fill(tenant, ta + kPageSize, 1, 'a');
+    auto& locked = k.spawn("locked");
+    const VirtAddr la = k.mmap_anon(locked, kPageSize, true);
+    fill(locked, la, 1, 'a');
+    canonical = *k.translate(parent, pa);
+    merged = k.merge_page(tenant, ta + kPageSize, canonical) &&
+             k.merge_page(tenant, ta, canonical) && k.merge_page(locked, la, canonical);
+    // Swap-out: an evicted page's old frame maps nothing.
+    auto& swapper = k.spawn("swapper");
+    const VirtAddr sa = k.mmap_anon(swapper, 3 * kPageSize, false);
+    fill(swapper, sa, 3, 'm');
+    evicted = *k.translate(swapper, sa);
+    swapped = k.swap_out_pages(swapper, 1);
+    // Exit: the process's frames lose their mappings.
+    auto& gone = k.spawn("gone");
+    const VirtAddr ga = k.mmap_anon(gone, 2 * kPageSize, false);
+    fill(gone, ga, 2, 'q');
+    exited = *k.translate(gone, ga);
+    k.exit_process(gone);
+  }
+};
+
+TEST(KernelReverseMap, BatchOverEveryFrameEqualsPerFrameWalksInOrder) {
+  SharedMachine m;
+  ASSERT_TRUE(m.merged);
+  ASSERT_EQ(m.swapped, 1u);
+  EXPECT_EQ(m.k.frame_mappings(m.canonical).size(), 5u);
+  EXPECT_TRUE(m.k.frame_mappings(m.evicted).empty());
+  EXPECT_TRUE(m.k.frame_mappings(m.exited).empty());
+  // Every frame of the machine, most of them mapped by nothing.
+  std::vector<FrameNumber> all(m.k.memory().page_count());
+  for (std::size_t f = 0; f < all.size(); ++f) all[f] = static_cast<FrameNumber>(f);
+  expect_batch_equals_walks(m.k, all, "all frames");
+}
+
+TEST(KernelReverseMap, SparseSubsetsEndsAndTheEmptyList) {
+  SharedMachine m;
+  ASSERT_TRUE(m.merged);
+  const std::size_t frames = m.k.memory().page_count();
+  util::Rng rng(29);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<FrameNumber> some;
+    for (std::size_t i = 0; i < frames; ++i) {
+      const auto f = static_cast<FrameNumber>(i);
+      if (f == m.canonical || f == m.evicted || f == m.exited || rng.next_below(16) == 0) {
+        some.push_back(f);
+      }
+    }
+    expect_batch_equals_walks(m.k, some, "subset " + std::to_string(round));
+  }
+  expect_batch_equals_walks(m.k, {0, static_cast<FrameNumber>(frames - 1)}, "ends");
+  expect_batch_equals_walks(m.k, {m.canonical}, "one shared frame");
+  EXPECT_TRUE(m.k.frame_mappings(std::span<const FrameNumber>{}).empty());
 }
 
 TEST(Kernel, ReadFilePopulatesPageCache) {
