@@ -98,6 +98,23 @@ void BM_RsaPlainPrivateOp(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaPlainPrivateOp);
 
+// The client half of every simulated handshake: c = m^65537 mod n
+// (RsaPublicKey::encrypt_raw). Arg 0: modulus bits. The cost depends only
+// on n's width and e, so a random odd n of that width stands in for a
+// generated key.
+void BM_RsaPublicOp(benchmark::State& state) {
+  util::Rng rng(20);
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  bn::Bignum n = bn::random_bits(rng, bits);
+  if (!n.is_odd()) n = n.add_limb(1);
+  const crypto::RsaPublicKey pub{n, bn::Bignum(65537)};
+  const bn::Bignum m = bn::random_below(rng, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pub.encrypt_raw(m));
+  }
+}
+BENCHMARK(BM_RsaPublicOp)->Arg(1024)->Arg(2048);
+
 // The host-side single-copy key object vs the plain struct: the secure
 // custody (reads from the mlocked buffer per op) must cost nothing
 // measurable — the paper's no-penalty claim for real programs.
@@ -247,7 +264,7 @@ void BM_MontExp(benchmark::State& state) {
   const auto m = o.modulus();
   const auto exp = state.range(1) != 0 ? bn::mont::portable::exp : bn::mont::exp;
   for (auto _ : state) {
-    exp(o.r, o.a, o.e, 64 * o.l, m, o.s);
+    exp(o.r, o.a, o.e, m, o.s);
     benchmark::DoNotOptimize(o.r.data());
   }
   state.SetLabel(mont_label(state));
@@ -270,7 +287,7 @@ void BM_MontExp2(benchmark::State& state) {
       for (auto* h : {&p, &q}) {
         const auto m = h->modulus();
         bn::mont::to_mont(h->r, p.a, m, h->s);
-        bn::mont::exp(h->r, h->r, h->e, 64 * l, m, h->s);
+        bn::mont::exp(h->r, h->r, h->e, m, h->s);
         bn::mont::from_mont(h->r, h->r, m, h->s);
       }
     } else {
@@ -356,6 +373,19 @@ void BM_ExposureMonitorHook(benchmark::State& state) {
 BENCHMARK(BM_ExposureMonitorHook)->Arg(4)->Arg(64);
 
 // --- simulator hot paths -----------------------------------------------------
+
+// The scp transfer's byte source: one 32 KiB copy-buffer fill per chunk.
+void BM_RngFillBytes(benchmark::State& state) {
+  util::Rng rng(21);
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.fill_bytes(buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_RngFillBytes)->Arg(32 << 10);
 
 void BM_PageAllocFree(benchmark::State& state) {
   sim::PhysicalMemory mem(16ull << 20);

@@ -122,8 +122,9 @@ class Bignum {
   /// use it for private exponents.
   static Bignum mod_exp(const Bignum& a, const Bignum& e, const Bignum& m);
 
-  /// a^e mod m for a public exponent: the same kernel over e's bit length
-  /// only (5 windows for e = 65537 instead of m's full width).
+  /// a^e mod m for a public exponent: for odd m, left-to-right
+  /// square-and-multiply over e's bits (16 squarings and one multiply for
+  /// e = 65537), so the run time follows e's value. Never for secrets.
   static Bignum mod_exp_public(const Bignum& a, const Bignum& e, const Bignum& m);
 
   // -- conversion ---------------------------------------------------------

@@ -235,7 +235,7 @@ void to_mont_with(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
 
 template <class K>
 void exp_with(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
-              std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
+              const Modulus& m, std::span<Limb> scratch) noexcept {
   constexpr std::size_t kWindow = 4;
   constexpr std::size_t kTable = std::size_t{1} << kWindow;
   const std::size_t l = m.limbs();
@@ -252,7 +252,7 @@ void exp_with(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb>
 
   std::copy(entry(0).begin(), entry(0).end(), r.begin());
   constexpr std::size_t kPerLimb = 64 / kWindow;
-  for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
+  for (std::size_t w = kPerLimb * e.size(); w-- > 0;) {
     for (std::size_t s = 0; s < kWindow; ++s) K::sqr(r, r, m, t);
     const Limb idx = (e[w / kPerLimb] >> (kWindow * (w % kPerLimb))) & (kTable - 1);
     // Read every entry; keep the one whose index matches.
@@ -320,8 +320,8 @@ void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
 }
 
 void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
-         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
-  with_kernel([&](auto k) { exp_with<decltype(k)>(r, am, e, bits, m, scratch); });
+         const Modulus& m, std::span<Limb> scratch) noexcept {
+  with_kernel([&](auto k) { exp_with<decltype(k)>(r, am, e, m, scratch); });
 }
 
 void compute_rr(std::span<Limb> rr, std::span<const Limb> n, Limb n0_inv,
@@ -367,8 +367,8 @@ void exp2(std::span<Limb> rp, std::span<Limb> rq, std::span<const Limb> x,
     using K = decltype(kernel);
     to_mont_with<K>(tp, x, mp, k);
     to_mont_with<K>(tq, x, mq, k);
-    exp_with<K>(tp, tp, ep, 64 * ep.size(), mp, k);
-    exp_with<K>(tq, tq, eq, 64 * eq.size(), mq, k);
+    exp_with<K>(tp, tp, ep, mp, k);
+    exp_with<K>(tq, tq, eq, mq, k);
     from_mont_with<K>(rp, tp, mp, k);
     from_mont_with<K>(rq, tq, mq, k);
   });
@@ -418,8 +418,8 @@ void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
 }
 
 void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
-         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept {
-  exp_with<PortableKernel>(r, am, e, bits, m, scratch);
+         const Modulus& m, std::span<Limb> scratch) noexcept {
+  exp_with<PortableKernel>(r, am, e, m, scratch);
 }
 
 }  // namespace portable
@@ -454,15 +454,13 @@ class Scratch {
   std::vector<Limb> buf_;
 };
 
-// a^e mod n over the exponent width `kind` asks for (e zero-padded). `rr`
-// is R^2 mod n when the caller has it; otherwise it is computed into the
-// scratch.
-Bignum exp_once(const Bignum& a, const Bignum& e, Exponent kind, const Bignum& n,
-                Limb n0_inv, const Bignum* rr) {
+// a^e mod n over every bit of max(limbs(n), limbs(e)) limbs (e
+// zero-padded). `rr` is R^2 mod n when the caller has it; otherwise it is
+// computed into the scratch.
+Bignum exp_once(const Bignum& a, const Bignum& e, const Bignum& n, Limb n0_inv,
+                const Bignum* rr) {
   const std::size_t l = n.limb_count();
-  const std::size_t e_limbs =
-      kind == Exponent::kPublic ? e.limb_count() : std::max(l, e.limb_count());
-  const std::size_t e_bits = kind == Exponent::kPublic ? e.bit_length() : 64 * e_limbs;
+  const std::size_t e_limbs = std::max(l, e.limb_count());
   const std::size_t e_slots = (e_limbs + l - 1) / l;
   Scratch s(l, 1 + e_slots);
   const auto r = s.slot(0);
@@ -476,7 +474,29 @@ Bignum exp_once(const Bignum& a, const Bignum& e, Exponent kind, const Bignum& n
   const mont::Modulus m{n.limbs(), s.rr(), n0_inv};
   Scratch::load(ek, e.limbs());
   mont::to_mont(r, a.limbs(), m, k);
-  mont::exp(r, r, ek, e_bits, m, k);
+  mont::exp(r, r, ek, m, k);
+  mont::from_mont(r, r, m, k);
+  return Bignum::from_limbs_le(r);
+}
+
+// a^e mod n for a public e: R^2 from one division of the public modulus,
+// then left-to-right square-and-multiply over e's bits, so e = 65537
+// costs 16 squarings and one multiply. The branches follow e, never a.
+Bignum exp_public(const Bignum& a, const Bignum& e, const Bignum& n) {
+  if (e.is_zero()) return Bignum(Limb{1});  // n > 1
+  const std::size_t l = n.limb_count();
+  Scratch s(l, 2);
+  Scratch::load(s.rr(), ((Bignum(Limb{1}) << (128 * l)) % n).limbs());
+  const mont::Modulus m{n.limbs(), s.rr(), mont::neg_inv(n.low_limb())};
+  const auto am = s.slot(0);
+  const auto r = s.slot(1);
+  const auto k = s.kernel(2);
+  mont::to_mont(am, a.limbs(), m, k);
+  std::ranges::copy(am, r.begin());
+  for (std::size_t bit = e.bit_length() - 1; bit-- > 0;) {
+    mont::sqr(r, r, m, k);
+    if (e.bit(bit)) mont::mul(r, r, am, m, k);
+  }
   mont::from_mont(r, r, m, k);
   return Bignum::from_limbs_le(r);
 }
@@ -514,17 +534,20 @@ Bignum MontgomeryContext::mul(const Bignum& a, const Bignum& b) const {
 }
 
 Bignum MontgomeryContext::exp(const Bignum& a, const Bignum& e) const {
-  return exp_once(a, e, Exponent::kSecret, n_, n0_inv_, &rr_);
+  return exp_once(a, e, n_, n0_inv_, &rr_);
 }
 
 Bignum mont_mod_exp(const Bignum& a, const Bignum& e, const Bignum& n, Exponent kind) {
   assert(n.is_odd() && n > Bignum(Limb{1}));
-  return exp_once(a, e, kind, n, mont::neg_inv(n.low_limb()), nullptr);
+  if (kind == Exponent::kPublic) return exp_public(a, e, n);
+  return exp_once(a, e, n, mont::neg_inv(n.low_limb()), nullptr);
 }
 
 std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const Bignum& p,
-                                        const Bignum& eq, const Bignum& q) {
+                                        const Bignum& eq, const Bignum& q,
+                                        const Bignum* rr_p, const Bignum* rr_q) {
   assert(p.is_odd() && p > Bignum(Limb{1}) && q.is_odd() && q > Bignum(Limb{1}));
+  assert((rr_p == nullptr || *rr_p < p) && (rr_q == nullptr || *rr_q < q));
   const std::size_t lp = p.limb_count();
   const std::size_t lq = q.limb_count();
   const std::size_t ewp = std::max(lp, ep.limb_count());
@@ -550,8 +573,16 @@ std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const
   const auto k = all.subspan(2 * (lp + lq) + ewp + ewq);
   const mont::Modulus mp{p.limbs(), rrp, mont::neg_inv(p.low_limb())};
   const mont::Modulus mq{q.limbs(), rrq, mont::neg_inv(q.low_limb())};
-  mont::compute_rr(rrp, p.limbs(), mp.n0_inv, k);
-  mont::compute_rr(rrq, q.limbs(), mq.n0_inv, k);
+  if (rr_p != nullptr) {
+    Scratch::load(rrp, rr_p->limbs());
+  } else {
+    mont::compute_rr(rrp, p.limbs(), mp.n0_inv, k);
+  }
+  if (rr_q != nullptr) {
+    Scratch::load(rrq, rr_q->limbs());
+  } else {
+    mont::compute_rr(rrq, q.limbs(), mq.n0_inv, k);
+  }
   std::ranges::copy(ep.limbs(), e1.begin());
   std::ranges::copy(eq.limbs(), e2.begin());
   mont::exp2(rp, rq, a.limbs(), e1, e2, mp, mq, k);

@@ -7,9 +7,9 @@
 //    every call writes in place into a scratch span the caller owns, and
 //    nothing allocates. The multiply is CIOS (squarings compute each cross
 //    product once, then reduce) with a masked final subtract. `mont::exp`
-//    runs fixed 4-bit windows over as many exponent bits as the caller
-//    names, with a full-table masked select, so neither the branch pattern
-//    nor the memory access pattern depends on the exponent's value.
+//    runs fixed 4-bit windows over every bit of the exponent span the
+//    caller passes, with a full-table masked select, so neither the branch
+//    pattern nor the memory access pattern depends on the exponent's value.
 //    Callers that hold secrets (secure::SecureRsaKey) put the modulus,
 //    R^2, the operands and the scratch in locked memory and wipe it
 //    themselves. mul and sqr run one of two row kernels, picked once per
@@ -97,11 +97,11 @@ void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
                std::span<Limb> scratch) noexcept;
 
 /// r = a^e in Montgomery form, for a base `am` already in Montgomery form,
-/// over the low `bits` bits of e (bits <= 64 * e.size()): ceil(bits / 4)
-/// windows of 4 squarings, a masked select of one of 16 table entries and
-/// one multiply, whatever e's value. r may alias am.
+/// over every bit of e's span: 16 windows per limb of 4 squarings, a
+/// masked select of one of 16 table entries and one multiply, whatever
+/// e's value. r may alias am.
 void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
-         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept;
+         const Modulus& m, std::span<Limb> scratch) noexcept;
 
 /// rp = x^ep mod p and rq = x^eq mod q in ordinary form, for an x of any
 /// width: the two halves of an RSA CRT private op. Every bit of both
@@ -135,7 +135,7 @@ void to_mont(std::span<Limb> r, std::span<const Limb> x, const Modulus& m,
 void from_mont(std::span<Limb> r, std::span<const Limb> a, const Modulus& m,
                std::span<Limb> scratch) noexcept;
 void exp(std::span<Limb> r, std::span<const Limb> am, std::span<const Limb> e,
-         std::size_t bits, const Modulus& m, std::span<Limb> scratch) noexcept;
+         const Modulus& m, std::span<Limb> scratch) noexcept;
 }  // namespace portable
 
 }  // namespace mont
@@ -172,21 +172,27 @@ class MontgomeryContext {
   Limb n0_inv_;  // -n^{-1} mod 2^64
 };
 
-/// How many windows an exponentiation runs: kSecret covers the modulus
-/// width (16 windows per limb of max(n, e)); kPublic covers e's bit
-/// length only, for exponents such as RSA's e = 65537 (5 windows).
+/// How an exponentiation treats e: kSecret runs fixed 4-bit windows over
+/// the modulus width (16 windows per limb of max(n, e)), whatever e holds;
+/// kPublic runs left-to-right square-and-multiply over e's bits, for
+/// exponents such as RSA's e = 65537 (16 squarings and one multiply).
 enum class Exponent { kSecret, kPublic };
 
 /// a^e mod n for an odd n > 1 on one scratch vector, wiped on exit, with
-/// no copy of n: what Bignum::mod_exp and mod_exp_public run for odd moduli.
+/// no copy of n: what Bignum::mod_exp and mod_exp_public run for odd
+/// moduli. kSecret computes R^2 mod n with mont::compute_rr; kPublic takes
+/// it from one Bignum division of the (public) modulus.
 Bignum mont_mod_exp(const Bignum& a, const Bignum& e, const Bignum& n, Exponent kind);
 
 /// {a^ep mod p, a^eq mod q} for odd p, q > 1 through mont::exp2, on the
 /// calling thread's scratch vector (grown to its widest call, wiped after
 /// every call), so only the two results allocate. Each exponent covers
 /// every bit of max(limbs(modulus), limbs(e)) limbs, as mod_exp's kSecret
-/// does.
+/// does. rr_p and rr_q are R^2 mod p and R^2 mod q when the caller holds
+/// them (a Montgomery context's rr()); a null one is computed.
 std::pair<Bignum, Bignum> mont_mod_exp2(const Bignum& a, const Bignum& ep, const Bignum& p,
-                                        const Bignum& eq, const Bignum& q);
+                                        const Bignum& eq, const Bignum& q,
+                                        const Bignum* rr_p = nullptr,
+                                        const Bignum* rr_q = nullptr);
 
 }  // namespace keyguard::bn

@@ -18,9 +18,10 @@ Bignum RsaPublicKey::encrypt_raw(const Bignum& m) const {
 }
 
 CrtResult crt_private_op(const Bignum& c, const Bignum& p, const Bignum& q, const Bignum& dmp1,
-                         const Bignum& dmq1, const Bignum& iqmp) {
+                         const Bignum& dmq1, const Bignum& iqmp, const Bignum* rr_p,
+                         const Bignum* rr_q) {
   CrtResult r;
-  std::tie(r.m1, r.m2) = bn::mont_mod_exp2(c, dmp1, p, dmq1, q);
+  std::tie(r.m1, r.m2) = bn::mont_mod_exp2(c, dmp1, p, dmq1, q, rr_p, rr_q);
   Bignum diff;
   if (r.m1 >= r.m2) {
     diff = r.m1 - r.m2;

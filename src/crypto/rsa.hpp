@@ -61,7 +61,9 @@ struct RsaPrivateKey {
 /// The values of one CRT private operation: m1 = c^dmp1 mod p and
 /// m2 = c^dmq1 mod q from one bn::mont_mod_exp2, then Garner's
 /// h = iqmp (m1 - m2) mod p and m = m2 + h q. The simulated SSL library
-/// writes m1 and m2 into simulated heap, as OpenSSL's BN_CTX does.
+/// writes m1 and m2 into simulated heap, as OpenSSL's BN_CTX does, and
+/// passes R^2 mod p and R^2 mod q from its Montgomery contexts (rr_p,
+/// rr_q); a null one is computed per call.
 struct CrtResult {
   bn::Bignum m1;
   bn::Bignum m2;
@@ -69,7 +71,8 @@ struct CrtResult {
 };
 CrtResult crt_private_op(const bn::Bignum& c, const bn::Bignum& p, const bn::Bignum& q,
                          const bn::Bignum& dmp1, const bn::Bignum& dmq1,
-                         const bn::Bignum& iqmp);
+                         const bn::Bignum& iqmp, const bn::Bignum* rr_p = nullptr,
+                         const bn::Bignum* rr_q = nullptr);
 
 /// Generates a key with an n_bits modulus (primes of n_bits/2 each) and
 /// public exponent e (default 65537). Deterministic given the Rng.

@@ -157,13 +157,19 @@ MultiMatcher::MultiMatcher(std::span<const std::span<const std::byte>> needles,
   // sets (DER tags, PEM armor, shared headers) cluster on few first bytes
   // and land far below the cutoff.
   simd_profitable_ = survivors[2] <= 256 * 256 / 4;
-  // Depth: the shallowest whose uniform-byte survival is at most 1/1024,
-  // the deepest when none is. Each layer costs a load and two shuffles per block, so a sparse set
-  // stays at two bytes; a set that saturates the buckets (dozens of
-  // needles) goes deeper until candidates are rare again.
-  for (std::size_t d = 2; d <= simd_detail::kMaxSkimDepth; ++d) {
-    shufti_.depth = d;
-    if (survivors[d] * 1024 <= std::int64_t{1} << (8 * d)) break;
+  // Depth: from two bytes, deepen while the uniform-byte survival is
+  // above 1/1024 and the next layer at least halves it. Each layer costs a
+  // load and two shuffles per block, so a sparse set stays at two bytes; a
+  // set that saturates the buckets (dozens of needles) goes deeper until
+  // candidates are rare again; and a set whose extra layers hardly filter
+  // (a one-byte needle keeps its bucket open at every depth) stays where
+  // they stop paying.
+  shufti_.depth = 2;
+  for (std::size_t d = 2; d < simd_detail::kMaxSkimDepth; ++d) {
+    const bool rare = survivors[d] * 1024 <= std::int64_t{1} << (8 * d);
+    const bool halves = survivors[d + 1] * 2 <= survivors[d] * 256;
+    if (rare || !halves) break;
+    shufti_.depth = d + 1;
   }
 }
 

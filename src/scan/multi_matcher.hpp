@@ -107,10 +107,11 @@ class MultiMatcher {
   bool simd_profitable() const noexcept { return simd_profitable_; }
 
   /// Bytes the vector skim classifies per position (2 to 4), or 0 when
-  /// scan() runs the scalar walk (simd_kind() == kNone). The ctor picks
-  /// the shallowest depth whose survival under uniform bytes is at most
-  /// 1/1024, computed exactly from the tables: a key's four needles stay
-  /// at 2, dozens of needles that saturate the buckets go to 3 or 4.
+  /// scan() runs the scalar walk (simd_kind() == kNone). The ctor starts
+  /// at 2 and deepens while the survival under uniform bytes, computed
+  /// exactly from the tables, is above 1/1024 and the next layer at least
+  /// halves it: a key's four needles stay at 2, dozens of needles that
+  /// saturate the buckets go to 3 or 4.
   std::size_t skim_depth() const noexcept {
     return simd_kind() == SimdKind::kNone ? 0 : shufti_.depth;
   }

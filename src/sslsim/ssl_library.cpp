@@ -209,12 +209,14 @@ Bignum SslLibrary::rsa_private_op(sim::Process& p, SimRsaKey& key, const Bignum&
     ctx_q = &tmp_q;
     temporary = true;
   }
-  (void)ctx_p;
-  (void)ctx_q;
 
   // CRT (Garner). The arithmetic itself runs host-side; the simulated
-  // memory carries the inputs (read above) and the intermediates (below).
-  const crypto::CrtResult crt = crypto::crt_private_op(c, P, Q, dmp1, dmq1, iqmp);
+  // memory carries the inputs (read above and, like RSA_eay_mod_exp's
+  // _method_mod_p/_q, each context's R^2) and the intermediates (below).
+  const Bignum rr_p = read_bignum(p, ctx_p->rr);
+  const Bignum rr_q = read_bignum(p, ctx_q->rr);
+  const crypto::CrtResult crt =
+      crypto::crt_private_op(c, P, Q, dmp1, dmq1, iqmp, &rr_p, &rr_q);
 
   // The intermediates pass through heap scratch (BN_CTX pool) and are
   // freed like any temporary.

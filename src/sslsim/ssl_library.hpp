@@ -17,7 +17,9 @@
 //    Q are built once and cached in the RSA structure — each holding
 //    ANOTHER heap copy of the prime. With the flag cleared (the defense),
 //    per-operation contexts are built and freed (clear-freed under the
-//    patched library).
+//    patched library). Either way the op reads each context's R^2 back
+//    from simulated memory and exponentiates with it, so R^2 mod P and
+//    R^2 mod Q are computed once per context, never per exponentiation.
 //  * rsa_memory_align() is the paper's defense verbatim: copy all six
 //    private parts onto one freshly mmap'd, mlock'd page; zero and free
 //    the originals; mark them BN_FLG_STATIC_DATA; clear the cache flag.

@@ -64,18 +64,22 @@ double Rng::next_gaussian() noexcept {
 }
 
 void Rng::fill_bytes(std::span<std::byte> out) noexcept {
+  // Step a local copy: a byte store may alias state_, so stepping the
+  // member would reload and store all four state words per output word.
+  Rng g = *this;
   std::size_t i = 0;
   while (i + 8 <= out.size()) {
-    std::uint64_t w = next_u64();
+    std::uint64_t w = g.next_u64();
     for (int b = 0; b < 8; ++b) out[i++] = static_cast<std::byte>(w >> (8 * b));
   }
   if (i < out.size()) {
-    std::uint64_t w = next_u64();
+    std::uint64_t w = g.next_u64();
     for (; i < out.size(); ++i) {
       out[i] = static_cast<std::byte>(w);
       w >>= 8;
     }
   }
+  *this = g;
 }
 
 Rng Rng::split() noexcept { return Rng(next_u64()); }

@@ -157,9 +157,8 @@ TEST(MontgomeryKernel, TopLimbAllOnesTakesTheCarryPath) {
 }
 
 TEST(MontgomeryKernel, LeadingZeroExponentLimbsChangeNothing) {
-  // mont::exp runs the windows it is told to whatever e holds: zero limbs
-  // on top of e only square 1 (in Montgomery form) longer, and a public
-  // bit-length window count gives the same value.
+  // mont::exp runs a window for every bit of e's span whatever e holds:
+  // zero limbs on top of e only square 1 (in Montgomery form) longer.
   util::Rng rng(35);
   for (const std::size_t l : {1u, 4u, 9u}) {
     const Bignum n = odd_modulus(rng, l);
@@ -175,13 +174,39 @@ TEST(MontgomeryKernel, LeadingZeroExponentLimbsChangeNothing) {
     for (const std::size_t width : {e.limb_count(), e.limb_count() + 1, e.limb_count() + 5}) {
       std::vector<Limb> ev(e.limbs().begin(), e.limbs().end());
       ev.resize(width);
-      mont::exp(r, am, ev, 64 * width, m, scratch);
+      mont::exp(r, am, ev, m, scratch);
       mont::from_mont(r, r, m, scratch);
       EXPECT_EQ(Bignum::from_limbs_le(r), ref_exp(a, e, n)) << "l=" << l << " width=" << width;
     }
-    mont::exp(r, am, e.limbs(), e.bit_length(), m, scratch);
-    mont::from_mont(r, r, m, scratch);
-    EXPECT_EQ(Bignum::from_limbs_le(r), ref_exp(a, e, n)) << "l=" << l << " public";
+  }
+}
+
+TEST(PublicExp, MatchesTheOracleAtEveryWidth) {
+  // mod_exp_public runs square-and-multiply over e's bits with R^2 from a
+  // division: exponents 0, 1, 2, 3, 65537, 2^64 + 1 and random ones of
+  // one to three limbs, bases 0, 1, n - 1, n, n + 1 and one wider than n,
+  // odd moduli of 1..33 limbs plus all-ones ones (the carry limb).
+  util::Rng rng(45);
+  const Bignum one(1);
+  std::vector<Bignum> moduli;
+  for (std::size_t l = 1; l <= 33; ++l) moduli.push_back(odd_modulus(rng, l));
+  for (const std::size_t l : {1u, 8u, 16u}) moduli.push_back((one << (64 * l)) - one);
+  for (const Bignum& n : moduli) {
+    const std::size_t l = n.limb_count();
+    std::vector<Bignum> exps = {Bignum{}, one, Bignum(2), Bignum(3), Bignum(65537),
+                                (one << 64) + one};
+    for (std::size_t el = 1; el <= 3; ++el) {
+      exps.push_back(random_bits(rng, 64 * el - rng.next_below(64)));
+    }
+    const Bignum bases[] = {Bignum{}, one, n - one, n, n + one,
+                            random_bits(rng, 64 * l + 1 + rng.next_below(128))};
+    for (const Bignum& a : bases) {
+      for (const Bignum& e : exps) {
+        EXPECT_EQ(Bignum::mod_exp_public(a, e, n), ref_exp(a, e, n))
+            << "limbs=" << l << " n=" << n.to_hex() << " a=" << a.to_hex()
+            << " e=" << e.to_hex();
+      }
+    }
   }
 }
 
@@ -276,9 +301,9 @@ void check_kernels_agree(util::Rng& rng, const Bignum& n) {
   for (const auto& base : {ops[4], ops[2]}) {
     mont::portable::to_mont(am, base, m, s);
     for (const auto& e : {e_rand, ones}) {
-      mont::portable::exp(r_p, am, e, 64 * l, m, s);
+      mont::portable::exp(r_p, am, e, m, s);
       r = am;
-      mont::exp(r, r, e, 64 * l, m, s);
+      mont::exp(r, r, e, m, s);
       EXPECT_EQ(r, r_p) << "exp l=" << l << " n=" << n.to_hex();
     }
   }
@@ -338,7 +363,7 @@ std::vector<Limb> portable_exp(const Bignum& x, const std::vector<Limb>& e,
   const mont::Modulus m = n.view();
   std::vector<Limb> s(mont::scratch_limbs(m.limbs())), r(m.limbs());
   mont::portable::to_mont(r, x.limbs(), m, s);
-  mont::portable::exp(r, r, e, 64 * e.size(), m, s);
+  mont::portable::exp(r, r, e, m, s);
   mont::portable::from_mont(r, r, m, s);
   return r;
 }
@@ -425,6 +450,37 @@ TEST(Exp2, MontModExp2MatchesTwoModExps) {
     const auto [m1, m2] = mont_mod_exp2(a, ep, p, eq, q);
     EXPECT_EQ(m1, Bignum::mod_exp(a, ep, p)) << "lp=" << lp;
     EXPECT_EQ(m2, Bignum::mod_exp(a, eq, q)) << "lq=" << lq;
+  }
+}
+
+TEST(Exp2, CallerRrIsBitIdenticalToComputingIt) {
+  // R^2 from a MontgomeryContext (the values sslsim's contexts hold) gives
+  // the results a computed R^2 does, for either half or both, at equal
+  // widths (the lockstep kernel where the CPU has it) and unequal ones.
+  // 2^(64(l-1)) + 1 has R^2 = 2^128 mod it, far narrower than l limbs.
+  util::Rng rng(46);
+  const Bignum one(1);
+  const auto sparse = [&](std::size_t l) { return (one << (64 * (l - 1))) + one; };
+  const std::pair<Bignum, Bignum> moduli[] = {
+      {odd_modulus(rng, 1), odd_modulus(rng, 1)},   {odd_modulus(rng, 8), odd_modulus(rng, 8)},
+      {odd_modulus(rng, 16), odd_modulus(rng, 16)}, {odd_modulus(rng, 3), odd_modulus(rng, 5)},
+      {odd_modulus(rng, 9), odd_modulus(rng, 7)},   {odd_modulus(rng, 16), odd_modulus(rng, 15)},
+      {sparse(8), odd_modulus(rng, 8)},             {sparse(8), sparse(5)}};
+  for (const auto& [p, q] : moduli) {
+    const std::size_t lp = p.limb_count(), lq = q.limb_count();
+    const MontgomeryContext cp(p), cq(q);
+    const Bignum ep = random_bits(rng, 64 * lp - 3), eq = random_bits(rng, 64 * lq + 20);
+    for (const Bignum& a : {Bignum{}, one, random_below(rng, p * q),
+                            random_bits(rng, 64 * (lp + lq) + 70)}) {
+      const auto computed = mont_mod_exp2(a, ep, p, eq, q);
+      const std::string where = "lp=" + std::to_string(lp) + " lq=" + std::to_string(lq) +
+                                " a=" + a.to_hex();
+      EXPECT_EQ(computed.first, Bignum::mod_exp(a, ep, p)) << where;
+      EXPECT_EQ(computed.second, Bignum::mod_exp(a, eq, q)) << where;
+      EXPECT_EQ(mont_mod_exp2(a, ep, p, eq, q, &cp.rr(), &cq.rr()), computed) << where;
+      EXPECT_EQ(mont_mod_exp2(a, ep, p, eq, q, &cp.rr(), nullptr), computed) << where;
+      EXPECT_EQ(mont_mod_exp2(a, ep, p, eq, q, nullptr, &cq.rr()), computed) << where;
+    }
   }
 }
 

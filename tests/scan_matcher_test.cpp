@@ -516,30 +516,40 @@ TEST(SkimDepth, ShortNeedlesMixedIntoADeepSet) {
   // length: a deep skim must still pass every position they match at,
   // including where the wildcard bytes are anything at all.
   // Each short needle starts like a long one, so it joins that needle's
-  // bucket; a one-byte needle there lets its bucket pass any byte at
-  // every later depth, so no depth reaches 1/1024 and the skim goes as
-  // deep as it can.
+  // bucket and passes any byte past its length there. A three-byte needle
+  // barely adds survival, so the set goes four bytes deep and layer 4 is
+  // its wildcard. A two-byte one (and a two-byte prefix of a long needle)
+  // keeps survival from halving past layer 3, so the set stops there with
+  // layer 3 the wildcard; a one-byte needle does that past layer 2.
   util::Rng rng(1313);
   Needles n = random_needles(rng, 64);
   const std::size_t long_needles = n.size();
-  for (const std::size_t len : {1u, 2u, 3u}) {
+  const auto add_short = [&](std::size_t len) {
     std::vector<std::byte> needle(len);
     rng.fill_bytes(needle);
     needle[0] = n[len][0];
     n.push_back(std::move(needle));
-  }
+  };
+  const auto check_set = [&](std::size_t depth, const std::string& set) {
+    const MultiMatcher mm(views(n));
+    EXPECT_EQ(mm.skim_depth(), expected_depth(depth)) << set;
+    auto hay = planted_haystack(rng, 32 * 1024, n);
+    // Short-needle hits followed by every kind of byte, at the very end
+    // of the buffer too.
+    for (std::size_t k = long_needles; k < n.size(); ++k) {
+      const auto& s = n[k];
+      std::copy(s.begin(), s.end(), hay.end() - static_cast<std::ptrdiff_t>(s.size()));
+      check_full_buffer(hay, n, 0, set + ": short needle " + std::to_string(k) + " at the end");
+    }
+    check_full_buffer(hay, n, 0, set);
+  };
+  add_short(3);
+  check_set(4, "a three-byte needle");
+  add_short(2);
   n.push_back(std::vector<std::byte>(n[0].begin(), n[0].begin() + 2));  // a prefix
-  const MultiMatcher mm(views(n));
-  EXPECT_EQ(mm.skim_depth(), expected_depth(4));
-  auto hay = planted_haystack(rng, 32 * 1024, n);
-  // Short-needle hits followed by every kind of byte, at the very end
-  // of the buffer too.
-  for (std::size_t k = long_needles; k < n.size(); ++k) {
-    const auto& s = n[k];
-    std::copy(s.begin(), s.end(), hay.end() - static_cast<std::ptrdiff_t>(s.size()));
-    check_full_buffer(hay, n, 0, "short needle " + std::to_string(k) + " at the end");
-  }
-  check_full_buffer(hay, n, 0, "short needles in a deep set");
+  check_set(3, "two-byte needles added");
+  add_short(1);
+  check_set(2, "a one-byte needle added");
 }
 
 TEST(SkimDepth, PrefixModeWithOneToThreeRequiredBytes) {

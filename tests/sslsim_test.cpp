@@ -116,6 +116,59 @@ TEST(SslLibrary, PrivateOpMatchesHostCrt) {
   }
 }
 
+TEST(SslLibrary, PrivateOpEqualsDecryptCrtWithCachedAndTemporaryContexts) {
+  // The op exponentiates with the R^2 its contexts hold: cached ones
+  // (built by the first op, read back by every later one), per-op
+  // temporaries with and without the clear discipline, and the aligned
+  // key, whose cache is off.
+  struct Mode {
+    const char* name;
+    SslConfig cfg;
+    bool cache;
+  };
+  const Mode modes[] = {{"cached", {}, true},
+                        {"temporary", {}, false},
+                        {"temporary, clear-freed", {.clear_temporaries = true}, false},
+                        {"aligned", {.auto_align = true, .clear_temporaries = true}, false}};
+  const Bignum& n = Fixture::key().n;
+  for (const Mode& mode : modes) {
+    sim::Kernel k(small_config());
+    install_key(k);
+    auto& p = k.spawn("sshd");
+    SslLibrary ssl(k, mode.cfg);
+    auto key = ssl.load_private_key(p, "/etc/ssh/host_key");
+    ASSERT_TRUE(key) << mode.name;
+    key->cache_private = key->cache_private && mode.cache;
+    util::Rng rng(6);
+    for (const Bignum& c : {Bignum{}, Bignum(1), n - Bignum(1), bn::random_below(rng, n),
+                            bn::random_below(rng, n)}) {
+      EXPECT_EQ(ssl.rsa_private_op(p, *key, c), Fixture::key().decrypt_crt(c))
+          << mode.name << " c=" << c.to_hex();
+    }
+    EXPECT_EQ(key->mont_p.has_value(), mode.cache) << mode.name;
+  }
+}
+
+TEST(SslLibrary, CachedContextsRrIsWhatTheOpRuns) {
+  // Like OpenSSL's _method_mod_p, the cached context is the op's input:
+  // overwriting its R^2 in simulated memory changes the result.
+  sim::Kernel k(small_config());
+  install_key(k);
+  auto& p = k.spawn("sshd");
+  SslLibrary ssl(k, {});
+  auto key = ssl.load_private_key(p, "/etc/ssh/host_key");
+  ASSERT_TRUE(key);
+  const Bignum c(4242);
+  ASSERT_EQ(ssl.rsa_private_op(p, *key, c), Fixture::key().decrypt_crt(c));
+  ASSERT_TRUE(key->mont_p.has_value());
+  const SimBignum rr = key->mont_p->rr;
+  const Bignum wrong = ssl.read_bignum(p, rr) + Bignum(1);
+  auto image = SslLibrary::limb_image(wrong);
+  image.resize(rr.bytes());
+  k.mem_write(p, rr.data, image);
+  EXPECT_NE(ssl.rsa_private_op(p, *key, c), Fixture::key().decrypt_crt(c));
+}
+
 TEST(SslLibrary, CachePrivateBuildsPersistentMontCopies) {
   sim::Kernel k(small_config());
   install_key(k);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -87,6 +90,34 @@ TEST(Rng, FillBytesNonMultipleOf8) {
   std::vector<std::byte> buf(3);
   rng.fill_bytes(buf);  // must not write out of bounds (ASan would catch)
   SUCCEED();
+}
+
+TEST(Rng, FillBytesIsTheNextU64Stream) {
+  // fill_bytes(n) writes the little-endian bytes of ceil(n / 8) next_u64
+  // draws, the last cut short, and leaves the generator where those draws
+  // leave it: the byte stream every seeded scenario depends on.
+  static_assert(sizeof(Rng) == 4 * sizeof(std::uint64_t));
+  const auto state = [](const Rng& r) { return std::bit_cast<std::array<std::uint64_t, 4>>(r); };
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(4099);
+  lengths.push_back(32 * 1024);
+  for (const std::size_t n : lengths) {
+    Rng filled(1000 + n), driven(1000 + n);
+    // Guard bytes either side of the filled span stay untouched.
+    std::vector<std::byte> got(n + 16, std::byte{0xa5});
+    filled.fill_bytes(std::span(got).subspan(8, n));
+    std::vector<std::byte> want(n + 16, std::byte{0xa5});
+    for (std::size_t i = 0; i < n; i += 8) {
+      const std::uint64_t w = driven.next_u64();
+      for (std::size_t b = 0; b < 8 && i + b < n; ++b) {
+        want[8 + i + b] = static_cast<std::byte>(w >> (8 * b));
+      }
+    }
+    EXPECT_EQ(got, want) << "n=" << n;
+    EXPECT_EQ(state(filled), state(driven)) << "n=" << n;
+    EXPECT_EQ(filled.next_u64(), driven.next_u64()) << "n=" << n;
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
